@@ -418,30 +418,57 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
-                          allow_nan=True)
+        """Strict JSON (no bare Infinity or NaN): non-finite floats at any
+        depth are written as the strings "inf", "-inf" and "nan"."""
+        return json.dumps(_encode_nonfinite(self.to_json_dict()), indent=2,
+                          sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        """Inverse of to_json: numeric fields map "inf", "-inf" and "nan"
+        back to floats; the config echo keeps them as written."""
         d = json.loads(text)
         segments = []
         for s in d["segments"]:
-            pt = PtotEstimate(s["ptot_minus"], s["ptot_plus"],
-                              s["se_minus"], s["se_plus"],
-                              s["components_minus"], s["components_plus"])
+            pt = PtotEstimate(_number(s["ptot_minus"]), _number(s["ptot_plus"]),
+                              _number(s["se_minus"]), _number(s["se_plus"]),
+                              _numbers(s["components_minus"]),
+                              _numbers(s["components_plus"]))
             segments.append(SegmentRecord(
-                s["range"][0], s["range"][1], pt,
+                _number(s["range"][0]), _number(s["range"][1]), pt,
                 TestOutcome(s["tests"]["superlinearity_plus"] == "reject",
                             0.0, 0.0, 0.0),
                 TestOutcome(s["tests"]["superlinearity_minus"] == "reject",
-                            s["tests"]["margin_minus"], 0.0, 0.0),
-                s["envelope"]["pass_fraction"],
+                            _number(s["tests"]["margin_minus"]), 0.0, 0.0),
+                _number(s["envelope"]["pass_fraction"]),
                 s["envelope"]["nonbinding"],
                 s["envelope"]["disabled"]))
-        return cls(d["verdict"], segments, d["envelope_pass_fraction"],
-                   d["margins"], d["osgood_divergent"], d["event_bound"],
-                   d["capital_escape_time"], d["config_echo"],
+        return cls(d["verdict"], segments,
+                   _number(d["envelope_pass_fraction"]), _numbers(d["margins"]),
+                   d["osgood_divergent"], _number(d["event_bound"]),
+                   _number(d["capital_escape_time"]), d["config_echo"],
                    d["data_snapshot_versions"], d["notes"])
+
+
+def _encode_nonfinite(obj):
+    """Replace non-finite floats, at any depth, by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _encode_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_nonfinite(v) for v in obj]
+    return obj
+
+
+def _number(value):
+    """A numeric certificate field as read back: the strings written for
+    non-finite floats become floats again; None stays None."""
+    return float(value) if isinstance(value, str) else value
+
+
+def _numbers(d: dict) -> dict:
+    return {k: _number(v) for k, v in d.items()}
 
 
 def decide(ptots: PtotEstimate | list[PtotEstimate],

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,17 +31,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SINGULAR = 2
 EXIT_INCONCLUSIVE = 3
-
-THREADS_ENV = "RSI_CERTIFY_THREADS"
-
-
-def max_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,21 +93,11 @@ def cmd_ingest(args) -> int:
 
     failures = []
     results = []
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [(e, pool.submit(one, e)) for e in entries]
-            for entry, fut in futs:
-                try:
-                    results.append(fut.result())
-                except ToolkitError as exc:
-                    failures.append((entry["path"], str(exc)))
-    else:
-        for entry in entries:
-            try:
-                results.append(one(entry))
-            except ToolkitError as exc:
-                failures.append((entry["path"], str(exc)))
+    for entry in entries:
+        try:
+            results.append(one(entry))
+        except ToolkitError as exc:
+            failures.append((entry["path"], str(exc)))
 
     if failures:
         for path, msg in failures:
@@ -220,10 +198,7 @@ def cmd_estimate(args) -> int:
     i_series, idot, snapshots = _capability_from_config(cfg)
     prof = est.rolling_elasticity(i_series, idot, window, lag=lag,
                                   alpha=alpha)
-    segs = est.sup_wald_breaks(prof.to_slope_series(),
-                               trim=est_cfg.get("trim", 0.15)) \
-        if len(prof.estimates) >= 30 else est.BreakSegmentation(
-            [], [(float(prof.t[0]), float(prof.t[-1]) + 1e-9)])
+    segs = est.segment_profile(prof, trim=est_cfg.get("trim", 0.15))
 
     _dump_json({
         "alpha": alpha,
@@ -254,6 +229,15 @@ def _fit_state_factor(i_vals, rate_over_svc):
     ly = np.log(rate_over_svc[mask])
     slope, intercept, _, _ = ts.wls_slope(lx, ly, np.ones_like(lx))
     return dyn.PhiSpec.power(max(slope, 0.0), math.exp(intercept))
+
+
+def _positive_pairs(i_series, idot):
+    """(I, Idot) sample pairs joined on their shared timestamps, kept where
+    both are positive."""
+    _, ii, ri = np.intersect1d(i_series.t, idot.t, return_indices=True)
+    i_on, rate_on = i_series.values[ii], idot.values[ri]
+    pos = (rate_on > 0) & (i_on > 0)
+    return i_on[pos], rate_on[pos]
 
 
 def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
@@ -323,12 +307,7 @@ def cmd_certify(args) -> int:
     # rolling elasticity and regime segmentation
     prof = est.rolling_elasticity(i_series, idot, window,
                                   lag=est_cfg.get("lag", "auto"), alpha=alpha)
-    if len(prof.estimates) >= 30:
-        segs = est.sup_wald_breaks(prof.to_slope_series(),
-                                   trim=est_cfg.get("trim", 0.15))
-    else:
-        segs = est.BreakSegmentation(
-            [], [(float(prof.t[0]), float(prof.t[-1]) + 1e-9)])
+    segs = est.segment_profile(prof, trim=est_cfg.get("trim", 0.15))
 
     # optional envelope layer
     envelope_result = None
@@ -380,15 +359,13 @@ def cmd_certify(args) -> int:
         # dI/dt <= a0 * I^p with p the profile supremum and a0 the tightest
         # gain covering every sample
         sup_p = float(prof.values.max())
-        n = len(idot)
-        i_on = i_series.values[:n]
-        pos = (idot.values > 0) & (i_on > 0)
-        if sup_p <= 1.0 or not pos.any():
+        i_on, rate_on = _positive_pairs(i_series, idot)
+        if sup_p <= 1.0 or not i_on.size:
             osgood = dyn.OsgoodResult(True, math.inf, sup_p)
         else:
-            a0_fit = float(np.max(idot.values[pos] / i_on[pos] ** sup_p))
+            a0_fit = float(np.max(rate_on / i_on ** sup_p))
             osgood = dyn.osgood_classify(dyn.PhiSpec.power(sup_p, a0_fit),
-                                         float(i_on[pos].min()))
+                                         float(i_on.min()))
 
     # per-segment totals
     effs = None
@@ -430,11 +407,9 @@ def cmd_certify(args) -> int:
     worst_minus = max(ptots, key=lambda p: p.minus)
     if worst_minus.minus > 1.0:
         delta = worst_minus.minus - 1.0
-        n = len(idot)
-        i_on = i_series.values[:n]
-        pos = (idot.values > 0) & (i_on > 0)
-        a0 = float(np.min(idot.values[pos] / i_on[pos] ** (1.0 + delta)))
-        event_bound = ct.event_blowup_bound(float(i_on[pos][-1]), delta, a0)
+        i_on, rate_on = _positive_pairs(i_series, idot)
+        a0 = float(np.min(rate_on / i_on ** (1.0 + delta)))
+        event_bound = ct.event_blowup_bound(float(i_on[-1]), delta, a0)
 
     extra_margins = {}
     if cert_cfg.get("grad_norm"):

@@ -98,26 +98,6 @@ def _hac_slope_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, lag: int):
     return float(coef[1]), se, float(coef[0])
 
 
-def _prewhitened_slope_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                           lag: int):
-    """One Cochrane-Orcutt pass: estimate the AR(1) coefficient of the
-    initial residuals, quasi-difference both variables, refit with HAC
-    errors on the whitened problem.  The slope is invariant to the
-    transformation; only its uncertainty changes."""
-    slope0, _, intercept0 = _hac_slope_fit(x, y, w, lag)
-    resid = y - (intercept0 + slope0 * x)
-    num = float((resid[1:] * resid[:-1]).sum())
-    den = float((resid[:-1] ** 2).sum())
-    rho = 0.0 if den <= 0 else max(-0.99, min(0.99, num / den))
-    if abs(rho) < 1e-3 or x.size < 4:
-        return slope0, _hac_slope_fit(x, y, w, lag)[1]
-    xq = x[1:] - rho * x[:-1]
-    yq = y[1:] - rho * y[:-1]
-    wq = np.sqrt(w[1:] * w[:-1])
-    slope, se, _ = _hac_slope_fit(xq, yq, wq, min(lag, xq.size - 2))
-    return slope, se
-
-
 # ---------------------------------------------------------------------------
 # rolling feedback elasticity
 
@@ -160,15 +140,14 @@ class RollingElasticity:
     def ses(self) -> np.ndarray:
         return np.array([e.se for e in self.estimates])
 
-    def envelope(self) -> tuple[ElasticityEstimate, ElasticityEstimate]:
-        """(lowest, highest) pointwise estimates over the profile."""
-        lo = min(self.estimates, key=lambda e: e.value)
-        hi = max(self.estimates, key=lambda e: e.value)
-        return lo, hi
-
     def to_slope_series(self) -> ts.SlopeSeries:
         half = self.estimates[0].window / 2 if self.estimates else 0.0
         return ts.SlopeSeries(self.t, self.values, self.ses, half)
+
+
+# gap reasons, in the order the windows are checked
+GAP_REASONS = ("nonpositive rate in window", "nonpositive state in window",
+               "degenerate regressor")
 
 
 def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
@@ -180,12 +159,15 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     The feedback elasticity is only defined where the rate is positive;
     windows containing nonpositive rates are skipped and recorded as gaps
     rather than clamped.  Standard errors are Newey-West with Bartlett
-    weights (lag "auto" uses the floor(4(n/100)^(2/9)) rule per window).
+    weights (lag "auto" uses the floor(4(n/100)^(2/9)) rule per window),
+    capped at the window's sample count minus two.
     ``centers`` restricts evaluation to the given window centers (default:
     every shared sample time).  ``prewhiten`` applies one AR(1)
     quasi-differencing pass (off by default): the slope is refit on
     rho-differenced data, which tightens HAC errors under strong serial
-    correlation and is inert on white residuals.
+    correlation and is inert on white residuals.  All windows are fitted
+    by the shared kernel ``series.windowed_wls`` (closed forms, blocks of
+    ``series.WINDOW_BLOCK_ELEMENTS`` samples, per-window HAC sums).
     """
     # join on the common timestamps (the rate grid is the state grid minus
     # its last point when produced by the capability layer)
@@ -196,42 +178,40 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     r_vals = Idot.values[ib]
 
     half = window / 2.0
-    estimates: list[ElasticityEstimate] = []
-    gaps: list[tuple[float, str]] = []
-    z = float(norm.ppf(1 - alpha / 2.0))
     eval_centers = common if centers is None \
-        else np.asarray(centers, dtype=float)
-    for center in eval_centers:
-        mask = np.abs(common - center) <= half * (1 + 1e-9)
-        n_win = int(mask.sum())
-        if n_win < min_points:
-            continue
-        iw = i_vals[mask]
-        rw = r_vals[mask]
-        if np.any(rw <= 0):
-            gaps.append((float(center), "nonpositive rate in window"))
-            continue
-        if np.any(iw <= 0):
-            gaps.append((float(center), "nonpositive state in window"))
-            continue
-        lx = np.log(iw)
-        ly = np.log(rw)
-        w = ts.epanechnikov((common[mask] - center) / half)
-        sw = w.sum()
-        varx = (w * (lx - (w * lx).sum() / sw) ** 2).sum() / sw
-        if varx < ts.VAR_LOG_TOL:
-            gaps.append((float(center), "degenerate regressor"))
-            continue
-        eff_lag = auto_lag(n_win) if lag == "auto" else int(lag)
-        eff_lag = min(eff_lag, n_win - 2)
-        if prewhiten:
-            slope, se = _prewhitened_slope_fit(lx, ly, w, eff_lag)
-        else:
-            slope, se, _ = _hac_slope_fit(lx, ly, w, eff_lag)
-        n_eff = float(sw * sw / (w * w).sum())
-        estimates.append(ElasticityEstimate(
-            float(center), slope, se, (slope - z * se, slope + z * se),
-            window, n_eff))
+        else np.atleast_1d(np.asarray(centers, dtype=float))
+    lo, hi = ts.window_bounds(common, eval_centers, half)
+    n_win = hi - lo
+    # per window: 0 fit, k > 0 gap GAP_REASONS[k - 1], -1 too few samples;
+    # prefix counts of nonpositive samples find the nonpositive windows
+    gap = np.where(n_win < min_points, -1, 0)
+    for code, values in ((1, r_vals), (2, i_vals)):
+        bad = np.concatenate(([0], np.cumsum(values <= 0)))
+        gap[(gap == 0) & (bad[hi] > bad[lo])] = code
+    sel = np.flatnonzero(gap == 0)
+
+    lags = np.array([min(auto_lag(k) if lag == "auto" else int(lag), k - 2)
+                     for k in n_win[sel].tolist()], dtype=int)
+    lx = np.log(np.where(i_vals > 0, i_vals, 1.0))
+    ly = np.log(np.where(r_vals > 0, r_vals, 1.0))
+    fit = ts.windowed_wls(common, lx, ly, eval_centers[sel], half, lo[sel],
+                          hi[sel], lags=lags, prewhiten=prewhiten)
+    degenerate = fit.var_x < ts.VAR_LOG_TOL
+    gap[sel[degenerate]] = 3
+    ok = ~degenerate
+    if np.any(lags[ok] < 0):
+        raise SingularDesign(f"lag={lag} must be nonnegative")
+    if not np.all(fit.cond[ok] <= 1e14):
+        raise SingularDesign("X'X is numerically singular")
+
+    z = float(norm.ppf(1 - alpha / 2.0))
+    estimates = [
+        ElasticityEstimate(c, b, se, (b - z * se, b + z * se), window, ne)
+        for c, b, se, ne in zip(eval_centers[sel[ok]].tolist(),
+                                fit.slope[ok].tolist(), fit.se[ok].tolist(),
+                                fit.n_eff[ok].tolist())]
+    gaps = [(c, GAP_REASONS[k - 1])
+            for c, k in zip(eval_centers.tolist(), gap.tolist()) if k > 0]
     if not estimates:
         raise AllWindowsDegenerate(
             "no window produced a usable elasticity estimate")
@@ -296,23 +276,15 @@ def _local_index_profile(abscissa: np.ndarray, values: np.ndarray,
     half = 0.5 * window_decades * math.log(10.0)
     slope_g, intercept_g, _, _ = ts.wls_slope(ls, lv, np.ones_like(ls))
     local_fit = intercept_g + slope_g * ls
-    centers, slopes, masses = [], [], []
-    for idx, c in enumerate(ls):
-        mask = np.abs(ls - c) <= half * (1 + 1e-12)
-        if mask.sum() < min_points:
-            continue
-        w = ts.epanechnikov((ls[mask] - c) / half)
-        varx = (w * (ls[mask] - (w * ls[mask]).sum() / w.sum()) ** 2).sum()
-        if varx <= 0:
-            continue
-        slope, intercept, _, _ = ts.wls_slope(ls[mask], lv[mask], w)
-        centers.append(math.exp(c))
-        slopes.append(slope)
-        masses.append(w.sum())
-        local_fit[idx] = intercept + slope * c
-    if not slopes:
+    lo, hi = ts.window_bounds(ls, ls, half, rtol=1e-12)
+    sel = np.flatnonzero(hi - lo >= min_points)
+    fit = ts.windowed_wls(ls, ls, lv, ls[sel], half, lo[sel], hi[sel])
+    ok = fit.var_x > 0
+    if not ok.any():
         raise AllWindowsDegenerate("no index window had enough points")
-    return np.array(centers), np.array(slopes), np.array(masses), local_fit
+    sel, slopes = sel[ok], fit.slope[ok]
+    local_fit[sel] = fit.intercept[ok] + slopes * ls[sel]
+    return np.exp(ls[sel]), slopes, fit.sw[ok], local_fit
 
 
 def _index_estimate(abscissa, values, window_decades, bootstrap_reps,
@@ -614,8 +586,12 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
     return best_w, best_k
 
 
+SUP_WALD_MIN_SEGMENT = 30  # fewest estimates a segment needs to be scanned
+
+
 def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
-                    alpha: float = 0.05, min_segment: int = 30) -> BreakSegmentation:
+                    alpha: float = 0.05,
+                    min_segment: int = SUP_WALD_MIN_SEGMENT) -> BreakSegmentation:
     """Segment a local-slope process at mean shifts found by sup-Wald scans.
 
     A single-break scan with the asymptotic critical value is applied
@@ -655,6 +631,17 @@ def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
     return BreakSegmentation(bp_times, segments)
 
 
+def segment_profile(prof: RollingElasticity,
+                    trim: float = 0.15) -> BreakSegmentation:
+    """Regime segments of a rolling elasticity profile: sup-Wald breaks
+    when the profile holds at least SUP_WALD_MIN_SEGMENT estimates, else
+    one segment covering the whole profile."""
+    if len(prof.estimates) >= SUP_WALD_MIN_SEGMENT:
+        return sup_wald_breaks(prof.to_slope_series(), trim=trim)
+    return BreakSegmentation(
+        [], [(float(prof.t[0]), float(prof.t[-1]) + 1e-9)])
+
+
 # ---------------------------------------------------------------------------
 # power analysis
 
@@ -687,14 +674,15 @@ def excitation_infimum(u: ts.TimeSeries, window: float) -> ts.SlopeSeries:
     elasticity-bound hypotheses, a vanishing one flags them.
     """
     half = window / 2.0
-    t_out, inf_out = [], []
-    for center in u.t:
-        mask = np.abs(u.t - center) <= half * (1 + 1e-9)
-        if mask.sum() < 2:
-            continue
-        t_out.append(float(center))
-        inf_out.append(float(u.values[mask].min()))
-    return ts.SlopeSeries(t_out, inf_out, np.zeros(len(t_out)), half)
+    lo, hi = ts.window_bounds(u.t, u.t, half)
+    keep = hi - lo >= 2
+    # every window holds its own center, so lo < hi; reduceat over the
+    # interleaved bounds takes the minimum of u[lo:hi] at the even slots
+    # (the appended sample keeps hi = n a valid index)
+    bounds = np.column_stack([lo, hi]).ravel()
+    mins = np.minimum.reduceat(np.append(u.values, np.inf), bounds)[::2]
+    return ts.SlopeSeries(u.t[keep], mins[keep], np.zeros(int(keep.sum())),
+                          half)
 
 
 # ---------------------------------------------------------------------------

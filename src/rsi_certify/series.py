@@ -6,6 +6,15 @@ log-slopes computed from these series, so the transforms here are kept
 deliberately small: CSV/JSON round-trips, linear resampling without
 extrapolation, kernel-weighted local log-slopes, rolling elasticities, and
 the effective-dataset combination D_real + rho * D_synth.
+
+Every rolling fit in the package (log_slope, elasticity, and in the
+estimation layer the rolling elasticity, the index profiles and the
+excitation infimum) goes through one windowed kernel: window_bounds finds
+each window with np.searchsorted, and windowed_wls fits blocks of windows
+of at most WINDOW_BLOCK_ELEMENTS samples with closed-form weighted least
+squares and a scalar Newey-West variance.  The lagged HAC sums are formed
+per window, not from prefix sums over the series, which would cancel
+catastrophically on epoch-second timestamps.
 """
 
 from __future__ import annotations
@@ -17,9 +26,10 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateRegressor,
@@ -126,14 +136,6 @@ class TimeSeries:
             self.snapshot_version if snapshot_version is None else snapshot_version,
         )
 
-    def restrict(self, t_lo, t_hi) -> "TimeSeries":
-        mask = (self.t >= t_lo) & (self.t <= t_hi)
-        if not mask.any():
-            raise OutOfRange(f"no samples of {self.name!r} in [{t_lo}, {t_hi}]")
-        w = None if self.weights is None else self.weights[mask]
-        return TimeSeries(self.name, self.unit, self.t[mask], self.values[mask],
-                          w, self.snapshot_version)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -207,10 +209,6 @@ class SlopeSeries:
 
     def __len__(self):
         return self.t.size
-
-    def points(self) -> list[SlopePoint]:
-        return [SlopePoint(float(a), float(b), float(c), self.window_half_width)
-                for a, b, c in zip(self.t, self.slope, self.se)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +404,146 @@ def wls_slope(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return slope, intercept, se, resid
 
 
-def _window_mask(t: np.ndarray, center: float, half: float) -> np.ndarray:
-    return np.abs(t - center) <= half * (1 + GRID_RTOL)
+# Windows are fitted in blocks of at most this many gathered samples, so
+# the padded temporaries stay near 256 KB each whatever the series length.
+WINDOW_BLOCK_ELEMENTS = 1 << 15
+
+
+def window_bounds(t, centers, half: float, rtol: float = GRID_RTOL):
+    """Bounds (lo, hi) of the samples of sorted ``t`` with
+    |t - c| <= half * (1 + rtol), per center c.  np.searchsorted places
+    them; they are then stepped until they agree with that comparison as
+    evaluated in floating point, so t[lo:hi] is exactly the masked window."""
+    t = np.asarray(t, dtype=float)
+    c = np.atleast_1d(np.asarray(centers, dtype=float))
+    tol = half * (1 + rtol)
+    bounds = []
+    for idx, reached in ((np.searchsorted(t, c - tol), lambda d: d >= -tol),
+                         (np.searchsorted(t, c + tol, "right"),
+                          lambda d: d > tol)):
+        while True:  # settle on the first j with reached(t[j] - c), or t.size
+            back = (idx > 0) & reached(t[np.maximum(idx - 1, 0)] - c)
+            ahead = (idx < t.size) & ~reached(t[np.minimum(idx, t.size - 1)] - c)
+            if not (back.any() or ahead.any()):
+                break
+            idx = idx - back + ahead
+        bounds.append(idx)
+    return tuple(bounds)
+
+
+class WindowFits(NamedTuple):
+    """Per-window weighted least-squares fits of y = a + b*x."""
+
+    sw: np.ndarray         # kernel mass sum(w)
+    n_eff: np.ndarray      # sum(w)^2 / sum(w^2)
+    var_x: np.ndarray      # weighted variance of x
+    slope: np.ndarray
+    intercept: np.ndarray
+    se: np.ndarray         # classical, or Newey-West when lags are given
+    cond: np.ndarray       # 2-norm condition number of X'WX
+
+
+def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
+                 lags=None, prewhiten: bool = False) -> WindowFits:
+    """The windowed regression kernel behind every rolling fit.
+
+    Window k fits finite y on finite x over samples lo[k]:hi[k] of the
+    sorted coordinate ``t``, weighted by the Epanechnikov kernel of
+    (t - centers[k]) / half times any ``quality``.  Blocks of windows
+    holding up to WINDOW_BLOCK_ELEMENTS samples are gathered into padded
+    (windows x samples) arrays; each row gives centred moments and the
+    closed-form slope sxy / sxx.  With one Bartlett lag L per window the
+    error is Newey-West, whose slope entry needs no 2x2 inverse:
+    Var(b) = [sum g_i^2 + 2 sum_l (1 - l/(L+1)) sum_i g_i g_{i-l}] / sxx^2
+    with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).  The
+    lagged sums stay per window because prefix sums over the series would
+    cancel catastrophically at epoch-second scale.  Without lags the error
+    is the classical one of wls_slope.  ``prewhiten`` refits each window
+    once on data quasi-differenced by the AR(1) coefficient rho of its
+    residuals (not when |rho| < 1e-3 or under four samples).
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    lo = np.atleast_1d(np.asarray(lo, dtype=np.intp))
+    count = np.atleast_1d(np.asarray(hi, dtype=np.intp)) - lo
+    width = max(int(count.max(initial=1)), 1)
+    # row j of a view is a[j:j + width], zero-padded: blocks gather rows
+    tv, xv, yv, qv = (None if a is None else sliding_window_view(
+        np.concatenate([np.asarray(a, dtype=float), np.zeros(width)]), width)
+        for a in (t, x, y, quality))
+    out = np.full((len(WindowFits._fields), count.size), np.nan)
+    rows = max(1, WINDOW_BLOCK_ELEMENTS // width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for blk in (slice(k, k + rows) for k in range(0, count.size, rows)):
+            n, starts = count[blk], lo[blk]
+            span = int(n.max())
+            valid = np.arange(span) < n[:, None]
+            w = epanechnikov((tv[starts, :span] - centers[blk, None]) / half)
+            w *= valid if qv is None else valid * qv[starts, :span]
+            xb, yb = xv[starts, :span], yv[starts, :span]
+            lag = None if lags is None else lags[blk]
+            fit, resid = _fit_rows(xb, yb, w, lag)
+            if prewhiten:
+                _prewhiten_rows(fit, resid * valid, xb, yb, w, valid, n, lag)
+            out[:, blk] = fit
+    return WindowFits(*out)
+
+
+def _fit_rows(x, y, w, lags):
+    """Closed-form WLS per row of padded arrays (padding has zero weight);
+    returns the fits and the residuals y - a - b*x."""
+    sw = w.sum(axis=1)
+    xbar, dx = _centre(x, w, sw)
+    ybar, dy = _centre(y, w, sw)
+    wdx = w * dx
+    sxx = _row_dot(wdx, dx)
+    slope = _row_dot(wdx, dy) / sxx
+    resid = dy - slope[:, None] * dx
+    n_eff = sw * sw / _row_dot(w, w)
+    dof_factor = n_eff / np.maximum(n_eff - 2.0, 1.0)
+    if lags is None:  # classical: meat / sxx^2 = sigma^2 / sxx
+        meat = _row_dot(w * resid, resid) * sxx / sw
+    else:
+        g = wdx * resid
+        meat = _row_dot(g, g)
+        for ell in range(1, int(lags.max(initial=0)) + 1):
+            bartlett = np.where(ell <= lags, 1.0 - ell / (lags + 1.0), 0.0)
+            meat += 2.0 * bartlett * _row_dot(g[:, ell:], g[:, :-ell])
+    # X'WX = [[sw, sw xbar], [sw xbar, sx2]] has determinant sw sxx
+    sx2 = sxx + sw * xbar * xbar
+    lam_max = 0.5 * (sw + sx2) + np.hypot(0.5 * (sw - sx2), sw * xbar)
+    return WindowFits(sw, n_eff, sxx / sw, slope, ybar - slope * xbar,
+                      np.sqrt(np.maximum(meat / (sxx * sxx) * dof_factor, 0.0)),
+                      lam_max * lam_max / (sw * sxx)), resid
+
+
+def _row_dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _centre(a, w, sw):
+    """Weighted row means and centred rows; the second pass removes the
+    rounding of the first, which matters for epoch-second regressors."""
+    mean = _row_dot(w, a) / sw
+    d = a - mean[:, None]
+    fix = _row_dot(w, d) / sw
+    return mean + fix, d - fix[:, None]
+
+
+def _prewhiten_rows(fit, resid, x, y, w, valid, n, lags):
+    """One Cochrane-Orcutt pass over a block, in place (zero-padded
+    residuals): slope and error come from the quasi-differenced refit."""
+    num = _row_dot(resid[:, 1:], resid[:, :-1])
+    den = _row_dot(resid[:, :-1] * valid[:, 1:], resid[:, :-1])
+    rho = np.where(den > 0, np.clip(num / den, -0.99, 0.99), 0.0)
+    redo = np.flatnonzero((np.abs(rho) >= 1e-3) & (n >= 4))
+    k, pairs = rho[redo, None], valid[redo, 1:]
+    refit, _ = _fit_rows(
+        (x[redo, 1:] - k * x[redo, :-1]) * pairs,
+        (y[redo, 1:] - k * y[redo, :-1]) * pairs,
+        np.sqrt(w[redo, 1:] * w[redo, :-1]),
+        None if lags is None else np.minimum(lags[redo], n[redo] - 3))
+    fit.slope[redo], fit.se[redo] = refit.slope, refit.se
+    fit.cond[redo] = np.maximum(fit.cond[redo], refit.cond)
 
 
 def log_slope(x: TimeSeries, window: float, center_t: float) -> SlopePoint:
@@ -419,73 +555,51 @@ def log_slope(x: TimeSeries, window: float, center_t: float) -> SlopePoint:
     the window.
     """
     half = window / 2.0
-    mask = _window_mask(x.t, center_t, half)
-    if mask.sum() < 3:
+    lo, hi = window_bounds(x.t, center_t, half)
+    win = slice(int(lo[0]), int(hi[0]))
+    tt = x.t[win]
+    if tt.size < 3:
         raise InsufficientWindow(
             f"window [{center_t - half}, {center_t + half}] holds "
-            f"{int(mask.sum())} samples; need >= 3")
-    tt = x.t[mask]
-    vv = x.values[mask]
+            f"{tt.size} samples; need >= 3")
+    vv = x.values[win]
     if np.any(vv <= 0):
         raise NonPositiveValue(
             f"log_slope needs strictly positive values in window of {x.name!r}")
-    w = epanechnikov((tt - center_t) / half) * x.effective_weights()[mask]
-    slope, _, se, _ = wls_slope(tt, np.log(vv), w)
-    n_eff = w.sum() ** 2 / (w * w).sum()
-    return SlopePoint(float(center_t), float(slope), float(se), half, float(n_eff))
-
-
-def rolling_log_slope(x: TimeSeries, window: float) -> SlopeSeries:
-    """log_slope evaluated at every sample time with enough neighbors."""
-    half = window / 2.0
-    ts, slopes, ses = [], [], []
-    for center in x.t:
-        try:
-            pt = log_slope(x, window, float(center))
-        except (InsufficientWindow, DegenerateRegressor):
-            continue
-        ts.append(pt.t)
-        slopes.append(pt.slope)
-        ses.append(pt.se)
-    return SlopeSeries(ts, slopes, ses, half)
+    fit = windowed_wls(tt, tt, np.log(vv), [center_t], half, [0], [tt.size],
+                       quality=x.effective_weights()[win])
+    if not fit.sw[0] > 0:
+        raise InsufficientWindow("all kernel weights vanish in window")
+    if not fit.var_x[0] > 0:
+        raise DegenerateRegressor("zero regressor variance in window")
+    return SlopePoint(float(center_t), float(fit.slope[0]), float(fit.se[0]),
+                      half, float(fit.n_eff[0]))
 
 
 def elasticity(y: TimeSeries, x: TimeSeries, window: float) -> SlopeSeries:
     """Rolling local slope of log y against log x (the elasticity of y
-    with respect to x).
+    with respect to x), through the shared windowed kernel.
 
     The series are aligned onto x's grid over their time overlap.  Windows
-    where Var(log x) falls below tolerance are skipped; if no window
+    with fewer than three samples or no kernel mass are dropped, and so
+    are windows where Var(log x) falls below tolerance; if no window
     survives, DegenerateRegressor is raised.
     """
     y_on, x_on = align(y, x)
     if np.any(y_on.values <= 0) or np.any(x_on.values <= 0):
         raise NonPositiveValue("elasticity requires strictly positive series")
-    ly = np.log(y_on.values)
-    lx = np.log(x_on.values)
     half = window / 2.0
-    qual = x_on.effective_weights()
-    ts, slopes, ses = [], [], []
-    for center in x_on.t:
-        mask = _window_mask(x_on.t, center, half)
-        if mask.sum() < 3:
-            continue
-        w = epanechnikov((x_on.t[mask] - center) / half) * qual[mask]
-        sw = w.sum()
-        if sw <= 0:
-            continue
-        mx = (w * lx[mask]).sum() / sw
-        varx = (w * (lx[mask] - mx) ** 2).sum() / sw
-        if varx < VAR_LOG_TOL:
-            continue
-        slope, _, se, _ = wls_slope(lx[mask], ly[mask], w)
-        ts.append(float(center))
-        slopes.append(slope)
-        ses.append(se)
-    if not ts:
+    t = x_on.t
+    lo, hi = window_bounds(t, t, half)
+    sel = np.flatnonzero(hi - lo >= 3)
+    fit = windowed_wls(t, np.log(x_on.values), np.log(y_on.values), t[sel],
+                       half, lo[sel], hi[sel],
+                       quality=x_on.effective_weights())
+    keep = (fit.sw > 0) & (fit.var_x >= VAR_LOG_TOL)
+    if not keep.any():
         raise DegenerateRegressor(
             f"Var(log {x.name}) below {VAR_LOG_TOL} in every window")
-    return SlopeSeries(ts, slopes, ses, half)
+    return SlopeSeries(t[sel[keep]], fit.slope[keep], fit.se[keep], half)
 
 
 def effective_dataset(d_real: TimeSeries, d_synth: TimeSeries,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -316,6 +317,28 @@ def test_decide_per_segment_estimates():
     assert cert.verdict == ct.VERDICT_SINGULAR
     assert len(cert.segments) == 2
     assert cert.segments[1].super_test_minus.reject
+
+
+def test_certificate_json_encodes_nonfinite_as_strings():
+    cert = ct.decide(pt_est(0.7, 0.9), passing_envelope(),
+                     OsgoodResult(True, math.inf, 0.8), seg(1),
+                     capital_escape_time=math.inf,
+                     extra_margins={"manifold_distance": -math.inf,
+                                    "wasserstein_margin": math.nan})
+    text = cert.to_json()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["capital_escape_time"] == "inf"
+    assert doc["margins"]["manifold_distance"] == "-inf"
+    assert doc["margins"]["wasserstein_margin"] == "nan"
+    back = ct.Certificate.from_json(text)
+    assert back.capital_escape_time == math.inf
+    assert back.margins["manifold_distance"] == -math.inf
+    assert math.isnan(back.margins["wasserstein_margin"])
+    assert back.to_json() == text
 
 
 def test_certificate_round_trip():

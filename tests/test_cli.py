@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from rsi_certify import certify as ct
 from rsi_certify import cli
 from rsi_certify import series as ts
 
@@ -194,6 +195,50 @@ def test_certify_case_a_singular_with_capital_time(tmp_path):
     assert cert["capital_escape_time"] == 1.0
     assert cert["event_bound"] is not None and cert["event_bound"] > 0
     assert "A-supercritical" in cert["config_echo"]["region"]
+
+
+def test_certify_joins_rate_on_timestamps(tmp_path):
+    # a capability_rate on every other timestamp of I: the event bound
+    # must pair each rate with the state at the same time, not with the
+    # state at the same position
+    cfg_path = case_a_config(tmp_path)
+    t = np.linspace(0.0, 0.9, 400)
+    i_vals = 1.0 / (1.0 - t)
+    ts.write_json(ts.TimeSeries("capability_rate", "nat/s", t[::2],
+                                i_vals[::2] ** 2, None, "caseA"),
+                  tmp_path / "rate.json")
+    cfg = json.loads(open(cfg_path).read())
+    cfg["series"]["capability_rate"] = str(tmp_path / "rate.json")
+    out = tmp_path / "out"
+    code = run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", out])
+    cert = json.loads((out / "certificate.json").read_text())
+    assert code == 2 and cert["verdict"] == "singular-admissible"
+    delta = max(s["ptot_minus"] for s in cert["segments"]) - 1.0
+    i_on, rate_on = i_vals[::2], i_vals[::2] ** 2
+    a0 = float(np.min(rate_on / i_on ** (1.0 + delta)))
+    expected = ct.event_blowup_bound(float(i_on[-1]), delta, a0)
+    assert cert["event_bound"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_certificate_is_strict_json(tmp_path, capsys):
+    # zeta = 1 gives an infinite capital escape time
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg["capital"]["zeta"] = 1.0
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", out]) == 2
+    text = (out / "certificate.json").read_text()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    cert = json.loads(text, parse_constant=reject)
+    assert cert["capital_escape_time"] == "inf"
+    capsys.readouterr()
+    assert run(["report", "--config", out / "certificate.json",
+                "--out", tmp_path / "rep"]) == 0
+    assert "capital escape time T_K: inf s" in capsys.readouterr().out
 
 
 def test_certify_empty_window_inconclusive(tmp_path):

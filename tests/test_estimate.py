@@ -452,6 +452,25 @@ def test_sup_wald_too_short():
         est.sup_wald_breaks(slope_series_from(np.ones(10)))
 
 
+def profile_of(values):
+    return est.RollingElasticity(
+        [est.ElasticityEstimate(float(i), float(v), 0.1, (v - 0.2, v + 0.2),
+                                1.0, 10.0) for i, v in enumerate(values)],
+        [], 0.05)
+
+
+def test_segment_profile_scans_only_long_profiles():
+    y = np.concatenate([np.full(60, 1.0), np.full(60, 2.5)])
+    y += 0.05 * np.random.default_rng(80).standard_normal(y.size)
+    long_prof = profile_of(y)
+    assert est.segment_profile(long_prof).to_json_dict() == \
+        est.sup_wald_breaks(long_prof.to_slope_series()).to_json_dict()
+    short = profile_of(y[:est.SUP_WALD_MIN_SEGMENT - 1])
+    seg = est.segment_profile(short)
+    assert seg.breakpoints == []
+    assert seg.segments == [(0.0, est.SUP_WALD_MIN_SEGMENT - 2 + 1e-9)]
+
+
 # ---------------------------------------------------------------------------
 # power analysis
 
