@@ -154,12 +154,27 @@ def ptot(q_hat: tuple[float, float], xi_hat: tuple[float, float],
     """
     q, q_se = q_hat
     xi, xi_se = xi_hat
+    res_minus, res_plus, var_minus, var_plus = resource_terms(effs, upsilons)
+    comp_minus = {"q": q, "gamma_xi": gamma * xi, **res_minus}
+    comp_plus = {"q": q, "gamma_xi": gamma * xi, **res_plus}
+    var_own = q_se ** 2 + (gamma * xi_se) ** 2
+    return PtotEstimate(
+        minus=float(sum(comp_minus.values())),
+        plus=float(sum(comp_plus.values())),
+        se_minus=math.sqrt(var_own + var_minus),
+        se_plus=math.sqrt(var_own + var_plus),
+        components_minus=comp_minus,
+        components_plus=comp_plus)
+
+
+def resource_terms(effs: ExponentSet, upsilons: dict[str, UpsilonBand]):
+    """Resource contributions coeff * upsilon to the lower and upper total
+    elasticity, in C, D, E order, with the variances they add:
+    (components_minus, components_plus, var_minus, var_plus)."""
     coeffs = {"C": effs.alpha_eff, "D": effs.beta_eff,
               "E": effs.alpha_tilde_eff}
-    comp_minus = {"q": q, "gamma_xi": gamma * xi}
-    comp_plus = dict(comp_minus)
-    var_minus = q_se ** 2 + (gamma * xi_se) ** 2
-    var_plus = var_minus
+    comp_minus, comp_plus = {}, {}
+    var_minus = var_plus = 0.0
     for name, coeff in coeffs.items():
         band = upsilons.get(name)
         if band is None:
@@ -168,13 +183,7 @@ def ptot(q_hat: tuple[float, float], xi_hat: tuple[float, float],
         comp_plus[name] = coeff * band.plus
         var_minus += (coeff * band.se_minus) ** 2
         var_plus += (coeff * band.se_plus) ** 2
-    return PtotEstimate(
-        minus=float(sum(comp_minus.values())),
-        plus=float(sum(comp_plus.values())),
-        se_minus=math.sqrt(var_minus),
-        se_plus=math.sqrt(var_plus),
-        components_minus=comp_minus,
-        components_plus=comp_plus)
+    return comp_minus, comp_plus, var_minus, var_plus
 
 
 # ---------------------------------------------------------------------------

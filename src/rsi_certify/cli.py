@@ -248,23 +248,21 @@ def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
     configured resource contributions are stacked on top only when capital
     elasticities were measured (conservative double-counting bias is
     documented in the report)."""
+    t, values, ses = prof.t, prof.values, prof.ses
+    res_minus, res_plus, var_minus, var_plus = ct.resource_terms(effs,
+                                                                 upsilons)
     out = []
-    for t_lo, t_hi in segs.segments:
-        in_seg = [e for e in prof.estimates if t_lo <= e.t < t_hi]
-        if not in_seg:
-            in_seg = prof.estimates
-        lo = min(in_seg, key=lambda e: e.value)
-        hi = max(in_seg, key=lambda e: e.value)
-        base = ct.ptot((0.0, 0.0), (0.0, 0.0), 0.0, effs, upsilons)
-        comp_minus = {"p_hat_inf": lo.value, **base.components_minus}
-        comp_plus = {"p_hat_sup": hi.value, **base.components_plus}
-        comp_minus.pop("q"), comp_plus.pop("q")
-        comp_minus.pop("gamma_xi"), comp_plus.pop("gamma_xi")
+    # segments start at profile timestamps, so none is empty
+    for start, stop in np.searchsorted(t, segs.segments):
+        lo = start + int(np.argmin(values[start:stop]))
+        hi = start + int(np.argmax(values[start:stop]))
+        comp_minus = {"p_hat_inf": float(values[lo]), **res_minus}
+        comp_plus = {"p_hat_sup": float(values[hi]), **res_plus}
         out.append(ct.PtotEstimate(
             minus=float(sum(comp_minus.values())),
             plus=float(sum(comp_plus.values())),
-            se_minus=math.hypot(lo.se, base.se_minus),
-            se_plus=math.hypot(hi.se, base.se_plus),
+            se_minus=math.hypot(ses[lo], math.sqrt(var_minus)),
+            se_plus=math.hypot(ses[hi], math.sqrt(var_plus)),
             components_minus=comp_minus,
             components_plus=comp_plus))
     return out

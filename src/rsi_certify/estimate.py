@@ -79,23 +79,14 @@ def newey_west_se(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray:
 
 
 def _hac_slope_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, lag: int):
-    """Kernel-weighted slope of y on x with HAC standard error.
-
-    The weighted problem is rescaled by sqrt(w) so the HAC machinery sees a
-    plain least-squares design; a degrees-of-freedom factor
-    n_eff/(n_eff - 2) corrects the small-sample shrinkage of residual
-    outer products.
-    """
-    sw = np.sqrt(w)
-    X = np.column_stack([np.ones_like(x), x]) * sw[:, None]
-    Y = y * sw
-    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ coef
-    cov = newey_west_cov(X, resid, lag)
-    n_eff = float(w.sum() ** 2 / (w * w).sum())
-    dof_factor = n_eff / max(n_eff - 2.0, 1.0)
-    se = math.sqrt(max(cov[1, 1] * dof_factor, 0.0))
-    return float(coef[1]), se, float(coef[0])
+    """Kernel-weighted slope of y on x with HAC standard error and the
+    n_eff/(n_eff - 2) degrees-of-freedom factor: one row of the windowed
+    kernel's closed-form fit.  Returns (slope, se, intercept)."""
+    rows = (np.asarray(a, dtype=float)[None, :] for a in (x, y, w))
+    fit, _ = ts._fit_rows(*rows, np.array([lag]))
+    if not fit.cond[0] <= 1e14:
+        raise SingularDesign("X'X is numerically singular")
+    return float(fit.slope[0]), float(fit.se[0]), float(fit.intercept[0])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +617,7 @@ def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
     scan(0, y.size)
     breaks.sort()
     bp_times = [float(t[k]) for k in breaks]
-    edges = [float(t[0])] + bp_times + [float(t[-1]) + 1e-9]
+    edges = [float(t[0])] + bp_times + [_segment_end(t[-1])]
     segments = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     return BreakSegmentation(bp_times, segments)
 
@@ -639,7 +630,14 @@ def segment_profile(prof: RollingElasticity,
     if len(prof.estimates) >= SUP_WALD_MIN_SEGMENT:
         return sup_wald_breaks(prof.to_slope_series(), trim=trim)
     return BreakSegmentation(
-        [], [(float(prof.t[0]), float(prof.t[-1]) + 1e-9)])
+        [], [(float(prof.t[0]), _segment_end(prof.t[-1]))])
+
+
+def _segment_end(t_last: float) -> float:
+    """Open end of a last segment that must still hold ``t_last``: 1e-9
+    past it, or the next float where 1e-9 is below the float spacing (it is
+    2.4e-7 at epoch seconds, where t_last + 1e-9 rounds back to t_last)."""
+    return max(float(t_last) + 1e-9, float(np.nextafter(t_last, math.inf)))
 
 
 # ---------------------------------------------------------------------------

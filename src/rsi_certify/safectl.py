@@ -1,7 +1,7 @@
 """Sampled-data barrier-certificate throttling.
 
 The safety set is {I <= I_bar} with barrier coordinate h = I - I_bar.  Each
-sample period a small dense quadratic program filters the requested
+sample period a small quadratic knapsack program filters the requested
 actuation so the predicted improvement rate respects the barrier budget,
 with explicit margins for worst-case actuation latency (L_h * tau_bar) and
 antagonistic residuals; a penalized slack keeps the program feasible and
@@ -28,7 +28,6 @@ period below that scale (it is most restrictive when the state is small).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -164,7 +163,7 @@ def barrier_budget(I_hat: float, config: ControlConfig,
 
 
 # ---------------------------------------------------------------------------
-# dense active-set QP
+# barrier QP (continuous quadratic knapsack)
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,12 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
     """Solve min 0.5||u - u_ref||^2 + rho_s*z^2 subject to a.u <= b + z,
     z >= 0, the actuation box, and the per-step rate limits.
 
-    Solved exactly by enumerating box-clamp patterns: with the barrier row
-    active at multiplier lam, free channels sit at u_ref - lam*a and the
-    slack at lam/(2 rho_s); the multiplier follows from the tight
-    constraint.  The KKT point of this convex program is unique, so the
-    first consistent pattern is the optimum.
+    A continuous quadratic knapsack (Kiwiel 2008): with the barrier row
+    active, u(lam) = clip(u_ref - lam*a, lo, hi), z = lam/(2 rho_s), and
+    lam > 0 is the root of g(lam) = a.u(lam) - b - lam/(2 rho_s), which
+    decreases piecewise-linearly between kinks (u_ref - lo)/a, (u_ref - hi)/a.
+    lam follows in closed form from the root piece's free channels, summed
+    afresh: 1/(2 rho_s) drowns in sums carried across kinks.
     """
     u_ref = np.asarray(u_ref, dtype=float).ravel()
     u_prev = np.asarray(u_prev, dtype=float).ravel()
@@ -207,61 +207,31 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
     if not (u_ref.size == u_prev.size == a.size == m):
         raise InfeasibleBox(f"expected {m}-channel vectors")
     lo, hi = _effective_box(u_prev, config)
-
-    def objective(u, z):
-        return 0.5 * float((u - u_ref) @ (u - u_ref)) \
-            + config.slack_weight * z * z
+    rho = config.slack_weight
 
     # barrier inactive: box projection feasible?
-    u_proj = np.clip(u_ref, lo, hi)
-    if float(a @ u_proj) <= b_rhs + 1e-12:
-        return QpResult(u_proj, 0.0, False, objective(u_proj, 0.0))
-
-    # barrier active: enumerate clamp patterns (free / at-lo / at-hi)
-    rho = config.slack_weight
-    best = None
-    for pattern in itertools.product((0, 1, 2), repeat=m):
-        u = np.empty(m)
-        free = []
-        for i, p in enumerate(pattern):
-            if p == 0:
-                free.append(i)
-            else:
-                u[i] = lo[i] if p == 1 else hi[i]
-        denom = sum(a[i] * a[i] for i in free) + 1.0 / (2.0 * rho)
-        clamped_term = sum(a[i] * u[i] for i in range(m) if i not in free)
-        free_ref = sum(a[i] * u_ref[i] for i in free)
-        lam = (clamped_term + free_ref - b_rhs) / denom
-        if lam <= 1e-15:
-            continue  # barrier multiplier must be positive here
-        ok = True
-        for i in free:
-            u[i] = u_ref[i] - lam * a[i]
-            if not lo[i] - 1e-12 <= u[i] <= hi[i] + 1e-12:
-                ok = False
-                break
-        if not ok:
-            continue
-        # KKT sign conditions at the clamped bounds: the bound multiplier
-        # (u_ref - lam*a - u) must push outward
-        for i, p in enumerate(pattern):
-            if p == 1 and u_ref[i] - lam * a[i] > lo[i] + 1e-12:
-                ok = False
-            elif p == 2 and u_ref[i] - lam * a[i] < hi[i] - 1e-12:
-                ok = False
-        if not ok:
-            continue
+    u = np.clip(u_ref, lo, hi)
+    z = 0.0
+    active = float(a @ u) > b_rhs + 1e-12
+    if active:
+        # kinks of zero or tiny entries of a are not finite and are dropped
+        with np.errstate(all="ignore"):
+            kinks = np.concatenate([(u_ref - lo) / a, (u_ref - hi) / a])
+            kinks = np.sort(kinks[(kinks > 0) & (kinks < math.inf)])
+            g = np.clip(u_ref - kinks[:, None] * a, lo, hi) @ a - b_rhs \
+                - kinks / (2.0 * rho)
+            j = int(np.count_nonzero(g > 0))
+            left, right = np.concatenate([[0.0], kinks, [math.inf]])[j:j + 2]
+            # a point strictly inside the root's piece fixes its clamp pattern
+            v = u_ref - min(0.5 * (left + right), 2.0 * left + 1.0) * a
+            free = (lo < v) & (v < hi)
+            lam = (a @ np.where(free, u_ref, np.clip(v, lo, hi)) - b_rhs) \
+                / (a[free] @ a[free] + 1.0 / (2.0 * rho))
+            lam = min(max(lam, left), right)
+            u = np.clip(u_ref - lam * a, lo, hi)
         z = lam / (2.0 * rho)
-        u = np.clip(u, lo, hi)
-        cand = QpResult(u, float(z), True, objective(u, z))
-        if best is None or cand.objective < best.objective - 1e-15:
-            best = cand
-    if best is None:
-        # all channels pinned at the floor; slack absorbs the rest
-        u = np.where(a > 0, lo, np.where(a < 0, hi, np.clip(u_ref, lo, hi)))
-        z = max(0.0, float(a @ u) - b_rhs)
-        best = QpResult(u, z, True, objective(u, z))
-    return best
+    d = u - u_ref
+    return QpResult(u, float(z), active, 0.5 * float(d @ d) + rho * z * z)
 
 
 # ---------------------------------------------------------------------------

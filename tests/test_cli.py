@@ -7,6 +7,7 @@ import pytest
 
 from rsi_certify import certify as ct
 from rsi_certify import cli
+from rsi_certify import estimate as est
 from rsi_certify import series as ts
 
 
@@ -239,6 +240,21 @@ def test_certificate_is_strict_json(tmp_path, capsys):
     assert run(["report", "--config", out / "certificate.json",
                 "--out", tmp_path / "rep"]) == 0
     assert "capital escape time T_K: inf s" in capsys.readouterr().out
+
+
+def test_last_segment_keeps_final_estimate_at_epoch_seconds():
+    # at 1.7e9 s, t[-1] + 1e-9 rounds back to t[-1]: the half-open last
+    # segment must still hold the profile's final estimate
+    t0 = 1.7e9
+    values = [0.5] * 9 + [1.5]
+    prof = est.RollingElasticity(
+        [est.ElasticityEstimate(t0 + k, v, 0.1, (v - 0.2, v + 0.2), 4.0, 5.0)
+         for k, v in enumerate(values)], [], 0.05)
+    segs = est.segment_profile(prof)
+    effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
+    (ptot,) = cli._segment_ptots(prof, segs, effs, {})
+    assert ptot.components_plus["p_hat_sup"] == 1.5
+    assert ptot.plus == 1.5
 
 
 def test_certify_empty_window_inconclusive(tmp_path):

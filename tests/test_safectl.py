@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsi_certify import dynamics as dyn
 from rsi_certify import safectl as sc
@@ -151,6 +153,54 @@ def test_qp_matches_grid_search_2d():
         assert obj_res <= best + 1e-6, (trial, res, best)
         assert abs(res.u_star[0] - grid[k[0]]) < 5e-3
         assert abs(res.u_star[1] - grid[k[1]]) < 5e-3
+
+
+@st.composite
+def knapsack_instances(draw):
+    """QP instances with m = 1..64 channels and rho_s from 1e-1 to 1e14:
+    zero entries in a, all-zero rows with b < 0, boxes with lo = hi, and
+    rate windows that meet the box."""
+    m = draw(st.integers(1, 64))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=m, max_size=m)))
+
+    lo = vec(st.floats(-1.0, 1.0))
+    hi = lo + vec(st.just(0.0) | st.floats(0.0, 2.0))
+    u_prev = lo + (hi - lo) * vec(st.floats(0.0, 1.0))
+    r_u = vec(st.just(math.inf) | st.floats(0.01, 2.0))
+    u_ref = vec(st.floats(-3.0, 3.0))
+    rho = 10.0 ** draw(st.floats(-1.0, 14.0))
+    if draw(st.booleans()):
+        a = np.zeros(m)
+        b = -draw(st.floats(1e-9, 1.0))
+    else:
+        a = vec(st.just(0.0) | st.floats(-10.0, 10.0))
+        b = draw(st.floats(-1.0, 1.5)) * float(a @ np.clip(u_ref, lo, hi)) \
+            + draw(st.floats(-1.0, 1.0))
+    cfg = config(Delta=1.0, r_u=tuple(r_u), slack_weight=rho,
+                 u_box=tuple(zip(lo.tolist(), hi.tolist())))
+    return u_ref, u_prev, a, b, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(knapsack_instances())
+def test_qp_satisfies_kkt(instance):
+    # the KKT conditions pin the unique optimum of this strictly convex
+    # program; lam = 2 rho z is the barrier multiplier
+    u_ref, u_prev, a, b, cfg = instance
+    lo, hi = sc._effective_box(u_prev, cfg)
+    res = sc.qp_step(u_ref, u_prev, a, b, cfg)
+    u, z = res.u_star, res.slack
+    tol = 1e-9 * (1.0 + float(np.abs(a) @ np.abs(u)) + abs(b))
+    assert np.all((lo <= u) & (u <= hi))
+    assert z >= 0.0
+    gap = float(a @ u) - b - z
+    assert gap <= 1e-12 + tol
+    if z > 0.0:
+        assert abs(gap) <= tol
+    lam = 2.0 * cfg.slack_weight * z
+    assert np.max(np.abs(u - np.clip(u_ref - lam * a, lo, hi))) <= tol
 
 
 def test_qp_rate_limits_hard():
