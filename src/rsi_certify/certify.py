@@ -12,6 +12,7 @@ as inconclusive with both facts attached.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -202,12 +203,18 @@ class TestOutcome:
         return "reject" if self.reject else "fail_to_reject"
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_quantile(alpha: float) -> float:
+    """z_{1-alpha} of the standard normal, asked for on every segment."""
+    return float(norm.ppf(1 - alpha))
+
+
 def test_superlinearity(p_hat: float, se: float, alpha: float = 0.05) -> TestOutcome:
     """One-sided test of elasticity above one: reject the subcritical null
     when p_hat - z_{1-alpha} * se exceeds 1 strictly."""
     if se < 0:
         raise ValueError("se must be nonnegative")
-    z = float(norm.ppf(1 - alpha))
+    z = _upper_quantile(alpha)
     stat = p_hat - z * se
     return TestOutcome(stat > 1.0, stat - 1.0, z, stat)
 
@@ -436,7 +443,11 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Inverse of to_json: numeric fields map "inf", "-inf" and "nan"
         back to floats; the config echo keeps them as written."""
-        d = json.loads(text)
+        return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "Certificate":
+        """A certificate from the parsed text of to_json."""
         segments = []
         for s in d["segments"]:
             pt = PtotEstimate(_number(s["ptot_minus"]), _number(s["ptot_plus"]),

@@ -1,20 +1,24 @@
 """Pipeline orchestration: ingest, envelope, estimate, certify, simulate,
 control-sim, report.
 
-Every command is driven by a JSON config, writes deterministic artifacts
-(identical inputs, config, and seed produce byte-identical outputs), and
-reports numbers together with their units and source snapshot versions.
-Exit codes: 0 for a nonsingular certificate or a completed run, 2 for
-singular-admissible, 3 for inconclusive, 1 for any operational error.
+Each command is a function ``run_<cmd>(cfg, args, load) -> Outcome`` that
+opens no file: series come through ``load``, and the deterministic
+artifacts (same inputs, config and seed, same bytes) come back as text.
+``main`` alone reads the config and writes the artifacts.  Exit codes: 0
+for a nonsingular certificate or a completed run, 2 for
+singular-admissible, 3 for inconclusive, 1 for any operational or usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,211 +28,225 @@ from . import dynamics as dyn
 from . import envelopes as env
 from . import estimate as est
 from . import series as ts
-from .errors import ToolkitError
+from .errors import ConfigError, ToolkitError
 from . import safectl as sc
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SINGULAR = 2
 EXIT_INCONCLUSIVE = 3
+VERDICT_EXIT = {ct.VERDICT_NONSINGULAR: EXIT_OK,
+                ct.VERDICT_SINGULAR: EXIT_SINGULAR,
+                ct.VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE}
+
+
+class Outcome(NamedTuple):
+    """What a command hands back to ``main``."""
+
+    code: int
+    message: str        # printed to stdout
+    artifacts: dict     # output file name -> file text
+
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class FileInputs:
+    """``main``'s ``load``: ``load(path, unit)`` reads a CSV or JSON series,
+    ``load.document(path)`` any other JSON file a config names."""
 
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, (int, float))
-                              else str(x) for x in row) + "\n")
-
-
-def _load_series(path, expected_unit=None) -> ts.TimeSeries:
-    path = str(path)
-    if path.endswith(".json"):
+    def __call__(self, path, unit=None) -> ts.TimeSeries:
+        path = str(path)
+        if not path.endswith(".json"):
+            return ts.ingest_csv(path, unit)
         s = ts.read_json(path)
-        if expected_unit is not None and s.unit != expected_unit:
-            raise ts.UnitMismatch(
-                f"{path}: unit {s.unit!r}, expected {expected_unit!r}")
+        if unit is not None and s.unit != unit:
+            raise ts.UnitMismatch(f"{path}: unit {s.unit!r}, expected {unit!r}")
         return s
-    return ts.ingest_csv(path, expected_unit)
+
+    document = staticmethod(_load_json)
 
 
-def _phi_from_config(d: dict) -> dyn.PhiSpec:
-    kind = d["kind"]
-    if kind == "power":
-        return dyn.PhiSpec.power(d["p"], d.get("c", 1.0),
-                                 d.get("domain_floor"))
-    if kind == "power_log":
-        return dyn.PhiSpec.power_log(d["p"], d.get("c", 1.0),
-                                     d.get("domain_floor", math.e))
-    if kind == "tabulated":
-        return dyn.PhiSpec.tabulated(d["grid"], d["values"])
-    raise ToolkitError(f"unknown state-factor kind {kind!r}")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# ingest
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(x)) if isinstance(x, (int, float))
+                       else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_ingest(args) -> int:
-    manifest = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    entries = manifest["files"]
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
+    """The JSON object at ``cfg[key]``; {} if absent and not required."""
+    value = cfg.get(key)
+    if value is None:
+        if required:
+            raise ConfigError(f"missing config key {key!r}")
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, "
+                          f"got {type(value).__name__}")
+    return value
 
-    def one(entry):
-        s = _load_series(entry["path"], entry.get("unit"))
-        if "name" in entry:
-            s = s.replace(name=entry["name"])
-        return entry["path"], s
 
-    failures = []
-    results = []
-    for entry in entries:
+def _number(value, key: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, "
+                          f"got {value!r}") from None
+
+
+def _known(d: dict, allowed, where: str) -> None:
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"unknown {where} key {key!r}")
+
+
+def _build(cls, d: dict, where: str, exclude=(), **convert):
+    """A ``cls`` from the config object ``d``, whose keys must be fields of
+    ``cls`` outside ``exclude``; ``convert`` maps a key to its converter."""
+    _known(d, {f.name for f in dataclasses.fields(cls)} - set(exclude), where)
+    try:
+        return cls(**{k: convert[k](v) if k in convert else v
+                      for k, v in d.items()})
+    except TypeError as exc:        # a missing field or a non-numeric value
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# PhiSpec arguments a config may set, per kind
+PHI_ARGS = {"power": ("p", "c", "domain_floor"),
+            "power_log": ("p", "c", "domain_floor"),
+            "tabulated": ("grid", "values")}
+
+
+def _phi(d) -> dyn.PhiSpec:
+    if not isinstance(d, dict):
+        raise ConfigError("config key 'phi' must be a JSON object")
+    kind = d.get("kind")
+    names = PHI_ARGS.get(kind, ()) if isinstance(kind, str) else ()
+    return dyn.PhiSpec(kind, **{k: d[k] for k in names if k in d})
+
+
+def run_ingest(cfg, args, load) -> Outcome:
+    loaded, failures = [], []
+    for entry in cfg["files"]:
         try:
-            results.append(one(entry))
+            s = load(entry["path"], entry.get("unit"))
+            s = s.replace(name=entry.get("name", s.name))
+            loaded.append((entry["path"], s))
         except ToolkitError as exc:
-            failures.append((entry["path"], str(exc)))
-
+            failures.append(f"{entry['path']}: {exc}")
     if failures:
-        for path, msg in failures:
-            print(f"error: {path}: {msg}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ToolkitError("; ".join(failures))
 
-    summary = []
-    for path, s in sorted(results, key=lambda r: r[1].name):
-        ts.write_json(s, os.path.join(out_dir, f"{s.name}.json"))
+    artifacts, summary = {}, []
+    for path, s in sorted(loaded, key=lambda r: r[1].name):
+        artifacts[f"{s.name}.json"] = _json_text(s.to_json_dict())
         summary.append({"path": path, "name": s.name, "unit": s.unit,
                         "snapshot_version": s.snapshot_version,
                         "n_samples": len(s)})
-    _dump_json({"files": summary}, os.path.join(out_dir, "ingest_manifest.json"))
-    print(f"ingested {len(summary)} series into {out_dir}")
-    return EXIT_OK
+    artifacts["ingest_manifest.json"] = _json_text({"files": summary})
+    return Outcome(EXIT_OK, f"ingested {len(summary)} series into {args.out}",
+                   artifacts)
 
 
-# ---------------------------------------------------------------------------
-# envelope
+# (series role in the config, compute_envelope argument, expected unit)
+ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
+                  ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
+                  ("P_use", "P_use", "W"), ("COP", "cop", None))
 
 
-def cmd_envelope(args) -> int:
-    cfg = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    params = env.EnvelopeParams.from_json_dict(cfg["params"])
-    roles = cfg["series"]
-
-    def load_role(role, unit=None):
-        if role not in roles:
-            return None
-        return _load_series(roles[role], unit)
-
-    result = env.compute_envelope(
-        params,
-        P_fac=load_role("P_fac", "W"),
-        T=load_role("T", "K"),
-        B_io=load_role("B_io", "bit/s"),
-        B_mem=load_role("B_mem", "bit/s"),
-        P_use=load_role("P_use", "W"),
-        cop=load_role("COP"),
-        cop_model=cfg.get("cop_model"),
+def _envelope(cfg, params, load, alpha) -> env.EnvelopeResult:
+    """The service envelope of the config's series roles, COP model and
+    hard caps; ``envelope`` and ``certify`` both build it here."""
+    roles = _section(cfg, "series", required=True)
+    series = {arg: load(roles[role], unit)
+              for role, arg, unit in ENVELOPE_ROLES if role in roles}
+    return env.compute_envelope(
+        params, **series, cop_model=cfg.get("cop_model"),
         hard_cap_b_mem=cfg.get("hard_cap_b_mem"),
         hard_cap_p_use=cfg.get("hard_cap_p_use"),
-        rel_errors=cfg.get("rel_errors"),
-        alpha=cfg.get("alpha", 0.05))
-
-    _dump_json(result.to_json_dict(), os.path.join(out_dir, "envelope.json"))
-    rows = zip(result.phi_svc.t, result.phi_pt.values, result.phi_svc.values,
-               result.binding)
-    _write_csv(os.path.join(out_dir, "envelope.csv"),
-               ["t", "phi_pt_nat_per_s", "phi_svc_nat_per_s", "binding"], rows)
-    print(f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
-          f"(sigma_eff = {params.sigma_eff} nat/bit, "
-          f"snapshot {result.phi_svc.snapshot_version or 'n/a'})")
-    return EXIT_OK
+        rel_errors=cfg.get("rel_errors"), alpha=alpha)
 
 
-# ---------------------------------------------------------------------------
-# estimate
+def run_envelope(cfg, args, load) -> Outcome:
+    params = env.EnvelopeParams.from_json_dict(
+        _section(cfg, "params", required=True))
+    result = _envelope(cfg, params, load, cfg.get("alpha", 0.05))
+    return Outcome(
+        EXIT_OK,
+        f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
+        f"(sigma_eff = {params.sigma_eff} nat/bit, "
+        f"snapshot {result.phi_svc.snapshot_version or 'n/a'})",
+        {"envelope.json": _json_text(result.to_json_dict()),
+         "envelope.csv": _csv_text(
+             ["t", "phi_pt_nat_per_s", "phi_svc_nat_per_s", "binding"],
+             zip(result.phi_svc.t, result.phi_pt.values,
+                 result.phi_svc.values, result.binding))})
 
 
-def _capability_from_config(cfg: dict):
-    """Build (I, Idot, snapshot map) from loss series or a direct series."""
+def _profile(cfg, args, load, alpha):
+    """What estimate and certify share: the window, I and Idot (from loss
+    series or a direct series), their snapshots, the rolling elasticity
+    profile and its regime segmentation."""
+    est_cfg = _section(cfg, "estimation")
+    window = _number(args.window or est_cfg.get("window"), "estimation.window")
+    roles = _section(cfg, "series", required=True)
     snapshots = {}
-    if "losses" in cfg["series"]:
+    if "losses" in roles:
         bench = cfg["benchmark"]
         spec = cap.BenchmarkSpec.from_json_dict(
-            bench if isinstance(bench, dict) else _load_json(bench))
+            bench if isinstance(bench, dict) else load.document(bench))
         losses = []
-        for entry in cfg["series"]["losses"]:
-            s = _load_series(entry["path"])
+        for entry in roles["losses"]:
+            s = load(entry["path"])
             losses.append(s.replace(name=entry.get("task", s.name)))
             snapshots[f"loss:{losses[-1].name}"] = losses[-1].snapshot_version
-        itilde = cap.loss_index(losses, spec)
-        series_cap = cap.canonicalize(itilde, spec)
-        return series_cap.I, series_cap.Idot, snapshots
-    i_series = _load_series(cfg["series"]["capability"], "nat")
-    snapshots["capability"] = i_series.snapshot_version
-    if "capability_rate" in cfg["series"]:
-        idot = _load_series(cfg["series"]["capability_rate"], "nat/s")
+        series_cap = cap.canonicalize(cap.loss_index(losses, spec), spec)
+        i_series, idot = series_cap.I, series_cap.Idot
     else:
-        dt, rate = cap._finite_difference_rate(i_series.t, i_series.values)
-        idot = ts.TimeSeries("capability_rate", "nat/s", dt, rate, None,
-                             i_series.snapshot_version)
-    return i_series, idot, snapshots
-
-
-def cmd_estimate(args) -> int:
-    cfg = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    est_cfg = cfg.get("estimation", {})
-    window = float(args.window or est_cfg.get("window"))
-    alpha = float(args.alpha or est_cfg.get("alpha", 0.05))
-    lag = est_cfg.get("lag", "auto")
-
-    i_series, idot, snapshots = _capability_from_config(cfg)
-    prof = est.rolling_elasticity(i_series, idot, window, lag=lag,
-                                  alpha=alpha)
+        i_series = load(roles["capability"], "nat")
+        snapshots["capability"] = i_series.snapshot_version
+        if "capability_rate" in roles:
+            idot = load(roles["capability_rate"], "nat/s")
+        else:
+            dt, rate = cap._finite_difference_rate(i_series.t,
+                                                   i_series.values)
+            idot = ts.TimeSeries("capability_rate", "nat/s", dt, rate, None,
+                                 i_series.snapshot_version)
+    prof = est.rolling_elasticity(i_series, idot, window,
+                                  lag=est_cfg.get("lag", "auto"), alpha=alpha)
     segs = est.segment_profile(prof, trim=est_cfg.get("trim", 0.15))
-
-    _dump_json({
-        "alpha": alpha,
-        "window_seconds": window,
-        "estimates": [e.to_json_dict() for e in prof.estimates],
-        "gaps": [{"t": t, "reason": r} for t, r in prof.gaps],
-        "breaks": segs.to_json_dict(),
-        "snapshot_versions": snapshots,
-    }, os.path.join(out_dir, "elasticity.json"))
-    _write_csv(os.path.join(out_dir, "elasticity.csv"),
-               ["t", "p_hat", "se", "ci_lo", "ci_hi"],
-               [(e.t, e.value, e.se, e.ci[0], e.ci[1])
-                for e in prof.estimates])
-    print(f"{len(prof.estimates)} elasticity windows, "
-          f"{len(segs.breakpoints)} break(s)")
-    return EXIT_OK
+    return window, i_series, idot, snapshots, prof, segs
 
 
-# ---------------------------------------------------------------------------
-# certify
+def _elasticity_csv(prof) -> str:
+    return _csv_text(["t", "p_hat", "se", "ci_lo", "ci_hi"],
+                     [(e.t, e.value, e.se, e.ci[0], e.ci[1])
+                      for e in prof.estimates])
 
 
-def _fit_state_factor(i_vals, rate_over_svc):
-    """Least-squares power-law fit of the state factor from rate/service
-    samples (log-log)."""
-    mask = (i_vals > 0) & (rate_over_svc > 0)
-    lx = np.log(i_vals[mask])
-    ly = np.log(rate_over_svc[mask])
-    slope, intercept, _, _ = ts.wls_slope(lx, ly, np.ones_like(lx))
-    return dyn.PhiSpec.power(max(slope, 0.0), math.exp(intercept))
+def run_estimate(cfg, args, load) -> Outcome:
+    alpha = _number(args.alpha or _section(cfg, "estimation").get(
+        "alpha", 0.05), "estimation.alpha")
+    window, _, _, snapshots, prof, segs = _profile(cfg, args, load, alpha)
+    return Outcome(
+        EXIT_OK,
+        f"{len(prof.estimates)} elasticity windows, "
+        f"{len(segs.breakpoints)} break(s)",
+        {"elasticity.json": _json_text({
+            "alpha": alpha,
+            "window_seconds": window,
+            "estimates": [e.to_json_dict() for e in prof.estimates],
+            "gaps": [{"t": t, "reason": r} for t, r in prof.gaps],
+            "breaks": segs.to_json_dict(),
+            "snapshot_versions": snapshots}),
+         "elasticity.csv": _elasticity_csv(prof)})
 
 
 def _positive_pairs(i_series, idot):
@@ -241,13 +259,10 @@ def _positive_pairs(i_series, idot):
 
 
 def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
-    """Per-segment elasticity bounds from the rolling profile.
-
-    The direct feedback elasticity already reflects realized resource
-    co-movement, so the profile's infimum/supremum are the primary bounds;
-    configured resource contributions are stacked on top only when capital
-    elasticities were measured (conservative double-counting bias is
-    documented in the report)."""
+    """Per-segment elasticity bounds: the rolling profile's infimum and
+    supremum, which already reflect realized resource co-movement, plus the
+    resource terms of measured capital elasticities (a conservative double
+    count)."""
     t, values, ses = prof.t, prof.values, prof.ses
     res_minus, res_plus, var_minus, var_plus = ct.resource_terms(effs,
                                                                  upsilons)
@@ -268,18 +283,17 @@ def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
     return out
 
 
-def _measured_upsilons(cfg, window) -> dict[str, ct.UpsilonBand]:
+def _measured_upsilons(cfg, load, window) -> dict[str, ct.UpsilonBand]:
     """Capital elasticities of any resource series present in the config."""
-    roles = cfg["series"]
+    roles = _section(cfg, "series", required=True)
     if "K" not in roles:
         return {}
-    K = _load_series(roles["K"])
+    K = load(roles["K"])
     out = {}
     for name, role in (("C", "C"), ("D", "D_eff"), ("E", "E")):
         if role not in roles:
             continue
-        x = _load_series(roles[role])
-        profile = ts.elasticity(x, K, window)
+        profile = ts.elasticity(load(roles[role]), K, window)
         out[name] = ct.UpsilonBand(float(profile.slope.min()),
                                    float(profile.slope.max()),
                                    float(profile.se[np.argmin(profile.slope)]),
@@ -287,54 +301,37 @@ def _measured_upsilons(cfg, window) -> dict[str, ct.UpsilonBand]:
     return out
 
 
-def cmd_certify(args) -> int:
-    cfg = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    est_cfg = cfg.get("estimation", {})
-    cert_cfg = cfg.get("certify", {})
-    window = float(args.window or est_cfg.get("window"))
-    alpha = float(args.alpha or cert_cfg.get("alpha", 0.05))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-
-    i_series, idot, snapshots = _capability_from_config(cfg)
-    if len(idot) == 0 or len(i_series) < 5:
-        print("error: empty data window", file=sys.stderr)
-        return EXIT_ERROR
-
-    # rolling elasticity and regime segmentation
-    prof = est.rolling_elasticity(i_series, idot, window,
-                                  lag=est_cfg.get("lag", "auto"), alpha=alpha)
-    segs = est.segment_profile(prof, trim=est_cfg.get("trim", 0.15))
+def run_certify(cfg, args, load) -> Outcome:
+    cert_cfg = _section(cfg, "certify")
+    alpha = _number(args.alpha or cert_cfg.get("alpha", 0.05), "certify.alpha")
+    seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0),
+                   "seed", int)
+    window, i_series, idot, snapshots, prof, segs = _profile(cfg, args, load,
+                                                             alpha)
+    i_pos, rate_pos = _positive_pairs(i_series, idot)
+    phi_cfg = _section(cfg, "phi")
+    phi_spec = _phi(phi_cfg) if phi_cfg else None
 
     # optional envelope layer
-    envelope_result = None
     envelope_check_res = None
-    phi_spec = None
-    roles = cfg["series"]
-    if cfg.get("envelope_params") and "T" in roles:
-        params = env.EnvelopeParams.from_json_dict(cfg["envelope_params"])
-        envelope_result = env.compute_envelope(
-            params,
-            P_fac=_load_series(roles["P_fac"], "W") if "P_fac" in roles else None,
-            T=_load_series(roles["T"], "K"),
-            B_io=_load_series(roles["B_io"], "bit/s") if "B_io" in roles else None,
-            B_mem=_load_series(roles["B_mem"], "bit/s") if "B_mem" in roles else None,
-            P_use=_load_series(roles["P_use"], "W") if "P_use" in roles else None,
-            cop_model=cfg.get("cop_model"),
-            rel_errors=cfg.get("rel_errors"), alpha=alpha)
-        svc = envelope_result.phi_svc
+    env_cfg = _section(cfg, "envelope_params")
+    if env_cfg and "T" in _section(cfg, "series"):
+        svc = _envelope(cfg, env.EnvelopeParams.from_json_dict(env_cfg), load,
+                        alpha).phi_svc
         common, ii, si = np.intersect1d(idot.t, svc.t, return_indices=True)
         idot_on = ts.TimeSeries("Idot", "nat/s", common, idot.values[ii],
                                 None, idot.snapshot_version)
         svc_on = ts.TimeSeries("phi_svc", "nat/s", common, svc.values[si],
                                None, svc.snapshot_version)
         i_on = np.interp(common, i_series.t, i_series.values)
-        if cfg.get("phi"):
-            phi_spec = _phi_from_config(cfg["phi"])
-        else:
+        if phi_spec is None:
+            # least-squares power law of Idot / phi_svc against I (log-log)
             with np.errstate(divide="ignore"):
-                phi_spec = _fit_state_factor(i_on, idot_on.values / svc_on.values)
+                ratio = idot_on.values / svc_on.values
+                fit = (i_on > 0) & (ratio > 0)
+                slope, intercept, _, _ = ts.wls_slope(
+                    np.log(i_on[fit]), np.log(ratio[fit]), np.ones(fit.sum()))
+            phi_spec = dyn.PhiSpec.power(max(slope, 0.0), math.exp(intercept))
         phi_of_i = ts.TimeSeries("Phi_of_I", "nat", common,
                                  phi_spec(np.maximum(i_on, phi_spec.domain_floor)),
                                  None, i_series.snapshot_version)
@@ -343,8 +340,6 @@ def cmd_certify(args) -> int:
             small_gain=cert_cfg.get("small_gain", 0.0),
             tol=cert_cfg.get("envelope_tol", 0.05))
         snapshots["phi_svc"] = svc.snapshot_version
-    elif cfg.get("phi"):
-        phi_spec = _phi_from_config(cfg["phi"])
 
     # reciprocal-integral classification of the state factor
     if phi_spec is not None:
@@ -357,75 +352,70 @@ def cmd_certify(args) -> int:
         # dI/dt <= a0 * I^p with p the profile supremum and a0 the tightest
         # gain covering every sample
         sup_p = float(prof.values.max())
-        i_on, rate_on = _positive_pairs(i_series, idot)
-        if sup_p <= 1.0 or not i_on.size:
+        if sup_p <= 1.0 or not i_pos.size:
             osgood = dyn.OsgoodResult(True, math.inf, sup_p)
         else:
-            a0_fit = float(np.max(rate_on / i_on ** sup_p))
+            a0_fit = float(np.max(rate_pos / i_pos ** sup_p))
             osgood = dyn.osgood_classify(dyn.PhiSpec.power(sup_p, a0_fit),
-                                         float(i_on.min()))
+                                         float(i_pos.min()))
 
     # per-segment totals
-    effs = None
-    upsilons = {}
-    if cfg.get("exponents"):
-        e = cfg["exponents"]
+    e = _section(cfg, "exponents")
+    if e:
         effs = ct.effective_exponents(e["alpha"], e["beta"], e["gamma"],
                                       e["alpha_tilde"], e["rho"], e["r"],
                                       e["chi_hat"])
-        upsilons = _measured_upsilons(cfg, window)
+        upsilons = _measured_upsilons(cfg, load, window)
     else:
         effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
+        upsilons = {}
     ptots = _segment_ptots(prof, segs, effs, upsilons)
+    ptot_plus = max(p.plus for p in ptots)
 
     # optional capital channel and region classification
-    capital_T = None
-    region_note = None
-    if cfg.get("capital"):
-        c = cfg["capital"]
+    capital_T = region_note = None
+    c = _section(cfg, "capital")
+    if c:
         params_k = dyn.CapitalParams(c["K0"], c["r"], c["zeta"],
                                      c.get("delta", 0.0))
         capital_T = params_k.escape_time()
-        flags = cfg.get("flags", {})
+        flags = _section(cfg, "flags")
         try:
             region = dyn.classify_region(
-                params_k.zeta, max(p.plus for p in ptots),
+                params_k.zeta, ptot_plus,
                 capped_power=flags.get("capped_power", False),
                 logistic=flags.get("logistic_data", False),
                 baseline_effort_floor=flags.get("effort_floor", False),
                 capital=params_k)
-            region_note = (f"region {region.region}: {region.conclusion}"
-                           + (f", T_K={region.bound!r}" if region.bound
-                              is not None else ""))
+            bound = "" if region.bound is None else f", T_K={region.bound!r}"
+            region_note = f"region {region.region}: {region.conclusion}{bound}"
         except ToolkitError as exc:
             region_note = f"region classification unavailable: {exc}"
 
     # event-level bound for a singular verdict
     event_bound = None
-    worst_minus = max(ptots, key=lambda p: p.minus)
-    if worst_minus.minus > 1.0:
-        delta = worst_minus.minus - 1.0
-        i_on, rate_on = _positive_pairs(i_series, idot)
-        a0 = float(np.min(rate_on / i_on ** (1.0 + delta)))
-        event_bound = ct.event_blowup_bound(float(i_on[-1]), delta, a0)
+    delta = max(p.minus for p in ptots) - 1.0
+    if delta > 0.0:
+        a0 = float(np.min(rate_pos / i_pos ** (1.0 + delta)))
+        event_bound = ct.event_blowup_bound(float(i_pos[-1]), delta, a0)
 
     extra_margins = {}
     if cert_cfg.get("grad_norm"):
         extra_margins["manifold_distance"] = ct.manifold_distance(
-            max(p.plus for p in ptots), cert_cfg["grad_norm"])
-    if cert_cfg.get("wasserstein"):
-        w = cert_cfg["wasserstein"]
-        dm = ct.distribution_margin(max(p.plus for p in ptots), w["gamma"],
-                                    w["L_xi"], w["L_rho"], w["delta_W"],
-                                    w.get("safety_delta", 0.1))
-        extra_margins["wasserstein_margin"] = 1.0 - w.get("safety_delta", 0.1) \
-            - dm.worst_case_ptot
+            ptot_plus, cert_cfg["grad_norm"])
+    w = cert_cfg.get("wasserstein")
+    if w:
+        safety = w.get("safety_delta", 0.1)
+        dm = ct.distribution_margin(ptot_plus, w["gamma"], w["L_xi"],
+                                    w["L_rho"], w["delta_W"], safety)
+        extra_margins["wasserstein_margin"] = 1.0 - safety - dm.worst_case_ptot
 
     config_echo = {"config_path": str(args.config), "seed": seed,
                    "window": window, "alpha": alpha,
-                   "sigma_eff": cfg.get("envelope_params", {}).get(
-                       "sigma_eff", 1.0) if cfg.get("envelope_params") else None,
-                   "certify": cert_cfg, "estimation": est_cfg}
+                   "sigma_eff": env_cfg.get("sigma_eff", 1.0) if env_cfg
+                   else None,
+                   "certify": cert_cfg,
+                   "estimation": _section(cfg, "estimation")}
     if region_note:
         config_echo["region"] = region_note
 
@@ -438,41 +428,26 @@ def cmd_certify(args) -> int:
         extra_margins=extra_margins, config_echo=config_echo,
         snapshot_versions=snapshots)
 
-    cert_path = os.path.join(out_dir, "certificate.json")
-    with open(cert_path, "w", encoding="utf-8") as fh:
-        fh.write(certificate.to_json())
-        fh.write("\n")
-
-    _write_csv(os.path.join(out_dir, "elasticity.csv"),
-               ["t", "p_hat", "se", "ci_lo", "ci_hi"],
-               [(e.t, e.value, e.se, e.ci[0], e.ci[1])
-                for e in prof.estimates])
+    artifacts = {"certificate.json": certificate.to_json() + "\n",
+                 "elasticity.csv": _elasticity_csv(prof)}
     if envelope_check_res is not None:
-        _write_csv(os.path.join(out_dir, "envelope_slack.csv"),
-                   ["t", "slack_fraction", "passed"],
-                   [(t, s, int(p)) for t, s, p in
-                    zip(envelope_check_res.t, envelope_check_res.slack,
-                        envelope_check_res.passed)])
-    _write_csv(os.path.join(out_dir, "segments.csv"),
-               ["t_start", "t_end", "ptot_minus", "ptot_plus"],
-               [(r.t_start, r.t_end, r.ptot.minus, r.ptot.plus)
-                for r in certificate.segments])
-
-    report = render_report(certificate)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report)
-    print(report)
-
-    return {ct.VERDICT_NONSINGULAR: EXIT_OK,
-            ct.VERDICT_SINGULAR: EXIT_SINGULAR,
-            ct.VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE}[certificate.verdict]
+        artifacts["envelope_slack.csv"] = _csv_text(
+            ["t", "slack_fraction", "passed"],
+            [(t, s, int(p)) for t, s, p in
+             zip(envelope_check_res.t, envelope_check_res.slack,
+                 envelope_check_res.passed)])
+    artifacts["segments.csv"] = _csv_text(
+        ["t_start", "t_end", "ptot_minus", "ptot_plus"],
+        [(r.t_start, r.t_end, r.ptot.minus, r.ptot.plus)
+         for r in certificate.segments])
+    artifacts["report.txt"] = render_report(certificate)
+    return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
+                   artifacts)
 
 
 def render_report(cert: ct.Certificate) -> str:
-    lines = ["=" * 64,
-             f"REGIME CERTIFICATE: {cert.verdict}",
-             "=" * 64]
-    lines.append(f"segments analyzed: {len(cert.segments)}")
+    lines = ["=" * 64, f"REGIME CERTIFICATE: {cert.verdict}", "=" * 64,
+             f"segments analyzed: {len(cert.segments)}"]
     for i, r in enumerate(cert.segments):
         lines.append(
             f"  [{i}] t in [{r.t_start:.6g}, {r.t_end:.6g}): "
@@ -481,9 +456,9 @@ def render_report(cert: ct.Certificate) -> str:
             f"superlinearity {r.super_test_minus.label}, "
             f"envelope pass {r.envelope_pass_fraction:.3f}"
             + (" [disabled]" if r.envelope_disabled else ""))
-    lines.append(f"envelope pass fraction: {cert.envelope_pass_fraction:.4f}")
-    lines.append("state-factor reciprocal integral divergent: "
-                 f"{cert.osgood_divergent}")
+    lines += [f"envelope pass fraction: {cert.envelope_pass_fraction:.4f}",
+              "state-factor reciprocal integral divergent: "
+              f"{cert.osgood_divergent}"]
     for name, value in sorted(cert.margins.items()):
         shown = "not evaluated" if value is None else f"{value:.6g}"
         lines.append(f"margin {name}: {shown}")
@@ -494,8 +469,7 @@ def render_report(cert: ct.Certificate) -> str:
     if cert.data_snapshot_versions:
         lines.append("data snapshots: " + ", ".join(
             f"{k}={v}" for k, v in sorted(cert.data_snapshot_versions.items())))
-    for note in cert.notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in cert.notes]
     if cert.config_echo:
         lines.append("config echo: " + json.dumps(cert.config_echo,
                                                   sort_keys=True))
@@ -503,100 +477,79 @@ def render_report(cert: ct.Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# simulate / control-sim
+SCENARIO_KEYS = ("phi", "gain", "I0", "horizon", "threshold", "rtol",
+                 "capital", "name")
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    if "phi" not in cfg:
-        print("error: scenario missing key 'phi'", file=sys.stderr)
-        return EXIT_ERROR
-    for key in cfg:
-        if key not in {"phi", "gain", "I0", "horizon", "threshold", "rtol",
-                       "capital", "name"}:
-            print(f"error: unknown scenario key {key!r}", file=sys.stderr)
-            return EXIT_ERROR
-    phi = _phi_from_config(cfg["phi"])
+def run_simulate(cfg, args, load) -> Outcome:
+    phi = _phi(_section(cfg, "phi", required=True))
+    _known(cfg, SCENARIO_KEYS, "scenario")
     res = dyn.integrate(dyn.envelope_rhs(phi, cfg.get("gain", 1.0)),
                         cfg["I0"], cfg["horizon"],
                         blowup_threshold=cfg.get("threshold"),
                         rtol=cfg.get("rtol", 1e-8))
     if args.format == "json":
-        traj = ts.TimeSeries(cfg.get("name", "trajectory"), "nat",
-                             res.t, res.I)
-        ts.write_json(traj, os.path.join(out_dir, "trajectory.json"))
+        traj = ts.TimeSeries(cfg.get("name", "trajectory"), "nat", res.t,
+                             res.I)
+        artifacts = {"trajectory.json": _json_text(traj.to_json_dict())}
     else:
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "I"],
-                   zip(res.t, res.I))
-    _dump_json({"status": res.status, "t_star": res.t_star,
-                "n_steps": res.n_steps, "final_I": float(res.I[-1]),
-                "final_t": float(res.t[-1])},
-               os.path.join(out_dir, "simulation.json"))
-    print(f"simulation {res.status}"
-          + (f" at t* = {res.t_star:.9g} s" if res.t_star else ""))
-    return EXIT_OK
+        artifacts = {"trajectory.csv": _csv_text(["t", "I"],
+                                                 zip(res.t, res.I))}
+    artifacts["simulation.json"] = _json_text(
+        {"status": res.status, "t_star": res.t_star, "n_steps": res.n_steps,
+         "final_I": float(res.I[-1]), "final_t": float(res.t[-1])})
+    return Outcome(EXIT_OK, f"simulation {res.status}"
+                   + (f" at t* = {res.t_star:.9g} s" if res.t_star else ""),
+                   artifacts)
 
 
-def cmd_control_sim(args) -> int:
-    cfg = _load_json(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    plant = cfg["plant"]
-    control = cfg["control"]
-    scenario = sc.PlantScenario(
-        phi=_phi_from_config(plant["phi"]), I0=plant["I0"],
-        phi_svc_true=plant.get("phi_svc_true", 1.0),
-        phi_svc_meas=plant.get("phi_svc_meas"),
-        n_steps=plant.get("n_steps", 100),
-        u_ref=plant.get("u_ref", 1.0),
-        state_error=plant.get("state_error", 0.0),
-        latency=plant.get("latency", 0.0),
-        benchmark_every=plant.get("benchmark_every", 0),
-        antagonism=tuple(plant.get("antagonism", (0.0, 0.0))),
-        ptot_hat=plant.get("ptot_hat"),
-        osgood_ok=plant.get("osgood_ok", True))
-    config = sc.ControlConfig(
-        I_bar=control["I_bar"], kappa=control["kappa"],
-        Delta=control["Delta"], tau_bar=control.get("tau_bar", 0.0),
-        L_h=control.get("L_h", 0.0), eps_I=control.get("eps_I", 0.0),
-        r_u=tuple(control.get("r_u", [math.inf])),
-        u_box=tuple(tuple(b) for b in control.get("u_box", [[0.0, 1.0]])),
-        slack_weight=control.get("slack_weight", 1e6))
-    policy = sc.PolicyThresholds(
-        governance_delta=cfg.get("policy", {}).get("governance_delta", 0.1),
-        escalate_consecutive_slack=cfg.get("policy", {}).get(
-            "escalate_consecutive_slack", 3),
-        antagonism_theta=cfg.get("policy", {}).get("antagonism_theta", 0.5))
+def run_control_sim(cfg, args, load) -> Outcome:
+    _known(cfg, ("plant", "control", "policy"), "control-sim")
+    scenario = _build(sc.PlantScenario, _section(cfg, "plant", required=True),
+                      "plant", phi=_phi, antagonism=tuple)
+    config = _build(sc.ControlConfig, _section(cfg, "control", required=True),
+                    "control", exclude=("alpha_fn",), r_u=tuple,
+                    u_box=lambda box: tuple(map(tuple, box)))
+    policy = _build(sc.PolicyThresholds, _section(cfg, "policy"), "policy",
+                    exclude=("slack_tol",))
     log = sc.supervise(scenario, config, policy)
-    log.write_jsonl(os.path.join(out_dir, "control_log.jsonl"))
-    _dump_json({"final_status": log.final_status,
-                "max_overshoot": log.max_overshoot,
-                "max_violation_rate": log.max_violation_rate,
-                "n_steps": len(log.steps)},
-               os.path.join(out_dir, "control_summary.json"))
-    print(f"control loop {log.final_status}; max overshoot "
-          f"{log.max_overshoot:.3e} nat")
-    return EXIT_OK
+    return Outcome(
+        EXIT_OK,
+        f"control loop {log.final_status}; max overshoot "
+        f"{log.max_overshoot:.3e} nat",
+        {"control_log.jsonl": log.to_jsonl(),
+         "control_summary.json": _json_text(
+             {"final_status": log.final_status,
+              "max_overshoot": log.max_overshoot,
+              "max_violation_rate": log.max_violation_rate,
+              "n_steps": len(log.steps)})})
 
 
-def cmd_report(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cert = ct.Certificate.from_json(fh.read())
-    text = render_report(cert)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-    print(text)
-    return EXIT_OK
+def run_report(cfg, args, load) -> Outcome:
+    text = render_report(ct.Certificate.from_json_dict(cfg))
+    return Outcome(EXIT_OK, text, {"report.txt": text})
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+# subcommand -> (run function, help, its options besides --config/--out)
+COMMANDS = {
+    "ingest": (run_ingest, "validate and store telemetry series", ()),
+    "envelope": (run_envelope, "compute service-rate ceilings", ()),
+    "estimate": (run_estimate, "rolling elasticities and breaks",
+                 ("window", "alpha")),
+    "certify": (run_certify, "full certification pipeline",
+                ("window", "alpha", "seed")),
+    "simulate": (run_simulate, "integrate a growth scenario", ("format",)),
+    "control-sim": (run_control_sim, "closed-loop throttling run", ()),
+    "report": (run_report, "render a certificate as text", ()),
+}
+OPTIONS = {"window": {"type": float, "help": "estimation window (s)"},
+           "alpha": {"type": float, "help": "test level"},
+           "seed": {"type": int, "help": "seed echoed in the certificate"},
+           "format": {"choices": ("json", "csv"), "default": "csv",
+                      "help": "trajectory output format"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,37 +559,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "service envelopes, blow-up analytics, and barrier "
                     "throttling simulations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in (
-            ("ingest", cmd_ingest, "validate and store telemetry series"),
-            ("envelope", cmd_envelope, "compute service-rate ceilings"),
-            ("estimate", cmd_estimate, "rolling elasticities and breaks"),
-            ("certify", cmd_certify, "full certification pipeline"),
-            ("simulate", cmd_simulate, "integrate a growth scenario"),
-            ("control-sim", cmd_control_sim, "closed-loop throttling run"),
-            ("report", cmd_report, "render a certificate as text")):
+    for name, (run, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--window", type=float, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="csv",
-                       help="trajectory output format (simulate)")
-        p.set_defaults(fn=fn)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help: 0; usage error: 1 (2 is singular)
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    try:
+        cfg = _load_json(args.config)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        outcome = args.run(cfg, args, FileInputs())
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in outcome.artifacts.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
     except ToolkitError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_ERROR
+    print(outcome.message)
+    return outcome.code
 
 
 if __name__ == "__main__":

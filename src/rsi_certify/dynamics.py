@@ -298,7 +298,6 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 def integrate(rhs, I0: float, horizon: float,
               blowup_threshold: float | None = None,
               rtol: float = 1e-8, atol: float = 1e-12,
-              min_step_factor: float = 0.0,
               max_steps: int = 2_000_000) -> IntegrationResult:
     """Adaptive scalar integration of dI/dt = rhs(t, I) with blow-up event.
 
@@ -310,8 +309,7 @@ def integrate(rhs, I0: float, horizon: float,
     the step far below the time resolution while the state keeps advancing,
     so stalling is judged on joint (t, I) progress: a step that moves
     neither raises StepUnderflowWithoutThreshold, as does exhausting the
-    step budget.  A positive ``min_step_factor`` additionally enforces a
-    hard floor of min_step_factor * |t|.
+    step budget.
     """
     if I0 <= 0:
         raise NonPositivePhi("I0 must be positive")
@@ -334,10 +332,6 @@ def integrate(rhs, I0: float, horizon: float,
             raise StepUnderflowWithoutThreshold(
                 f"step budget exhausted at t={t!r}, I={I!r}")
         h = min(h, horizon - t)
-        if min_step_factor > 0.0 and h < min_step_factor * max(abs(t), 1e-300):
-            raise StepUnderflowWithoutThreshold(
-                f"step collapsed to {h!r} at t={t!r} with I={I!r} below "
-                f"threshold {threshold!r}")
         failed = False
         k[0] = rhs(t, I)
         for i in range(1, 6):

@@ -304,10 +304,6 @@ class CeilingCaps:
     def e_ceil(self) -> float:
         return min(self.e_io, self.e_mem, self.e_pow)
 
-    def as_dict(self) -> dict:
-        return {"e_io": self.e_io, "e_mem": self.e_mem,
-                "e_pow": self.e_pow, "e_ceil": self.e_ceil}
-
 
 def ceiling_elasticities(K: ts.TimeSeries, B_io: ts.TimeSeries,
                          B_mem: ts.TimeSeries, P_use_over_T: ts.TimeSeries,

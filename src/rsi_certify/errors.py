@@ -154,3 +154,9 @@ class InfeasibleBox(ToolkitError):
 
 class NoStaticCapPossible(ToolkitError):
     """No constant service cap can restore a divergent gain integral."""
+
+
+# --- cli ------------------------------------------------------------------
+
+class ConfigError(ToolkitError):
+    """A config entry is missing, of the wrong type, or not recognised."""

@@ -209,10 +209,11 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
     lo, hi = _effective_box(u_prev, config)
     rho = config.slack_weight
 
-    # barrier inactive: box projection feasible?
+    # barrier inactive: box projection feasible up to rounding of a.u - b?
     u = np.clip(u_ref, lo, hi)
     z = 0.0
-    active = float(a @ u) > b_rhs + 1e-12
+    scale = abs(b_rhs) + float(np.abs(a) @ np.abs(u))
+    active = float(a @ u) - b_rhs > 1e-12 * scale
     if active:
         # kinks of zero or tiny entries of a are not finite and are dropped
         with np.errstate(all="ignore"):
@@ -358,10 +359,14 @@ class SupervisionLog:
     def actions(self) -> list[str]:
         return [s.action for s in self.steps]
 
+    def to_jsonl(self) -> str:
+        """One JSON object per step, one step per line."""
+        return "".join(json.dumps(s.to_json_dict(), sort_keys=True) + "\n"
+                       for s in self.steps)
+
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            for s in self.steps:
-                fh.write(json.dumps(s.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(self.to_jsonl())
 
 
 def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,

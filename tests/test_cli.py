@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -364,3 +365,202 @@ def test_report_roundtrip(tmp_path, capsys):
 def test_missing_config_is_operational_error(tmp_path, capsys):
     assert run(["certify", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "out"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# pure commands behind the I/O shell
+
+
+def certify_args(cfg_path):
+    return argparse.Namespace(config=cfg_path, out="unused", window=None,
+                              alpha=None, seed=None)
+
+
+@pytest.mark.parametrize("make_config", [case_a_config, case_b_config])
+def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
+                                              make_config):
+    cfg_path = make_config(tmp_path)
+    cfg = json.loads(open(cfg_path).read())
+    files = cli.FileInputs()
+    table = {path: files(path) for path in cfg["series"].values()}
+
+    def load(path, unit=None):
+        return table[path]
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("run_certify opened a file")
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", no_open)
+        outcome = cli.run_certify(cfg, certify_args(cfg_path), load)
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg_path, "--out", out]) == outcome.code
+    assert outcome.artifacts["certificate.json"] == \
+        (out / "certificate.json").read_text()
+    assert sorted(outcome.artifacts) == sorted(p.name for p in out.iterdir())
+    for name, text in outcome.artifacts.items():
+        assert (out / name).read_text() == text
+
+
+def cop_series_config(tmp_path, cfg):
+    # facility power whose COP = 4 series leaves 1.25x service headroom;
+    # the COP band midpoint (1e9) would give 1.5625x
+    t = np.linspace(0.0, 10.0, 400)
+    p_use = 1.25 * 1.380649e-23 * math.log(2) * 300.0
+    write_series_csv(tmp_path / "p_fac.csv", t, np.full(t.size, p_use / 0.8),
+                     "W")
+    write_series_csv(tmp_path / "cop.csv", t, np.full(t.size, 4.0), "1")
+    del cfg["series"]["P_use"]
+    cfg["series"]["P_fac"] = str(tmp_path / "p_fac.csv")
+    cfg["series"]["COP"] = str(tmp_path / "cop.csv")
+
+
+def hard_cap_config(tmp_path, cfg):
+    cfg["hard_cap_p_use"] = 0.8 * 1.25 * 1.380649e-23 * math.log(2) * 300.0
+
+
+@pytest.mark.parametrize("extend", [cop_series_config, hard_cap_config])
+def test_certify_builds_the_envelope_command_envelope(tmp_path, monkeypatch,
+                                                      extend):
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    extend(tmp_path, cfg)
+    env_cfg = {"params": cfg["envelope_params"], "series": cfg["series"],
+               **{k: cfg[k] for k in ("hard_cap_p_use",) if k in cfg}}
+    seen = []
+    compute = cli.env.compute_envelope
+
+    def recording(*args, **kwargs):
+        seen.append(compute(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli.env, "compute_envelope", recording)
+    with pytest.warns(UserWarning):
+        run(["envelope", "--config", write_json(tmp_path / "env.json",
+                                                 env_cfg),
+             "--out", tmp_path / "env"])
+    with pytest.warns(UserWarning):
+        run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+             "--out", tmp_path / "cert"])
+    envelope_svc, certify_svc = (r.phi_svc.values for r in seen)
+    assert np.array_equal(certify_svc, envelope_svc)
+    assert envelope_svc == pytest.approx(np.full(400, 1.0 if "hard_cap_p_use"
+                                                 in cfg else 1.25))
+
+
+# ---------------------------------------------------------------------------
+# usage and config errors
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["certify"],
+    ["certify", "--config", "c.json", "--bogus"],
+    ["certify", "--config", "c.json", "--alpha", "abc"],
+    ["nonesuch", "--config", "c.json"],
+])
+def test_usage_errors_exit_1_not_2(argv, capsys):
+    # 2 is the singular verdict: a typo must not read as one
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["certify", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+OPTIONS = {"window": "1.0", "alpha": "0.1", "seed": "3", "format": "json"}
+TAKES = {"ingest": (), "envelope": (), "estimate": ("window", "alpha"),
+         "certify": ("window", "alpha", "seed"), "simulate": ("format",),
+         "control-sim": (), "report": ()}
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_command_takes_only_the_options_it_reads(command, capsys):
+    parser = cli.build_parser()
+    for option, value in OPTIONS.items():
+        argv = [command, "--config", "c.json", f"--{option}", value]
+        if option in TAKES[command]:
+            assert getattr(parser.parse_args(argv), option) is not None
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+
+def drop_window(cfg):
+    del cfg["estimation"]["window"]
+    return cfg, "estimation.window"
+
+
+def as_list(cfg):
+    return [cfg], "JSON object"
+
+
+def series_not_object(cfg):
+    cfg["series"] = [cfg["series"]["capability"]]
+    return cfg, "'series'"
+
+
+def window_not_number(cfg):
+    cfg["estimation"]["window"] = "wide"
+    return cfg, "estimation.window"
+
+
+@pytest.mark.parametrize("command", ["estimate", "certify"])
+@pytest.mark.parametrize("malform", [drop_window, as_list, series_not_object,
+                                     window_not_number])
+def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, command,
+                                                malform):
+    cfg, key = malform(json.loads(open(case_a_config(tmp_path)).read()))
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert key in err
+
+
+def control_config(**changes):
+    cfg = {"plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
+                     "n_steps": 5},
+           "control": {"I_bar": 5.0, "kappa": 1.0, "Delta": 0.05}}
+    for where, (key, value) in changes.items():
+        cfg.setdefault(where, {})[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"plant": ("stat_error", 0.1)}, "stat_error"),
+    ({"control": ("alpha_fn", "cubic")}, "alpha_fn"),
+    ({"policy": ("slack_tol", 0.1)}, "slack_tol"),
+    ({"plant": ("phi", {"kind": ["power"], "p": 2.0})}, "kind"),
+    ({"plant": ("I0", None)}, "plant"),
+])
+def test_control_sim_rejects_keys_it_does_not_read(tmp_path, capsys, changes,
+                                                   named):
+    cfg = control_config(**changes)
+    if cfg["plant"]["I0"] is None:
+        del cfg["plant"]["I0"]
+    path = write_json(tmp_path / "ctl.json", cfg)
+    assert run(["control-sim", "--config", path, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and named in err
+
+
+def test_benchmark_spec_by_path_matches_inline(tmp_path):
+    n = 300
+    t = np.linspace(0.0, 10.0, n)
+    write_series_csv(tmp_path / "task0.csv", t, np.exp(-(0.2 * t) ** 5 - 1e-9),
+                     "loss")
+    bench = {"tasks": [{"id": "task0", "weight": 1.0, "floor": 1e-16}],
+             "t_ref": 0.0}
+    cfg = {"series": {"losses": [{"path": str(tmp_path / "task0.csv"),
+                                  "task": "task0"}]},
+           "benchmark": bench, "estimation": {"window": 1.5}}
+    texts = []
+    for spec in (bench, write_json(tmp_path / "bench.json", bench)):
+        cfg["benchmark"] = spec
+        path = write_json(tmp_path / "cfg.json", cfg)
+        run(["certify", "--config", path, "--out", tmp_path / "out"])
+        texts.append((tmp_path / "out" / "certificate.json").read_text())
+    assert texts[0] == texts[1]
+    assert "loss:task0" in texts[0]

@@ -203,6 +203,16 @@ def test_qp_satisfies_kkt(instance):
     assert np.max(np.abs(u - np.clip(u_ref - lam * a, lo, hi))) <= tol
 
 
+def test_qp_zero_row_with_tiny_negative_bound_is_active():
+    # a = 0 and b = -7e-284: a.u > b however small b is, so the barrier
+    # must be active and the slack must cover the violation
+    cfg = config(r_u=(math.inf,) * 3, u_box=((0.0, 1.0),) * 3)
+    a, b = np.zeros(3), -7e-284
+    res = sc.qp_step([0.5, 0.2, 0.9], [0.5, 0.2, 0.9], a, b, cfg)
+    assert res.barrier_active
+    assert float(a @ res.u_star) <= b + res.slack
+
+
 def test_qp_rate_limits_hard():
     cfg = config(r_u=(0.5,), u_box=((0.0, 1.0),), Delta=0.1)
     # rate window is u_prev +- 0.05
