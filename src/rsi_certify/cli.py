@@ -190,12 +190,31 @@ def run_envelope(cfg, args, load) -> Outcome:
                  result.phi_svc.values, result.binding))})
 
 
+def _setting(args, option: str, section: dict, where: str, default=None):
+    """``--option`` if given, else the config's ``where.option`` (or
+    ``default``), as a number, and the name to report it under."""
+    value = getattr(args, option)
+    if value is not None:
+        return value, f"--{option}"
+    key = f"{where}.{option}"
+    return _number(section.get(option, default), key), key
+
+
+def _alpha(args, section: dict, where: str) -> float:
+    alpha, name = _setting(args, "alpha", section, where, 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _profile(cfg, args, load, alpha):
     """What estimate and certify share: the window, I and Idot (from loss
     series or a direct series), their snapshots, the rolling elasticity
     profile and its regime segmentation."""
     est_cfg = _section(cfg, "estimation")
-    window = _number(args.window or est_cfg.get("window"), "estimation.window")
+    window, name = _setting(args, "window", est_cfg, "estimation")
+    if not window > 0:
+        raise ConfigError(f"{name} must be positive, got {window!r}")
     roles = _section(cfg, "series", required=True)
     snapshots = {}
     if "losses" in roles:
@@ -232,8 +251,7 @@ def _elasticity_csv(prof) -> str:
 
 
 def run_estimate(cfg, args, load) -> Outcome:
-    alpha = _number(args.alpha or _section(cfg, "estimation").get(
-        "alpha", 0.05), "estimation.alpha")
+    alpha = _alpha(args, _section(cfg, "estimation"), "estimation")
     window, _, _, snapshots, prof, segs = _profile(cfg, args, load, alpha)
     return Outcome(
         EXIT_OK,
@@ -303,7 +321,7 @@ def _measured_upsilons(cfg, load, window) -> dict[str, ct.UpsilonBand]:
 
 def run_certify(cfg, args, load) -> Outcome:
     cert_cfg = _section(cfg, "certify")
-    alpha = _number(args.alpha or cert_cfg.get("alpha", 0.05), "certify.alpha")
+    alpha = _alpha(args, cert_cfg, "certify")
     seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0),
                    "seed", int)
     window, i_series, idot, snapshots, prof, segs = _profile(cfg, args, load,

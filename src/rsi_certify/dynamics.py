@@ -44,6 +44,11 @@ class PhiSpec:
       power_log  Phi(s) = c * s**p * ln(s)   (floor must exceed 1)
       tabulated  log-log interpolation of positive nondecreasing samples,
                  extrapolated beyond the table with the last local exponent.
+
+    A Python float passed to a power kind takes a scalar path that returns
+    the array path's result bit for bit.  It applies the same numpy ufuncs
+    in the same order, because libm's pow, exp and log differ from numpy's
+    vectorized loops in the last bit, and the barrier QP amplifies that bit.
     """
 
     def __init__(self, kind: str, p: float | None = None, c: float = 1.0,
@@ -64,8 +69,7 @@ class PhiSpec:
             if kind == "power_log" and self.domain_floor <= 1.0:
                 raise NonPositivePhi("power_log needs domain_floor > 1 so the "
                                      "factor stays positive")
-            self.grid = None
-            self.values = None
+            self.grid = self.values = self.p_tail = self.c_tail = None
         elif kind == "tabulated":
             grid = np.asarray(grid, dtype=float)
             values = np.asarray(values, dtype=float)
@@ -83,6 +87,15 @@ class PhiSpec:
                 else float(domain_floor)
             self.p = None
             self.c = None
+            self._lg = np.log(grid)
+            self._lv = np.log(values)
+            # tail: least squares over the last decade (at least 3 points)
+            mask = grid >= grid[-1] / 10.0
+            if mask.sum() < 3:
+                mask = np.zeros_like(mask)
+                mask[-3:] = True
+            self.p_tail = float(np.polyfit(self._lg[mask], self._lv[mask], 1)[0])
+            self.c_tail = values[-1] / grid[-1] ** self.p_tail
         else:
             raise NonPositivePhi(f"unknown rate-factor kind {kind!r}")
 
@@ -103,22 +116,21 @@ class PhiSpec:
 
         For tabulated factors this is a least-squares fit over the last
         decade of the table (at least the last three points)."""
-        if self.kind == "power":
-            return self.p
-        if self.kind == "power_log":
-            # ln(s) is slowly varying; the power index governs integrability
-            return self.p
-        lo = self.grid[-1] / 10.0
-        mask = self.grid >= lo
-        if mask.sum() < 3:
-            mask = np.zeros_like(mask)
-            mask[-3:] = True
-        x = np.log(self.grid[mask])
-        y = np.log(self.values[mask])
-        slope = np.polyfit(x, y, 1)[0]
-        return float(slope)
+        # ln(s) is slowly varying under power_log; the power index governs
+        # integrability
+        return self.p if self.p is not None else self.p_tail
 
     def __call__(self, s):
+        # scalar path: the array path's ufuncs in its order, without the
+        # array (numpy scalars, a float subclass, take the array path)
+        if type(s) is float and self.p is not None:
+            if s < self.domain_floor * (1 - 1e-12):
+                raise NonPositivePhi(
+                    f"evaluation below domain floor {self.domain_floor}")
+            out = self.c * np.power(s, self.p)
+            if self.kind == "power_log":
+                out = out * np.log(s)
+            return float(out)
         s_arr = np.asarray(s, dtype=float)
         scalar = s_arr.ndim == 0
         s_arr = np.atleast_1d(s_arr)
@@ -130,16 +142,11 @@ class PhiSpec:
         elif self.kind == "power_log":
             out = self.c * s_arr ** self.p * np.log(s_arr)
         else:
-            logs = np.log(s_arr)
-            lg = np.log(self.grid)
-            lv = np.log(self.values)
             out = np.empty_like(s_arr)
             inside = s_arr <= self.grid[-1]
-            out[inside] = np.exp(np.interp(logs[inside], lg, lv))
-            if np.any(~inside):
-                p_tail = self.tail_exponent()
-                c_tail = self.values[-1] / self.grid[-1] ** p_tail
-                out[~inside] = c_tail * s_arr[~inside] ** p_tail
+            out[inside] = np.exp(np.interp(np.log(s_arr[inside]),
+                                           self._lg, self._lv))
+            out[~inside] = self.c_tail * s_arr[~inside] ** self.p_tail
         return float(out[0]) if scalar else out
 
 
@@ -192,7 +199,7 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
         return OsgoodResult(False, float(val), phi.p)
 
     # tabulated: quadrature over the table, analytic tail beyond it
-    p_tail = phi.tail_exponent()
+    p_tail = phi.p_tail
     lo = max(I0, phi.grid[0])
     hi = phi.grid[-1]
     body = 0.0
@@ -201,9 +208,8 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
         body = float(sp_integrate.trapezoid(1.0 / phi(s_grid), s_grid))
     if p_tail <= 1.0:
         return OsgoodResult(True, math.inf, p_tail)
-    c_tail = phi.values[-1] / phi.grid[-1] ** p_tail
     anchor = max(hi, lo)
-    tail = anchor ** (1.0 - p_tail) / (c_tail * (p_tail - 1.0))
+    tail = anchor ** (1.0 - p_tail) / (phi.c_tail * (p_tail - 1.0))
     return OsgoodResult(False, body + tail, p_tail)
 
 

@@ -519,6 +519,51 @@ def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, command,
     assert key in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "certify"])
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "-0.5"), ("--alpha", "nan"),
+    ("--window", "0"), ("--window", "-0.1"), ("--window", "nan"),
+])
+def test_out_of_range_flag_is_refused_not_replaced(tmp_path, capsys, command,
+                                                   flag, value):
+    # an explicit 0 must not fall through to the config's value
+    cfg = case_a_config(tmp_path)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("estimate", "estimation", "alpha", 0),
+    ("estimate", "estimation", "alpha", 1.5),
+    ("certify", "certify", "alpha", 0),
+    ("certify", "certify", "alpha", 1),
+    ("estimate", "estimation", "window", 0),
+    ("certify", "estimation", "window", -1.0),
+])
+def test_out_of_range_config_value_exits_1_naming_the_key(
+        tmp_path, capsys, command, section, key, value):
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg[section][key] = value
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{section}.{key}" in err
+
+
+def test_flags_override_the_config(tmp_path):
+    cfg = case_a_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out, "--alpha", "0.2",
+                "--window", "0.2"]) == 2
+    echo = json.loads((out / "certificate.json").read_text())["config_echo"]
+    assert (echo["alpha"], echo["window"]) == (0.2, 0.2)
+
+
 def control_config(**changes):
     cfg = {"plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
                      "n_steps": 5},

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from rsi_certify import dynamics as dyn
@@ -72,6 +74,64 @@ def test_osgood_tabulated_sublinear_tail_divergent():
 def test_osgood_rejects_below_floor():
     with pytest.raises(NonPositivePhi):
         dyn.osgood_classify(dyn.PhiSpec.power_log(1.0), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# rate factor: a Python float against a one-element array
+
+# exponents at which numpy's power loop and libm often differ in the last bit
+EXPONENTS = st.sampled_from([0.8, 1.5, 2.0, 3.0]) | st.floats(0.0, 6.0)
+
+
+@st.composite
+def phi_and_state(draw):
+    kind = draw(st.sampled_from(["power", "power_log", "tabulated"]))
+    p = draw(EXPONENTS)
+    c = draw(st.floats(1e-3, 1e3))
+    if kind == "tabulated":
+        grid = np.geomspace(draw(st.floats(1e-3, 10.0)),
+                            draw(st.floats(1e2, 1e6)), draw(st.integers(3, 40)))
+        phi = dyn.PhiSpec.tabulated(grid, c * grid ** p)
+    else:
+        floor = draw(st.floats(1.001, 50.0) if kind == "power_log"
+                     else st.floats(1e-6, 50.0))
+        phi = dyn.PhiSpec(kind, p=p, c=c, domain_floor=floor)
+    floor = phi.domain_floor
+    s = draw(st.sampled_from([floor, floor * (1 - 1e-13), floor * (1 - 1e-11),
+                              math.inf])
+             | st.floats(floor / 2, floor * 1e6)
+             | st.floats(1e100, 1e308))       # s**p overflows for p > 3.08
+    return phi, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(phi_and_state())
+# states where libm's pow or log and numpy's loops differ in the last bit
+# on an AVX-512 x86-64 host
+@example((dyn.PhiSpec.power(0.8), 10.124989680618624))
+@example((dyn.PhiSpec.power(2.0), 33.80206634493505))
+@example((dyn.PhiSpec.power_log(1.0, domain_floor=1.0005), 1.0009197891108657))
+@example((dyn.PhiSpec.power_log(2.0), 977.2087326721016))
+def test_scalar_call_matches_array_call_bit_for_bit(case):
+    phi, s = case
+    with np.errstate(over="ignore"):
+        try:
+            expected = phi(np.array([s]))[0]
+        except NonPositivePhi:
+            with pytest.raises(NonPositivePhi):
+                phi(s)
+            return
+        got = phi(s)
+    assert type(got) is float
+    assert got == expected
+
+
+def test_scalar_call_overflows_to_inf_like_the_array_call():
+    phi = dyn.PhiSpec.power(3.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert phi(1e200) == math.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert phi(np.array([1e200]))[0] == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,23 @@ def test_observer_tracks_model_consistent_run():
     assert worst <= (cfg.Delta * 0.5) ** 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["power", "power_log"]),
+       p=st.sampled_from([0.8, 1.5, 2.0, 3.0]) | st.floats(0.0, 4.0),
+       c=st.floats(0.1, 2.0), I=st.floats(3.0, 20.0),
+       svc=st.floats(0.1, 2.0), u=st.floats(0.0, 1.0),
+       dt=st.floats(1e-4, 0.02))
+def test_plant_advance_scalar_path_matches_array_path(kind, p, c, I, svc, u,
+                                                      dt):
+    # the plant's last bit feeds the QP, where u = 1 - lambda a cancels
+    phi = dyn.PhiSpec(kind, p=p, c=c)
+    via_array = lambda y: float(phi(np.array([y]))[0])  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sc._plant_advance(phi, svc, u, I, dt)
+        expected = sc._plant_advance(via_array, svc, u, I, dt)
+    np.testing.assert_equal(got, expected)
+
+
 def test_observer_zero_interval_correction_is_exact():
     # with a zero-length prediction interval and unit confidence the
     # estimate lands exactly on the benchmark
