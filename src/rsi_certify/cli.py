@@ -73,11 +73,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(x)) if isinstance(x, (int, float))
-                       else str(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(columns: dict) -> str:
+    """CSV text of named columns, written column by column: numbers and
+    bools as repr(float), so 1 is written 1.0; any other column as str."""
+    cells = []
+    for col in columns.values():
+        arr = np.asarray(col)
+        cells.append(map(repr, arr.astype(float).tolist())
+                     if arr.dtype.kind in "biuf" else map(str, col))
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _section(cfg: dict, key: str, required: bool = False) -> dict:
@@ -177,26 +181,27 @@ def _envelope(cfg, params, load, alpha) -> env.EnvelopeResult:
 def run_envelope(cfg, args, load) -> Outcome:
     params = env.EnvelopeParams.from_json_dict(
         _section(cfg, "params", required=True))
-    result = _envelope(cfg, params, load, cfg.get("alpha", 0.05))
+    result = _envelope(cfg, params, load, _alpha(args, cfg, ""))
     return Outcome(
         EXIT_OK,
         f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
         f"(sigma_eff = {params.sigma_eff} nat/bit, "
         f"snapshot {result.phi_svc.snapshot_version or 'n/a'})",
         {"envelope.json": _json_text(result.to_json_dict()),
-         "envelope.csv": _csv_text(
-             ["t", "phi_pt_nat_per_s", "phi_svc_nat_per_s", "binding"],
-             zip(result.phi_svc.t, result.phi_pt.values,
-                 result.phi_svc.values, result.binding))})
+         "envelope.csv": _csv_text({
+             "t": result.phi_svc.t, "phi_pt_nat_per_s": result.phi_pt.values,
+             "phi_svc_nat_per_s": result.phi_svc.values,
+             "binding": result.binding})})
 
 
 def _setting(args, option: str, section: dict, where: str, default=None):
-    """``--option`` if given, else the config's ``where.option`` (or
-    ``default``), as a number, and the name to report it under."""
-    value = getattr(args, option)
+    """``--option`` if given, else the config's ``where.option`` (top-level
+    ``option`` when ``where`` is empty, or ``default``), as a number, and
+    the name to report it under."""
+    value = getattr(args, option, None)
     if value is not None:
         return value, f"--{option}"
-    key = f"{where}.{option}"
+    key = f"{where}.{option}" if where else option
     return _number(section.get(option, default), key), key
 
 
@@ -245,9 +250,9 @@ def _profile(cfg, args, load, alpha):
 
 
 def _elasticity_csv(prof) -> str:
-    return _csv_text(["t", "p_hat", "se", "ci_lo", "ci_hi"],
-                     [(e.t, e.value, e.se, e.ci[0], e.ci[1])
-                      for e in prof.estimates])
+    return _csv_text({"t": prof.t, "p_hat": prof.values, "se": prof.ses,
+                      "ci_lo": [e.ci[0] for e in prof.estimates],
+                      "ci_hi": [e.ci[1] for e in prof.estimates]})
 
 
 def run_estimate(cfg, args, load) -> Outcome:
@@ -449,15 +454,16 @@ def run_certify(cfg, args, load) -> Outcome:
     artifacts = {"certificate.json": certificate.to_json() + "\n",
                  "elasticity.csv": _elasticity_csv(prof)}
     if envelope_check_res is not None:
-        artifacts["envelope_slack.csv"] = _csv_text(
-            ["t", "slack_fraction", "passed"],
-            [(t, s, int(p)) for t, s, p in
-             zip(envelope_check_res.t, envelope_check_res.slack,
-                 envelope_check_res.passed)])
-    artifacts["segments.csv"] = _csv_text(
-        ["t_start", "t_end", "ptot_minus", "ptot_plus"],
-        [(r.t_start, r.t_end, r.ptot.minus, r.ptot.plus)
-         for r in certificate.segments])
+        artifacts["envelope_slack.csv"] = _csv_text({
+            "t": envelope_check_res.t,
+            "slack_fraction": envelope_check_res.slack,
+            "passed": envelope_check_res.passed})
+    segments = certificate.segments
+    artifacts["segments.csv"] = _csv_text({
+        "t_start": [r.t_start for r in segments],
+        "t_end": [r.t_end for r in segments],
+        "ptot_minus": [r.ptot.minus for r in segments],
+        "ptot_plus": [r.ptot.plus for r in segments]})
     artifacts["report.txt"] = render_report(certificate)
     return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
                    artifacts)
@@ -511,8 +517,7 @@ def run_simulate(cfg, args, load) -> Outcome:
                              res.I)
         artifacts = {"trajectory.json": _json_text(traj.to_json_dict())}
     else:
-        artifacts = {"trajectory.csv": _csv_text(["t", "I"],
-                                                 zip(res.t, res.I))}
+        artifacts = {"trajectory.csv": _csv_text({"t": res.t, "I": res.I})}
     artifacts["simulation.json"] = _json_text(
         {"status": res.status, "t_star": res.t_star, "n_steps": res.n_steps,
          "final_I": float(res.I[-1]), "final_t": float(res.t[-1])})

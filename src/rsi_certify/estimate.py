@@ -553,7 +553,10 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
     """Sup of Wald statistics for a single mean shift at unknown time.
 
     Each candidate split compares pooled and split residual sums of squares;
-    the statistic is the F form for one restriction.
+    the statistic is the F form for one restriction, infinite where the
+    split fits exactly.  All splits are scored at once from prefix sums;
+    the first split with the largest score above -1 wins (NaN never does),
+    else (-1.0, None).
     """
     n = y.size
     k_lo = max(int(math.floor(trim * n)), 2)
@@ -561,20 +564,20 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
     if k_hi <= k_lo:
         return 0.0, None
     rss0 = float(((y - y.mean()) ** 2).sum())
-    best_w, best_k = -1.0, None
     csum = np.cumsum(y)
     csum2 = np.cumsum(y * y)
-    total = csum[-1]
-    total2 = csum2[-1]
-    for k in range(k_lo, k_hi + 1):
-        s1, s2 = csum[k - 1], total - csum[k - 1]
-        q1, q2 = csum2[k - 1], total2 - csum2[k - 1]
-        rss1 = (q1 - s1 * s1 / k) + (q2 - s2 * s2 / (n - k))
-        denom = rss1 / max(n - 2, 1)
-        w = (rss0 - rss1) / denom if denom > 0 else math.inf
-        if w > best_w:
-            best_w, best_k = w, k
-    return best_w, best_k
+    k = np.arange(k_lo, k_hi + 1)
+    s1, q1 = csum[k - 1], csum2[k - 1]
+    s2, q2 = csum[-1] - s1, csum2[-1] - q1
+    rss1 = (q1 - s1 * s1 / k) + (q2 - s2 * s2 / (n - k))
+    denom = rss1 / max(n - 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(denom > 0, (rss0 - rss1) / denom, math.inf)
+    w = np.where(w > -1.0, w, -1.0)     # NaN never wins, as in a loop on >
+    best = int(np.argmax(w))
+    if not w[best] > -1.0:
+        return -1.0, None
+    return float(w[best]), k_lo + best
 
 
 SUP_WALD_MIN_SEGMENT = 30  # fewest estimates a segment needs to be scanned

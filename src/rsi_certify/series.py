@@ -7,6 +7,15 @@ deliberately small: CSV/JSON round-trips, linear resampling without
 extrapolation, kernel-weighted local log-slopes, rolling elasticities, and
 the effective-dataset combination D_real + rho * D_synth.
 
+CSV ingest reads a file in the layout the package writes (the ``# unit=``
+line, the header, then rows of plain numbers with the header's field
+count and increasing timestamps) in one vectorised pass; one
+np.array(cells, dtype=float) follows float() as the per-line loop does.
+Any other file goes to that loop from the top: comments or blank lines
+among the rows, quotes, CR, a BOM, spaced or empty cells, RFC3339
+timestamps, nan/inf cells, a wrong field count, a timestamp that does not
+increase.  The loop is the only code that names a line in an error.
+
 Every rolling fit in the package (log_slope, elasticity, and in the
 estimation layer the rolling elasticity, the index profiles and the
 excitation infimum) goes through one windowed kernel: window_bounds finds
@@ -24,6 +33,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
@@ -229,6 +240,10 @@ def _parse_timestamp(text: str) -> float:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
 
 
+HEADERS = (["t", "value"], ["t", "value", "quality"])
+_CELL = r"[0-9eE.+\-]+"   # the only characters the columnar pass accepts
+
+
 def ingest_csv(path, expected_unit: str | None = None) -> TimeSeries:
     """Read a telemetry CSV into a validated TimeSeries.
 
@@ -241,51 +256,102 @@ def ingest_csv(path, expected_unit: str | None = None) -> TimeSeries:
         raw = fh.read()
     snapshot = hashlib.sha256(raw).hexdigest()[:16]
     text = raw.decode("utf-8")
+    unit, t, values, qualities = _read_columns(text) or _read_lines(text)
+    if expected_unit is not None and unit != expected_unit:
+        raise UnitMismatch(f"file declares unit {unit!r}, expected {expected_unit!r}")
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    return TimeSeries(name, unit, t, values, qualities, snapshot)
 
-    unit = None
-    header = None
+
+def _read_columns(text: str):
+    """The columnar pass: (unit, t, values, qualities or None) of a file
+    whose first line declares the unit, whose second is the header, and
+    whose data rows are plain numbers with the header's field count, one
+    row per line, timestamps finite and increasing.  Anything else gives
+    None, and _read_lines reads the file."""
+    parts = text.split("\n", 2)
+    # a CR or other break that splitlines sees would make the lines differ
+    if len(parts) < 3 or not (parts[0].isprintable() and parts[1].isprintable()):
+        return None
+    unit_line, header_line, block = parts
+    first = unit_line.strip()
+    unit = _declared_unit(first) if first.startswith("#") else None
+    header = [c.lower() for c in _cells(header_line)]
+    if unit is None or header not in HEADERS:
+        return None
+    row = ",".join([_CELL] * len(header))
+    if not re.fullmatch(f"(?:{row}\n)*{row}\n?", block):
+        return None
+    try:
+        data = np.array(block.replace(",", " ").split(), dtype=float)
+    except ValueError:
+        return None
+    data = data.reshape(-1, len(header))
+    t = data[:, 0]
+    if not (np.isfinite(data).all() and np.all(np.diff(t) > 0)):
+        return None
+    return unit, t, data[:, 1], data[:, 2] if len(header) == 3 else None
+
+
+def _read_lines(text: str):
+    """The per-line reader, and the one place that names a line: what
+    _read_columns returns, for any layout, or a located error.  Blank lines
+    are skipped, ``#`` lines are comments (the last ``# unit=`` wins),
+    cells are stripped, quotes follow the csv module, and an empty quality
+    cell reads as 1."""
+    unit = header = None
     t, values, qualities = [], [], []
-    saw_quality = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if body.startswith("unit="):
-                unit = body[len("unit="):].strip()
+            declared = _declared_unit(stripped)
+            unit = unit if declared is None else declared
             continue
-        row = next(csv.reader([line]))
-        row = [cell.strip() for cell in row]
+        row = _cells(line)
         if header is None:
             header = [c.lower() for c in row]
-            if header not in (["t", "value"], ["t", "value", "quality"]):
+            if header not in HEADERS:
                 raise ParseError(f"unexpected header {row!r}; "
                                  "want t,value[,quality]", line=lineno)
-            saw_quality = len(header) == 3
             continue
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                              line=lineno)
         try:
-            t.append(_parse_timestamp(row[0]))
-            values.append(float(row[1]))
-            if saw_quality:
-                qualities.append(float(row[2]) if row[2] != "" else 1.0)
+            cells = [_parse_timestamp(row[0]), float(row[1])]
+            if len(row) == 3:
+                cells.append(float(row[2]) if row[2] != "" else 1.0)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not math.isfinite(cells[0]):
+            raise NonMonotoneTime(f"line {lineno}: timestamp {row[0]!r} "
+                                  "is not finite")
+        if t and cells[0] <= t[-1]:
+            raise NonMonotoneTime(f"line {lineno}: timestamp {row[0]!r} "
+                                  "does not increase")
+        if not all(map(math.isfinite, cells[1:])):
+            raise NonPositiveValue(f"line {lineno}: non-finite cell in {row!r}")
+        t.append(cells[0])
+        values.append(cells[1])
+        qualities += cells[2:]
 
     if unit is None:
         raise ParseError("missing '# unit=<unit>' declaration")
     if header is None or not t:
         raise ParseError("no data rows found")
-    if expected_unit is not None and unit != expected_unit:
-        raise UnitMismatch(f"file declares unit {unit!r}, expected {expected_unit!r}")
+    return unit, t, values, qualities if len(header) == 3 else None
 
-    import os
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return TimeSeries(name, unit, t, values,
-                      qualities if saw_quality else None, snapshot)
+
+def _declared_unit(comment: str) -> str | None:
+    """The unit a stripped ``#`` line declares, if it is a unit line."""
+    body = comment.lstrip("#").strip()
+    return body[len("unit="):].strip() if body.startswith("unit=") else None
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in next(csv.reader([line]))]
 
 
 def write_csv(series: TimeSeries, path) -> None:

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsi_certify import certify as ct
 from rsi_certify import cli
@@ -95,6 +97,67 @@ def test_envelope_command(tmp_path):
     assert doc["phi_pt_bar"]["band"]["first_order"] == pytest.approx(0.05)
     assert doc["binding"] == ["pt-limited"] * 10
     assert (out / "envelope.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0, "x"])
+def test_envelope_alpha_is_checked(tmp_path, capsys, alpha):
+    t = np.linspace(0, 9, 10)
+    write_series_csv(tmp_path / "p_use.csv", t, np.full(10, 1.0), "W")
+    write_series_csv(tmp_path / "temp.csv", t, np.full(10, 300.0), "K")
+    cfg = write_json(tmp_path / "env.json", {
+        "params": {"P_max": 100.0, "T_range": [300.0, 320.0],
+                   "cop_range": [1.0, 1.0], "sigma_eff": 1.0},
+        "series": {"P_use": str(tmp_path / "p_use.csv"),
+                   "T": str(tmp_path / "temp.csv")},
+        "alpha": alpha,
+    })
+    assert run(["envelope", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "alpha" in err[0]
+
+
+def row_csv_text(header, rows) -> str:
+    """The row-by-row CSV writer the column form replaced, as reference."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(x)) if isinstance(x, (int, float))
+                       else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-2**53, 2**53), st.booleans(),
+                    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+LABELS = st.one_of(st.sampled_from(["pt-limited", "io-limited",
+                                    "mem-limited", "cap-limited"]),
+                   st.text(st.characters(blacklist_characters=",\r\n")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_artifacts_match_the_row_form(data):
+    """Each CSV artifact's columns, given as the commands pass them, and
+    the rows the row form took, give the same text."""
+    n = data.draw(st.integers(0, 6))
+    lists = [data.draw(st.lists(NUMBERS, min_size=n, max_size=n))
+             for _ in range(5)]
+    arrays = [np.array(col, dtype=float) for col in lists]
+    passed = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)), dtype=bool)
+    binding = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+    a, b, c, d, e = lists
+    cases = [
+        ({"t": arrays[0], "p_hat": arrays[1], "se": arrays[2], "ci_lo": d,
+          "ci_hi": e}, zip(a, b, c, d, e)),                 # elasticity.csv
+        ({"t": arrays[0], "slack_fraction": arrays[1], "passed": passed},
+         [(x, y, int(p)) for x, y, p in zip(arrays[0], arrays[1], passed)]),
+        ({"t_start": a, "t_end": b, "ptot_minus": c, "ptot_plus": d},
+         zip(a, b, c, d)),                                  # segments.csv
+        ({"t": arrays[0], "phi_pt_nat_per_s": arrays[1],
+          "phi_svc_nat_per_s": arrays[2], "binding": binding},
+         zip(arrays[0], arrays[1], arrays[2], binding)),    # envelope.csv
+        ({"t": arrays[3], "I": arrays[4]}, zip(arrays[3], arrays[4])),
+    ]
+    for columns, rows in cases:
+        assert cli._csv_text(columns) == row_csv_text(list(columns), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rsi_certify import estimate as est
@@ -450,6 +452,66 @@ def test_sup_wald_false_positive_rate():
 def test_sup_wald_too_short():
     with pytest.raises(TooShort):
         est.sup_wald_breaks(slope_series_from(np.ones(10)))
+
+
+def sup_wald_by_loop(y, trim):
+    """The scan as a loop over k, the reference for the array form."""
+    n = y.size
+    k_lo = max(int(math.floor(trim * n)), 2)
+    k_hi = min(int(math.ceil((1 - trim) * n)), n - 2)
+    if k_hi <= k_lo:
+        return 0.0, None
+    rss0 = float(((y - y.mean()) ** 2).sum())
+    best_w, best_k = -1.0, None
+    csum = np.cumsum(y)
+    csum2 = np.cumsum(y * y)
+    total = csum[-1]
+    total2 = csum2[-1]
+    for k in range(k_lo, k_hi + 1):
+        s1, s2 = csum[k - 1], total - csum[k - 1]
+        q1, q2 = csum2[k - 1], total2 - csum2[k - 1]
+        rss1 = (q1 - s1 * s1 / k) + (q2 - s2 * s2 / (n - k))
+        denom = rss1 / max(n - 2, 1)
+        w = (rss0 - rss1) / denom if denom > 0 else math.inf
+        if w > best_w:
+            best_w, best_k = w, k
+    return best_w, best_k
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.integers(4, 80))
+    kind = draw(st.sampled_from(["noise", "constant", "step", "offset",
+                                 "small integers", "extreme"]))
+    if kind == "constant":
+        y = np.full(n, draw(st.floats(-1e6, 1e6)))
+    elif kind == "step":        # exact fit at the step: denom 0, w = inf
+        cut = draw(st.integers(1, n - 1))
+        y = np.where(np.arange(n) < cut, draw(st.floats(-10, 10)),
+                     draw(st.floats(-10, 10)))
+    else:
+        elements = {"noise": st.floats(-10, 10),
+                    "offset": st.floats(-1e-3, 1e-3).map(lambda v: 1e8 + v),
+                    "small integers": st.integers(-2, 2).map(float),
+                    "extreme": st.floats(allow_nan=True, allow_infinity=True)}
+        y = np.array(draw(st.lists(elements[kind], min_size=n, max_size=n)))
+    trim = draw(st.one_of(st.sampled_from([1e-12, 0.01, 0.15, 0.4499999]),
+                          st.floats(1e-12, 0.4499999)))
+    return y, trim
+
+
+@settings(max_examples=500, deadline=None)
+@given(scan_inputs())
+@example((np.full(40, 0.7), 0.15))
+@example((np.repeat([1.0, 2.0], 20), 0.15))
+@example((np.repeat([1.0, 2.0, 1.0, 2.0], 10), 1e-12))
+@example((np.r_[np.ones(10), 1e200, -1e200, np.ones(10)], 0.15))  # NaN w
+def test_sup_wald_scan_matches_the_loop(case):
+    y, trim = case
+    with np.errstate(all="ignore"):
+        got = est._sup_wald_mean_shift(y, trim)
+        want = sup_wald_by_loop(y, trim)
+    assert got == want
 
 
 def profile_of(values):

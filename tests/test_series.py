@@ -1,4 +1,6 @@
+import hashlib
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -73,6 +75,166 @@ def test_ingest_malformed_row_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         ts.ingest_csv(p, "W")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("header, rows, error, line", [
+    ("t,value", "0,1\n1,nan\n", NonPositiveValue, 4),
+    ("t,value", "0,1\n1,-inf\n", NonPositiveValue, 4),
+    ("t,value", "0,1\n1,1e999\n2,3\n", NonPositiveValue, 4),
+    ("t,value,quality", "0,1,1\n1,2,nan\n", NonPositiveValue, 4),
+    ("t,value", "0,1\nnan,2\n", NonMonotoneTime, 4),
+    ("t,value", "0,1\n1,2\n1,3\n", NonMonotoneTime, 5),
+    ("t,value", "0,1\n2,2\n1,3\n", NonMonotoneTime, 5),
+    ("t,value", "0,1\n\n# note\n0,2\n", NonMonotoneTime, 6),
+])
+def test_ingest_cell_faults_name_their_line(tmp_path, header, rows, error,
+                                            line):
+    p = tmp_path / "fault.csv"
+    p.write_text(f"# unit=W\n{header}\n{rows}")
+    with pytest.raises(error, match=rf"^line {line}: "):
+        ts.ingest_csv(p, "W")
+
+
+def assert_same_read(got, want):
+    """Two (unit, t, values, qualities) reads agree, bit for bit."""
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (np.asarray(a, float).tobytes()
+                    == np.asarray(b, float).tobytes())
+
+
+def test_columnar_pass_reads_the_package_layout(tmp_path):
+    t = 1.7e9 + np.cumsum(np.full(50, 0.1))
+    v = np.exp(np.linspace(-3.0, 3.0, 50))
+    for weights in (None, np.linspace(0.0, 1.0, 50)):
+        ts.write_csv(ts.TimeSeries("s", "W", t, v, weights), tmp_path / "s.csv")
+        text = (tmp_path / "s.csv").read_text()
+        for body in (text, text.rstrip("\n")):
+            got = ts._read_columns(body)
+            assert got is not None
+            assert_same_read(got, ts._read_lines(body))
+
+
+def _utc(t):
+    return (datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
+            .replace("+00:00", "Z"))
+
+
+# per-line faults: (name, edit of the line's cells)
+CELL_FAULTS = {
+    "nan value": lambda c, t: c[:1] + ["nan"] + c[2:],
+    "inf value": lambda c, t: c[:1] + ["-inf"] + c[2:],
+    "overflow value": lambda c, t: c[:1] + ["1e999"] + c[2:],
+    "nan time": lambda c, t: ["nan"] + c[1:],
+    "rfc3339 time": lambda c, t: [_utc(t)] + c[1:],
+    "underscore": lambda c, t: c[:1] + ["1_0"] + c[2:],
+    "spaces": lambda c, t: [f" {x} " for x in c],
+    "quoted": lambda c, t: [f'"{x}"' for x in c],
+    "empty last": lambda c, t: c[:-1] + [""],
+    "letters": lambda c, t: c[:1] + ["abc"] + c[2:],
+    "exponent only": lambda c, t: c[:1] + ["e"] + c[2:],
+    "extra field": lambda c, t: c + ["7"],
+    "missing field": lambda c, t: c[:-1],
+}
+LINE_FAULTS = ("duplicate time", "decreasing time", "shift into next",
+               "blank after", "comment after", "unit after")
+PREAMBLES = (
+    "# unit=W{eol}{header}{eol}",
+    "#  unit = W {eol} {header} {eol}",
+    "# source: bench{eol}# unit=W{eol}{header}{eol}",
+    "{eol}# unit=W{eol}{header}{eol}",
+    "{header}{eol}# unit=W{eol}",
+    "{header}{eol}",
+    "# unit=W{eol}time,value{eol}",
+    '# unit=W{eol}"t","value"{eol}',
+    "# unit=W{eol}{header}{eol}{eol}",
+    "# unit=W\u2028# unit=K{eol}{header}{eol}",   # a break splitlines sees
+    "# unit=W{eol}{header}\x1c{eol}",
+)
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "-0.0", ".5", "5.", "1E-3", "+2", "2e-320"]))
+
+
+@st.composite
+def telemetry_csv(draw):
+    """CSV text in and around the layout the columnar pass reads, with the
+    faults and variants the per-line loop has to take over."""
+    quality = draw(st.booleans())
+    n = draw(st.integers(0, 8))
+    t = draw(st.sampled_from([0.0, 1.7e9, -3.5]))
+    lines = []
+    for _ in range(n):
+        t += draw(st.sampled_from([1.0, 0.25, 1e-6, 7.0]))
+        cells = [repr(t), draw(NUMBER_CELLS)]
+        if quality:
+            cells.append(repr(draw(st.floats(0.0, 1.0))))
+        lines.append((t, cells))
+    faults = draw(st.lists(st.tuples(
+        st.integers(0, max(n - 1, 0)),
+        st.sampled_from(sorted(CELL_FAULTS) + list(LINE_FAULTS))),
+        max_size=3)) if draw(st.booleans()) else []
+    extra = {}
+    for i, fault in faults:
+        if i >= len(lines):
+            continue
+        t_i, cells = lines[i]
+        if fault in CELL_FAULTS:
+            lines[i] = (t_i, CELL_FAULTS[fault](cells, t_i))
+        elif fault == "duplicate time" and i > 0:
+            lines[i] = (t_i, [lines[i - 1][1][0]] + cells[1:])
+        elif fault == "decreasing time" and i > 0:
+            lines[i] = (t_i, [repr(t_i - 10.0)] + cells[1:])
+        elif fault == "shift into next" and i + 1 < len(lines):
+            nxt = lines[i + 1][1]   # a long row, then a short one
+            lines[i] = (t_i, cells + nxt[:1])
+            lines[i + 1] = (lines[i + 1][0], nxt[1:])
+        else:
+            extra[i] = {"blank after": "", "comment after": "# note",
+                        "unit after": "# unit=K"}.get(fault, "")
+    body = []
+    for i, (_, cells) in enumerate(lines):
+        body.append(",".join(cells))
+        if i in extra:
+            body.append(extra[i])
+    # the package's own layout stays the likeliest draw
+    eol = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    header = "t,value,quality" if quality else "t,value"
+    preamble = draw(st.sampled_from(PREAMBLES[:1] * 16 + PREAMBLES[1:]))
+    preamble = preamble.format(eol=eol, header=header)
+    text = preamble + eol.join(body) + (eol if draw(st.booleans()) else "")
+    return draw(st.sampled_from([""] * 9 + ["\ufeff"])) + text
+
+
+def _outcome(read, path):
+    try:
+        s = read(path)
+    except Exception as exc:  # the exception is the outcome compared
+        return ("error", type(exc), str(exc))
+    return ("ok", s.name, s.unit, s.snapshot_version, s.t.tobytes(),
+            s.values.tobytes(), None if s.weights is None else s.weights.tobytes())
+
+
+def _ingest_by_lines(path):
+    """ingest_csv with the per-line loop alone, the reference."""
+    raw = path.read_bytes()
+    unit, t, values, qualities = ts._read_lines(raw.decode("utf-8"))
+    return ts.TimeSeries(path.stem, unit, t, values, qualities,
+                         hashlib.sha256(raw).hexdigest()[:16])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=telemetry_csv())
+def test_columnar_ingest_matches_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(ts.ingest_csv, path) == _outcome(_ingest_by_lines, path)
+    columns = ts._read_columns(text)
+    if columns is not None:
+        assert_same_read(columns, ts._read_lines(text))
 
 
 def test_ingest_serialize_roundtrip_csv(tmp_path):
