@@ -9,7 +9,6 @@ Rates are taken by finite differences on the sample grid.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,11 +62,6 @@ class BenchmarkSpec:
         tasks = tuple(TaskSpec(x["id"], x["weight"], x["floor"])
                       for x in d["tasks"])
         return cls(tasks, float(d["t_ref"]))
-
-    @classmethod
-    def load(cls, path) -> "BenchmarkSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ as inconclusive with both facts attached.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import series as ts
 from .dynamics import OsgoodResult
@@ -60,19 +59,6 @@ class ExponentSet:
     gamma_eff: float = field(default=float("nan"))
     alpha_tilde_eff: float = field(default=float("nan"))
     caps_applied: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "alpha_tilde": self.alpha_tilde, "rho": self.rho, "r": self.r,
-            "chi_hat": self.chi_hat,
-            "effective": {
-                "alpha_eff": self.alpha_eff, "beta_eff": self.beta_eff,
-                "gamma_eff": self.gamma_eff,
-                "alpha_tilde_eff": self.alpha_tilde_eff,
-            },
-            "caps_applied": list(self.caps_applied),
-        }
 
 
 def effective_exponents(alpha: float, beta: float, gamma: float,
@@ -136,12 +122,6 @@ class PtotEstimate:
     components_minus: dict
     components_plus: dict
 
-    def to_json_dict(self) -> dict:
-        return {"minus": self.minus, "plus": self.plus,
-                "se_minus": self.se_minus, "se_plus": self.se_plus,
-                "components_minus": dict(self.components_minus),
-                "components_plus": dict(self.components_plus)}
-
 
 def ptot(q_hat: tuple[float, float], xi_hat: tuple[float, float],
          gamma: float, effs: ExponentSet,
@@ -203,18 +183,12 @@ class TestOutcome:
         return "reject" if self.reject else "fail_to_reject"
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_quantile(alpha: float) -> float:
-    """z_{1-alpha} of the standard normal, asked for on every segment."""
-    return float(norm.ppf(1 - alpha))
-
-
 def test_superlinearity(p_hat: float, se: float, alpha: float = 0.05) -> TestOutcome:
     """One-sided test of elasticity above one: reject the subcritical null
     when p_hat - z_{1-alpha} * se exceeds 1 strictly."""
     if se < 0:
         raise ValueError("se must be nonnegative")
-    z = _upper_quantile(alpha)
+    z = float(ndtri(1 - alpha))
     stat = p_hat - z * se
     return TestOutcome(stat > 1.0, stat - 1.0, z, stat)
 
@@ -244,7 +218,7 @@ def test_ceiling(upsilon_c_plus: float, se_c: float,
     """
     if set(ceilings) != {"io", "mem", "pow"}:
         raise ValueError("ceilings must be given for io, mem, pow")
-    z = float(norm.ppf(1 - alpha / 3.0))
+    z = float(ndtri(1 - alpha / 3.0))
     lhs = upsilon_c_plus - z * se_c
     upper = {name: e + z * se for name, (e, se) in ceilings.items()}
     binding = min(upper, key=upper.get)
@@ -287,15 +261,6 @@ class EnvelopeCheckResult:
         frac = float(sub_pass.mean()) if sub_pass.size else 1.0
         return EnvelopeCheckResult(self.t[mask], sub_pass, self.slack[mask],
                                    frac, first, self.small_gain, self.tol)
-
-    def to_json_dict(self) -> dict:
-        return {"pass_fraction": self.pass_fraction,
-                "n_samples": int(self.t.size),
-                "first_failure": None if self.first_failure is None
-                else {"t": self.first_failure[0], "index": self.first_failure[1]},
-                "small_gain": self.small_gain,
-                "tol": self.tol,
-                "nonbinding": self.nonbinding()}
 
 
 def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,

@@ -28,7 +28,7 @@ from . import dynamics as dyn
 from . import envelopes as env
 from . import estimate as est
 from . import series as ts
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ParseError, ToolkitError
 from . import safectl as sc
 
 EXIT_OK = 0
@@ -55,13 +55,16 @@ def _load_json(path):
 
 class FileInputs:
     """``main``'s ``load``: ``load(path, unit)`` reads a CSV or JSON series,
-    ``load.document(path)`` any other JSON file a config names."""
+    ``load.document(path)`` any other JSON file a config names.  A series
+    that cannot be read raises a ParseError that names its file."""
 
     def __call__(self, path, unit=None) -> ts.TimeSeries:
         path = str(path)
-        if not path.endswith(".json"):
-            return ts.ingest_csv(path, unit)
-        s = ts.read_json(path)
+        try:
+            s = ts.read_json(path) if path.endswith(".json") \
+                else ts.ingest_csv(path)
+        except (ToolkitError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
         if unit is not None and s.unit != unit:
             raise ts.UnitMismatch(f"{path}: unit {s.unit!r}, expected {unit!r}")
         return s
@@ -71,17 +74,6 @@ class FileInputs:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(columns: dict) -> str:
-    """CSV text of named columns, written column by column: numbers and
-    bools as repr(float), so 1 is written 1.0; any other column as str."""
-    cells = []
-    for col in columns.values():
-        arr = np.asarray(col)
-        cells.append(map(repr, arr.astype(float).tolist())
-                     if arr.dtype.kind in "biuf" else map(str, col))
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _section(cfg: dict, key: str, required: bool = False) -> dict:
@@ -100,7 +92,7 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
 def _number(value, key: str, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number, "
                           f"got {value!r}") from None
 
@@ -133,7 +125,9 @@ def _phi(d) -> dyn.PhiSpec:
         raise ConfigError("config key 'phi' must be a JSON object")
     kind = d.get("kind")
     names = PHI_ARGS.get(kind, ()) if isinstance(kind, str) else ()
-    return dyn.PhiSpec(kind, **{k: d[k] for k in names if k in d})
+    return dyn.PhiSpec(kind, **{
+        k: d[k] if kind == "tabulated" else _number(d[k], f"phi.{k}")
+        for k in names if k in d})
 
 
 def run_ingest(cfg, args, load) -> Outcome:
@@ -143,8 +137,8 @@ def run_ingest(cfg, args, load) -> Outcome:
             s = load(entry["path"], entry.get("unit"))
             s = s.replace(name=entry.get("name", s.name))
             loaded.append((entry["path"], s))
-        except ToolkitError as exc:
-            failures.append(f"{entry['path']}: {exc}")
+        except ToolkitError as exc:     # load names the file
+            failures.append(str(exc))
     if failures:
         raise ToolkitError("; ".join(failures))
 
@@ -188,7 +182,7 @@ def run_envelope(cfg, args, load) -> Outcome:
         f"(sigma_eff = {params.sigma_eff} nat/bit, "
         f"snapshot {result.phi_svc.snapshot_version or 'n/a'})",
         {"envelope.json": _json_text(result.to_json_dict()),
-         "envelope.csv": _csv_text({
+         "envelope.csv": ts.csv_text({
              "t": result.phi_svc.t, "phi_pt_nat_per_s": result.phi_pt.values,
              "phi_svc_nat_per_s": result.phi_svc.values,
              "binding": result.binding})})
@@ -245,14 +239,15 @@ def _profile(cfg, args, load, alpha):
                                  i_series.snapshot_version)
     prof = est.rolling_elasticity(i_series, idot, window,
                                   lag=est_cfg.get("lag", "auto"), alpha=alpha)
-    segs = est.segment_profile(prof, trim=est_cfg.get("trim", 0.15))
+    segs = est.segment_profile(
+        prof, trim=_number(est_cfg.get("trim", 0.15), "estimation.trim"))
     return window, i_series, idot, snapshots, prof, segs
 
 
 def _elasticity_csv(prof) -> str:
-    return _csv_text({"t": prof.t, "p_hat": prof.values, "se": prof.ses,
-                      "ci_lo": [e.ci[0] for e in prof.estimates],
-                      "ci_hi": [e.ci[1] for e in prof.estimates]})
+    return ts.csv_text({"t": prof.t, "p_hat": prof.values, "se": prof.ses,
+                        "ci_lo": [e.ci[0] for e in prof.estimates],
+                        "ci_hi": [e.ci[1] for e in prof.estimates]})
 
 
 def run_estimate(cfg, args, load) -> Outcome:
@@ -399,8 +394,9 @@ def run_certify(cfg, args, load) -> Outcome:
     capital_T = region_note = None
     c = _section(cfg, "capital")
     if c:
-        params_k = dyn.CapitalParams(c["K0"], c["r"], c["zeta"],
-                                     c.get("delta", 0.0))
+        params_k = dyn.CapitalParams(
+            *(_number(c.get(k), f"capital.{k}") for k in ("K0", "r", "zeta")),
+            _number(c.get("delta", 0.0), "capital.delta"))
         capital_T = params_k.escape_time()
         flags = _section(cfg, "flags")
         try:
@@ -426,7 +422,7 @@ def run_certify(cfg, args, load) -> Outcome:
     if cert_cfg.get("grad_norm"):
         extra_margins["manifold_distance"] = ct.manifold_distance(
             ptot_plus, cert_cfg["grad_norm"])
-    w = cert_cfg.get("wasserstein")
+    w = _section(cert_cfg, "wasserstein")
     if w:
         safety = w.get("safety_delta", 0.1)
         dm = ct.distribution_margin(ptot_plus, w["gamma"], w["L_xi"],
@@ -454,12 +450,12 @@ def run_certify(cfg, args, load) -> Outcome:
     artifacts = {"certificate.json": certificate.to_json() + "\n",
                  "elasticity.csv": _elasticity_csv(prof)}
     if envelope_check_res is not None:
-        artifacts["envelope_slack.csv"] = _csv_text({
+        artifacts["envelope_slack.csv"] = ts.csv_text({
             "t": envelope_check_res.t,
             "slack_fraction": envelope_check_res.slack,
             "passed": envelope_check_res.passed})
     segments = certificate.segments
-    artifacts["segments.csv"] = _csv_text({
+    artifacts["segments.csv"] = ts.csv_text({
         "t_start": [r.t_start for r in segments],
         "t_end": [r.t_end for r in segments],
         "ptot_minus": [r.ptot.minus for r in segments],
@@ -517,7 +513,7 @@ def run_simulate(cfg, args, load) -> Outcome:
                              res.I)
         artifacts = {"trajectory.json": _json_text(traj.to_json_dict())}
     else:
-        artifacts = {"trajectory.csv": _csv_text({"t": res.t, "I": res.I})}
+        artifacts = {"trajectory.csv": ts.csv_text({"t": res.t, "I": res.I})}
     artifacts["simulation.json"] = _json_text(
         {"status": res.status, "t_star": res.t_star, "n_steps": res.n_steps,
          "final_I": float(res.I[-1]), "final_t": float(res.t[-1])})
@@ -610,7 +606,8 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError,
+            ArithmeticError) as exc:
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_ERROR

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import series as ts
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
     NonPositiveTemperature,
     TemperatureOrdering,
 )
-from scipy.stats import norm
 
 K_B = 1.380649e-23  # J/K, exact SI value
 LN2 = math.log(2.0)
@@ -77,17 +77,6 @@ class EnvelopeParams:
         if self.sigma_eff <= 0:
             raise ValueError("sigma_eff must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "P_max": self.P_max,
-            "T_range": list(self.T_range),
-            "cop_range": list(self.cop_range),
-            "eta_elec_range": list(self.eta_elec_range),
-            "eta_use_range": list(self.eta_use_range),
-            "sigma_eff": self.sigma_eff,
-            "k_B": self.k_B,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "EnvelopeParams":
         return cls(
@@ -121,13 +110,6 @@ class StaticCap:
 
     value: float
     band: UncertaintyBand | None = None
-
-    @property
-    def interval(self) -> tuple[float, float] | None:
-        if self.band is None:
-            return None
-        lo, hi = self.band.interval_factors
-        return (self.value * lo, self.value * hi)
 
 
 @dataclass
@@ -266,7 +248,7 @@ def propagate_uncertainty(rel_errors: dict, alpha: float = 0.05) -> UncertaintyB
         raise NegativeDelta(f"relative errors must be nonnegative: {deltas}")
     first_order = float(sum(deltas))
     s = math.sqrt(sum(d * d for d in deltas))
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     return UncertaintyBand(first_order, s, (math.exp(-z * s), math.exp(z * s)),
                            alpha)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import series as ts
 from .errors import (
@@ -83,7 +83,7 @@ def _hac_slope_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, lag: int):
     n_eff/(n_eff - 2) degrees-of-freedom factor: one row of the windowed
     kernel's closed-form fit.  Returns (slope, se, intercept)."""
     rows = (np.asarray(a, dtype=float)[None, :] for a in (x, y, w))
-    fit, _ = ts._fit_rows(*rows, np.array([lag]))
+    fit = ts._fit_rows(*rows, np.array([lag]))
     if not fit.cond[0] <= 1e14:
         raise SingularDesign("X'X is numerically singular")
     return float(fit.slope[0]), float(fit.se[0]), float(fit.intercept[0])
@@ -143,8 +143,7 @@ GAP_REASONS = ("nonpositive rate in window", "nonpositive state in window",
 
 def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
                        lag: int | str = "auto", alpha: float = 0.05,
-                       min_points: int = 5, centers=None,
-                       prewhiten: bool = False) -> RollingElasticity:
+                       min_points: int = 5, centers=None) -> RollingElasticity:
     """Local log-log slope of the rate against the state, per window center.
 
     The feedback elasticity is only defined where the rate is positive;
@@ -153,11 +152,8 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     weights (lag "auto" uses the floor(4(n/100)^(2/9)) rule per window),
     capped at the window's sample count minus two.
     ``centers`` restricts evaluation to the given window centers (default:
-    every shared sample time).  ``prewhiten`` applies one AR(1)
-    quasi-differencing pass (off by default): the slope is refit on
-    rho-differenced data, which tightens HAC errors under strong serial
-    correlation and is inert on white residuals.  All windows are fitted
-    by the shared kernel ``series.windowed_wls`` (closed forms, blocks of
+    every shared sample time).  All windows are fitted by the shared
+    kernel ``series.windowed_wls`` (closed forms, blocks of
     ``series.WINDOW_BLOCK_ELEMENTS`` samples, per-window HAC sums).
     """
     # join on the common timestamps (the rate grid is the state grid minus
@@ -186,7 +182,7 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     lx = np.log(np.where(i_vals > 0, i_vals, 1.0))
     ly = np.log(np.where(r_vals > 0, r_vals, 1.0))
     fit = ts.windowed_wls(common, lx, ly, eval_centers[sel], half, lo[sel],
-                          hi[sel], lags=lags, prewhiten=prewhiten)
+                          hi[sel], lags=lags)
     degenerate = fit.var_x < ts.VAR_LOG_TOL
     gap[sel[degenerate]] = 3
     ok = ~degenerate
@@ -195,7 +191,7 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     if not np.all(fit.cond[ok] <= 1e14):
         raise SingularDesign("X'X is numerically singular")
 
-    z = float(norm.ppf(1 - alpha / 2.0))
+    z = float(ndtri(1 - alpha / 2.0))
     estimates = [
         ElasticityEstimate(c, b, se, (b - z * se, b + z * se), window, ne)
         for c, b, se, ne in zip(eval_centers[sel[ok]].tolist(),
@@ -659,7 +655,7 @@ def required_samples(sigma: float, tau: float, delta: float,
         raise TooShort("sigma, tau, delta must be positive")
     if not (0 < alpha < 0.5 and 0 < beta < 0.5):
         raise TooShort("alpha and beta must lie in (0, 0.5)")
-    z = float(norm.ppf(1 - alpha) + norm.ppf(1 - beta))
+    z = float(ndtri(1 - alpha) + ndtri(1 - beta))
     return int(math.ceil(z * z * sigma * sigma / (delta * delta * tau * tau)))
 
 
@@ -714,7 +710,7 @@ def antagonism_diagnostics(partials, a_hat: float, theta: float,
     """
     if not 0 <= theta < 1:
         raise TooShort(f"theta={theta} must lie in [0, 1)")
-    z = float(norm.ppf(1 - alpha))
+    z = float(ndtri(1 - alpha))
     viol = 0.0
     stat_zero = True
     for value, se in partials:

@@ -463,13 +463,14 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
                 scenario.ptot_hat > 1.0 - policy.governance_delta:
             action = "escalate"
 
-        # -- per-step budget violation against the TRUE state, measured at
+        # -- per-step violation of the barrier the QP enforces,
+        # rate <= -alpha(I - I_bar), against the TRUE state at
         # command-application instants (intersample drift is covered by the
         # L_h * tau_bar margin)
         def _violation(state: float, command: float) -> float:
             rate = scenario.phi(max(state, scenario.phi.domain_floor)) \
                 * scenario.phi_svc_true * command
-            return rate - config.kappa * (config.I_bar - state)
+            return rate + config.alpha(state - config.I_bar)
 
         # -- actuate with latency: previous command holds during the delay
         if scenario.latency > 0:

@@ -12,9 +12,10 @@ line, the header, then rows of plain numbers with the header's field
 count and increasing timestamps) in one vectorised pass; one
 np.array(cells, dtype=float) follows float() as the per-line loop does.
 Any other file goes to that loop from the top: comments or blank lines
-among the rows, quotes, CR, a BOM, spaced or empty cells, RFC3339
-timestamps, nan/inf cells, a wrong field count, a timestamp that does not
-increase.  The loop is the only code that names a line in an error.
+among the rows, quotes, CR, spaced or empty cells, RFC3339 timestamps,
+nan/inf cells, a wrong field count, a timestamp that does not increase.
+The loop is the only code that names a line in an error.  A leading UTF-8
+BOM, as spreadsheet exports write, is dropped before either reads.
 
 Every rolling fit in the package (log_slope, elasticity, and in the
 estimation layer the rolling elasticity, the index profiles and the
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -56,16 +56,6 @@ from .errors import (
 
 GRID_RTOL = 1e-9
 VAR_LOG_TOL = 1e-12  # minimum Var(log x) for a usable regressor window
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One telemetry point: epoch seconds, value in the series unit, and an
-    optional quality weight in [0, 1]."""
-
-    t: float
-    value: float
-    quality: float | None = None
 
 
 class TimeSeries:
@@ -123,13 +113,6 @@ class TimeSeries:
 
     # -- derived views ----------------------------------------------------
 
-    @property
-    def samples(self) -> list[Sample]:
-        w = self.weights
-        return [Sample(float(tt), float(vv), None if w is None else float(ww))
-                for tt, vv, ww in zip(self.t, self.values,
-                                      w if w is not None else np.ones_like(self.t))]
-
     def effective_weights(self) -> np.ndarray:
         """Quality weights, defaulting to 1 where the column was absent."""
         if self.weights is None:
@@ -149,42 +132,40 @@ class TimeSeries:
 
     # -- serialization ----------------------------------------------------
 
+    def _columns(self) -> dict:
+        """The sample columns by field name; quality only when present."""
+        columns = {"t": self.t, "value": self.values}
+        if self.weights is not None:
+            columns["quality"] = self.weights
+        return columns
+
     def to_json_dict(self) -> dict:
-        samples = []
-        for s in self.samples:
-            rec = {"t": s.t, "value": s.value}
-            if self.weights is not None:
-                rec["quality"] = s.quality
-            samples.append(rec)
+        columns = self._columns()
+        rows = zip(*(col.tolist() for col in columns.values()))
         return {
             "name": self.name,
             "unit": self.unit,
             "snapshot_version": self.snapshot_version,
-            "samples": samples,
+            "samples": [dict(zip(columns, row)) for row in rows],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TimeSeries":
-        samples = d["samples"]
+        samples = d.get("samples") if isinstance(d, dict) else None
+        if not (isinstance(samples, list) and "name" in d and "unit" in d
+                and all(isinstance(s, dict) and "t" in s and "value" in s
+                        for s in samples)):
+            raise ParseError("want an object with 'name', 'unit' and "
+                             "'samples', a list of {t, value[, quality]}")
         t = [s["t"] for s in samples]
         v = [s["value"] for s in samples]
-        has_quality = any("quality" in s and s["quality"] is not None for s in samples)
-        w = [s.get("quality", 1.0) if s.get("quality") is not None else 1.0
+        has_quality = any(s.get("quality") is not None for s in samples)
+        w = [1.0 if s.get("quality") is None else s["quality"]
              for s in samples] if has_quality else None
         return cls(d["name"], d["unit"], t, v, w, d.get("snapshot_version", ""))
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# unit={self.unit}\n")
-        if self.weights is None:
-            buf.write("t,value\n")
-            for tt, vv in zip(self.t, self.values):
-                buf.write(f"{float(tt)!r},{float(vv)!r}\n")
-        else:
-            buf.write("t,value,quality\n")
-            for tt, vv, ww in zip(self.t, self.values, self.weights):
-                buf.write(f"{float(tt)!r},{float(vv)!r},{float(ww)!r}\n")
-        return buf.getvalue()
+        return f"# unit={self.unit}\n" + csv_text(self._columns())
 
 
 @dataclass(frozen=True)
@@ -248,14 +229,15 @@ def ingest_csv(path, expected_unit: str | None = None) -> TimeSeries:
     """Read a telemetry CSV into a validated TimeSeries.
 
     Expected layout: a ``# unit=<unit>`` comment line, a ``t,value[,quality]``
-    header, then one row per sample.  Timestamps may be epoch seconds or
-    RFC3339.  The snapshot version is a content hash of the file, so
-    re-ingesting a revised file yields a distinct series.
+    header, then one row per sample, in UTF-8 with or without a BOM.
+    Timestamps may be epoch seconds or RFC3339.  The snapshot version is a
+    content hash of the file's bytes, so re-ingesting a revised file yields
+    a distinct series.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     snapshot = hashlib.sha256(raw).hexdigest()[:16]
-    text = raw.decode("utf-8")
+    text = raw.decode("utf-8-sig")
     unit, t, values, qualities = _read_columns(text) or _read_lines(text)
     if expected_unit is not None and unit != expected_unit:
         raise UnitMismatch(f"file declares unit {unit!r}, expected {expected_unit!r}")
@@ -354,6 +336,17 @@ def _cells(line: str) -> list[str]:
     return [cell.strip() for cell in next(csv.reader([line]))]
 
 
+def csv_text(columns: dict) -> str:
+    """CSV text of named columns, written column by column: numbers and
+    bools as repr(float), so 1 is written 1.0; any other column as str."""
+    cells = []
+    for col in columns.values():
+        arr = np.asarray(col)
+        cells.append(map(repr, arr.astype(float).tolist())
+                     if arr.dtype.kind in "biuf" else map(str, col))
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
 def write_csv(series: TimeSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(series.to_csv_text())
@@ -366,7 +359,7 @@ def write_json(series: TimeSeries, path) -> None:
 
 
 def read_json(path) -> TimeSeries:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return TimeSeries.from_json_dict(json.load(fh))
 
 
@@ -510,7 +503,7 @@ class WindowFits(NamedTuple):
 
 
 def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
-                 lags=None, prewhiten: bool = False) -> WindowFits:
+                 lags=None) -> WindowFits:
     """The windowed regression kernel behind every rolling fit.
 
     Window k fits finite y on finite x over samples lo[k]:hi[k] of the
@@ -524,9 +517,7 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).  The
     lagged sums stay per window because prefix sums over the series would
     cancel catastrophically at epoch-second scale.  Without lags the error
-    is the classical one of wls_slope.  ``prewhiten`` refits each window
-    once on data quasi-differenced by the AR(1) coefficient rho of its
-    residuals (not when |rho| < 1e-3 or under four samples).
+    is the classical one of wls_slope.
     """
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=np.intp))
@@ -545,18 +536,13 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
             valid = np.arange(span) < n[:, None]
             w = epanechnikov((tv[starts, :span] - centers[blk, None]) / half)
             w *= valid if qv is None else valid * qv[starts, :span]
-            xb, yb = xv[starts, :span], yv[starts, :span]
-            lag = None if lags is None else lags[blk]
-            fit, resid = _fit_rows(xb, yb, w, lag)
-            if prewhiten:
-                _prewhiten_rows(fit, resid * valid, xb, yb, w, valid, n, lag)
-            out[:, blk] = fit
+            out[:, blk] = _fit_rows(xv[starts, :span], yv[starts, :span], w,
+                                    None if lags is None else lags[blk])
     return WindowFits(*out)
 
 
 def _fit_rows(x, y, w, lags):
-    """Closed-form WLS per row of padded arrays (padding has zero weight);
-    returns the fits and the residuals y - a - b*x."""
+    """Closed-form WLS per row of padded arrays (padding has zero weight)."""
     sw = w.sum(axis=1)
     xbar, dx = _centre(x, w, sw)
     ybar, dy = _centre(y, w, sw)
@@ -579,7 +565,7 @@ def _fit_rows(x, y, w, lags):
     lam_max = 0.5 * (sw + sx2) + np.hypot(0.5 * (sw - sx2), sw * xbar)
     return WindowFits(sw, n_eff, sxx / sw, slope, ybar - slope * xbar,
                       np.sqrt(np.maximum(meat / (sxx * sxx) * dof_factor, 0.0)),
-                      lam_max * lam_max / (sw * sxx)), resid
+                      lam_max * lam_max / (sw * sxx))
 
 
 def _row_dot(a, b):
@@ -593,23 +579,6 @@ def _centre(a, w, sw):
     d = a - mean[:, None]
     fix = _row_dot(w, d) / sw
     return mean + fix, d - fix[:, None]
-
-
-def _prewhiten_rows(fit, resid, x, y, w, valid, n, lags):
-    """One Cochrane-Orcutt pass over a block, in place (zero-padded
-    residuals): slope and error come from the quasi-differenced refit."""
-    num = _row_dot(resid[:, 1:], resid[:, :-1])
-    den = _row_dot(resid[:, :-1] * valid[:, 1:], resid[:, :-1])
-    rho = np.where(den > 0, np.clip(num / den, -0.99, 0.99), 0.0)
-    redo = np.flatnonzero((np.abs(rho) >= 1e-3) & (n >= 4))
-    k, pairs = rho[redo, None], valid[redo, 1:]
-    refit, _ = _fit_rows(
-        (x[redo, 1:] - k * x[redo, :-1]) * pairs,
-        (y[redo, 1:] - k * y[redo, :-1]) * pairs,
-        np.sqrt(w[redo, 1:] * w[redo, :-1]),
-        None if lags is None else np.minimum(lags[redo], n[redo] - 3))
-    fit.slope[redo], fit.se[redo] = refit.slope, refit.se
-    fit.cond[redo] = np.maximum(fit.cond[redo], refit.cond)
 
 
 def log_slope(x: TimeSeries, window: float, center_t: float) -> SlopePoint:

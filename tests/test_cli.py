@@ -1,7 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,7 +162,7 @@ def test_csv_artifacts_match_the_row_form(data):
         ({"t": arrays[3], "I": arrays[4]}, zip(arrays[3], arrays[4])),
     ]
     for columns, rows in cases:
-        assert cli._csv_text(columns) == row_csv_text(list(columns), rows)
+        assert ts.csv_text(columns) == row_csv_text(list(columns), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +677,160 @@ def test_benchmark_spec_by_path_matches_inline(tmp_path):
         texts.append((tmp_path / "out" / "certificate.json").read_text())
     assert texts[0] == texts[1]
     assert "loss:task0" in texts[0]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed series and configs: exit 0, 2 or 3, or one located line
+
+
+def run_quietly(argv):
+    """(exit code, stderr lines) of one run, warnings silenced."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = run(argv)
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2, 3) or (code == 1 and len(err) == 1), (code, err)
+    assert not any("Traceback" in line for line in err)
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.integers(-3, 3), st.floats(),
+                 st.lists(st.integers(0, 3), max_size=2),
+                 st.dictionaries(st.sampled_from(["t", "x"]), st.integers(0, 3),
+                                 max_size=1))
+
+
+def valid_series_doc(n=60):
+    t = np.linspace(0.0, 0.9, n)
+    return ts.TimeSeries("capability", "nat", t, 1.0 / (1.0 - t), None,
+                         "fuzz").to_json_dict()
+
+
+@st.composite
+def series_documents(draw):
+    """JSON text of a capability series, valid or broken in one or more
+    ways: the document's shape, its keys, sample fields (wrong types,
+    nan/inf, repeated or decreasing timestamps), the unit, or the text."""
+    doc = valid_series_doc()
+    samples = doc["samples"]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["field", "time", "drop", "unit", "key",
+                                      "samples", "top", "quality"]))
+        if fault == "field":
+            s = draw(st.sampled_from(samples)) if samples else {}
+            s[draw(st.sampled_from(["t", "value", "quality"]))] = draw(JUNK)
+        elif fault == "time" and len(samples) > 1:
+            i = draw(st.integers(1, len(samples) - 1))
+            samples[i]["t"] = draw(st.sampled_from([samples[i - 1]["t"],
+                                                    -1.0]))
+        elif fault == "drop":
+            del samples[draw(st.integers(0, 5)):]
+        elif fault == "unit" and isinstance(doc, dict):
+            doc["unit"] = draw(st.one_of(st.just("W"), JUNK))
+        elif fault == "key" and isinstance(doc, dict):
+            doc.pop(draw(st.sampled_from(["name", "unit", "samples"])), None)
+        elif fault == "samples" and isinstance(doc, dict):
+            doc["samples"] = draw(st.one_of(
+                JUNK, st.just([[s["t"], s["value"]] for s in samples])))
+        elif fault == "top":
+            doc = draw(st.one_of(JUNK, st.just([doc])))
+        elif fault == "quality":
+            for s in samples:
+                s["quality"] = draw(st.sampled_from([0.5, None, 2.0, -1.0]))
+    text = json.dumps(doc)
+    return draw(st.sampled_from([text, text, text, "", text[:-1],
+                                 "\ufeff" + text]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=series_documents(), command=st.sampled_from(["estimate",
+                                                         "certify"]))
+def test_fuzzed_json_series_exit_cleanly(tmp_path_factory, text, command):
+    tmp = tmp_path_factory.mktemp("series")
+    path = tmp / "capability.json"
+    path.write_text(text, encoding="utf-8")
+    cfg = write_json(tmp / "cfg.json", {
+        "series": {"capability": str(path)},
+        "estimation": {"window": 0.2}})
+    code, err = run_quietly([command, "--config", cfg, "--out", tmp / "out"])
+    assert_clean_exit(code, err)
+    try:                            # is the file itself at fault?
+        faulty = ts.read_json(path).unit != "nat"
+    except Exception:
+        faulty = True
+    if faulty:
+        assert code == 1 and str(path) in err[0], err
+
+
+def fuzz_base_config(tmp):
+    path = tmp / "capability.json"
+    path.write_text(json.dumps(valid_series_doc(120)))
+    return {"seed": 0,
+            "series": {"capability": str(path)},
+            "estimation": {"window": 0.2, "alpha": 0.05, "trim": 0.15,
+                           "lag": "auto"},
+            "certify": {"alpha": 0.05, "grad_norm": 2.0,
+                        "wasserstein": {"gamma": 0.5, "L_xi": 0.1,
+                                        "L_rho": 0.1, "delta_W": 0.1}},
+            "phi": {"kind": "power_log", "p": 2.0, "c": 1.0},
+            "capital": {"K0": 1.0, "r": 2.0, "zeta": 2.0, "delta": 0.0},
+            "flags": {"capped_power": False}}
+
+
+def config_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from config_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = fuzz_base_config(tmp)
+    paths = list(config_paths(cfg))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *where, key = data.draw(st.sampled_from(paths))
+        section = cfg
+        for k in where:
+            section = section.get(k) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            section[key] = data.draw(JUNK)
+    path = write_json(tmp / "cfg.json", cfg)
+    code, err = run_quietly(["certify", "--config", path, "--out",
+                             tmp / "out"])
+    assert_clean_exit(code, err)
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"estimation": {"window": 0.1, "trim": "a"}}, "estimation.trim"),
+    ({"phi": {"kind": "power", "p": "a"}}, "phi.p"),
+    ({"capital": {"K0": "a", "r": 2.0, "zeta": 2.0}}, "capital.K0"),
+    ({"certify": {"wasserstein": [1]}}, "wasserstein"),
+])
+def test_config_type_faults_name_the_key(tmp_path, cfg, named):
+    cap_path = capability_fixture(tmp_path)
+    cfg = {"series": {"capability": cap_path},
+           "estimation": {"window": 0.1}, **cfg}
+    code, err = run_quietly(["certify", "--config",
+                             write_json(tmp_path / "c.json", cfg),
+                             "--out", tmp_path / "out"])
+    assert code == 1 and len(err) == 1 and named in err[0], err
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    # numpy and scipy.special are the runtime needs; scipy.stats and
+    # scipy.integrate would add ~430 modules to every command's start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, rsi_certify.cli; print(sorted(m for m in sys.modules"
+             " if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,20 @@ def test_osgood_superlinear_log_convergent_matches_quadrature():
                                   math.e, np.inf, limit=200)
     assert not res.divergent
     assert res.value == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 4.0, 7.0])
+@pytest.mark.parametrize("I0", [math.e, 10.0, 1e3, 1e8])
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_osgood_power_log_matches_exponential_integral(p, I0, c):
+    # oracle: 50-digit E1((p - 1) ln I0) / c; the relative error is set by
+    # the rounding of (p - 1) ln I0 times E1's condition number (~110 at
+    # p = 7, I0 = 1e8)
+    mpmath.mp.dps = 50
+    exact = mpmath.e1((mpmath.mpf(p) - 1) * mpmath.log(mpmath.mpf(I0))) / c
+    res = dyn.osgood_classify(dyn.PhiSpec.power_log(p, c), I0)
+    assert not res.divergent
+    assert abs(res.value - exact) <= 5e-14 * exact
 
 
 def test_osgood_tabulated_convergent_tail():

@@ -145,28 +145,6 @@ def test_rolling_elasticity_scale_invariant():
     np.testing.assert_allclose(base.values, scaled.values, atol=1e-10)
 
 
-def test_rolling_elasticity_prewhitening():
-    # inert on white residuals, still centered under AR(1) noise
-    I, Idot = blowup_series()
-    plain = est.rolling_elasticity(I, Idot, window=0.1)
-    white = est.rolling_elasticity(I, Idot, window=0.1, prewhiten=True)
-    np.testing.assert_allclose(white.values, plain.values, atol=1e-9)
-
-    rng = np.random.default_rng(21)
-    t = np.linspace(0.0, 0.9, 300)
-    base = 1.0 / (1.0 - t)
-    ar = np.empty(t.size)
-    ar[0] = rng.standard_normal()
-    for i in range(1, t.size):
-        ar[i] = 0.7 * ar[i - 1] + 0.3 * rng.standard_normal()
-    noisy_rate = base ** 2 * np.exp(0.02 * ar)
-    prof = est.rolling_elasticity(make_series(t, base, "I"),
-                                  make_series(t, noisy_rate, "Idot"),
-                                  window=0.3, prewhiten=True)
-    mid = prof.estimates[len(prof.estimates) // 2]
-    assert abs(mid.value - 2.0) < 0.2
-
-
 def test_excitation_infimum_diagnostic():
     t = np.linspace(0, 10, 101)
     u = 0.5 + 0.4 * np.sin(t)

@@ -379,6 +379,20 @@ def test_closed_loop_estimation_error_and_latency_margin():
         assert log.max_overshoot <= eps_i + lh * tau / kappa + 1e-9
 
 
+def test_logged_violation_uses_the_enforced_barrier():
+    # with a nonlinear alpha_fn the QP enforces rate <= -alpha(I - I_bar);
+    # each logged violation is measured against that barrier, not kappa's
+    cubic = lambda r: 2.0 * r + 0.5 * r ** 3
+    cfg = sc.ControlConfig(I_bar=10.0, kappa=1.0, Delta=0.02, alpha_fn=cubic,
+                           slack_weight=1e14)
+    phi = dyn.PhiSpec.power(2.0, c=2.0)
+    log = sc.supervise(sc.PlantScenario(phi=phi, I0=1.0, n_steps=300), cfg)
+    for s in log.steps:
+        rate = phi(s.I_true) * s.u
+        assert s.violation_rate == max(0.0, rate + cubic(s.I_true - 10.0))
+    assert log.max_violation_rate <= 1e-9
+
+
 def test_supervisor_escalates_on_persistent_slack():
     # start above the ceiling: budget negative, throttle floors at zero,
     # slack stays positive -> escalation after 3 consecutive steps

@@ -221,7 +221,7 @@ def _outcome(read, path):
 def _ingest_by_lines(path):
     """ingest_csv with the per-line loop alone, the reference."""
     raw = path.read_bytes()
-    unit, t, values, qualities = ts._read_lines(raw.decode("utf-8"))
+    unit, t, values, qualities = ts._read_lines(raw.decode("utf-8-sig"))
     return ts.TimeSeries(path.stem, unit, t, values, qualities,
                          hashlib.sha256(raw).hexdigest()[:16])
 
@@ -235,6 +235,26 @@ def test_columnar_ingest_matches_the_line_loop(tmp_path_factory, text):
     columns = ts._read_columns(text)
     if columns is not None:
         assert_same_read(columns, ts._read_lines(text))
+
+
+@pytest.mark.parametrize("text", [
+    "# unit=W\nt,value\n1.5,2.0\n2.5,3.0\n",              # columnar pass
+    "# unit=W\nt,value,quality\n2024-01-01T00:00:00Z,2.0,\n"
+    "2024-01-01T00:00:01Z,3.0,0.5\n",                      # per-line loop
+])
+def test_bom_file_ingests_as_without_bom(tmp_path, text):
+    # spreadsheet exports start with a UTF-8 BOM; only the hash sees it
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain, bom = tmp_path / "plain" / "s.csv", tmp_path / "bom" / "s.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    a, b = ts.ingest_csv(plain, "W"), ts.ingest_csv(bom, "W")
+    assert b.unit == a.unit == "W"
+    np.testing.assert_array_equal(b.t, a.t)
+    np.testing.assert_array_equal(b.values, a.values)
+    np.testing.assert_array_equal(b.weights, a.weights)
+    assert b.snapshot_version != a.snapshot_version
 
 
 def test_ingest_serialize_roundtrip_csv(tmp_path):

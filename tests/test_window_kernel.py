@@ -36,20 +36,7 @@ def hac_slope_se(x, y, w, lag):
     return slope, intercept, math.sqrt(cov[1, 1] * n_eff / max(n_eff - 2, 1))
 
 
-def prewhitened_slope_se(x, y, w, lag):
-    slope, intercept, se = hac_slope_se(x, y, w, lag)
-    r = y - (intercept + slope * x)
-    den = (r[:-1] ** 2).sum()
-    rho = 0.0 if den <= 0 else max(-0.99, min(0.99, (r[1:] * r[:-1]).sum() / den))
-    if abs(rho) < 1e-3 or x.size < 4:
-        return slope, se
-    slope, _, se = hac_slope_se(x[1:] - rho * x[:-1], y[1:] - rho * y[:-1],
-                                np.sqrt(w[1:] * w[:-1]), min(lag, x.size - 3))
-    return slope, se
-
-
-def reference_rolling(t, i_vals, r_vals, window, lag, centers, prewhiten,
-                      min_points=5):
+def reference_rolling(t, i_vals, r_vals, window, lag, centers, min_points=5):
     """The per-window loop: (estimates as (t, slope, se), gaps)."""
     half = window / 2.0
     rows, gaps = [], []
@@ -71,10 +58,7 @@ def reference_rolling(t, i_vals, r_vals, window, lag, centers, prewhiten,
             gaps.append((float(c), "degenerate regressor"))
             continue
         eff_lag = min(est.auto_lag(n_win) if lag == "auto" else lag, n_win - 2)
-        if prewhiten:
-            slope, se = prewhitened_slope_se(lx, ly, w, eff_lag)
-        else:
-            slope, _, se = hac_slope_se(lx, ly, w, eff_lag)
+        slope, _, se = hac_slope_se(lx, ly, w, eff_lag)
         rows.append((float(c), slope, se))
     return rows, gaps
 
@@ -104,25 +88,22 @@ def telemetry(draw):
 @EXAMPLES
 @given(telemetry(),
        st.one_of(st.just("auto"), st.integers(0, 4)),
-       st.booleans(), st.booleans())
+       st.booleans())
 def test_rolling_elasticity_matches_per_window_reference(
-        data, lag, explicit_centers, prewhiten):
+        data, lag, explicit_centers):
     t, i_vals, r_vals, window = data
     centers = None
     if explicit_centers:
         centers = np.concatenate([t[::3], t[1::4] + window / 2,
                                   [t[0] - window, t[-1] + 1.0]])
-    rows, gaps = reference_rolling(t, i_vals, r_vals, window, lag, centers,
-                                   prewhiten)
+    rows, gaps = reference_rolling(t, i_vals, r_vals, window, lag, centers)
     I = ts.TimeSeries("I", "nat", t, i_vals)
     Idot = ts.TimeSeries("Idot", "nat/s", t, r_vals)
     if not rows:
         with pytest.raises(AllWindowsDegenerate):
-            est.rolling_elasticity(I, Idot, window, lag=lag, centers=centers,
-                                   prewhiten=prewhiten)
+            est.rolling_elasticity(I, Idot, window, lag=lag, centers=centers)
         return
-    prof = est.rolling_elasticity(I, Idot, window, lag=lag, centers=centers,
-                                  prewhiten=prewhiten)
+    prof = est.rolling_elasticity(I, Idot, window, lag=lag, centers=centers)
     assert prof.gaps == gaps
     assert [e.t for e in prof.estimates] == [r[0] for r in rows]
     ref_slope = np.array([r[1] for r in rows])
