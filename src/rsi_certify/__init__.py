@@ -3,7 +3,8 @@
 Submodules: series (telemetry primitives), capability (canonical index),
 envelopes (thermodynamic service ceilings), dynamics (blow-up analytics),
 estimate (HAC statistics), certify (tests and verdicts), safectl (barrier
-throttling), cli (pipeline commands).
+throttling), cli (pipeline commands; imported on its own, so that
+``python -m rsi_certify.cli`` runs it without a warning).
 """
 
 __version__ = "0.1.0"
@@ -11,7 +12,6 @@ __version__ = "0.1.0"
 from . import (  # noqa: F401
     capability,
     certify,
-    cli,
     dynamics,
     envelopes,
     errors,

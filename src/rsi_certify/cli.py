@@ -49,8 +49,13 @@ class Outcome(NamedTuple):
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
+    a ParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: not a UTF-8 JSON document: {exc}") from None
 
 
 class FileInputs:

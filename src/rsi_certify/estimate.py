@@ -153,8 +153,8 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     capped at the window's sample count minus two.
     ``centers`` restricts evaluation to the given window centers (default:
     every shared sample time).  All windows are fitted by the shared
-    kernel ``series.windowed_wls`` (closed forms, blocks of
-    ``series.WINDOW_BLOCK_ELEMENTS`` samples, per-window HAC sums).
+    kernel ``series.windowed_wls`` (moments from block-local prefix sums,
+    closed forms, per-window HAC sums).
     """
     # join on the common timestamps (the rate grid is the state grid minus
     # its last point when produced by the capability layer)

@@ -20,11 +20,16 @@ BOM, as spreadsheet exports write, is dropped before either reads.
 Every rolling fit in the package (log_slope, elasticity, and in the
 estimation layer the rolling elasticity, the index profiles and the
 excitation infimum) goes through one windowed kernel: window_bounds finds
-each window with np.searchsorted, and windowed_wls fits blocks of windows
-of at most WINDOW_BLOCK_ELEMENTS samples with closed-form weighted least
-squares and a scalar Newey-West variance.  The lagged HAC sums are formed
-per window, not from prefix sums over the series, which would cancel
-catastrophically on epoch-second timestamps.
+each window with np.searchsorted, and windowed_wls fits all windows with
+closed-form weighted least squares and a scalar Newey-West variance.  The
+windows' weighted moments come from prefix sums in O(n): not over the
+whole series, whose sums would cancel catastrophically on epoch-second
+timestamps, but over blocks about one window wide, each shifted to its own
+origin, so the cancellation is bounded by the block (Chan, Golub & LeVeque
+1983).  A window whose own rounding bound is over budget is refitted from
+its gathered samples.  The Newey-West lag sums still gather each window
+once; expanded into prefix sums they would need hundreds of cross-moments
+per lag, and cancel badly.
 """
 
 from __future__ import annotations
@@ -157,15 +162,26 @@ class TimeSeries:
                         for s in samples)):
             raise ParseError("want an object with 'name', 'unit' and "
                              "'samples', a list of {t, value[, quality]}")
-        t = [s["t"] for s in samples]
-        v = [s["value"] for s in samples]
+        t, v = (_numbers([s[key] for s in samples], key)
+                for key in ("t", "value"))
         has_quality = any(s.get("quality") is not None for s in samples)
-        w = [1.0 if s.get("quality") is None else s["quality"]
-             for s in samples] if has_quality else None
+        w = _numbers([1.0 if s.get("quality") is None else s["quality"]
+                      for s in samples], "quality") if has_quality else None
         return cls(d["name"], d["unit"], t, v, w, d.get("snapshot_version", ""))
 
     def to_csv_text(self) -> str:
         return f"# unit={self.unit}\n" + csv_text(self._columns())
+
+
+def _numbers(values: list, key: str) -> np.ndarray:
+    """The samples' field ``key``, ``values``, as one float per sample."""
+    try:
+        column = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # an object, a list, text
+        column = None
+    if column is None or column.ndim != 1:
+        raise ParseError(f"each sample's {key!r} must be a number")
+    return column
 
 
 @dataclass(frozen=True)
@@ -432,9 +448,9 @@ def align(y: TimeSeries, x: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
 
 def epanechnikov(u: np.ndarray) -> np.ndarray:
     """Compactly supported parabolic kernel on |u| <= 1."""
-    w = 1.0 - u * u
-    w[w < 0] = 0.0
-    return w
+    w = u * u
+    np.subtract(1.0, w, out=w)
+    return np.maximum(w, 0.0, out=w)
 
 
 def wls_slope(x: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -463,8 +479,13 @@ def wls_slope(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return slope, intercept, se, resid
 
 
-# Windows are fitted in blocks of at most this many gathered samples, so
-# the padded temporaries stay near 256 KB each whatever the series length.
+# Windows are gathered in blocks of at most this many samples, and prefix
+# sums are built over chunks of blocks of at most twice as many values, so
+# the temporaries stay near 256 KB and 512 KB whatever the series length.
+# A call whose windows hold no more samples than one gathered block is
+# fitted from the gathered samples: near that size the prefix sums cost
+# about what they save (a Newey-West call broke even near 40k samples, a
+# classical one near 10k, on the certify fixtures' shape).
 WINDOW_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -502,43 +523,219 @@ class WindowFits(NamedTuple):
     cond: np.ndarray       # 2-norm condition number of X'WX
 
 
+# A window whose moments may carry more relative rounding error than this
+# bound is refitted from its gathered samples.  Measured against extended
+# precision, the error stays within a few times the bound.
+MOMENT_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+
+
 def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
                  lags=None) -> WindowFits:
     """The windowed regression kernel behind every rolling fit.
 
-    Window k fits finite y on finite x over samples lo[k]:hi[k] of the
-    sorted coordinate ``t``, weighted by the Epanechnikov kernel of
-    (t - centers[k]) / half times any ``quality``.  Blocks of windows
-    holding up to WINDOW_BLOCK_ELEMENTS samples are gathered into padded
-    (windows x samples) arrays; each row gives centred moments and the
-    closed-form slope sxy / sxx.  With one Bartlett lag L per window the
-    error is Newey-West, whose slope entry needs no 2x2 inverse:
+    Window k fits y on x (both finite) over samples lo[k]:hi[k] of the
+    sorted coordinate ``t``, which must hold every sample within half of
+    centers[k] (as window_bounds gives them), weighted by the Epanechnikov
+    kernel of (t - centers[k]) / half times any ``quality``.  The weighted
+    moments of every window come from block-local prefix sums
+    (_window_moments), in O(n) for all windows together, and give sw,
+    n_eff, var_x, the slope sxy / sxx, the intercept, the condition number
+    and the classical error in closed form.  With one Bartlett lag L per
+    window the error is Newey-West, whose slope entry needs no 2x2 inverse:
     Var(b) = [sum g_i^2 + 2 sum_l (1 - l/(L+1)) sum_i g_i g_{i-l}] / sxx^2
-    with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).  The
-    lagged sums stay per window because prefix sums over the series would
-    cancel catastrophically at epoch-second scale.  Without lags the error
-    is the classical one of wls_slope.
+    with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).  The lag
+    sums need the samples, so each such window is gathered once, to form g
+    from the moments' xbar, ybar and slope.  _fit_rows fits a window from
+    its gathered samples, centred in two passes, when the moments' rounding
+    bound exceeds MOMENT_RTOL (a nearly flat regressor, a nearly exact
+    fit), and fits every window of a call whose windows hold at most
+    WINDOW_BLOCK_ELEMENTS samples in all.
     """
+    t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=np.intp))
-    count = np.atleast_1d(np.asarray(hi, dtype=np.intp)) - lo
+    hi = np.atleast_1d(np.asarray(hi, dtype=np.intp))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if (hi - lo).sum() > WINDOW_BLOCK_ELEMENTS:
+            fits, redo = _moment_fits(t, x, y, centers, half, quality,
+                                      lags)
+        else:
+            fits = np.empty((len(WindowFits._fields), centers.size))
+            redo = np.arange(centers.size)
+        for k, w, (xs, ys) in _window_rows(t, (x, y), centers[redo], half,
+                                           lo[redo], hi[redo], quality):
+            k = redo[k]
+            fits[:, k] = _fit_rows(xs, ys, w,
+                                   None if lags is None else lags[k])
+    return WindowFits(*fits)
+
+
+def _moment_fits(t, x, y, centers, half, quality, lags):
+    """The fits of windowed_wls from _window_moments, one row per
+    WindowFits field, and the indices of the windows whose rounding bound
+    exceeds MOMENT_RTOL, whose columns are left to be refitted."""
+    # the samples of lo:hi with |t - c| <= half; the others weigh 0
+    a, b = window_bounds(t, centers, half, rtol=0.0)
+    sw, sww, x0, y0, xbar, ybar, sxx, slope, rss, bound = _window_moments(
+        t, x, y, centers, half, a, b, quality)
+    ok = bound <= MOMENT_RTOL
+    if lags is None:  # classical: meat / sxx^2 = sigma^2 / sxx
+        meat = rss * sxx / sw
+    else:
+        meat = np.full_like(sw, np.nan)
+        keep = np.flatnonzero(ok)
+        for k, w, (g, r) in _window_rows(t, (x, y), centers[keep], half,
+                                         a[keep], b[keep], quality):
+            # x - xbar and the residual, taken about the block origin first:
+            # the rounding of a mean far from 0 would shift them all alike
+            k = keep[k]
+            g -= x0[k, None]
+            g -= xbar[k, None]
+            r -= y0[k, None]
+            r -= ybar[k, None]
+            r -= slope[k, None] * g
+            g *= w
+            g *= r
+            meat[k] = _newey_west_meat(g, lags[k])
+    fits = _closed_form(sw, sw * sw / sww, x0 + xbar, sxx, slope, y0 + ybar,
+                        meat)
+    return np.array(fits), np.flatnonzero(~ok)
+
+
+def _window_moments(t, x, y, centers, half, lo, hi, quality):
+    """Weighted moments of windows lo:hi from prefix sums over blocks.
+
+    A block holds the samples whose t falls in one interval of width half;
+    each window reads the block that holds its lo, whose prefix sums run
+    over the block and one window past it.  Within a block t is shifted to
+    T = (first t) + half / 2 and scaled by half, so the weight of sample i
+    in a window centred at v is q_i (1 - (u_i - v)^2) with |v| <= 1.5, and
+    every moment combines prefix sums of q u^k {1, x, y, x^2, xy, y^2}
+    (k <= 2) and q^2 u^k (k <= 4), built by one cumsum over a chunk of
+    blocks.  x is shifted to its block mean, and y to the block's
+    least-squares line in x, which leaves the residuals as they are and
+    spares a nearly exact fit most of the cancellation.
+
+    Returns, per window: sum w, sum w^2, the block origins x0 and y0, the
+    weighted means of x - x0 and y - y0, sxx = sum w (x - xbar)^2, the
+    slope, the residual sum sum w r^2, and a bound on the relative rounding
+    error of these: each raw magnitude (every term taken positive, the
+    prefix sums at both ends, |u| <= (1 + u^2) / 2 for odd powers) over
+    the centred result it gives.
+    """
+    n = t.size
+    key = np.floor((t - t[0]) / half)
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    block = np.searchsorted(first, np.minimum(lo, n - 1), "right") - 1
+    stop = np.zeros_like(first)
+    np.maximum.at(stop, block, hi)
+    span = np.maximum(stop - first, 0)          # 0 for a block no window reads
+    q = np.ones(n) if quality is None else np.asarray(quality, dtype=float)
+    out = np.empty((10, centers.size))
+    step = max(1, 2 * WINDOW_BLOCK_ELEMENTS // (23 * (int(span.max()) + 1)))
+    for c in range(0, first.size, step):
+        win = np.flatnonzero((block >= c) & (block < c + step))
+        if not win.size:
+            continue
+        s = first[c:c + step]
+        idx = np.minimum(s[:, None] + np.arange(int(span[c:c + step].max())),
+                         n - 1)
+        origin = t[s] + 0.5 * half
+        u = (t[idx] - origin[:, None]) / half
+        xs, ys = x[idx], y[idx]
+        x0, y0 = xs.mean(axis=1), ys.mean(axis=1)
+        xs -= x0[:, None]
+        ys -= y0[:, None]
+        ssx = _row_dot(xs, xs)
+        beta = _row_dot(xs, ys) / np.where(ssx > 0, ssx, np.inf)
+        ys -= beta[:, None] * xs
+        # row k of P: the prefix sums of feature k, after a leading zero
+        P = np.zeros((23, s.size, idx.shape[1] + 1))
+        f = P[:, :, 1:]
+        f[0] = q[idx]
+        np.multiply(f[0], xs, out=f[1])
+        np.multiply(f[0], ys, out=f[2])
+        np.multiply(f[1], xs, out=f[3])
+        np.multiply(f[1], ys, out=f[4])
+        np.multiply(f[2], ys, out=f[5])
+        np.multiply(f[0:6], u, out=f[6:12])
+        np.multiply(f[6:12], u, out=f[12:18])
+        np.multiply(f[0], f[0], out=f[18])
+        for k in range(19, 23):
+            np.multiply(f[k - 1], u, out=f[k])
+        np.cumsum(P, axis=2, out=P)
+        j = block[win] - c
+        below = P[:, j, lo[win] - s[j]]
+        d = P[:, j, hi[win] - s[j]]
+        nonneg = [0, 3, 5, 12, 15, 17, 18, 20, 22]   # 1, x^2, y^2 (u^0, u^2)
+        mag = d[nonneg] + below[nonneg]              # and q^2 u^0, u^2, u^4
+        d -= below
+        v = (centers[win] - origin[j]) / half
+        # 1 - (u - v)^2 = c0 + c1 u - u^2, and its square in powers of u
+        c0, c1 = 1.0 - v * v, 2.0 * v
+        sw, sx, sy, sxx, sxy, syy = c0 * d[0:6] + c1 * d[6:12] - d[12:18]
+        sq = np.array([c0 * c0, 2.0 * c0 * c1, c1 * c1 - 2.0 * c0, -2.0 * c1,
+                       np.ones_like(v)])
+        sww = (sq * d[18:23]).sum(axis=0)
+        a0, a1 = np.abs(c0), np.abs(c1)
+        m1, mxx, myy = (a0 + 0.5 * a1) * mag[0:3] + (1.0 + 0.5 * a1) * mag[3:6]
+        a = np.abs(sq)
+        mww = ((a[0] + 0.5 * a[1]) * mag[6] + (a[2] + 0.5 * (a[1] + a[3]))
+               * mag[7] + (a[4] + 0.5 * a[3]) * mag[8])
+        xbar, ybar = sx / sw, sy / sw
+        cxx, cxy, cyy = sxx - sx * xbar, sxy - sx * ybar, syy - sy * ybar
+        slope = cxy / cxx
+        rss = cyy - slope * cxy
+        # a result that cancelled to zero or below gets a bound near 1 or
+        # more; the last term is the rounding of y - beta x against the
+        # residuals, sum w (y - y0)^2 <= 2 (syy + beta^2 sxx) about the block
+        k1 = m1 / np.abs(sw)
+        kx = (mxx + sxx * k1) / np.abs(cxx)
+        ky = (myy + syy * k1) / np.abs(cyy)
+        bound = _EPS * np.maximum.reduce(
+            [k1, mww / np.abs(sww), kx, np.abs(cyy / rss) * np.maximum(kx, ky),
+             np.sqrt(2.0 * (syy + beta[j] ** 2 * sxx) / np.abs(rss))])
+        out[:, win] = (sw, sww, x0[j], y0[j], xbar, ybar + beta[j] * xbar,
+                       cxx, slope + beta[j], rss, bound)
+    return out
+
+
+def _closed_form(sw, n_eff, xbar, sxx, slope, ybar, meat):
+    """WindowFits from centred moments; meat is the sandwich's middle."""
+    dof_factor = n_eff / np.maximum(n_eff - 2.0, 1.0)
+    # X'WX = [[sw, sw xbar], [sw xbar, sx2]] has determinant sw sxx
+    sx2 = sxx + sw * xbar * xbar
+    lam_max = 0.5 * (sw + sx2) + np.hypot(0.5 * (sw - sx2), sw * xbar)
+    return WindowFits(sw, n_eff, sxx / sw, slope, ybar - slope * xbar,
+                      np.sqrt(np.maximum(meat / (sxx * sxx) * dof_factor, 0.0)),
+                      lam_max * lam_max / (sw * sxx))
+
+
+def _window_rows(t, cols, centers, half, lo, hi, quality):
+    """Gather windows lo:hi in blocks of at most WINDOW_BLOCK_ELEMENTS
+    samples: yields (index slice of the windows, kernel weights, gathered
+    rows of each array in ``cols``), padded to the longest window of the
+    block.  The padding is the samples past hi, which lie outside the
+    kernel when lo:hi holds every sample within half of the centre, then
+    t = inf past the series: all get weight 0.  The rows are fresh copies,
+    free to overwrite."""
+    count = hi - lo
     width = max(int(count.max(initial=1)), 1)
-    # row j of a view is a[j:j + width], zero-padded: blocks gather rows
-    tv, xv, yv, qv = (None if a is None else sliding_window_view(
-        np.concatenate([np.asarray(a, dtype=float), np.zeros(width)]), width)
-        for a in (t, x, y, quality))
-    out = np.full((len(WindowFits._fields), count.size), np.nan)
+
+    def rows_of(a, pad=0.0):    # row j is a[j:j + width]: blocks gather rows
+        return sliding_window_view(np.concatenate(
+            [np.asarray(a, dtype=float), np.full(width, pad)]), width)
+
+    tv, views = rows_of(t, np.inf), [rows_of(a) for a in cols]
+    qv = None if quality is None else rows_of(quality)
     rows = max(1, WINDOW_BLOCK_ELEMENTS // width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for blk in (slice(k, k + rows) for k in range(0, count.size, rows)):
-            n, starts = count[blk], lo[blk]
-            span = int(n.max())
-            valid = np.arange(span) < n[:, None]
-            w = epanechnikov((tv[starts, :span] - centers[blk, None]) / half)
-            w *= valid if qv is None else valid * qv[starts, :span]
-            out[:, blk] = _fit_rows(xv[starts, :span], yv[starts, :span], w,
-                                    None if lags is None else lags[blk])
-    return WindowFits(*out)
+    for blk in (slice(k, k + rows) for k in range(0, count.size, rows)):
+        starts, span = lo[blk], int(count[blk].max())
+        w = epanechnikov((tv[starts, :span] - centers[blk, None]) / half)
+        if qv is not None:
+            w *= qv[starts, :span]
+        yield blk, w, [v[starts, :span] for v in views]
 
 
 def _fit_rows(x, y, w, lags):
@@ -551,21 +748,20 @@ def _fit_rows(x, y, w, lags):
     slope = _row_dot(wdx, dy) / sxx
     resid = dy - slope[:, None] * dx
     n_eff = sw * sw / _row_dot(w, w)
-    dof_factor = n_eff / np.maximum(n_eff - 2.0, 1.0)
     if lags is None:  # classical: meat / sxx^2 = sigma^2 / sxx
         meat = _row_dot(w * resid, resid) * sxx / sw
     else:
-        g = wdx * resid
-        meat = _row_dot(g, g)
-        for ell in range(1, int(lags.max(initial=0)) + 1):
-            bartlett = np.where(ell <= lags, 1.0 - ell / (lags + 1.0), 0.0)
-            meat += 2.0 * bartlett * _row_dot(g[:, ell:], g[:, :-ell])
-    # X'WX = [[sw, sw xbar], [sw xbar, sx2]] has determinant sw sxx
-    sx2 = sxx + sw * xbar * xbar
-    lam_max = 0.5 * (sw + sx2) + np.hypot(0.5 * (sw - sx2), sw * xbar)
-    return WindowFits(sw, n_eff, sxx / sw, slope, ybar - slope * xbar,
-                      np.sqrt(np.maximum(meat / (sxx * sxx) * dof_factor, 0.0)),
-                      lam_max * lam_max / (sw * sxx))
+        meat = _newey_west_meat(wdx * resid, lags)
+    return _closed_form(sw, n_eff, xbar, sxx, slope, ybar, meat)
+
+
+def _newey_west_meat(g, lags):
+    """Bartlett-weighted sum of the lag products of each row of g."""
+    meat = _row_dot(g, g)
+    for ell in range(1, int(lags.max(initial=0)) + 1):
+        bartlett = np.where(ell <= lags, 1.0 - ell / (lags + 1.0), 0.0)
+        meat += 2.0 * bartlett * _row_dot(g[:, ell:], g[:, :-ell])
+    return meat
 
 
 def _row_dot(a, b):

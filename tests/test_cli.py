@@ -834,3 +834,63 @@ def test_import_loads_no_scipy_stats_or_integrate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# files that are not what they claim: one line that names the file
+
+
+@pytest.mark.parametrize("data", [b"{", b"\xff\xfe{}", b"[1, 2,]"])
+def test_config_that_is_not_json_names_its_file(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    code, err = run_quietly(["certify", "--config", path,
+                             "--out", tmp_path / "out"])
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"error [certify]: {path}: ")
+
+
+def test_benchmark_document_that_is_not_json_names_its_file(tmp_path):
+    bench = tmp_path / "bench.json"
+    bench.write_text('{"tasks": [', encoding="utf-8")
+    write_series_csv(tmp_path / "task0.csv", np.linspace(0.0, 10.0, 50),
+                     np.linspace(1.0, 0.5, 50), "loss")
+    cfg = {"series": {"losses": [{"path": str(tmp_path / "task0.csv"),
+                                  "task": "task0"}]},
+           "benchmark": str(bench), "estimation": {"window": 1.5}}
+    code, err = run_quietly(["certify", "--config",
+                             write_json(tmp_path / "cfg.json", cfg),
+                             "--out", tmp_path / "out"])
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"error [certify]: {bench}: ")
+
+
+@pytest.mark.parametrize("key, junk", [("t", [1.0]), ("value", [1.0]),
+                                       ("t", {"s": 1.0}), ("quality", [0.5])])
+def test_json_series_field_that_is_not_a_number_is_named(tmp_path, key, junk):
+    doc = valid_series_doc()
+    doc["samples"][3][key] = junk
+    path = tmp_path / "capability.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_json(tmp_path / "cfg.json", {
+        "series": {"capability": str(path)}, "estimation": {"window": 0.2}})
+    code, err = run_quietly(["estimate", "--config", cfg,
+                             "--out", tmp_path / "out"])
+    assert code == 1 and len(err) == 1, err
+    assert f"{path}: each sample's {key!r} must be a number" in err[0]
+
+
+def test_module_run_writes_one_stderr_line(tmp_path):
+    # python -m rsi_certify.cli: the package does not import cli first, so
+    # runpy has no module to warn about and an error is one line
+    path = tmp_path / "cfg.json"
+    path.write_text("{", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsi_certify.cli", "certify", "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error [certify]: {path}: not a UTF-8 JSON document: Expecting "
+        "property name enclosed in double quotes: line 1 column 2 (char 1)"]

@@ -2,10 +2,12 @@
 
 Each reference below masks one window at a time and fits it with
 ``wls_slope`` and ``newey_west_cov``, the way the rolling estimators did
-before they shared ``series.windowed_wls``.
+before they shared ``series.windowed_wls``, or repeats the kernel's closed
+forms in extended precision, the yardstick for its prefix-sum moments.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,3 +210,155 @@ def test_hac_se_extended_precision_long_window():
     se = np.sqrt(meat / (sxx * sxx) * n_eff / (n_eff - 2))
     assert float(abs(fit.slope[0] - b)) <= 1e-12 * abs(float(b))
     assert float(abs(fit.se[0] - se) / se) <= 1e-12
+
+
+def extended_fits(t, x, y, centers, half, lo, hi, quality, lags):
+    """Per window, in extended precision from the kernel's own weights: slope,
+    var_x and se as the kernel's closed forms give them (centred in one
+    exact pass), the slope scale sqrt(syy / sxx), and the error's condition
+    number: a first-order bound on the relative change of se when x - xbar
+    and the residual r = (y - ybar) - slope (x - xbar) are each rounded at
+    the magnitude of the terms that form them."""
+    ld = np.longdouble
+    q = np.ones(t.size) if quality is None else np.asarray(quality)
+    x, y = (np.asarray(a).astype(ld) for a in (x, y))
+    out = np.full((5, len(centers)), np.nan, dtype=ld)
+    for k, (c, a, b) in enumerate(zip(centers, lo, hi)):
+        w = (ts.epanechnikov((t[a:b] - c) / half) * q[a:b]).astype(ld)
+        sw = w.sum()
+        dx = x[a:b] - (w * x[a:b]).sum() / sw
+        dy = y[a:b] - (w * y[a:b]).sum() / sw
+        sxx, syy = (w * dx * dx).sum(), (w * dy * dy).sum()
+        if not sxx > 0:
+            continue
+        slope = (w * dx * dy).sum() / sxx
+        r = dy - slope * dx
+        # the rounding of x - xbar and of r, per unit of eps
+        dx_err = np.abs(x[a:b]) + np.abs(dx)
+        r_err = np.abs(y[a:b]) + np.abs(dy) + np.abs(slope) * dx_err
+        n_eff = sw * sw / (w * w).sum()
+        if lags is None:
+            meat = (w * r * r).sum() * sxx / sw
+            cond = 2 * (w * np.abs(r) * r_err).sum() / (w * r * r).sum()
+        else:
+            g = w * dx * r
+            meat = (g * g).sum()
+            for ell in range(1, int(lags[k]) + 1):
+                meat += 2 * (1 - ld(ell) / (lags[k] + 1)) \
+                    * (g[ell:] * g[:-ell]).sum()
+            g_err = w * (dx_err * np.abs(r) + np.abs(dx) * r_err)
+            cond = 2 * (2 * lags[k] + 1) * np.abs(g).sum() * g_err.sum() \
+                / meat
+        se = np.sqrt(meat / (sxx * sxx) * n_eff / max(n_eff - 2, ld(1)))
+        out[:, k] = slope, sxx / sw, se, np.sqrt(syy / sxx), cond
+    return out.astype(float)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Windows over irregular grids, epoch or across 0: sampling intervals
+    that vary 100-fold, flat regressor stretches and level shifts, fits
+    from nearly exact to noisy, optional quality weights, centres on or off
+    the grid or a single window, up to wider than the series, with and
+    without Bartlett lags."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(30, 300))
+    dt = rng.uniform(0.5, 1.5, n)
+    if draw(st.booleans()):                        # a sparse stretch
+        a = int(rng.integers(0, n))
+        dt[a:a + int(rng.integers(1, n))] *= 100.0
+    t = draw(st.sampled_from([-150.0, 0.0, 1.7e9])) + np.cumsum(dt)
+    x = draw(st.sampled_from([0.0, 15.0])) \
+        + np.cumsum(rng.normal(0.0, 0.05, n))
+    if draw(st.booleans()):                        # a flat stretch
+        a = int(rng.integers(0, n - 5))
+        x[a:a + int(rng.integers(5, n - a + 1))] = x[a]
+    if draw(st.booleans()):                        # a level shift
+        x[int(rng.integers(1, n)):] += 10.0 ** rng.uniform(0.0, 6.0)
+    noise = draw(st.sampled_from([1e-6, 1e-3, 0.1]))
+    y = -3.0 + 1.5 * x + rng.normal(0.0, noise, n)
+    quality = rng.uniform(0.0, 1.0, n) if draw(st.booleans()) else None
+    half = draw(st.floats(0.02, 0.8)) * (t[-1] - t[0])
+    layout = draw(st.sampled_from(["grid", "off-grid", "single"]))
+    if layout == "grid":
+        centers = t
+    elif layout == "off-grid":
+        centers = np.concatenate([t[::3] + 0.37 * half, t[1::5] - 0.61 * half])
+    else:
+        centers = np.array([t[n // 2] + 0.1 * half])
+    lo, hi = ts.window_bounds(t, centers, half)
+    sel = hi - lo >= 3
+    centers, lo, hi = centers[sel], lo[sel], hi[sel]
+    lags = None
+    if draw(st.booleans()):
+        lags = np.array([min(est.auto_lag(k), k - 2) for k in hi - lo])
+    block = draw(st.sampled_from([1, 64, ts.WINDOW_BLOCK_ELEMENTS]))
+    return t, x, y, centers, half, lo, hi, quality, lags, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_moment_kernel_within_stated_tolerance(data):
+    # relative error against extended precision, whichever path fits the
+    # window: at most 1e-10 on var_x, and on the slope relative to its scale
+    # sqrt(syy / sxx), which a slope near 0 does not set; at most 1e-8 on
+    # the error where rounding its inputs moves it by at most 1e-10 (a
+    # nearly exact fit, a regressor far from 0 that barely moves, or lag
+    # sums that cancel leave no double-precision fit that close), and
+    # elsewhere no worse than the gathered two-pass fit on every window the
+    # moments fit.  Windows below VAR_LOG_TOL, which every caller drops,
+    # are left out.
+    t, x, y, centers, half, lo, hi, quality, lags, block = data
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", block):
+        fit = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1 << 40):
+        gathered = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality,
+                                   lags)
+    slope, var_x, se, scale, cond = extended_fits(
+        t, x, y, centers, half, lo, hi, quality, lags)
+    a, b = ts.window_bounds(t, centers, half, rtol=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = ts._window_moments(t, x, y, centers, half, a, b, quality)[-1]
+    ok = var_x >= ts.VAR_LOG_TOL
+    resolved = ok & (cond * np.finfo(float).eps <= 1e-10)
+    by_moments = ok & ((hi - lo).sum() > block) & (bound <= ts.MOMENT_RTOL)
+    assert np.all(np.abs(fit.slope - slope)[ok] <= 1e-10 * scale[ok])
+    np.testing.assert_allclose(fit.var_x[ok], var_x[ok], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(fit.se[resolved], se[resolved], rtol=1e-8,
+                               atol=0)
+    err, err_gathered = (np.abs(f.se - se) / se for f in (fit, gathered))
+    assert np.all((err <= np.maximum(err_gathered, 1e-8))[by_moments])
+
+
+def test_fallback_refits_a_window_bit_for_bit():
+    # a 1e6 jump in x just after one window, inside the span its block's
+    # prefix sums cover: the block mean moves by ~3e5, the window's raw
+    # moments dwarf its spread, and _fit_rows refits it from its samples;
+    # so it does the few windows that reach the jump with a zero weight,
+    # and no window farther away
+    rng = np.random.default_rng(3)
+    n = 400
+    t = 1.7e9 + np.arange(n, dtype=float)
+    x = np.cumsum(rng.normal(0.0, 0.05, n))
+    y = 0.5 + 1.2 * x + rng.normal(0.0, 0.01, n)
+    half, k = 10.0, 200
+    lo, hi = ts.window_bounds(t, t, half)
+    x[hi[k]:] += 1e6
+    lags = np.array([min(est.auto_lag(m), m - 2) for m in hi - lo])
+    refitted = []
+
+    def spy(xs, ys, w, lg, fit_rows=ts._fit_rows):
+        refitted.extend(xs.tolist())
+        return fit_rows(xs, ys, w, lg)
+
+    # one window per gathered block, so the refit row is not padded
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1), \
+            mock.patch.object(ts, "_fit_rows", spy):
+        fit = ts.windowed_wls(t, x, y, t, half, lo, hi, lags=lags)
+    near = [j for j in range(n) if x[lo[j]:hi[j]].tolist() in refitted]
+    assert k in near and len(near) == len(refitted)
+    assert all(abs(t[j] - t[hi[k]]) <= 2 * half for j in near)
+    a, b = lo[k], hi[k]
+    w = ts.epanechnikov((t[a:b] - t[k]) / half)
+    ref = ts._fit_rows(x[None, a:b], y[None, a:b], w[None], lags[[k]])
+    assert [f[k] for f in fit] == [r[0] for r in ref]
