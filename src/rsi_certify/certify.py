@@ -232,35 +232,33 @@ def test_ceiling(upsilon_c_plus: float, se_c: float,
 
 @dataclass
 class EnvelopeCheckResult:
-    """Per-sample verdicts of the rate-versus-envelope inequality."""
+    """Per-sample verdicts of the rate-versus-envelope inequality, on
+    increasing timestamps ``t``."""
 
     t: np.ndarray
     passed: np.ndarray
     slack: np.ndarray          # (envelope - rate) / envelope
     pass_fraction: float
     first_failure: tuple[float, int] | None
-    small_gain: float
-    tol: float
+
+    def evidence(self, lo, hi, slack_threshold: float = NONBINDING_SLACK,
+                 fraction: float = NONBINDING_FRACTION):
+        """Per range of samples ``lo[j]:hi[j]``, from prefix counts: the
+        share that passed (1.0 for none), and whether slack of at least
+        ``slack_threshold`` holds on at least ``fraction`` (False for none)."""
+        counts = np.cumsum([np.r_[0, self.passed],
+                            np.r_[0, self.slack >= slack_threshold]], axis=1)
+        n = np.subtract(hi, lo)
+        passed, roomy = (counts[:, hi] - counts[:, lo]) / np.maximum(n, 1)
+        return np.where(n > 0, passed, 1.0), (n > 0) & (roomy >= fraction)
 
     def nonbinding(self, slack_threshold: float = NONBINDING_SLACK,
                    fraction: float = NONBINDING_FRACTION) -> bool:
         """Headroom test: slack of at least ``slack_threshold`` on at least
         ``fraction`` of the samples."""
-        if self.t.size == 0:
-            return False
-        return float((self.slack >= slack_threshold).mean()) >= fraction
-
-    def restrict(self, t_lo: float, t_hi: float) -> "EnvelopeCheckResult":
-        mask = (self.t >= t_lo) & (self.t < t_hi)
-        sub_pass = self.passed[mask]
-        fails = np.nonzero(~sub_pass)[0]
-        first = None
-        if fails.size:
-            idx = int(fails[0])
-            first = (float(self.t[mask][idx]), idx)
-        frac = float(sub_pass.mean()) if sub_pass.size else 1.0
-        return EnvelopeCheckResult(self.t[mask], sub_pass, self.slack[mask],
-                                   frac, first, self.small_gain, self.tol)
+        _, headroom = self.evidence([0], [self.t.size], slack_threshold,
+                                    fraction)
+        return bool(headroom[0])
 
 
 def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,
@@ -286,7 +284,7 @@ def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,
     fails = np.nonzero(~passed)[0]
     first = (float(Idot_k.t[fails[0]]), int(fails[0])) if fails.size else None
     return EnvelopeCheckResult(Idot_k.t.copy(), passed, slack,
-                               float(passed.mean()), first, small_gain, tol)
+                               float(passed.mean()), first)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,9 @@ def decide(ptots: PtotEstimate | list[PtotEstimate],
     reciprocal integral globally.  The singular-admissible verdict needs
     one segment whose lower elasticity tests above one while the envelope
     is nonbinding (absent envelope data counts as nonbinding, with a note).
-    Everything else is inconclusive, with both facts recorded.
+    Everything else is inconclusive, with both facts recorded.  Envelope
+    evidence is read for all half-open segments [t_lo, t_hi) in one pass; a
+    segment with no sample keeps pass fraction 1.0 and has no headroom.
     """
     seg_ranges = segments.segments
     if isinstance(ptots, PtotEstimate):
@@ -490,19 +490,17 @@ def decide(ptots: PtotEstimate | list[PtotEstimate],
         notes.append("no envelope series supplied; ceilings treated as "
                      "nonbinding by absence")
 
-    records = []
-    for (t_lo, t_hi), pt in zip(seg_ranges, ptots):
-        if envelope_disabled:
-            frac, nonbind = 1.0, True
-        else:
-            sub = envelope.restrict(t_lo, t_hi)
-            frac = sub.pass_fraction
-            nonbind = sub.nonbinding(nonbinding_slack, nonbinding_fraction)
-        records.append(SegmentRecord(
-            t_lo, t_hi, pt,
-            test_superlinearity(pt.plus, pt.se_plus, alpha),
-            test_superlinearity(pt.minus, pt.se_minus, alpha),
-            frac, nonbind, envelope_disabled))
+    fracs, nonbinding = [1.0] * len(ptots), [True] * len(ptots)
+    if not envelope_disabled:
+        lo, hi = np.searchsorted(envelope.t, np.reshape(seg_ranges, (-1, 2)).T)
+        fracs, nonbinding = (a.tolist() for a in envelope.evidence(
+            lo, hi, nonbinding_slack, nonbinding_fraction))
+    records = [SegmentRecord(t_lo, t_hi, pt,
+                             test_superlinearity(pt.plus, pt.se_plus, alpha),
+                             test_superlinearity(pt.minus, pt.se_minus, alpha),
+                             frac, nonbind, envelope_disabled)
+               for (t_lo, t_hi), pt, frac, nonbind
+               in zip(seg_ranges, ptots, fracs, nonbinding)]
 
     osgood_divergent = bool(osgood.divergent) if osgood is not None else False
     if osgood is None:

@@ -217,8 +217,11 @@ def _profile(cfg, args, load, alpha):
     profile and its regime segmentation."""
     est_cfg = _section(cfg, "estimation")
     window, name = _setting(args, "window", est_cfg, "estimation")
-    if not window > 0:
-        raise ConfigError(f"{name} must be positive, got {window!r}")
+    if not 0 < window < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {window!r}")
+    trim = _number(est_cfg.get("trim", est.SUP_WALD_TRIM), "estimation.trim")
+    if trim != est.SUP_WALD_TRIM:   # the one trim with tabulated critical values
+        raise ConfigError(f"estimation.trim must be 0.15, got {trim!r}")
     roles = _section(cfg, "series", required=True)
     snapshots = {}
     if "losses" in roles:
@@ -244,15 +247,14 @@ def _profile(cfg, args, load, alpha):
                                  i_series.snapshot_version)
     prof = est.rolling_elasticity(i_series, idot, window,
                                   lag=est_cfg.get("lag", "auto"), alpha=alpha)
-    segs = est.segment_profile(
-        prof, trim=_number(est_cfg.get("trim", 0.15), "estimation.trim"))
+    segs = est.segment_profile(prof, trim=trim)
     return window, i_series, idot, snapshots, prof, segs
 
 
 def _elasticity_csv(prof) -> str:
+    ci_lo, ci_hi = prof.ci
     return ts.csv_text({"t": prof.t, "p_hat": prof.values, "se": prof.ses,
-                        "ci_lo": [e.ci[0] for e in prof.estimates],
-                        "ci_hi": [e.ci[1] for e in prof.estimates]})
+                        "ci_lo": ci_lo, "ci_hi": ci_hi})
 
 
 def run_estimate(cfg, args, load) -> Outcome:
@@ -260,7 +262,7 @@ def run_estimate(cfg, args, load) -> Outcome:
     window, _, _, snapshots, prof, segs = _profile(cfg, args, load, alpha)
     return Outcome(
         EXIT_OK,
-        f"{len(prof.estimates)} elasticity windows, "
+        f"{prof.t.size} elasticity windows, "
         f"{len(segs.breakpoints)} break(s)",
         {"elasticity.json": _json_text({
             "alpha": alpha,
@@ -272,35 +274,25 @@ def run_estimate(cfg, args, load) -> Outcome:
          "elasticity.csv": _elasticity_csv(prof)})
 
 
-def _positive_pairs(i_series, idot):
-    """(I, Idot) sample pairs joined on their shared timestamps, kept where
-    both are positive."""
-    _, ii, ri = np.intersect1d(i_series.t, idot.t, return_indices=True)
-    i_on, rate_on = i_series.values[ii], idot.values[ri]
-    pos = (rate_on > 0) & (i_on > 0)
-    return i_on[pos], rate_on[pos]
-
-
 def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
     """Per-segment elasticity bounds: the rolling profile's infimum and
     supremum, which already reflect realized resource co-movement, plus the
     resource terms of measured capital elasticities (a conservative double
     count)."""
-    t, values, ses = prof.t, prof.values, prof.ses
     res_minus, res_plus, var_minus, var_plus = ct.resource_terms(effs,
                                                                  upsilons)
     out = []
     # segments start at profile timestamps, so none is empty
-    for start, stop in np.searchsorted(t, segs.segments):
-        lo = start + int(np.argmin(values[start:stop]))
-        hi = start + int(np.argmax(values[start:stop]))
-        comp_minus = {"p_hat_inf": float(values[lo]), **res_minus}
-        comp_plus = {"p_hat_sup": float(values[hi]), **res_plus}
+    for start, stop in np.searchsorted(prof.t, segs.segments):
+        lo = start + int(np.argmin(prof.values[start:stop]))
+        hi = start + int(np.argmax(prof.values[start:stop]))
+        comp_minus = {"p_hat_inf": float(prof.values[lo]), **res_minus}
+        comp_plus = {"p_hat_sup": float(prof.values[hi]), **res_plus}
         out.append(ct.PtotEstimate(
             minus=float(sum(comp_minus.values())),
             plus=float(sum(comp_plus.values())),
-            se_minus=math.hypot(ses[lo], math.sqrt(var_minus)),
-            se_plus=math.hypot(ses[hi], math.sqrt(var_plus)),
+            se_minus=math.hypot(prof.ses[lo], math.sqrt(var_minus)),
+            se_plus=math.hypot(prof.ses[hi], math.sqrt(var_plus)),
             components_minus=comp_minus,
             components_plus=comp_plus))
     return out
@@ -327,11 +319,18 @@ def _measured_upsilons(cfg, load, window) -> dict[str, ct.UpsilonBand]:
 def run_certify(cfg, args, load) -> Outcome:
     cert_cfg = _section(cfg, "certify")
     alpha = _alpha(args, cert_cfg, "certify")
+    knob = {key: _number(cert_cfg.get(key, default), f"certify.{key}")
+            for key, default in (("small_gain", 0.0), ("envelope_tol", 0.05),
+                                 ("nonbinding_slack", ct.NONBINDING_SLACK),
+                                 ("nonbinding_fraction", ct.NONBINDING_FRACTION),
+                                 ("grad_norm", 0.0))}
     seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0),
                    "seed", int)
     window, i_series, idot, snapshots, prof, segs = _profile(cfg, args, load,
                                                              alpha)
-    i_pos, rate_pos = _positive_pairs(i_series, idot)
+    t_on, i_on, rate_on = est.shared_samples(i_series, idot)
+    pos = (i_on > 0) & (rate_on > 0)
+    i_pos, rate_pos = i_on[pos], rate_on[pos]
     phi_cfg = _section(cfg, "phi")
     phi_spec = _phi(phi_cfg) if phi_cfg else None
 
@@ -341,27 +340,22 @@ def run_certify(cfg, args, load) -> Outcome:
     if env_cfg and "T" in _section(cfg, "series"):
         svc = _envelope(cfg, env.EnvelopeParams.from_json_dict(env_cfg), load,
                         alpha).phi_svc
-        common, ii, si = np.intersect1d(idot.t, svc.t, return_indices=True)
-        idot_on = ts.TimeSeries("Idot", "nat/s", common, idot.values[ii],
-                                None, idot.snapshot_version)
-        svc_on = ts.TimeSeries("phi_svc", "nat/s", common, svc.values[si],
-                               None, svc.snapshot_version)
-        i_on = np.interp(common, i_series.t, i_series.values)
+        common, ji, si = np.intersect1d(t_on, svc.t, return_indices=True)
+        i_env, rate_env, svc_env = i_on[ji], rate_on[ji], svc.values[si]
         if phi_spec is None:
             # least-squares power law of Idot / phi_svc against I (log-log)
             with np.errstate(divide="ignore"):
-                ratio = idot_on.values / svc_on.values
-                fit = (i_on > 0) & (ratio > 0)
+                ratio = rate_env / svc_env
+                fit = (i_env > 0) & (ratio > 0)
                 slope, intercept, _, _ = ts.wls_slope(
-                    np.log(i_on[fit]), np.log(ratio[fit]), np.ones(fit.sum()))
+                    np.log(i_env[fit]), np.log(ratio[fit]), np.ones(fit.sum()))
             phi_spec = dyn.PhiSpec.power(max(slope, 0.0), math.exp(intercept))
-        phi_of_i = ts.TimeSeries("Phi_of_I", "nat", common,
-                                 phi_spec(np.maximum(i_on, phi_spec.domain_floor)),
-                                 None, i_series.snapshot_version)
+        phi_of_i = phi_spec(np.maximum(i_env, phi_spec.domain_floor))
         envelope_check_res = ct.envelope_check(
-            idot_on, phi_of_i, svc_on,
-            small_gain=cert_cfg.get("small_gain", 0.0),
-            tol=cert_cfg.get("envelope_tol", 0.05))
+            ts.TimeSeries("Idot", "nat/s", common, rate_env),
+            ts.TimeSeries("Phi_of_I", "nat", common, phi_of_i),
+            ts.TimeSeries("phi_svc", "nat/s", common, svc_env),
+            small_gain=knob["small_gain"], tol=knob["envelope_tol"])
         snapshots["phi_svc"] = svc.snapshot_version
 
     # reciprocal-integral classification of the state factor
@@ -424,14 +418,16 @@ def run_certify(cfg, args, load) -> Outcome:
         event_bound = ct.event_blowup_bound(float(i_pos[-1]), delta, a0)
 
     extra_margins = {}
-    if cert_cfg.get("grad_norm"):
+    if knob["grad_norm"]:
         extra_margins["manifold_distance"] = ct.manifold_distance(
-            ptot_plus, cert_cfg["grad_norm"])
+            ptot_plus, knob["grad_norm"])
     w = _section(cert_cfg, "wasserstein")
     if w:
-        safety = w.get("safety_delta", 0.1)
-        dm = ct.distribution_margin(ptot_plus, w["gamma"], w["L_xi"],
-                                    w["L_rho"], w["delta_W"], safety)
+        ball = [_number(w.get(key), f"certify.wasserstein.{key}")
+                for key in ("gamma", "L_xi", "L_rho", "delta_W")]
+        safety = _number(w.get("safety_delta", 0.1),
+                         "certify.wasserstein.safety_delta")
+        dm = ct.distribution_margin(ptot_plus, *ball, safety)
         extra_margins["wasserstein_margin"] = 1.0 - safety - dm.worst_case_ptot
 
     config_echo = {"config_path": str(args.config), "seed": seed,
@@ -445,9 +441,8 @@ def run_certify(cfg, args, load) -> Outcome:
 
     certificate = ct.decide(
         ptots, envelope_check_res, osgood, segs, alpha=alpha,
-        nonbinding_slack=cert_cfg.get("nonbinding_slack", ct.NONBINDING_SLACK),
-        nonbinding_fraction=cert_cfg.get("nonbinding_fraction",
-                                         ct.NONBINDING_FRACTION),
+        nonbinding_slack=knob["nonbinding_slack"],
+        nonbinding_fraction=knob["nonbinding_fraction"],
         event_bound=event_bound, capital_escape_time=capital_T,
         extra_margins=extra_margins, config_echo=config_echo,
         snapshot_versions=snapshots)

@@ -112,33 +112,45 @@ class ElasticityEstimate:
 
 @dataclass
 class RollingElasticity:
-    """Rolling feedback-elasticity profile with gap markers for skipped
-    windows (nonpositive rates or degenerate regressors)."""
+    """Rolling feedback-elasticity profile as arrays, one entry per fitted
+    window centre, with gap markers for skipped windows (nonpositive rates
+    or degenerate regressors)."""
 
-    estimates: list[ElasticityEstimate]
+    t: np.ndarray
+    values: np.ndarray
+    ses: np.ndarray
+    n_eff: np.ndarray
+    window: float
     gaps: list[tuple[float, str]]
     alpha: float
 
     @property
-    def t(self) -> np.ndarray:
-        return np.array([e.t for e in self.estimates])
+    def ci(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two-sided level-``alpha`` bounds value -+ z * se, per window."""
+        z = float(ndtri(1 - self.alpha / 2.0))
+        return self.values - z * self.ses, self.values + z * self.ses
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.estimates])
-
-    @property
-    def ses(self) -> np.ndarray:
-        return np.array([e.se for e in self.estimates])
+    def estimates(self) -> list[ElasticityEstimate]:
+        """The profile as one record per window."""
+        return [ElasticityEstimate(c, b, se, (lo, hi), self.window, ne)
+                for c, b, se, lo, hi, ne in zip(*(a.tolist() for a in (
+                    self.t, self.values, self.ses, *self.ci, self.n_eff)))]
 
     def to_slope_series(self) -> ts.SlopeSeries:
-        half = self.estimates[0].window / 2 if self.estimates else 0.0
-        return ts.SlopeSeries(self.t, self.values, self.ses, half)
+        return ts.SlopeSeries(self.t, self.values, self.ses, self.window / 2)
 
 
 # gap reasons, in the order the windows are checked
 GAP_REASONS = ("nonpositive rate in window", "nonpositive state in window",
                "degenerate regressor")
+
+
+def shared_samples(I: ts.TimeSeries, Idot: ts.TimeSeries):
+    """(t, I, Idot) at the timestamps both series hold, with no value
+    interpolated: the one join of state and rate."""
+    common, ia, ib = np.intersect1d(I.t, Idot.t, return_indices=True)
+    return common, I.values[ia], Idot.values[ib]
 
 
 def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
@@ -156,13 +168,9 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     kernel ``series.windowed_wls`` (moments from block-local prefix sums,
     closed forms, per-window HAC sums).
     """
-    # join on the common timestamps (the rate grid is the state grid minus
-    # its last point when produced by the capability layer)
-    common, ia, ib = np.intersect1d(I.t, Idot.t, return_indices=True)
+    common, i_vals, r_vals = shared_samples(I, Idot)
     if common.size < min_points:
         raise AllWindowsDegenerate("series share too few timestamps")
-    i_vals = I.values[ia]
-    r_vals = Idot.values[ib]
 
     half = window / 2.0
     eval_centers = common if centers is None \
@@ -191,18 +199,13 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     if not np.all(fit.cond[ok] <= 1e14):
         raise SingularDesign("X'X is numerically singular")
 
-    z = float(ndtri(1 - alpha / 2.0))
-    estimates = [
-        ElasticityEstimate(c, b, se, (b - z * se, b + z * se), window, ne)
-        for c, b, se, ne in zip(eval_centers[sel[ok]].tolist(),
-                                fit.slope[ok].tolist(), fit.se[ok].tolist(),
-                                fit.n_eff[ok].tolist())]
     gaps = [(c, GAP_REASONS[k - 1])
             for c, k in zip(eval_centers.tolist(), gap.tolist()) if k > 0]
-    if not estimates:
+    if not ok.any():
         raise AllWindowsDegenerate(
             "no window produced a usable elasticity estimate")
-    return RollingElasticity(estimates, gaps, alpha)
+    return RollingElasticity(eval_centers[sel[ok]], fit.slope[ok],
+                             fit.se[ok], fit.n_eff[ok], window, gaps, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,8 @@ def kalman_trend(series: ts.TimeSeries, process_var: float,
 
 
 # Asymptotic critical values for the sup-Wald test of one coefficient with
-# 15% trimming (Andrews 1993, as corrected 2003).
+# 15% trimming (Andrews 1993, as corrected 2003), the only trim tabulated.
+SUP_WALD_TRIM = 0.15
 SUP_WALD_CRITICAL_15 = {0.10: 7.17, 0.05: 8.85, 0.01: 12.35}
 
 
@@ -579,7 +583,7 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
 SUP_WALD_MIN_SEGMENT = 30  # fewest estimates a segment needs to be scanned
 
 
-def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
+def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = SUP_WALD_TRIM,
                     alpha: float = 0.05,
                     min_segment: int = SUP_WALD_MIN_SEGMENT) -> BreakSegmentation:
     """Segment a local-slope process at mean shifts found by sup-Wald scans.
@@ -589,8 +593,9 @@ def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
     ``min_segment`` points rejects stability.  No break yields one segment
     covering the whole window.
     """
-    if not 0 < trim < 0.45:
-        raise TooShort(f"trim={trim} outside (0, 0.45)")
+    if trim != SUP_WALD_TRIM:
+        raise TooShort(f"no tabulated critical values for trim={trim}; "
+                       f"choose {SUP_WALD_TRIM}")
     if alpha not in SUP_WALD_CRITICAL_15:
         raise TooShort(f"no tabulated critical value for alpha={alpha}; "
                        f"choose from {sorted(SUP_WALD_CRITICAL_15)}")
@@ -622,11 +627,11 @@ def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = 0.15,
 
 
 def segment_profile(prof: RollingElasticity,
-                    trim: float = 0.15) -> BreakSegmentation:
+                    trim: float = SUP_WALD_TRIM) -> BreakSegmentation:
     """Regime segments of a rolling elasticity profile: sup-Wald breaks
     when the profile holds at least SUP_WALD_MIN_SEGMENT estimates, else
     one segment covering the whole profile."""
-    if len(prof.estimates) >= SUP_WALD_MIN_SEGMENT:
+    if prof.t.size >= SUP_WALD_MIN_SEGMENT:
         return sup_wald_breaks(prof.to_slope_series(), trim=trim)
     return BreakSegmentation(
         [], [(float(prof.t[0]), _segment_end(prof.t[-1]))])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rsi_certify import certify as ct
@@ -317,6 +319,65 @@ def test_decide_per_segment_estimates():
     assert cert.verdict == ct.VERDICT_SINGULAR
     assert len(cert.segments) == 2
     assert cert.segments[1].super_test_minus.reject
+
+
+def evidence_by_mask(res, t_lo, t_hi, slack_threshold, fraction):
+    """One segment's envelope evidence as a boolean mask over the samples,
+    the reference for the prefix-count pass: (pass fraction, headroom)."""
+    mask = (res.t >= t_lo) & (res.t < t_hi)
+    sub_pass, sub_slack = res.passed[mask], res.slack[mask]
+    frac = float(sub_pass.mean()) if sub_pass.size else 1.0
+    if sub_slack.size == 0:
+        return frac, False
+    return frac, float((sub_slack >= slack_threshold).mean()) >= fraction
+
+
+SLACKS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, 0.1, -0.0, 0.05, -math.inf, math.inf, math.nan]))
+
+
+@st.composite
+def envelopes_and_segments(draw):
+    # sample times and segment edges on a coarse grid, so edges fall on
+    # samples; edges may repeat (empty segments) and run past the samples
+    grid = st.integers(-20, 80).map(lambda k: k / 2)
+    t = np.array(sorted(draw(st.sets(grid, max_size=60))))
+    n = t.size
+    passed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                      dtype=bool)
+    slack = np.array(draw(st.lists(SLACKS, min_size=n, max_size=n)))
+    res = ct.EnvelopeCheckResult(t, passed, slack,
+                                 float(passed.mean()) if n else 1.0, None)
+    edges = sorted(draw(st.lists(grid, min_size=2, max_size=12)))
+    segments = BreakSegmentation(edges[1:-1], list(zip(edges, edges[1:])))
+    threshold = draw(st.one_of(SLACKS, st.sampled_from(slack.tolist())
+                               if n else st.just(0.1)))
+    denominator = draw(st.integers(1, 12))
+    fraction = draw(st.one_of(
+        st.integers(0, denominator).map(lambda k: k / denominator),
+        st.floats(0.0, 1.0)))
+    return res, segments, threshold, fraction
+
+
+@settings(max_examples=400, deadline=None)
+@given(envelopes_and_segments())
+@example((ct.EnvelopeCheckResult(np.array([]), np.array([], dtype=bool),
+                                 np.array([]), 1.0, None),
+          BreakSegmentation([], [(0.0, 1.0)]), 0.1, 0.95))
+def test_segment_evidence_matches_the_mask(case):
+    res, segments, threshold, fraction = case
+    cert = ct.decide(pt_est(0.7, 0.9), res, OsgoodResult(True, math.inf, 0.8),
+                     segments, nonbinding_slack=threshold,
+                     nonbinding_fraction=fraction)
+    for (t_lo, t_hi), record in zip(segments.segments, cert.segments):
+        frac, headroom = evidence_by_mask(res, t_lo, t_hi, threshold,
+                                          fraction)
+        assert type(record.envelope_pass_fraction) is float
+        assert type(record.envelope_nonbinding) is bool
+        assert (record.envelope_pass_fraction, record.envelope_nonbinding) \
+            == (frac, headroom)
+    assert res.nonbinding(threshold, fraction) is evidence_by_mask(
+        res, -math.inf, math.inf, threshold, fraction)[1]
 
 
 def test_certificate_json_encodes_nonfinite_as_strings():

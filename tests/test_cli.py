@@ -254,6 +254,29 @@ def test_certify_case_b_nonsingular(tmp_path):
     assert (out / "envelope_slack.csv").exists()
 
 
+def test_envelope_drops_a_rate_sample_the_state_lacks(tmp_path):
+    # the envelope check pairs each rate with a measured state: a rate
+    # sample between two state samples is left out, not paired with an
+    # interpolated state
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    t = ts.read_json(cfg["series"]["capability"]).t
+    t_rate = np.sort(np.r_[t, (t[10] + t[11]) / 2])
+    ts.write_json(ts.TimeSeries("capability_rate", "nat/s", t_rate,
+                                (1.0 + 0.2 * t_rate) ** 4),
+                  tmp_path / "rate.json")
+    k_b_ln2 = 1.380649e-23 * math.log(2)
+    write_series_csv(tmp_path / "p_use.csv", t_rate,
+                     np.full(t_rate.size, 1.25 * k_b_ln2 * 300.0), "W")
+    write_series_csv(tmp_path / "temp.csv", t_rate,
+                     np.full(t_rate.size, 300.0), "K")
+    cfg["series"]["capability_rate"] = str(tmp_path / "rate.json")
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "c.json", cfg),
+                "--out", out]) in (0, 2, 3)
+    rows = (out / "envelope_slack.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == t.tolist()
+
+
 def test_certify_case_a_singular_with_capital_time(tmp_path):
     cfg = case_a_config(tmp_path)
     out = tmp_path / "out"
@@ -316,9 +339,10 @@ def test_last_segment_keeps_final_estimate_at_epoch_seconds():
     # segment must still hold the profile's final estimate
     t0 = 1.7e9
     values = [0.5] * 9 + [1.5]
-    prof = est.RollingElasticity(
-        [est.ElasticityEstimate(t0 + k, v, 0.1, (v - 0.2, v + 0.2), 4.0, 5.0)
-         for k, v in enumerate(values)], [], 0.05)
+    n = len(values)
+    prof = est.RollingElasticity(t0 + np.arange(n), np.array(values),
+                                 np.full(n, 0.1), np.full(n, 5.0), 4.0, [],
+                                 0.05)
     segs = est.segment_profile(prof)
     effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
     (ptot,) = cli._segment_ptots(prof, segs, effs, {})
@@ -591,6 +615,7 @@ def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, command,
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "-0.5"), ("--alpha", "nan"),
     ("--window", "0"), ("--window", "-0.1"), ("--window", "nan"),
+    ("--window", "inf"),
 ])
 def test_out_of_range_flag_is_refused_not_replaced(tmp_path, capsys, command,
                                                    flag, value):
@@ -813,6 +838,17 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
     ({"phi": {"kind": "power", "p": "a"}}, "phi.p"),
     ({"capital": {"K0": "a", "r": 2.0, "zeta": 2.0}}, "capital.K0"),
     ({"certify": {"wasserstein": [1]}}, "wasserstein"),
+    ({"estimation": {"window": math.inf}}, "estimation.window"),
+    ({"estimation": {"window": 0.1, "trim": 0.3}}, "estimation.trim"),
+    ({"certify": {"small_gain": "x"}}, "certify.small_gain"),
+    ({"certify": {"envelope_tol": "x"}}, "certify.envelope_tol"),
+    ({"certify": {"nonbinding_slack": [1]}}, "certify.nonbinding_slack"),
+    ({"certify": {"nonbinding_fraction": "x"}}, "certify.nonbinding_fraction"),
+    ({"certify": {"grad_norm": "x"}}, "certify.grad_norm"),
+    ({"certify": {"wasserstein": {"gamma": "x", "L_xi": 0.1, "L_rho": 0.1,
+                                  "delta_W": 0.1}}},
+     "certify.wasserstein.gamma"),
+    ({"certify": {"wasserstein": {"gamma": 0.5}}}, "certify.wasserstein.L_xi"),
 ])
 def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)

@@ -493,10 +493,25 @@ def test_sup_wald_scan_matches_the_loop(case):
 
 
 def profile_of(values):
-    return est.RollingElasticity(
-        [est.ElasticityEstimate(float(i), float(v), 0.1, (v - 0.2, v + 0.2),
-                                1.0, 10.0) for i, v in enumerate(values)],
-        [], 0.05)
+    n = len(values)
+    return est.RollingElasticity(np.arange(n, dtype=float),
+                                 np.asarray(values, dtype=float),
+                                 np.full(n, 0.1), np.full(n, 10.0), 1.0, [],
+                                 0.05)
+
+
+def test_profile_records_read_its_columns():
+    # each record holds its window's columns, and the interval the
+    # per-window arithmetic gives: value -+ z * se in Python floats
+    rng = np.random.default_rng(12)
+    prof = profile_of(rng.normal(1.0, 0.3, 40))
+    prof.ses = rng.uniform(0.0, 0.2, 40)
+    z = float(norm.ppf(1 - prof.alpha / 2))
+    for k, e in enumerate(prof.estimates):
+        v, se = float(prof.values[k]), float(prof.ses[k])
+        assert (e.t, e.value, e.se, e.ci, e.window, e.n_eff) == \
+            (float(prof.t[k]), v, se, (v - z * se, v + z * se), 1.0, 10.0)
+    assert len(prof.estimates) == prof.t.size
 
 
 def test_segment_profile_scans_only_long_profiles():
