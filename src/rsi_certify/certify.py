@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import series as ts
-from .dynamics import OsgoodResult
+from .dynamics import OsgoodResult, excess_escape_time
 from .errors import GridMismatch, ZeroGradient
 from .estimate import BreakSegmentation
 
@@ -175,7 +175,6 @@ def resource_terms(effs: ExponentSet, upsilons: dict[str, UpsilonBand]):
 class TestOutcome:
     reject: bool
     margin: float
-    z: float
     statistic: float
 
     @property
@@ -190,7 +189,7 @@ def test_superlinearity(p_hat: float, se: float, alpha: float = 0.05) -> TestOut
         raise ValueError("se must be nonnegative")
     z = float(ndtri(1 - alpha))
     stat = p_hat - z * se
-    return TestOutcome(stat > 1.0, stat - 1.0, z, stat)
+    return TestOutcome(stat > 1.0, stat - 1.0, stat)
 
 
 @dataclass(frozen=True)
@@ -199,11 +198,6 @@ class CeilingTestOutcome:
     lhs: float
     rhs: float
     binding_channel: str
-    z: float
-
-    @property
-    def label(self) -> str:
-        return "reject" if self.reject else "fail_to_reject"
 
 
 def test_ceiling(upsilon_c_plus: float, se_c: float,
@@ -223,7 +217,7 @@ def test_ceiling(upsilon_c_plus: float, se_c: float,
     upper = {name: e + z * se for name, (e, se) in ceilings.items()}
     binding = min(upper, key=upper.get)
     rhs = upper[binding]
-    return CeilingTestOutcome(lhs > rhs, lhs, rhs, binding, z)
+    return CeilingTestOutcome(lhs > rhs, lhs, rhs, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +287,10 @@ def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,
 
 def event_blowup_bound(I_t: float, delta: float, a0: float) -> float:
     """Time bound I(t)^(-delta) / (a0 * delta) once the rate floor
-    a0 * I^(1+delta) is in force."""
+    a0 * I^(1+delta) is in force (``dynamics.excess_escape_time``)."""
     if delta <= 0 or a0 <= 0 or I_t <= 0:
         raise ValueError("I_t, delta, a0 must be positive")
-    return I_t ** (-delta) / (a0 * delta)
+    return excess_escape_time(I_t, a0, delta)
 
 
 @dataclass(frozen=True)
@@ -420,9 +414,9 @@ class Certificate:
             segments.append(SegmentRecord(
                 _number(s["range"][0]), _number(s["range"][1]), pt,
                 TestOutcome(s["tests"]["superlinearity_plus"] == "reject",
-                            0.0, 0.0, 0.0),
+                            0.0, 0.0),
                 TestOutcome(s["tests"]["superlinearity_minus"] == "reject",
-                            _number(s["tests"]["margin_minus"]), 0.0, 0.0),
+                            _number(s["tests"]["margin_minus"]), 0.0),
                 _number(s["envelope"]["pass_fraction"]),
                 s["envelope"]["nonbinding"],
                 s["envelope"]["disabled"]))

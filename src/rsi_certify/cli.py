@@ -130,6 +130,8 @@ def _phi(d) -> dyn.PhiSpec:
         raise ConfigError("config key 'phi' must be a JSON object")
     kind = d.get("kind")
     names = PHI_ARGS.get(kind, ()) if isinstance(kind, str) else ()
+    if names:                       # an unknown kind is PhiSpec's to name
+        _known(d, ("kind", *names), f"phi ({kind})")
     return dyn.PhiSpec(kind, **{
         k: d[k] if kind == "tabulated" else _number(d[k], f"phi.{k}")
         for k in names if k in d})
@@ -162,6 +164,21 @@ def run_ingest(cfg, args, load) -> Outcome:
 ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
                   ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
                   ("P_use", "P_use", "W"), ("COP", "cop", None))
+
+# The keys estimate and certify read, per section.  The two commands share
+# one config, so both refuse any other key.
+SECTION_KEYS = {
+    "series": ("capability", "capability_rate", "losses", "K", "C", "D_eff",
+               "E", *(role for role, _, _ in ENVELOPE_ROLES)),
+    "estimation": ("window", "lag", "alpha", "trim"),
+    "certify": ("alpha", "small_gain", "envelope_tol", "nonbinding_slack",
+                "nonbinding_fraction", "grad_norm", "wasserstein"),
+    "exponents": ("alpha", "beta", "gamma", "alpha_tilde", "rho", "r",
+                  "chi_hat"),       # effective_exponents' order
+    "capital": ("K0", "r", "zeta", "delta"),
+    "flags": ("capped_power", "logistic_data", "effort_floor")}
+PIPELINE_KEYS = (*SECTION_KEYS, "seed", "benchmark", "envelope_params", "phi",
+                 "cop_model", "hard_cap_b_mem", "hard_cap_p_use", "rel_errors")
 
 
 def _envelope(cfg, params, load, alpha) -> env.EnvelopeResult:
@@ -214,7 +231,11 @@ def _alpha(args, section: dict, where: str) -> float:
 def _profile(cfg, args, load, alpha):
     """What estimate and certify share: the window, I and Idot (from loss
     series or a direct series), their snapshots, the rolling elasticity
-    profile and its regime segmentation."""
+    profile and its regime segmentation.  A key that neither command reads
+    is refused here, for both."""
+    _known(cfg, PIPELINE_KEYS, "config")
+    for where, keys in SECTION_KEYS.items():
+        _known(_section(cfg, where), keys, where)
     est_cfg = _section(cfg, "estimation")
     window, name = _setting(args, "window", est_cfg, "estimation")
     if not 0 < window < math.inf:
@@ -222,6 +243,13 @@ def _profile(cfg, args, load, alpha):
     trim = _number(est_cfg.get("trim", est.SUP_WALD_TRIM), "estimation.trim")
     if trim != est.SUP_WALD_TRIM:   # the one trim with tabulated critical values
         raise ConfigError(f"estimation.trim must be 0.15, got {trim!r}")
+    lag = est_cfg.get("lag", "auto")
+    if lag != "auto":
+        lag = _number(lag, "estimation.lag")
+        if not (lag >= 0 and lag.is_integer()):
+            raise ConfigError('estimation.lag must be "auto" or an integer '
+                              f">= 0, got {lag!r}")
+        lag = int(lag)
     roles = _section(cfg, "series", required=True)
     snapshots = {}
     if "losses" in roles:
@@ -245,8 +273,7 @@ def _profile(cfg, args, load, alpha):
                                                    i_series.values)
             idot = ts.TimeSeries("capability_rate", "nat/s", dt, rate, None,
                                  i_series.snapshot_version)
-    prof = est.rolling_elasticity(i_series, idot, window,
-                                  lag=est_cfg.get("lag", "auto"), alpha=alpha)
+    prof = est.rolling_elasticity(i_series, idot, window, lag=lag, alpha=alpha)
     segs = est.segment_profile(prof, trim=trim)
     return window, i_series, idot, snapshots, prof, segs
 
@@ -337,7 +364,7 @@ def run_certify(cfg, args, load) -> Outcome:
     # optional envelope layer
     envelope_check_res = None
     env_cfg = _section(cfg, "envelope_params")
-    if env_cfg and "T" in _section(cfg, "series"):
+    if "envelope_params" in cfg:
         svc = _envelope(cfg, env.EnvelopeParams.from_json_dict(env_cfg), load,
                         alpha).phi_svc
         common, ji, si = np.intersect1d(t_on, svc.t, return_indices=True)
@@ -379,9 +406,8 @@ def run_certify(cfg, args, load) -> Outcome:
     # per-segment totals
     e = _section(cfg, "exponents")
     if e:
-        effs = ct.effective_exponents(e["alpha"], e["beta"], e["gamma"],
-                                      e["alpha_tilde"], e["rho"], e["r"],
-                                      e["chi_hat"])
+        effs = ct.effective_exponents(*(_number(e.get(k), f"exponents.{k}")
+                                        for k in SECTION_KEYS["exponents"]))
         upsilons = _measured_upsilons(cfg, load, window)
     else:
         effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
@@ -423,8 +449,10 @@ def run_certify(cfg, args, load) -> Outcome:
             ptot_plus, knob["grad_norm"])
     w = _section(cert_cfg, "wasserstein")
     if w:
+        ball_keys = ("gamma", "L_xi", "L_rho", "delta_W")
+        _known(w, (*ball_keys, "safety_delta"), "certify.wasserstein")
         ball = [_number(w.get(key), f"certify.wasserstein.{key}")
-                for key in ("gamma", "L_xi", "L_rho", "delta_W")]
+                for key in ball_keys]
         safety = _number(w.get("safety_delta", 0.1),
                          "certify.wasserstein.safety_delta")
         dm = ct.distribution_margin(ptot_plus, *ball, safety)

@@ -111,15 +111,6 @@ class PhiSpec:
     def tabulated(cls, grid, values):
         return cls("tabulated", grid=grid, values=values)
 
-    def tail_exponent(self) -> float:
-        """Local log-log exponent governing the large-state behavior.
-
-        For tabulated factors this is a least-squares fit over the last
-        decade of the table (at least the last three points)."""
-        # ln(s) is slowly varying under power_log; the power index governs
-        # integrability
-        return self.p if self.p is not None else self.p_tail
-
     def __call__(self, s):
         # scalar path: the array path's ufuncs in its order, without the
         # array (numpy scalars, a float subclass, take the array path)
@@ -176,11 +167,9 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
     if phi(I0) <= 0:
         raise NonPositivePhi("rate factor must be positive at I0")
 
-    if phi.kind == "power":
-        if phi.p <= 1.0:
-            return OsgoodResult(True, math.inf, phi.p)
-        value = I0 ** (1.0 - phi.p) / (phi.c * (phi.p - 1.0))
-        return OsgoodResult(False, float(value), phi.p)
+    if phi.kind == "power":     # the integral is the escape time of c I^p
+        return OsgoodResult(phi.p <= 1.0,
+                            float(blowup_time(I0, phi.c, phi.p)), phi.p)
 
     if phi.kind == "power_log":
         if phi.p <= 1.0:
@@ -201,15 +190,19 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
         s_grid = np.geomspace(lo, hi, 2049)
         f = 1.0 / phi(s_grid)
         body = float((np.diff(s_grid) * (f[1:] + f[:-1]) / 2.0).sum())
-    if p_tail <= 1.0:
-        return OsgoodResult(True, math.inf, p_tail)
-    anchor = max(hi, lo)
-    tail = anchor ** (1.0 - p_tail) / (phi.c_tail * (p_tail - 1.0))
-    return OsgoodResult(False, body + tail, p_tail)
+    tail = blowup_time(max(hi, lo), phi.c_tail, p_tail)
+    return OsgoodResult(p_tail <= 1.0, body + tail, p_tail)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
+
+
+def excess_escape_time(I0, a, delta):
+    """Escape time I0^(-delta) / (a delta) of dI/dt = a I^(1+delta): the
+    bound I0^(1-p)/(a (p-1)) at delta = p - 1, bit for bit, since
+    fl(1 - p) = -fl(p - 1).  Callers check delta > 0."""
+    return I0 ** (-delta) / (a * delta)
 
 
 def blowup_bound(I0: float, I1: float, a0: float, p: float) -> float:
@@ -224,8 +217,7 @@ def blowup_bound(I0: float, I1: float, a0: float, p: float) -> float:
         raise SubcriticalExponent(f"need p > 1, got p={p}")
     if a0 <= 0 or I0 <= 0 or I1 <= 0:
         raise NonPositivePhi("a0, I0, I1 must be positive")
-    anchor = I0 if I0 >= I1 else I1
-    return anchor ** (1.0 - p) / (a0 * (p - 1.0))
+    return excess_escape_time(I0 if I0 >= I1 else I1, a0, p - 1.0)
 
 
 def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
@@ -241,11 +233,12 @@ def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
     if abs(p - 1.0) < P_DEGENERATE_TOL:
         out = I0 * np.exp(a0 * t_arr)
         return float(out) if t_arr.ndim == 0 else out
-    base = I0 ** (1.0 - p) - a0 * (p - 1.0) * t_arr
+    delta = p - 1.0
+    base = I0 ** -delta - a0 * delta * t_arr
     if p > 1.0 and np.any(base <= 0):
-        T = I0 ** (1.0 - p) / (a0 * (p - 1.0))
+        T = excess_escape_time(I0, a0, delta)
         raise BeyondBlowup(f"t >= blow-up time {T!r}")
-    out = base ** (-1.0 / (p - 1.0))
+    out = base ** (-1.0 / delta)
     return float(out) if t_arr.ndim == 0 else out
 
 
@@ -253,7 +246,7 @@ def blowup_time(I0: float, a0: float, p: float) -> float:
     """Exact escape time of dI/dt = a0 * I^p (infinite when p <= 1)."""
     if p <= 1.0:
         return math.inf
-    return I0 ** (1.0 - p) / (a0 * (p - 1.0))
+    return excess_escape_time(I0, a0, p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +425,7 @@ def discrete_rsi(I0: float, a: float, p: float, threshold: float,
         raise StepUnderflowWithoutThreshold(
             f"threshold {threshold} not reached within {max_steps} steps")
     steps = len(iterates)
-    bound = math.ceil(I0 ** (1.0 - p) / (a * (p - 1.0)))
+    bound = math.ceil(excess_escape_time(I0, a, p - 1.0))
     return DiscreteRsiResult(tuple(iterates), steps, bound, steps <= bound)
 
 
@@ -440,7 +433,6 @@ def discrete_rsi(I0: float, a: float, p: float, threshold: float,
 class SublinearCheckResult:
     passed: bool
     first_violation: int | None
-    worst_excess: float
 
     def __bool__(self):
         return self.passed
@@ -457,15 +449,9 @@ def discrete_sublinear_check(iterates, A: float, p: float) -> SublinearCheckResu
     if A <= 0:
         raise NonPositivePhi("A must be positive")
     x = np.asarray(list(iterates), dtype=float)
-    if x.size < 2:
-        return SublinearCheckResult(True, None, 0.0)
-    increments = np.diff(x)
-    allowed = A * (1.0 + x[:-1]) ** p
-    excess = increments - allowed
-    bad = np.nonzero(excess > 0)[0]
-    if bad.size == 0:
-        return SublinearCheckResult(True, None, float(excess.max(initial=0.0)))
-    return SublinearCheckResult(False, int(bad[0]), float(excess.max()))
+    bad = np.flatnonzero(np.diff(x) > A * (1.0 + x[:-1]) ** p)
+    return SublinearCheckResult(bad.size == 0,
+                                int(bad[0]) if bad.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +472,9 @@ class CapitalParams:
             raise ValueError("need K0 > 0, r > 0, zeta >= 0, delta >= 0")
 
     def escape_time(self) -> float:
-        """T_K = 2 K0^(1-zeta) / (r (zeta-1)); infinite when zeta <= 1."""
-        if self.zeta <= 1.0:
-            return math.inf
-        return 2.0 * self.K0 ** (1.0 - self.zeta) / (self.r * (self.zeta - 1.0))
+        """T_K = 2 K0^(1-zeta) / (r (zeta-1)), the escape time of
+        dK/dt = (r/2) K^zeta; infinite when zeta <= 1."""
+        return 2.0 * blowup_time(self.K0, self.r, self.zeta)
 
 
 @dataclass(frozen=True)
@@ -500,32 +485,21 @@ class CapitalLowerResult:
 
 
 def capital_lower(params: CapitalParams, t) -> CapitalLowerResult:
-    """Explicit lower solution of the capital channel.
-
-    For zeta > 1 the halved-rate comparison dK/dt >= (r/2) K^zeta gives
-    K(t) = (K0^(1-zeta) - (r/2)(zeta-1) t)^(-1/(zeta-1)) with escape time
-    T_K; for zeta <= 1 the same comparison yields an exponential or
-    polynomial lower solution (labelled accordingly, T_K infinite).
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    zeta, r, K0 = params.zeta, params.r, params.K0
+    """Explicit lower solution of the capital channel: the halved-rate
+    comparison dK/dt >= (r/2) K^zeta, solved by ``powerlaw_solution``.  For
+    zeta > 1 it escapes at T_K (t >= T_K raises BeyondBlowup); within 1e-9
+    of zeta = 1 it is exponential, below that polynomial, T_K infinite."""
+    zeta = params.zeta
     if abs(zeta - 1.0) < P_DEGENERATE_TOL:
-        vals = K0 * np.exp(0.5 * r * t_arr)
-        return CapitalLowerResult(float(vals) if scalar else vals,
-                                  math.inf, "exponential")
-    if zeta < 1.0:
-        vals = (K0 ** (1.0 - zeta)
-                + 0.5 * r * (1.0 - zeta) * t_arr) ** (1.0 / (1.0 - zeta))
-        return CapitalLowerResult(float(vals) if scalar else vals,
-                                  math.inf, "polynomial")
-    T_K = params.escape_time()
-    if np.any(t_arr >= T_K):
-        raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
-    base = K0 ** (1.0 - zeta) - 0.5 * r * (zeta - 1.0) * t_arr
-    vals = base ** (-1.0 / (zeta - 1.0))
-    return CapitalLowerResult(float(vals) if scalar else vals, T_K,
-                              "power-blowup")
+        label, T_K = "exponential", math.inf
+    elif zeta < 1.0:
+        label, T_K = "polynomial", math.inf
+    else:
+        label, T_K = "power-blowup", params.escape_time()
+        if np.any(np.asarray(t, dtype=float) >= T_K):
+            raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
+    return CapitalLowerResult(powerlaw_solution(params.K0, 0.5 * params.r,
+                                                zeta, t), T_K, label)
 
 
 def logistic_data(D_max: float, nu: float, rate: float, t) -> float | np.ndarray:

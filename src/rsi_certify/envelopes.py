@@ -369,15 +369,10 @@ def compute_envelope(params: EnvelopeParams,
     for w in warns:
         warnings.warn(w, stacklevel=2)
 
-    io_series = None
-    mem_series = None
-    if B_io is not None:
-        io_series = ts.TimeSeries("phi_io", "nat/s", B_io.t,
-                                  params.sigma_eff * B_io.values, None,
-                                  B_io.snapshot_version)
-    if B_mem is not None:
-        mem_series = ts.TimeSeries("phi_mem", "nat/s", B_mem.t,
-                                   params.sigma_eff * B_mem.values, None,
-                                   B_mem.snapshot_version)
+    io_series, mem_series = (
+        None if s is None else ts.TimeSeries(
+            name, "nat/s", s.t, params.sigma_eff * s.values, None,
+            s.snapshot_version)
+        for name, s in (("phi_io", B_io), ("phi_mem", B_mem)))
     cap = static_cap(params, rel_errors, alpha)
     return EnvelopeResult(pt, io_series, mem_series, svc, binding, cap, warns)

@@ -352,7 +352,6 @@ class PotterResult:
     passed: bool
     worst_pair: tuple[int, int] | None
     worst_margin: float  # max of |log L ratio| - eps|log I ratio| - log c
-    pairs_checked: int
 
     def __bool__(self):
         return self.passed
@@ -392,7 +391,7 @@ def potter_check(I_values, L_values, eps: float, c_eps: float,
     worst_margin = float(margin[worst])
     return PotterResult(worst_margin <= 1e-12,
                         (int(iu[worst]), int(ju[worst])),
-                        worst_margin, int(iu.size))
+                        worst_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .errors import (
 )
 
 GRID_RTOL = 1e-9
+GRID_SPACING_FRACTION = 1e-3  # same_grid's cap on the timestamp tolerance
 VAR_LOG_TOL = 1e-12  # minimum Var(log x) for a usable regressor window
 
 
@@ -124,16 +125,11 @@ class TimeSeries:
             return np.ones_like(self.values)
         return self.weights
 
-    def replace(self, *, name=None, unit=None, values=None, t=None,
-                weights=None, snapshot_version=None) -> "TimeSeries":
-        return TimeSeries(
-            self.name if name is None else name,
-            self.unit if unit is None else unit,
-            self.t if t is None else t,
-            self.values if values is None else values,
-            self.weights if weights is None and t is None else weights,
-            self.snapshot_version if snapshot_version is None else snapshot_version,
-        )
+    def replace(self, *, name=None, values=None) -> "TimeSeries":
+        """A new name or new values; timestamps and the rest are kept."""
+        return TimeSeries(self.name if name is None else name, self.unit,
+                          self.t, self.values if values is None else values,
+                          self.weights, self.snapshot_version)
 
     # -- serialization ----------------------------------------------------
 
@@ -384,10 +380,16 @@ def read_json(path) -> TimeSeries:
 
 
 def same_grid(a: TimeSeries, b: TimeSeries) -> bool:
+    """Equal lengths and timestamps within GRID_RTOL * max(1, |t|), capped
+    at GRID_SPACING_FRACTION of the smallest spacing: a series offset by a
+    sample, or by part of one, does not pair."""
     if len(a) != len(b):
         return False
-    scale = max(1.0, float(np.max(np.abs(a.t))))
-    return bool(np.allclose(a.t, b.t, rtol=0.0, atol=GRID_RTOL * scale))
+    tol = GRID_RTOL * max(1.0, float(np.max(np.abs(a.t))))
+    if len(a) > 1:
+        tol = min(tol, GRID_SPACING_FRACTION
+                  * float(min(np.diff(a.t).min(), np.diff(b.t).min())))
+    return bool(np.allclose(a.t, b.t, rtol=0.0, atol=tol))
 
 
 def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:

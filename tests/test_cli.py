@@ -539,6 +539,78 @@ def test_certify_builds_the_envelope_command_envelope(tmp_path, monkeypatch,
                                                  in cfg else 1.25))
 
 
+def test_certify_adds_the_measured_compute_band(tmp_path):
+    # C = K^0.5 * exp(0.01 sin 3t): a C-K elasticity of 0.5 + 0.1 cos 3t
+    # before smoothing; alpha_eff = (1 - rho) * min(alpha, chi_hat) = 0.05
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    t = np.linspace(0.0, 10.0, 400)
+    log_k = 0.3 * t
+    write_series_csv(tmp_path / "k.csv", t, np.exp(log_k), "USD")
+    write_series_csv(tmp_path / "c.csv", t,
+                     np.exp(0.5 * log_k + 0.01 * np.sin(3.0 * t)), "FLOP/s")
+    cfg["series"].update(K=str(tmp_path / "k.csv"), C=str(tmp_path / "c.csv"))
+    cfg["exponents"] = {"alpha": 0.1, "beta": 0.0, "gamma": 0.0,
+                        "alpha_tilde": 0.0, "rho": 0.5, "r": 1.0,
+                        "chi_hat": 0.1}
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", out]) == 0
+    band = ts.elasticity(ts.ingest_csv(tmp_path / "c.csv"),
+                         ts.ingest_csv(tmp_path / "k.csv"), 1.0).slope
+    assert 0.35 < band.min() < 0.5 < band.max() < 0.65
+    alpha_eff = ct.effective_exponents(**cfg["exponents"]).alpha_eff
+    assert alpha_eff == 0.05
+    segments = json.loads((out / "certificate.json").read_text())["segments"]
+    for s in segments:
+        assert s["components_minus"]["C"] == alpha_eff * float(band.min())
+        assert s["components_plus"]["C"] == alpha_eff * float(band.max())
+        assert s["ptot_plus"] == s["components_plus"]["p_hat_sup"] \
+            + s["components_plus"]["C"]
+
+
+def test_certify_fits_the_state_factor_from_the_envelope(tmp_path,
+                                                         monkeypatch):
+    # no phi: Idot / phi_svc against I is fitted as a power law.  The exact
+    # rate I^0.8 over a constant phi_svc of 1.25 is Phi(I) = 0.8 I^0.8.
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    del cfg["phi"]
+    t = np.linspace(0.0, 10.0, 400)
+    ts.write_json(ts.TimeSeries("capability_rate", "nat/s", t,
+                                (1.0 + 0.2 * t) ** 4), tmp_path / "rate.json")
+    cfg["series"]["capability_rate"] = str(tmp_path / "rate.json")
+    fitted = []
+    classify = cli.dyn.osgood_classify
+
+    def recording(phi, I0):
+        fitted.append(phi)
+        return classify(phi, I0)
+
+    monkeypatch.setattr(cli.dyn, "osgood_classify", recording)
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", out]) == 0
+    (phi,) = fitted
+    assert (phi.kind, phi.p, phi.c) == ("power", pytest.approx(0.8, abs=1e-12),
+                                        pytest.approx(0.8, rel=1e-12))
+    slack = np.loadtxt(out / "envelope_slack.csv", delimiter=",",
+                       skiprows=1)
+    assert slack.shape == (400, 3)
+    assert np.all(slack[:, 2] == 1.0)               # every sample passes
+    assert np.max(np.abs(slack[:, 1])) < 1e-9       # on the fitted law
+
+
+def test_certify_refuses_envelope_params_without_a_temperature(tmp_path):
+    # the envelope command refuses this config; certify used to drop the
+    # whole envelope layer and certify without it
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    del cfg["series"]["T"]
+    code, err = run_quietly(["certify", "--config",
+                             write_json(tmp_path / "cfg.json", cfg),
+                             "--out", tmp_path / "out"])
+    assert code == 1 and err == [
+        "error [certify]: a temperature series is required"]
+
+
 # ---------------------------------------------------------------------------
 # usage and config errors
 
@@ -849,6 +921,22 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
                                   "delta_W": 0.1}}},
      "certify.wasserstein.gamma"),
     ({"certify": {"wasserstein": {"gamma": 0.5}}}, "certify.wasserstein.L_xi"),
+    ({"estimation": {"window": 0.1, "lag": "x"}}, "estimation.lag"),
+    ({"estimation": {"window": 0.1, "lag": 2.7}}, "estimation.lag"),
+    ({"estimation": {"window": 0.1, "lag": -1}}, "estimation.lag"),
+    ({"envelope_param": {"P_max": 1.0}}, "'envelope_param'"),
+    ({"certify": {"envelope_tol ": 0}}, "'envelope_tol '"),
+    ({"certify": {"alpah": 0.01}}, "certify key 'alpah'"),
+    ({"estimation": {"window": 0.1, "windw": 0.2}}, "estimation key 'windw'"),
+    ({"series": {"capability": "c.json", "Tt": "t.csv"}}, "series key 'Tt'"),
+    ({"capital": {"K0": 1.0, "r": 2.0, "zeta": 2.0, "dleta": 0.1}},
+     "capital key 'dleta'"),
+    ({"flags": {"capped_pwr": True}}, "flags key 'capped_pwr'"),
+    ({"exponents": {"alpha": 0.1, "chi": 0.1}}, "exponents key 'chi'"),
+    ({"exponents": {"alpha": 0.1}}, "exponents.beta"),
+    ({"phi": {"kind": "power", "p": 2.0, "exponent": 2.0}}, "'exponent'"),
+    ({"certify": {"wasserstein": {"gamma": 0.5, "radius": 0.1}}},
+     "'radius'"),
 ])
 def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)
@@ -858,6 +946,27 @@ def test_config_type_faults_name_the_key(tmp_path, cfg, named):
                              write_json(tmp_path / "c.json", cfg),
                              "--out", tmp_path / "out"])
     assert code == 1 and len(err) == 1 and named in err[0], err
+
+
+@pytest.mark.parametrize("command", ["estimate", "certify"])
+def test_both_commands_read_one_set_of_config_keys(tmp_path, command):
+    # the README's full pipeline config passes either command; a
+    # misspelled top-level key is refused by both
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    cfg.update(benchmark={"tasks": [], "t_ref": 0.0},
+               capital={"K0": 1.0, "r": 2.0, "zeta": 0.5},
+               exponents={}, cop_model=None, hard_cap_b_mem=None,
+               hard_cap_p_use=None, rel_errors=None)
+    assert set(cfg) == set(cli.PIPELINE_KEYS)
+    out = tmp_path / "out"
+    assert run([command, "--config", write_json(tmp_path / "ok.json", cfg),
+                "--out", out]) == 0
+    cfg["envelope_param"] = cfg.pop("envelope_params")
+    code, err = run_quietly([command, "--config",
+                             write_json(tmp_path / "bad.json", cfg),
+                             "--out", tmp_path / "bad"])
+    assert code == 1 and err == [
+        f"error [{command}]: unknown config key 'envelope_param'"]
 
 
 def test_import_loads_no_scipy_stats_or_integrate():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
+from rsi_certify import certify as ct
 from rsi_certify import dynamics as dyn
 from rsi_certify.errors import (
     AmbiguousFlags,
@@ -357,6 +358,201 @@ def test_capital_lower_subcritical_labels():
 def test_capital_lower_beyond_escape():
     with pytest.raises(BeyondBlowup):
         dyn.capital_lower(dyn.CapitalParams(1.0, 2.0, 2.0), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# one escape-time formula: every site that used to write I^(1-p)/(a(p-1))
+# out, and the capital solution that used to restate the power law, against
+# the expressions they replaced, bit for bit
+
+
+def old_blowup_time(I0, a0, p):
+    if p <= 1.0:
+        return math.inf
+    return I0 ** (1.0 - p) / (a0 * (p - 1.0))
+
+
+def old_blowup_bound(I0, I1, a0, p):
+    if p <= 1.0:
+        raise SubcriticalExponent(p)
+    anchor = I0 if I0 >= I1 else I1
+    return anchor ** (1.0 - p) / (a0 * (p - 1.0))
+
+
+def old_step_bound(I0, a, p):
+    if p <= 1.0:
+        raise SubcriticalExponent(p)
+    return math.ceil(I0 ** (1.0 - p) / (a * (p - 1.0)))
+
+
+def old_osgood_power(I0, c, p):
+    if p <= 1.0:
+        return True, math.inf
+    return False, float(I0 ** (1.0 - p) / (c * (p - 1.0)))
+
+
+def old_osgood_tail(anchor, c_tail, p_tail):
+    if p_tail <= 1.0:
+        return True, math.inf
+    return False, 0.0 + anchor ** (1.0 - p_tail) / (c_tail * (p_tail - 1.0))
+
+
+def osgood(phi, I0):
+    res = dyn.osgood_classify(phi, I0)
+    return res.divergent, res.value
+
+
+def old_powerlaw_solution(I0, a0, p, t):
+    t_arr = np.asarray(t, dtype=float)
+    if abs(p - 1.0) < dyn.P_DEGENERATE_TOL:
+        out = I0 * np.exp(a0 * t_arr)
+        return float(out) if t_arr.ndim == 0 else out
+    base = I0 ** (1.0 - p) - a0 * (p - 1.0) * t_arr
+    if p > 1.0 and np.any(base <= 0):
+        T = I0 ** (1.0 - p) / (a0 * (p - 1.0))
+        raise BeyondBlowup(f"t >= blow-up time {T!r}")
+    out = base ** (-1.0 / (p - 1.0))
+    return float(out) if t_arr.ndim == 0 else out
+
+
+def old_escape_time(K0, r, zeta):
+    if zeta <= 1.0:
+        return math.inf
+    return 2.0 * K0 ** (1.0 - zeta) / (r * (zeta - 1.0))
+
+
+def old_event_bound(I_t, delta, a0):
+    if delta <= 0 or a0 <= 0 or I_t <= 0:
+        raise ValueError(delta)
+    return I_t ** (-delta) / (a0 * delta)
+
+
+def old_capital_lower(params, t):
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    zeta, r, K0 = params.zeta, params.r, params.K0
+    if abs(zeta - 1.0) < dyn.P_DEGENERATE_TOL:
+        vals = K0 * np.exp(0.5 * r * t_arr)
+        return dyn.CapitalLowerResult(float(vals) if scalar else vals,
+                                      math.inf, "exponential")
+    if zeta < 1.0:
+        vals = (K0 ** (1.0 - zeta)
+                + 0.5 * r * (1.0 - zeta) * t_arr) ** (1.0 / (1.0 - zeta))
+        return dyn.CapitalLowerResult(float(vals) if scalar else vals,
+                                      math.inf, "polynomial")
+    T_K = old_escape_time(K0, r, zeta)
+    if np.any(t_arr >= T_K):
+        raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
+    base = K0 ** (1.0 - zeta) - 0.5 * r * (zeta - 1.0) * t_arr
+    vals = base ** (-1.0 / (zeta - 1.0))
+    return dyn.CapitalLowerResult(float(vals) if scalar else vals, T_K,
+                                  "power-blowup")
+
+
+def outcome(fn, *args):
+    """fn(*args) with numpy's warnings off, or the class of what it
+    raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def same_bits(a, b):
+    """Equal raised classes, or values of one type with equal bits."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if isinstance(a, int):          # the ceiling of a step bound
+        return type(a) is type(b) and a == b
+    if isinstance(a, tuple):        # (divergent, value) of an Osgood result
+        return type(b) is tuple and a[0] is b[0] and same_bits(a[1], b[1])
+    return type(a) is type(b) and np.shape(a) == np.shape(b) \
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+POSITIVE = st.one_of(st.floats(1e-6, 1e6),
+                     st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+# (0, 6), with draws within 1e-9 of 1 on both sides
+EXPONENT = st.one_of(st.floats(0.0, 6.0, exclude_min=True, exclude_max=True),
+                     st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d))
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=600, deadline=None)
+@given(I=POSITIVE, I1=POSITIVE, a=POSITIVE, p=EXPONENT, fracs=FRACTIONS,
+       scalar=st.booleans())
+@example(I=1.0, I1=1.0, a=1.0, p=2.0, fracs=[1.0], scalar=True)
+@example(I=1e-6, I1=1e6, a=1e-6, p=1.0 + 5e-10, fracs=[0.5], scalar=False)
+def test_escape_time_sites_match_the_parent_expressions(I, I1, a, p, fracs,
+                                                        scalar):
+    delta = p - 1.0
+    sites = [
+        (lambda: dyn.blowup_time(I, a, p), lambda: old_blowup_time(I, a, p)),
+        (lambda: dyn.blowup_bound(I, I1, a, p),
+         lambda: old_blowup_bound(I, I1, a, p)),
+        (lambda: dyn.discrete_rsi(I, a, p, I).analytic_step_bound,
+         lambda: old_step_bound(I, a, p)),
+        (lambda: osgood(dyn.PhiSpec.power(p, a), I),
+         lambda: old_osgood_power(I, a, p)),
+        (lambda: ct.event_blowup_bound(I, delta, a),
+         lambda: old_event_bound(I, delta, a)),
+        (lambda: dyn.CapitalParams(I, a, p).escape_time(),
+         lambda: old_escape_time(I, a, p)),
+        (lambda: 2.0 * dyn.blowup_time(I, a, p),
+         lambda: old_escape_time(I, a, p)),
+        (lambda: dyn.blowup_time(I, a / 2, p),
+         lambda: old_escape_time(I, a, p)),
+    ]
+    # past the table's end the tabulated integral is its fitted tail alone
+    grid = I * np.geomspace(1.0, 100.0, 7)
+    tab = dyn.PhiSpec.tabulated(grid, a * grid ** p)
+    beyond = float(grid[-1]) * (1.0 + fracs[0])
+    sites.append((lambda: osgood(tab, beyond),
+                  lambda: old_osgood_tail(beyond, tab.c_tail, tab.p_tail)))
+    # the power law inside its escape time, and its message past it
+    T = old_blowup_time(I, a, p)
+    t = np.array(fracs) * (T if math.isfinite(T) else 1.0 / a)
+    t = float(t[0]) if scalar else t
+    sites.append((lambda: dyn.powerlaw_solution(I, a, p, t),
+                  lambda: old_powerlaw_solution(I, a, p, t)))
+    for new, old in sites:
+        assert same_bits(outcome(new), outcome(old))
+    if math.isfinite(T) and abs(delta) >= dyn.P_DEGENERATE_TOL:
+        with pytest.raises(BeyondBlowup) as new_msg:
+            dyn.powerlaw_solution(I, a, p, 2.0 * T)
+        with pytest.raises(BeyondBlowup) as old_msg:
+            old_powerlaw_solution(I, a, p, 2.0 * T)
+        assert str(new_msg.value) == str(old_msg.value)
+
+
+@settings(max_examples=600, deadline=None)
+@given(K0=POSITIVE, r=POSITIVE, zeta=EXPONENT, fracs=FRACTIONS,
+       scalar=st.booleans())
+@example(K0=1.0, r=2.0, zeta=1.0 + 5e-10, fracs=[0.5], scalar=True)
+@example(K0=1.0, r=2.0, zeta=2.0, fracs=[0.0, 0.5, 1.0], scalar=False)
+@example(K0=3.0, r=0.7, zeta=2.0, fracs=[0.9999999999999999], scalar=True)
+def test_capital_lower_is_the_halved_rate_powerlaw_solution(K0, r, zeta, fracs,
+                                                            scalar):
+    params = dyn.CapitalParams(K0, r, zeta)
+    T_K = old_escape_time(K0, r, zeta)
+    t = np.array(fracs) * (T_K if math.isfinite(T_K) else 1.0 / r)
+    t = float(t[0]) if scalar else t
+    new = outcome(dyn.capital_lower, params, t)
+    old = outcome(old_capital_lower, params, t)
+    if new is BeyondBlowup and old is not BeyondBlowup:
+        # the one difference: in the last ulps before T_K the rounded base
+        # can reach 0 while t < T_K; the old branch then returned inf, nan
+        # or a power of a negative base, powerlaw_solution raises
+        base = K0 ** (1.0 - zeta) - 0.5 * r * (zeta - 1.0) * np.asarray(t)
+        assert np.any(base <= 0)
+        return
+    if isinstance(new, type) or isinstance(old, type):
+        assert new is old
+        return
+    assert new.label == old.label
+    assert same_bits(new.T_K, old.T_K)
+    assert same_bits(new.K_lower, old.K_lower)
 
 
 def test_logistic_data_closed_form():

@@ -256,6 +256,44 @@ def test_compute_envelope_hard_caps():
     np.testing.assert_allclose(res.phi_mem.values, 1e21, rtol=1e-12)
 
 
+def test_compute_envelope_with_a_carnot_cop_model():
+    # no COP series: each sample's COP is zeta_cop * T / (T_hot - T)
+    t = np.arange(3, dtype=float)
+    temps = np.array([290.0, 300.0, 310.0])
+    p_fac = ts.TimeSeries("P_fac", "W", t, np.full(3, 100.0))
+    temp = ts.TimeSeries("T", "K", t, temps)
+    res = env.compute_envelope(
+        params(eta_elec=(0.9, 0.9), eta_use=(0.8, 0.8)), P_fac=p_fac,
+        T=temp, B_io=ts.TimeSeries("B_io", "bit/s", t, np.full(3, 1e30)),
+        B_mem=ts.TimeSeries("B_mem", "bit/s", t, np.full(3, 1e30)),
+        cop_model={"T_hot": 350.0, "zeta_cop": 0.5})
+    assert res.warnings == []
+    for i, T in enumerate(temps):
+        cop = mpmath.mpf(0.5) * T / (350 - mpmath.mpf(T))
+        p_use = mpmath.mpf(0.8) * mpmath.mpf(0.9) * 100 * cop / (1 + cop)
+        assert res.phi_pt.values[i] == pytest.approx(
+            float(landauer_rate(p_use, mpmath.mpf(T))), rel=1e-12)
+
+
+def test_compute_envelope_io_channel_binds_where_it_is_lowest():
+    # sigma_eff * B_io against phi_PT = 10 W / (k_B 300 K ln 2) = 2.41e21
+    t = np.arange(4, dtype=float)
+    b_io = np.array([1e21, 1e22, 2e21, 5e21])
+    res = env.compute_envelope(
+        params(sigma_eff=2.0), P_use=ts.TimeSeries("P_use", "W", t,
+                                                   np.full(4, 10.0)),
+        T=ts.TimeSeries("T", "K", t, np.full(4, 300.0)),
+        B_io=ts.TimeSeries("B_io", "bit/s", t, b_io, None, "io01"),
+        B_mem=ts.TimeSeries("B_mem", "bit/s", t, np.full(4, 1e30)))
+    pt = 2.0 * float(landauer_rate(mpmath.mpf(10), mpmath.mpf(300)))
+    assert res.phi_io.unit == "nat/s" and res.phi_io.snapshot_version == "io01"
+    assert np.array_equal(res.phi_io.values, 2.0 * b_io)
+    assert res.binding == ["io-limited", "pt-limited", "io-limited",
+                           "pt-limited"]
+    np.testing.assert_allclose(res.phi_svc.values,
+                               [2e21, pt, 4e21, pt], rtol=1e-12)
+
+
 def test_units_chain_audit():
     # symbolic unit bookkeeping: both envelope channels must land on nat/s
     def mul(a, b):

@@ -451,6 +451,28 @@ def test_subcritical_plant_under_cap_all_certify():
     assert log.steps[-1].I_true <= bound * (1 + 1e-6)
 
 
+def test_supervisor_observer_predicts_between_benchmarks():
+    # benchmark_every = 3: off the benchmark steps the estimate is the model
+    # prediction with the telemetry service rate (0.8 against a true 1.0)
+    # and the previous throttle; a benchmark step lands within one
+    # predicted increment of the measured state
+    cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
+    phi = dyn.PhiSpec.power(1.5, c=1.0)
+    scenario = sc.PlantScenario(phi=phi, I0=1.0, phi_svc_meas=0.8,
+                                n_steps=30, benchmark_every=3)
+    log = sc.supervise(scenario, cfg)
+    assert len(log.steps) == 30 and log.final_status == "completed"
+    prev, u_prev = 1.0, 0.0
+    for s in log.steps:
+        step = cfg.Delta * phi(prev) * 0.8 * u_prev
+        if s.k % 3:
+            assert s.I_hat == prev + step
+            assert s.I_hat != s.I_true      # the estimate, not the state
+        else:
+            assert abs(s.I_hat - s.I_true) <= step + 1e-12 * s.I_true
+        prev, u_prev = s.I_hat, s.u
+
+
 def test_supervision_log_jsonl_roundtrip(tmp_path):
     cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
     scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(1.5), I0=1.0,

@@ -432,6 +432,23 @@ def test_effective_dataset_formula():
         ts.effective_dataset(d10, d5, 1.0).values, 15.0)
 
 
+def test_same_grid_pairs_rounding_but_not_a_sample_offset():
+    # at epoch seconds |t| * 1e-9 is 1.7 s: a tolerance scaled by |t|
+    # would pair a 1 Hz series with the same series one sample late
+    t = 1.7e9 + np.arange(100.0)
+    p_use = make_series(t, np.ones(100), name="P_use")
+    for offset in (1.0, 0.5):
+        late = make_series(t + offset, np.ones(100), unit="K", name="T")
+        assert not ts.same_grid(p_use, late)
+        with pytest.raises(GridMismatch):
+            ts.require_same_grid(p_use, late)
+    rounded = make_series(np.nextafter(np.nextafter(t, np.inf), np.inf),
+                          np.ones(100), unit="K", name="T")
+    assert ts.same_grid(p_use, rounded)
+    assert ts.same_grid(make_series([0.0], [1.0]),
+                        make_series([1e-12], [1.0]))
+
+
 def test_effective_dataset_errors():
     d_real = make_series([0, 1], [1, 2], unit="tokens")
     d_synth_grid = make_series([0, 2], [1, 2], unit="tokens", name="s")
