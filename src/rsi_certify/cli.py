@@ -95,7 +95,10 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
 
 
 def _number(value, key: str, kind=float):
+    """A JSON number; true, false and numeric text are refused too."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number, "
@@ -194,9 +197,29 @@ def _envelope(cfg, params, load, alpha) -> env.EnvelopeResult:
         rel_errors=cfg.get("rel_errors"), alpha=alpha)
 
 
+def _envelope_params(cfg, key: str) -> env.EnvelopeParams:
+    """EnvelopeParams from the config object ``cfg[key]``, whose entries
+    must be its fields, as numbers and pairs of numbers."""
+    def number(name):
+        return lambda value: _number(value, f"{key}.{name}")
+
+    def pair(name):
+        def convert(value):
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ConfigError(f"config key '{key}.{name}' must be a pair "
+                                  f"of numbers, got {value!r}")
+            return tuple(map(number(name), value))
+        return convert
+
+    ranges = ("T_range", "cop_range", "eta_elec_range", "eta_use_range")
+    return _build(env.EnvelopeParams, _section(cfg, key, required=True), key,
+                  exclude=("k_B",), P_max=number("P_max"),
+                  sigma_eff=number("sigma_eff"),
+                  **{name: pair(name) for name in ranges})
+
+
 def run_envelope(cfg, args, load) -> Outcome:
-    params = env.EnvelopeParams.from_json_dict(
-        _section(cfg, "params", required=True))
+    params = _envelope_params(cfg, "params")
     result = _envelope(cfg, params, load, _alpha(args, cfg, ""))
     return Outcome(
         EXIT_OK,
@@ -365,7 +388,7 @@ def run_certify(cfg, args, load) -> Outcome:
     envelope_check_res = None
     env_cfg = _section(cfg, "envelope_params")
     if "envelope_params" in cfg:
-        svc = _envelope(cfg, env.EnvelopeParams.from_json_dict(env_cfg), load,
+        svc = _envelope(cfg, _envelope_params(cfg, "envelope_params"), load,
                         alpha).phi_svc
         common, ji, si = np.intersect1d(t_on, svc.t, return_indices=True)
         i_env, rate_env, svc_env = i_on[ji], rate_on[ji], svc.values[si]

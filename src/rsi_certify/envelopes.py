@@ -77,17 +77,6 @@ class EnvelopeParams:
         if self.sigma_eff <= 0:
             raise ValueError("sigma_eff must be positive")
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EnvelopeParams":
-        return cls(
-            P_max=float(d["P_max"]),
-            T_range=tuple(d["T_range"]),
-            cop_range=tuple(d["cop_range"]),
-            eta_elec_range=tuple(d.get("eta_elec_range", (1.0, 1.0))),
-            eta_use_range=tuple(d.get("eta_use_range", (1.0, 1.0))),
-            sigma_eff=float(d.get("sigma_eff", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
 class UncertaintyBand:

@@ -40,6 +40,12 @@ def auto_lag(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
+def auto_lags(counts: np.ndarray) -> np.ndarray:
+    """auto_lag of each count, as one array expression; equal to it for
+    every count from 1 to 2,000,000."""
+    return np.floor(4.0 * (counts / 100.0) ** (2.0 / 9.0)).astype(int)
+
+
 def newey_west_cov(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray:
     """HAC sandwich covariance of least-squares coefficients.
 
@@ -185,8 +191,9 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
         gap[(gap == 0) & (bad[hi] > bad[lo])] = code
     sel = np.flatnonzero(gap == 0)
 
-    lags = np.array([min(auto_lag(k) if lag == "auto" else int(lag), k - 2)
-                     for k in n_win[sel].tolist()], dtype=int)
+    counts = n_win[sel]
+    lags = np.minimum(auto_lags(counts) if lag == "auto" else int(lag),
+                      counts - 2)
     lx = np.log(np.where(i_vals > 0, i_vals, 1.0))
     ly = np.log(np.where(r_vals > 0, r_vals, 1.0))
     fit = ts.windowed_wls(common, lx, ly, eval_centers[sel], half, lo[sel],

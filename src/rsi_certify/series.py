@@ -26,10 +26,13 @@ windows' weighted moments come from prefix sums in O(n): not over the
 whole series, whose sums would cancel catastrophically on epoch-second
 timestamps, but over blocks about one window wide, each shifted to its own
 origin, so the cancellation is bounded by the block (Chan, Golub & LeVeque
-1983).  A window whose own rounding bound is over budget is refitted from
-its gathered samples.  The Newey-West lag sums still gather each window
-once; expanded into prefix sums they would need hundreds of cross-moments
-per lag, and cancel badly.
+1983).  The Newey-West lag sums of a large call come from prefix sums over
+the same blocks too: the residual products g_i of a window are its 15
+coefficients dotted with 15 per-sample features, so 120 prefix-summed
+products of the features with their Bartlett-filtered copies give every
+window's lag sums, less a boundary term from 2L samples.  A window whose
+own rounding bound is over budget is refitted, or its lag sums summed,
+from its gathered samples.
 """
 
 from __future__ import annotations
@@ -529,6 +532,17 @@ class WindowFits(NamedTuple):
 # bound is refitted from its gathered samples.  Measured against extended
 # precision, the error stays within a few times the bound.
 MOMENT_RTOL = 1e-12
+# The same for a Newey-West meat from lag sums: a window over this bound
+# gathers its samples for the lag sums alone.
+LAG_RTOL = 1e-10
+# When a Newey-West call takes its lag sums from prefix sums: see
+# windowed_wls.  A lag over LAG_SUMS_MAX_LAG would cost O(L^2) per window in
+# the boundary term, and each distinct lag one more pass over a block.  A
+# step of the lag sums reads at most LAG_SUMS_STEP windows or sample
+# positions, under 200 values each, whatever the series length.
+LAG_SUMS_MIN_BLOCKS = 64
+LAG_SUMS_MAX_LAG = 32
+LAG_SUMS_STEP = 512
 _EPS = float(np.finfo(float).eps)
 
 
@@ -546,22 +560,35 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     and the classical error in closed form.  With one Bartlett lag L per
     window the error is Newey-West, whose slope entry needs no 2x2 inverse:
     Var(b) = [sum g_i^2 + 2 sum_l (1 - l/(L+1)) sum_i g_i g_{i-l}] / sxx^2
-    with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).  The lag
-    sums need the samples, so each such window is gathered once, to form g
-    from the moments' xbar, ybar and slope.  _fit_rows fits a window from
-    its gathered samples, centred in two passes, when the moments' rounding
-    bound exceeds MOMENT_RTOL (a nearly flat regressor, a nearly exact
-    fit), and fits every window of a call whose windows hold at most
-    WINDOW_BLOCK_ELEMENTS samples in all.
+    with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).
+
+    Which pass fits a window: a call whose windows hold at most
+    WINDOW_BLOCK_ELEMENTS samples in all is fitted from gathered samples
+    (_fit_rows).  A larger one takes its moments from prefix sums; its
+    Newey-West lag sums come from prefix sums as well (_lag_sums, O(n) in
+    all) when the windows hold more than LAG_SUMS_MIN_BLOCKS times
+    WINDOW_BLOCK_ELEMENTS samples and the window's lag is at most
+    LAG_SUMS_MAX_LAG, and otherwise from the window's gathered samples, with
+    g formed from the moments' xbar, ybar and slope.  Per window, the
+    gathered samples take over again where a rounding bound is over budget:
+    _fit_rows refits the window, centred in two passes, when the moments'
+    bound exceeds MOMENT_RTOL (a nearly flat regressor, a nearly exact fit),
+    and the lag sums alone are gathered when theirs exceeds LAG_RTOL.  On
+    the certify fixtures' shape the two lag passes broke even near 50 times
+    WINDOW_BLOCK_ELEMENTS (n = 4000 at a ninth of the span per window):
+    certify-8k's call (202 times) takes the lag sums, the 500-sample fleet
+    logs stay on the gathered pass.
     """
     t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=np.intp))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.intp))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if (hi - lo).sum() > WINDOW_BLOCK_ELEMENTS:
-            fits, redo = _moment_fits(t, x, y, centers, half, quality,
-                                      lags)
+        size = (hi - lo).sum()
+        if size > WINDOW_BLOCK_ELEMENTS:
+            fits, redo = _moment_fits(
+                t, x, y, centers, half, quality, lags,
+                lag_sums=size > LAG_SUMS_MIN_BLOCKS * WINDOW_BLOCK_ELEMENTS)
         else:
             fits = np.empty((len(WindowFits._fields), centers.size))
             redo = np.arange(centers.size)
@@ -573,20 +600,22 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     return WindowFits(*fits)
 
 
-def _moment_fits(t, x, y, centers, half, quality, lags):
+def _moment_fits(t, x, y, centers, half, quality, lags, lag_sums):
     """The fits of windowed_wls from _window_moments, one row per
     WindowFits field, and the indices of the windows whose rounding bound
-    exceeds MOMENT_RTOL, whose columns are left to be refitted."""
+    exceeds MOMENT_RTOL, whose columns are left to be refitted.  With
+    ``lag_sums`` the Newey-West meats come from _lag_sums, and only the
+    windows whose lag-sum bound exceeds LAG_RTOL gather their samples."""
     # the samples of lo:hi with |t - c| <= half; the others weigh 0
     a, b = window_bounds(t, centers, half, rtol=0.0)
-    sw, sww, x0, y0, xbar, ybar, sxx, slope, rss, bound = _window_moments(
-        t, x, y, centers, half, a, b, quality)
+    sw, sww, x0, y0, xbar, ybar, sxx, slope, rss, meat, lag_bound, bound = \
+        _window_moments(t, x, y, centers, half, a, b, quality,
+                        lags if lag_sums else None)
     ok = bound <= MOMENT_RTOL
     if lags is None:  # classical: meat / sxx^2 = sigma^2 / sxx
         meat = rss * sxx / sw
     else:
-        meat = np.full_like(sw, np.nan)
-        keep = np.flatnonzero(ok)
+        keep = np.flatnonzero(ok & ~(lag_bound <= LAG_RTOL))
         for k, w, (g, r) in _window_rows(t, (x, y), centers[keep], half,
                                          a[keep], b[keep], quality):
             # x - xbar and the residual, taken about the block origin first:
@@ -605,7 +634,7 @@ def _moment_fits(t, x, y, centers, half, quality, lags):
     return np.array(fits), np.flatnonzero(~ok)
 
 
-def _window_moments(t, x, y, centers, half, lo, hi, quality):
+def _window_moments(t, x, y, centers, half, lo, hi, quality, lags=None):
     """Weighted moments of windows lo:hi from prefix sums over blocks.
 
     A block holds the samples whose t falls in one interval of width half;
@@ -621,10 +650,11 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality):
 
     Returns, per window: sum w, sum w^2, the block origins x0 and y0, the
     weighted means of x - x0 and y - y0, sxx = sum w (x - xbar)^2, the
-    slope, the residual sum sum w r^2, and a bound on the relative rounding
-    error of these: each raw magnitude (every term taken positive, the
-    prefix sums at both ends, |u| <= (1 + u^2) / 2 for odd powers) over
-    the centred result it gives.
+    slope, the residual sum sum w r^2, with ``lags`` the Newey-West meat
+    from _lag_sums and its rounding bound (nan without), and a bound on the
+    relative rounding error of the moments: each raw magnitude (every term
+    taken positive, the prefix sums at both ends, |u| <= (1 + u^2) / 2 for
+    odd powers) over the centred result it gives.
     """
     n = t.size
     key = np.floor((t - t[0]) / half)
@@ -634,7 +664,7 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality):
     np.maximum.at(stop, block, hi)
     span = np.maximum(stop - first, 0)          # 0 for a block no window reads
     q = np.ones(n) if quality is None else np.asarray(quality, dtype=float)
-    out = np.empty((10, centers.size))
+    out = np.full((12, centers.size), np.nan)
     step = max(1, 2 * WINDOW_BLOCK_ELEMENTS // (23 * (int(span.max()) + 1)))
     for c in range(0, first.size, step):
         win = np.flatnonzero((block >= c) & (block < c + step))
@@ -670,6 +700,7 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality):
         j = block[win] - c
         below = P[:, j, lo[win] - s[j]]
         d = P[:, j, hi[win] - s[j]]
+        del P, f            # the lag sums below hold arrays of their own
         nonneg = [0, 3, 5, 12, 15, 17, 18, 20, 22]   # 1, x^2, y^2 (u^0, u^2)
         mag = d[nonneg] + below[nonneg]              # and q^2 u^0, u^2, u^4
         d -= below
@@ -698,9 +729,173 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality):
         bound = _EPS * np.maximum.reduce(
             [k1, mww / np.abs(sww), kx, np.abs(cyy / rss) * np.maximum(kx, ky),
              np.sqrt(2.0 * (syy + beta[j] ** 2 * sxx) / np.abs(rss))])
-        out[:, win] = (sw, sww, x0[j], y0[j], xbar, ybar + beta[j] * xbar,
-                       cxx, slope + beta[j], rss, bound)
+        out[:9, win] = (sw, sww, x0[j], y0[j], xbar, ybar + beta[j] * xbar,
+                        cxx, slope + beta[j], rss)
+        out[11, win] = bound
+        if lags is not None:
+            del below, d, mag, sq, a
+            out[9:11, win] = _lag_sums(
+                t, x, y, q, half, s, origin + half, x0, y0, beta, j,
+                centers[win], lo[win], hi[win], xbar, ybar, slope, lags[win])
     return out
+
+
+def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
+              xbar, ybar, slope, lags):
+    """Newey-West meats of windows a:b, which read block j of a chunk of
+    _window_moments, and bounds on their relative rounding error; nan
+    where the lag is below 0 or over LAG_SUMS_MAX_LAG.
+
+    The blocks' x shift and y line shift are _window_moments' own; their
+    origin is moved on by half, to the middle of the block's window
+    centres, so that |v| <= 1/2 and the kernel's expansion below cancels
+    less.  In those coordinates g_i = C . phi_i, for the window's 15
+    coefficients C (c0 + c1 u - u^2 = 1 - (u - v)^2 times the expansion of
+    (X - xbar)(Y - ybar - slope (X - xbar)) in XY, X^2, X, Y, 1) and the
+    15 per-sample features phi = q u^{0,1,2} (XY, X^2, X, Y, 1).
+    _lag_prefix gives half the meat over a:b plus the pairs (i, i - l)
+    with i - l < a <= i and Bartlett weight k_l = 1 - l/(L+1), which are
+    then taken off, from g at a - L .. a + L - 1.  The bound is
+    2 eps (L + 1) (sum_k |C_k| |phi_k|)^2 over the meat, with |phi_k| the
+    2-norm of feature k over the samples read: by Cauchy-Schwarz, the most
+    that the prefix sums at both ends can hold."""
+    meat = np.full(j.size, np.nan)
+    bound = np.full(j.size, np.nan)
+    v = (centers - origin[j]) / half
+    kern = (1.0 - v * v, 2.0 * v, -np.ones_like(v))
+    resid = (np.ones_like(v), -slope, 2.0 * slope * xbar - ybar, -xbar,
+             xbar * (ybar - slope * xbar))
+    C = np.array([k * r for k in kern for r in resid])
+    for L in np.unique(lags[(lags >= 0) & (lags <= LAG_SUMS_MAX_LAG)]).tolist():
+        lag = L + np.arange(L)[:, None] - np.arange(L)   # i - j, i >= a > j
+        edge_weight = np.where(lag <= L, 1.0 - lag / (L + 1.0), 0.0)
+        mine = np.flatnonzero(lags == L)
+        mine = mine[np.lexsort((a[mine], j[mine]))]
+        for w in np.array_split(mine, -(-mine.size // LAG_SUMS_STEP)):
+            blocks, row = np.unique(j[w], return_inverse=True)
+            at, bt, Cw, k = a[w] - s[j[w]], b[w] - s[j[w]], C[:, w], j[w]
+
+            def features(pos, k=blocks[:, None]):   # phi at block positions
+                return _lag_features(t, x, y, q, half, s[k] + pos, origin[k],
+                                     x0[k], y0[k], beta[k])
+
+            inner, norm = _lag_prefix(features, L, row, at, bt, Cw)
+            # g at a - L .. a + L - 1 (0 from b on), the kernel not clipped
+            # at 0, as in C . phi
+            k, c = k[:, None], w[:, None]
+            qz, u, X, Y = _block_samples(t, x, y, q, half,
+                                         a[c] + np.arange(-L, L), origin[k],
+                                         x0[k], y0[k], beta[k])
+            X -= xbar[c]
+            Y -= ybar[c]
+            Y -= slope[c] * X
+            u -= v[c]
+            g = qz * (1.0 - u * u) * X * Y
+            g[:, L:] *= np.arange(L) < (bt - at)[:, None]
+            edge = np.einsum("wd,de,we->w", g[:, L:], edge_weight, g[:, :L])
+            meat[w] = 2.0 * (inner - edge)
+            mag = (np.abs(Cw) * np.sqrt(norm[:, row])).sum(axis=0) ** 2
+            bound[w] = 2.0 * _EPS * (L + 1) * mag / np.abs(meat[w])
+    return meat, bound
+
+
+_PAIRS = np.triu_indices(15)   # the pairs j <= k of the 15 lag features
+
+
+def _lag_prefix(features, L, row, at, bt, C):
+    """C'[P(bt) - P(at)]C per window (column of C), at block positions of
+    stacked block row[w], and per block the squared 2-norms of the 15
+    features phi over positions min(at) - L .. max(bt).
+
+    P(m) sums over positions min(at) <= i < m the 120 products
+    phi_j conv_k + phi_k conv_j for j < k and phi_j conv_j for j = k, with
+    conv_i = phi_i / 2 + sum_{l=1..L} (1 - l/(L+1)) phi_{i-l}; so
+    C'[P(b) - P(a)]C = sum_{a<=i<b} g_i conv_i . C.  The blocks are read
+    together, at most LAG_SUMS_STEP positions in all at a time.  P is
+    needed at every window end, so the products are prefix-summed where the
+    ends lie, up to max(at) and from min(bt); between the two only their
+    sum is needed, and one matrix product per block gives it."""
+    rows = int(row.max()) + 1
+    bartlett = 1.0 - np.arange(1, L + 1) / (L + 1.0)
+    start, top, stop = int(at.min()), int(at.max()), int(bt.max())
+    mid = max(top, int(bt.min()) - 1)
+    width = max(1, LAG_SUMS_STEP // rows)
+    P = np.zeros((120, rows))           # the prefix sums at the piece's start
+    norm = np.zeros((15, rows))
+    at_end, bt_end = np.zeros(at.size), np.zeros(at.size)
+    for lo, hi, dense in ((start, top, True), (top, mid, False),
+                          (mid, stop, True)):
+        for p0 in range(lo, hi, width):
+            p1 = min(p0 + width, hi)
+            # phi from p0 - L - 1, and phi and conv from p0 - 1 with that
+            # column 0: their products fill whole rows of a piece
+            phi = features(np.arange(p0 - L - 1, p1))
+            here = phi[:, :, L:].copy()
+            here[:, :, 0] = 0.0
+            counted = phi if p0 == start else here
+            norm += np.einsum("krn,krn->kr", counted, counted)
+            conv = 0.5 * here
+            for ell, k in enumerate(bartlett, start=1):
+                conv += k * phi[:, :, L - ell:L - ell + here.shape[2]]
+            conv[:, :, 0] = 0.0
+            if not dense:
+                M = here.transpose(1, 0, 2) @ conv.transpose(1, 2, 0)
+                M += np.tril(M, -1).transpose(0, 2, 1)
+                P += M[:, _PAIRS[0], _PAIRS[1]].T
+                continue
+            piece = np.empty((120,) + here.shape[1:])
+            _sym_products(here.reshape(15, -1), conv.reshape(15, -1),
+                          out=piece.reshape(120, -1))
+            piece[:, :, 0] = P
+            np.cumsum(piece, axis=2, out=piece)
+            P = piece[:, :, -1].copy()
+            # C'P(m)C for the windows ending in the piece, a few at a time
+            for m, out in ((at, at_end), (bt, bt_end)):
+                r = np.flatnonzero((m >= p0) & (m <= p1))
+                for r0 in range(0, r.size, LAG_SUMS_STEP // 2):
+                    w = r[r0:r0 + LAG_SUMS_STEP // 2]
+                    c = C[:, w]
+                    out[w] = np.einsum("pw,pw->w", c[_PAIRS[0]] * c[_PAIRS[1]],
+                                       piece[:, row[w], m[w] - p0])
+    return bt_end - at_end, norm
+
+
+def _sym_products(phi, conv, out):
+    """phi_j conv_k + phi_k conv_j for j < k and phi_j conv_j for j = k,
+    over the pairs in _PAIRS order."""
+    start = 0
+    for jj in range(15):
+        rows = out[start:start + 15 - jj]
+        np.multiply(phi[jj], conv[jj:], out=rows)
+        rows[1:] += phi[jj + 1:] * conv[jj]
+        start += 15 - jj
+    return out
+
+
+def _block_samples(t, x, y, q, half, idx, origin, x0, y0, beta):
+    """q (0 before the series), u, X and Y at samples idx in block
+    coordinates as _window_moments takes them: u from the block origin in
+    units of half, X = x - x0, Y = y - y0 - beta X."""
+    before = idx < 0
+    idx = np.clip(idx, 0, t.size - 1)
+    X = x[idx] - x0
+    Y = y[idx] - y0
+    Y -= beta * X
+    return np.where(before, 0.0, q[idx]), (t[idx] - origin) / half, X, Y
+
+
+def _lag_features(*samples):
+    """phi = q u^{0,1,2} (XY, X^2, X, Y, 1) at the _block_samples."""
+    q, u, X, Y = _block_samples(*samples)
+    f = np.empty((15,) + u.shape)
+    f[4] = q
+    np.multiply(f[4], X, out=f[2])
+    np.multiply(f[4], Y, out=f[3])
+    np.multiply(f[2], Y, out=f[0])
+    np.multiply(f[2], X, out=f[1])
+    np.multiply(f[0:5], u, out=f[5:10])
+    np.multiply(f[5:10], u, out=f[10:15])
+    return f
 
 
 def _closed_form(sw, n_eff, xbar, sxx, slope, ybar, meat):

@@ -905,6 +905,10 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
     assert_clean_exit(code, err)
 
 
+ENVELOPE = {"P_max": 1e-18, "T_range": [300.0, 300.0],
+            "cop_range": [1e9, 1e9]}
+
+
 @pytest.mark.parametrize("cfg, named", [
     ({"estimation": {"window": 0.1, "trim": "a"}}, "estimation.trim"),
     ({"phi": {"kind": "power", "p": "a"}}, "phi.p"),
@@ -937,6 +941,25 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
     ({"phi": {"kind": "power", "p": 2.0, "exponent": 2.0}}, "'exponent'"),
     ({"certify": {"wasserstein": {"gamma": 0.5, "radius": 0.1}}},
      "'radius'"),
+    ({"estimation": {"window": 0.1, "lag": True}}, "estimation.lag"),
+    ({"estimation": {"window": "0.1"}}, "estimation.window"),
+    ({"certify": {"alpha": "0.05"}}, "certify.alpha"),
+    ({"envelope_params": {}}, "'P_max'"),
+    ({"envelope_params": None}, "'envelope_params'"),
+    ({"envelope_params": {**ENVELOPE, "eta_use_rnage": [1.0, 1.0]}},
+     "envelope_params key 'eta_use_rnage'"),
+    ({"envelope_params": {**ENVELOPE, "P_max": "1e-18"}},
+     "envelope_params.P_max"),
+    ({"envelope_params": {**ENVELOPE, "T_range": "ab"}},
+     "envelope_params.T_range"),
+    ({"envelope_params": {**ENVELOPE, "T_range": ["a", 300.0]}},
+     "envelope_params.T_range"),
+    ({"envelope_params": {"P_max": 1e-18, "T_range": [300.0, 300.0]}},
+     "'cop_range'"),
+    ({"envelope_params": {**ENVELOPE, "cop_range": [1e9]}},
+     "envelope_params.cop_range"),
+    ({"envelope_params": {**ENVELOPE, "sigma_eff": True}},
+     "envelope_params.sigma_eff"),
 ])
 def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)
@@ -946,6 +969,47 @@ def test_config_type_faults_name_the_key(tmp_path, cfg, named):
                              write_json(tmp_path / "c.json", cfg),
                              "--out", tmp_path / "out"])
     assert code == 1 and len(err) == 1 and named in err[0], err
+
+
+def test_misspelled_envelope_key_is_refused_by_both_commands(tmp_path):
+    # the parent took the default efficiency range and certified
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    assert run(["certify", "--config", write_json(tmp_path / "ok.json", cfg),
+                "--out", tmp_path / "ok"]) == 0
+    cfg["envelope_params"]["eta_use_rnage"] = [0.5, 0.5]
+    env_cfg = {"params": cfg["envelope_params"], "series": cfg["series"]}
+    for command, doc, key in (("certify", cfg, "envelope_params"),
+                              ("envelope", env_cfg, "params")):
+        code, err = run_quietly([command, "--config",
+                                 write_json(tmp_path / "bad.json", doc),
+                                 "--out", tmp_path / "bad"])
+        assert code == 1 and err == [
+            f"error [{command}]: unknown {key} key 'eta_use_rnage'"]
+
+
+def numeric_texts(doc):
+    """The strings in a JSON document that float() would read."""
+    if isinstance(doc, dict):
+        return [s for v in doc.values() for s in numeric_texts(v)]
+    if isinstance(doc, list):
+        return [s for v in doc for s in numeric_texts(v)]
+    try:
+        return [doc] if isinstance(doc, str) and float(doc) is not None \
+            else []
+    except ValueError:
+        return []
+
+
+def test_acceptance_configs_hold_no_numeric_text(tmp_path):
+    # config numbers must be JSON numbers; no config the acceptance gate
+    # runs spells one as text
+    import test_acceptance
+    for build in (test_acceptance._case_a_config,
+                  test_acceptance._case_b_config, case_a_config,
+                  case_b_config):
+        doc = json.loads(open(build(tmp_path)).read())
+        assert numeric_texts(doc) == []
+    assert numeric_texts({"a": ["1.5", "x", {"b": "1e3"}]}) == ["1.5", "1e3"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "certify"])

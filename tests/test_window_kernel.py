@@ -362,3 +362,136 @@ def test_fallback_refits_a_window_bit_for_bit():
     w = ts.epanechnikov((t[a:b] - t[k]) / half)
     ref = ts._fit_rows(x[None, a:b], y[None, a:b], w[None], lags[[k]])
     assert [f[k] for f in fit] == [r[0] for r in ref]
+
+
+@st.composite
+def lag_inputs(draw):
+    """Windows for the Newey-West lag sums: the kernel_inputs grids with
+    quality weights or none and epoch-second timestamps or not, centres on
+    the grid (so the first windows start before sample L), off it or at the
+    series' start, and one lag rule: a fixed lag 0 or 1, k - 2 for a window
+    of k samples, the automatic rule, or lags mixed at random within a
+    block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(40, 300))
+    t = draw(st.sampled_from([0.0, 1.7e9])) \
+        + np.cumsum(rng.uniform(0.5, 1.5, n))
+    x = draw(st.sampled_from([0.0, 15.0])) \
+        + np.cumsum(rng.normal(0.0, 0.05, n))
+    e = np.zeros(n)                     # AR(1) residuals, as the lags expect
+    for i in range(1, n):
+        e[i] = 0.6 * e[i - 1] + rng.normal(0.0, 1.0)
+    y = -3.0 + 1.5 * x + draw(st.sampled_from([1e-3, 0.1])) * e
+    quality = rng.uniform(0.0, 1.0, n) if draw(st.booleans()) else None
+    half = draw(st.floats(0.03, 0.3)) * (t[-1] - t[0])
+    centers = draw(st.sampled_from([
+        t, np.concatenate([t[::3] + 0.37 * half, t[1::5] - 0.61 * half]),
+        t[:10]]))
+    lo, hi = ts.window_bounds(t, centers, half)
+    sel = hi - lo >= 3
+    centers, lo, hi = centers[sel], lo[sel], hi[sel]
+    k = hi - lo
+    rule = draw(st.sampled_from(["0", "1", "k-2", "auto", "mixed"]))
+    lags = {"0": np.zeros_like(k), "1": np.minimum(1, k - 2), "k-2": k - 2,
+            "auto": np.minimum(est.auto_lags(k), k - 2),
+            "mixed": np.minimum(rng.integers(0, 8, k.size), k - 2)}[rule]
+    return t, x, y, centers, half, lo, hi, quality, lags
+
+
+def lag_path_fits(t, x, y, centers, half, lo, hi, quality, lags):
+    """windowed_wls with every window on the moments and lag sums, and the
+    windows whose lag sums passed their bound."""
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1), \
+            mock.patch.object(ts, "LAG_SUMS_MIN_BLOCKS", 0):
+        fit = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
+    a, b = ts.window_bounds(t, centers, half, rtol=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ts._window_moments(t, x, y, centers, half, a, b, quality, lags)
+    return fit, (out[10] <= ts.LAG_RTOL) & (out[11] <= ts.MOMENT_RTOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lag_inputs())
+def test_lag_sums_match_the_gathered_meat(data):
+    # the Newey-West error from lag sums against the gathered reference
+    # (_fit_rows and _newey_west_meat) on every window whose lag sums pass
+    # their rounding bound; at least 1e-9, about 10 LAG_RTOL, apart
+    t, x, y, centers, half, lo, hi, quality, lags = data
+    fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, quality,
+                                 lags)
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1 << 40):
+        ref = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
+    np.testing.assert_allclose(fit.se[by_sums], ref.se[by_sums], rtol=1e-9,
+                               atol=0)
+
+
+def lag_fixture(n=600, noise=0.1, start=1.7e9, seed=5):
+    rng = np.random.default_rng(seed)
+    t = start + np.arange(n, dtype=float)
+    x = np.log(1.0 + np.arange(n) / 50.0)
+    e = np.zeros(n)
+    for i in range(1, n):
+        e[i] = 0.6 * e[i - 1] + rng.normal(0.0, 1.0)
+    y = 1.3 * x + noise * e
+    half = 40.0
+    lo, hi = ts.window_bounds(t, t, half)
+    return t, x, y, t, half, lo, hi
+
+
+@pytest.mark.parametrize("rule", ["0", "1", "auto", "mixed"])
+def test_lag_sums_take_nearly_every_window(rule):
+    # the lag sums take nearly every window of a noisy fit, the first ones
+    # (which start before sample L) included.  (With L = k - 2 they take
+    # few: the normal equations make sum g_i = 0, so a Bartlett sum over the
+    # whole window cancels, and the bound sends it to the gathered pass.)
+    t, x, y, centers, half, lo, hi = lag_fixture()
+    k = hi - lo
+    lags = {"0": np.zeros_like(k), "1": np.ones_like(k),
+            "auto": est.auto_lags(k),
+            "mixed": np.random.default_rng(1).integers(0, 8, k.size)}[rule]
+    quality = np.random.default_rng(2).uniform(0.5, 1.0, t.size)
+    fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, quality,
+                                 lags)
+    ref = extended_fits(t, x, y, centers, half, lo, hi, quality, lags)[2]
+    assert by_sums[:5].all() and by_sums.mean() > 0.95
+    np.testing.assert_allclose(fit.se, ref, rtol=1e-9, atol=0)
+
+
+def test_nearly_exact_fit_falls_back_to_the_gathered_lag_sums():
+    # residuals 1e-9 of a regressor of order 1: the expansion the lag sums
+    # take cancels to about 1e-5, so their bound refuses every window, and
+    # each window's lag sums come from its gathered samples
+    t, x, y, centers, half, lo, hi = lag_fixture(noise=1e-9)
+    lags = est.auto_lags(hi - lo)
+    fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None, lags)
+    assert not by_sums.any()
+    ref = extended_fits(t, x, y, centers, half, lo, hi, None, lags)[2]
+    np.testing.assert_allclose(fit.se, ref, rtol=1e-6, atol=0)
+
+
+def test_lag_over_the_cap_skips_the_lag_sums():
+    # a lag above LAG_SUMS_MAX_LAG would cost O(L^2) per window in the
+    # boundary term and a pass per distinct lag: such windows take the
+    # gathered pass, and the lag sums never see their lag
+    t, x, y, centers, half, lo, hi = lag_fixture()
+    lags = np.where(np.arange(t.size) % 2, ts.LAG_SUMS_MAX_LAG + 8, 3)
+    seen = []
+
+    def spy(features, L, *args, lag_prefix=ts._lag_prefix):
+        seen.append(L)
+        return lag_prefix(features, L, *args)
+
+    with mock.patch.object(ts, "_lag_prefix", spy):
+        fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None,
+                                     lags)
+    assert set(seen) == {3}
+    assert not by_sums[lags > ts.LAG_SUMS_MAX_LAG].any()
+    assert by_sums[lags == 3].mean() > 0.95
+    ref = extended_fits(t, x, y, centers, half, lo, hi, None, lags)[2]
+    np.testing.assert_allclose(fit.se, ref, rtol=1e-9, atol=0)
+
+
+def test_auto_lags_is_the_scalar_rule():
+    k = np.arange(1, 2_000_001)
+    assert est.auto_lags(k).tolist() == [est.auto_lag(n) for n in
+                                         range(1, 2_000_001)]
