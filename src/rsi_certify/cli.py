@@ -113,13 +113,17 @@ def _known(d: dict, allowed, where: str) -> None:
 
 def _build(cls, d: dict, where: str, exclude=(), **convert):
     """A ``cls`` from the config object ``d``, whose keys must be fields of
-    ``cls`` outside ``exclude``; ``convert`` maps a key to its converter."""
+    ``cls`` outside ``exclude``; ``convert`` maps a key to its converter.
+    A ValueError of ``cls``'s own checks begins with the field it names,
+    so ``where`` turns that into the config key (``control.Delta``)."""
     _known(d, {f.name for f in dataclasses.fields(cls)} - set(exclude), where)
     try:
         return cls(**{k: convert[k](v) if k in convert else v
                       for k, v in d.items()})
     except TypeError as exc:        # a missing field or a non-numeric value
         raise ConfigError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 # PhiSpec arguments a config may set, per kind

@@ -49,6 +49,8 @@ class PhiSpec:
     the array path's result bit for bit.  It applies the same numpy ufuncs
     in the same order, because libm's pow, exp and log differ from numpy's
     vectorized loops in the last bit, and the barrier QP amplifies that bit.
+    It is ``evaluate``, bound when the spec is made (and fixed from then
+    on), which ``__call__`` and the plant's RK4 stages call.
     """
 
     def __init__(self, kind: str, p: float | None = None, c: float = 1.0,
@@ -98,6 +100,18 @@ class PhiSpec:
             self.c_tail = values[-1] / grid[-1] ** self.p_tail
         else:
             raise NonPositivePhi(f"unknown rate-factor kind {kind!r}")
+        self.evaluate = array_path = self._array_path
+        if self.p is not None:      # a Python float takes the scalar path
+            c, p, with_log = self.c, self.p, kind == "power_log"
+            power, log = np.power, np.log
+            below = self.domain_floor * (1 - 1e-12)
+
+            def evaluate(s):
+                if type(s) is not float or s < below:
+                    return array_path(s)    # which refuses s below the floor
+                out = c * float(power(s, p))    # same bits as numpy's product
+                return out * float(log(s)) if with_log else out
+            self.evaluate = evaluate
 
     @classmethod
     def power(cls, p: float, c: float = 1.0, domain_floor: float | None = None):
@@ -112,16 +126,9 @@ class PhiSpec:
         return cls("tabulated", grid=grid, values=values)
 
     def __call__(self, s):
-        # scalar path: the array path's ufuncs in its order, without the
-        # array (numpy scalars, a float subclass, take the array path)
-        if type(s) is float and self.p is not None:
-            if s < self.domain_floor * (1 - 1e-12):
-                raise NonPositivePhi(
-                    f"evaluation below domain floor {self.domain_floor}")
-            out = self.c * np.power(s, self.p)
-            if self.kind == "power_log":
-                out = out * np.log(s)
-            return float(out)
+        return self.evaluate(s)
+
+    def _array_path(self, s):
         s_arr = np.asarray(s, dtype=float)
         scalar = s_arr.ndim == 0
         s_arr = np.atleast_1d(s_arr)

@@ -69,7 +69,7 @@ class EnvelopeParams:
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {lo} > {hi}")
         if self.cop_range[0] < 0:
-            raise ValueError("COP cannot be negative")
+            raise ValueError("cop_range cannot be negative")
         for name, (lo, hi) in (("eta_elec_range", self.eta_elec_range),
                                ("eta_use_range", self.eta_use_range)):
             if not (0 < lo <= hi <= 1):

@@ -24,6 +24,14 @@ operating set over one period.  A zero-order-hold command on a strongly
 superlinear plant can escape within a single period if Delta exceeds
 roughly I/(kappa*(I_bar - I)*(p - 1)) at the current state; pick the sample
 period below that scale (it is most restrictive when the state is small).
+
+Cost note: a step pays for its arithmetic only.  The box bounds and rate
+radii are arrays built with the ControlConfig, Phi's evaluator is bound
+with the PhiSpec, and u_ref and the measured phi_svc are read once per
+run.  Per step remain one Phi(I_hat)*phi_svc (shared by the antagonism
+budget and the barrier row), the QP's numpy calls, and the plant's 64 RK4
+evaluations of Phi.  The QP keeps one array path for every m: numpy's dot
+differs from a Python sum in the last bit.
 """
 
 from __future__ import annotations
@@ -36,6 +44,16 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import InfeasibleBox, NoStaticCapPossible
+
+
+def _check_finite(obj, *names) -> None:
+    """Raise a ValueError that names the first of the fields ``names`` of
+    ``obj`` holding neither None nor a finite number: a NaN passes every
+    range check written as a comparison."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,19 +78,26 @@ class ControlConfig:
     alpha_fn: object = None          # optional monotone class-K callback
 
     def __post_init__(self):
-        if self.Delta <= 0:
-            raise ValueError("Delta must be positive")
-        if self.tau_bar < 0:
-            raise ValueError("tau_bar must be nonnegative")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.slack_weight <= 0:
-            raise ValueError("slack_weight must be positive")
+        _check_finite(self, "I_bar", "kappa", "Delta", "tau_bar", "L_h",
+                      "eps_I", "slack_weight")
+        for name in ("kappa", "Delta", "slack_weight"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("tau_bar", "L_h", "eps_I"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if len(self.r_u) != len(self.u_box):
             raise ValueError("r_u and u_box must have matching channel counts")
-        for lo, hi in self.u_box:
-            if lo > hi:
-                raise ValueError(f"u_box interval ({lo}, {hi}) not ordered")
+        for i, (r, box) in enumerate(zip(self.r_u, self.u_box)):
+            if not r >= 0:                      # NaN fails too
+                raise ValueError(f"r_u[{i}] must be nonnegative, got {r!r}")
+            if len(box) != 2 or not box[0] <= box[1]:
+                raise ValueError(f"u_box[{i}] must be an ordered pair "
+                                 f"(lo, hi), got {box!r}")
+        # the QP's per-step arrays, built once: box bounds and rate radii
+        lo, hi = np.array(self.u_box, dtype=float).reshape(-1, 2).T.copy()
+        object.__setattr__(self, "_box", (lo, hi, np.array(
+            self.r_u, dtype=float) * self.Delta))
         if self.alpha_fn is not None:
             if abs(self.alpha_fn(0.0)) > 1e-12:
                 raise ValueError("alpha_fn must vanish at zero")
@@ -174,17 +199,22 @@ class QpResult:
     objective: float
 
 
+def _clip(x, lo, hi):
+    # np.clip's ufunc: maximum/minimum return the bound on ties (+-0.0)
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _effective_box(u_prev: np.ndarray, config: ControlConfig):
-    lo = np.empty(config.n_channels)
-    hi = np.empty(config.n_channels)
-    for i, (b_lo, b_hi) in enumerate(config.u_box):
-        r = config.r_u[i] * config.Delta
-        lo[i] = max(b_lo, u_prev[i] - r)
-        hi[i] = min(b_hi, u_prev[i] + r)
-        if lo[i] > hi[i] + 1e-15:
-            raise InfeasibleBox(
-                f"channel {i}: box [{b_lo}, {b_hi}] and rate window "
-                f"[{u_prev[i] - r}, {u_prev[i] + r}] do not intersect")
+    box_lo, box_hi, radius = config._box    # the box wins ties, as above
+    lo = np.maximum(u_prev - radius, box_lo)
+    hi = np.minimum(u_prev + radius, box_hi)
+    empty = lo > hi + 1e-15
+    if np.count_nonzero(empty):
+        i = int(empty.argmax())
+        (b_lo, b_hi), r = config.u_box[i], config.r_u[i] * config.Delta
+        raise InfeasibleBox(
+            f"channel {i}: box [{b_lo}, {b_hi}] and rate window "
+            f"[{u_prev[i] - r}, {u_prev[i] + r}] do not intersect")
     return lo, hi
 
 
@@ -210,7 +240,7 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
     rho = config.slack_weight
 
     # barrier inactive: box projection feasible up to rounding of a.u - b?
-    u = np.clip(u_ref, lo, hi)
+    u = _clip(u_ref, lo, hi)
     z = 0.0
     scale = abs(b_rhs) + float(np.abs(a) @ np.abs(u))
     active = float(a @ u) - b_rhs > 1e-12 * scale
@@ -218,18 +248,20 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
         # kinks of zero or tiny entries of a are not finite and are dropped
         with np.errstate(all="ignore"):
             kinks = np.concatenate([(u_ref - lo) / a, (u_ref - hi) / a])
-            kinks = np.sort(kinks[(kinks > 0) & (kinks < math.inf)])
-            g = np.clip(u_ref - kinks[:, None] * a, lo, hi) @ a - b_rhs \
+            kinks = kinks[(kinks > 0) & (kinks < math.inf)]
+            kinks.sort()
+            g = _clip(u_ref - kinks[:, None] * a, lo, hi) @ a - b_rhs \
                 - kinks / (2.0 * rho)
             j = int(np.count_nonzero(g > 0))
-            left, right = np.concatenate([[0.0], kinks, [math.inf]])[j:j + 2]
+            left = kinks[j - 1] if j else 0.0
+            right = kinks[j] if j < kinks.size else math.inf
             # a point strictly inside the root's piece fixes its clamp pattern
             v = u_ref - min(0.5 * (left + right), 2.0 * left + 1.0) * a
             free = (lo < v) & (v < hi)
-            lam = (a @ np.where(free, u_ref, np.clip(v, lo, hi)) - b_rhs) \
+            lam = (a @ np.where(free, u_ref, _clip(v, lo, hi)) - b_rhs) \
                 / (a[free] @ a[free] + 1.0 / (2.0 * rho))
             lam = min(max(lam, left), right)
-            u = np.clip(u_ref - lam * a, lo, hi)
+            u = _clip(u_ref - lam * a, lo, hi)
         z = lam / (2.0 * rho)
     d = u - u_ref
     return QpResult(u, float(z), active, 0.5 * float(d @ d) + rho * z * z)
@@ -318,8 +350,13 @@ class PlantScenario:
     ptot_hat: float | None = None         # governance signal, constant
     osgood_ok: bool = True
 
-    def measured_phi_svc(self) -> float:
-        return self.phi_svc_true if self.phi_svc_meas is None else self.phi_svc_meas
+    def __post_init__(self):
+        _check_finite(self, "I0", "phi_svc_true", "phi_svc_meas", "u_ref",
+                      "state_error", "latency", "ptot_hat")
+        for i, sigma in enumerate(self.antagonism):
+            if not -math.inf < sigma < math.inf:
+                raise ValueError(f"antagonism[{i}] must be a finite number, "
+                                 f"got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +365,10 @@ class PolicyThresholds:
     escalate_consecutive_slack: int = 3
     antagonism_theta: float = 0.5      # fraction of the current gain budget
     slack_tol: float = 1e-9
+
+    def __post_init__(self):
+        _check_finite(self, "governance_delta", "antagonism_theta",
+                      "slack_tol")
 
 
 @dataclass
@@ -361,8 +402,9 @@ class SupervisionLog:
 
     def to_jsonl(self) -> str:
         """One JSON object per step, one step per line."""
-        return "".join(json.dumps(s.to_json_dict(), sort_keys=True) + "\n"
-                       for s in self.steps)
+        # the encoder json.dumps(..., sort_keys=True) would build per step
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join(encode(s.to_json_dict()) + "\n" for s in self.steps)
 
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -374,6 +416,8 @@ def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
     """Exact-enough zero-order-hold plant integration (RK4 substeps)."""
     if u <= 0 or dt <= 0:
         return I
+    if isinstance(phi, dyn.PhiSpec):    # any callable works; skip __call__
+        phi = phi.evaluate
     h = dt / substeps
     y = I
     for _ in range(substeps):
@@ -401,7 +445,11 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     if scenario.latency > config.tau_bar + 1e-12:
         raise ValueError("scenario latency exceeds the configured tau_bar")
     I = scenario.I0
+    phi, floor = scenario.phi, scenario.phi.domain_floor
+    phi_svc_hat = scenario.phi_svc_true if scenario.phi_svc_meas is None \
+        else scenario.phi_svc_meas          # the telemetry value
     u_prev = np.zeros(config.n_channels)
+    u_ref = np.full(config.n_channels, scenario.u_ref)
     steps: list[StepLog] = []
     consecutive_slack = 0
     max_overshoot = -math.inf
@@ -424,8 +472,8 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
             if k % scenario.benchmark_every == 0:
                 benchmark = (I, 0.0, 1.0)
             observer = observer_update(
-                observer, scenario.measured_phi_svc(), scenario.phi,
-                benchmark, config, throttle=float(u_prev[0]))
+                observer, phi_svc_hat, phi, benchmark, config,
+                throttle=float(u_prev[0]))
             I_hat = observer.I_hat
 
         # -- governance checks before actuation
@@ -433,9 +481,9 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
         if not scenario.osgood_ok:
             action = "shutdown"
         else:
-            gain_budget = scenario.phi(max(I_hat, scenario.phi.domain_floor)) \
-                * scenario.measured_phi_svc()
-            if sigma_i + sigma_x > policy.antagonism_theta * gain_budget:
+            # Phi(I_hat) * phi_svc_hat: the gain budget and the barrier row
+            gain = phi(max(I_hat, floor)) * phi_svc_hat
+            if sigma_i + sigma_x > policy.antagonism_theta * gain:
                 action = "shutdown"
         if action == "shutdown":
             steps.append(StepLog(k, t, I_sample, I_hat, 0.0, 0.0, action,
@@ -444,14 +492,12 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
             break
 
         # -- barrier QP
-        a_row = np.full(config.n_channels,
-                        scenario.phi(max(I_hat, scenario.phi.domain_floor))
-                        * scenario.measured_phi_svc())
+        a_row = np.full(config.n_channels, gain)
         budget = barrier_budget(I_hat, config, sigma_i, sigma_x,
                                 use_estimation_margin=False)
-        u_ref = np.full(config.n_channels, scenario.u_ref)
         qp = qp_step(u_ref, u_prev, a_row, budget, config)
         u_k = qp.u_star
+        u_0 = float(u_k[0])
 
         if qp.slack > policy.slack_tol:
             consecutive_slack += 1
@@ -468,26 +514,24 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
         # command-application instants (intersample drift is covered by the
         # L_h * tau_bar margin)
         def _violation(state: float, command: float) -> float:
-            rate = scenario.phi(max(state, scenario.phi.domain_floor)) \
-                * scenario.phi_svc_true * command
+            rate = phi(max(state, floor)) * scenario.phi_svc_true * command
             return rate + config.alpha(state - config.I_bar)
 
         # -- actuate with latency: previous command holds during the delay
         if scenario.latency > 0:
             step_violation = _violation(I, float(u_prev[0]))
-            I = _plant_advance(scenario.phi, scenario.phi_svc_true,
+            I = _plant_advance(phi, scenario.phi_svc_true,
                                float(u_prev[0]), I, scenario.latency)
-            step_violation = max(step_violation, _violation(I, float(u_k[0])))
-            I = _plant_advance(scenario.phi, scenario.phi_svc_true,
-                               float(u_k[0]), I,
+            step_violation = max(step_violation, _violation(I, u_0))
+            I = _plant_advance(phi, scenario.phi_svc_true, u_0, I,
                                config.Delta - scenario.latency)
         else:
-            step_violation = _violation(I, float(u_k[0]))
-            I = _plant_advance(scenario.phi, scenario.phi_svc_true,
-                               float(u_k[0]), I, config.Delta)
+            step_violation = _violation(I, u_0)
+            I = _plant_advance(phi, scenario.phi_svc_true, u_0, I,
+                               config.Delta)
         max_violation = max(max_violation, step_violation)
 
-        steps.append(StepLog(k, t, I_sample, I_hat, float(u_k[0]), qp.slack,
+        steps.append(StepLog(k, t, I_sample, I_hat, u_0, qp.slack,
                              action, budget, max(0.0, step_violation)))
         u_prev = u_k
 

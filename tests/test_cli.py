@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -754,6 +755,59 @@ def test_control_sim_rejects_keys_it_does_not_read(tmp_path, capsys, changes,
     assert run(["control-sim", "--config", path, "--out", tmp_path]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and named in err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("control", "Delta", math.nan),
+    ("control", "kappa", math.nan),
+    ("control", "I_bar", math.nan),
+    ("control", "slack_weight", math.nan),
+    ("control", "L_h", math.nan),
+    ("control", "eps_I", math.inf),
+    ("control", "u_box", [[math.nan, 1.0]]),
+    ("control", "r_u", [math.nan]),
+    ("control", "r_u", [-1.0]),
+    ("plant", "u_ref", math.nan),
+    ("plant", "phi_svc_true", math.nan),
+    ("plant", "I0", math.nan),
+    ("policy", "governance_delta", math.nan),
+])
+def test_control_sim_rejects_nonfinite_numbers(tmp_path, capsys, where, key,
+                                               value):
+    # a NaN passes every range check written as a comparison
+    path = write_json(tmp_path / "ctl.json",
+                      control_config(**{where: (key, value)}))
+    assert run(["control-sim", "--config", path, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"{where}.{key}" in err
+
+
+# sha256 of control_log.jsonl and control_summary.json on scenarios shaped
+# like the benchmark's control configs, shortened to 200 steps (recorded
+# with numpy 2.4.6 on x86-64).  Making the plant a function of all m
+# channels moves the m = 6 digests; nothing may move the m = 1 ones.
+CONTROL_DIGESTS = {
+    1: ("426b1293d72f2dc307b7cd9cf50835039a2daaa1b0ba7a446ab9da98c1f93dec",
+        "aa1c2d3487ef0d2a46d94f8596bd63be4556471aab2b757aea8059f615da8fba"),
+    6: ("e3f9cdb11a1673ee0e204e9c5e6093e8dbf9a678c32fb571957b828a284b7a10",
+        "c98b6380b9fe4ca5ff09403e5029a00c25a644152858e9478fee739a055492c6"),
+}
+
+
+@pytest.mark.parametrize("channels", sorted(CONTROL_DIGESTS))
+def test_control_sim_artifacts_are_pinned(tmp_path, channels):
+    path = write_json(tmp_path / "ctl.json", {
+        "plant": {"phi": {"kind": "power", "p": 2.0, "c": 2.0},
+                  "I0": 1.2345678901234567, "n_steps": 200, "u_ref": 1.0},
+        "control": {"I_bar": 10.0, "kappa": 1.0, "Delta": 0.02,
+                    "r_u": [math.inf] * channels,
+                    "u_box": [[0.0, 1.0]] * channels,
+                    "slack_weight": 1e14}})
+    out = tmp_path / "out"
+    assert run(["control-sim", "--config", path, "--out", out]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("control_log.jsonl", "control_summary.json"))
+    assert digests == CONTROL_DIGESTS[channels]
 
 
 def test_benchmark_spec_by_path_matches_inline(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsi_certify import dynamics as dyn
@@ -226,6 +226,127 @@ def test_qp_infeasible_box():
     cfg = config(r_u=(0.1,), u_box=((0.8, 1.0),), Delta=0.1)
     with pytest.raises(InfeasibleBox):
         sc.qp_step([0.9], [0.0], [1.0], b_rhs=1.0, config=cfg)
+
+
+def test_qp_infeasible_box_names_the_channel_its_box_and_window():
+    # channel 1's rate window [-0.05, 0.05] misses its box [0.8, 1.0];
+    # channels 0 and 2 are feasible
+    cfg = config(r_u=(math.inf, 0.5, 0.5), Delta=0.1,
+                 u_box=((0.0, 1.0), (0.8, 1.0), (0.0, 1.0)))
+    with pytest.raises(InfeasibleBox) as exc:
+        sc.qp_step([0.9] * 3, [0.5, 0.0, 0.5], [1.0] * 3, b_rhs=1.0,
+                   config=cfg)
+    assert str(exc.value) == ("channel 1: box [0.8, 1.0] and rate window "
+                              "[-0.05, 0.05] do not intersect")
+
+
+# the solver as it stood before its per-step numpy overhead was cut
+# (np.clip, a per-channel box loop, a concatenated kink list), kept to pin
+# the lean path's results bit for bit
+
+def _reference_effective_box(u_prev, config):
+    lo = np.empty(config.n_channels)
+    hi = np.empty(config.n_channels)
+    for i, (b_lo, b_hi) in enumerate(config.u_box):
+        r = config.r_u[i] * config.Delta
+        lo[i] = max(b_lo, u_prev[i] - r)
+        hi[i] = min(b_hi, u_prev[i] + r)
+        if lo[i] > hi[i] + 1e-15:
+            raise InfeasibleBox(
+                f"channel {i}: box [{b_lo}, {b_hi}] and rate window "
+                f"[{u_prev[i] - r}, {u_prev[i] + r}] do not intersect")
+    return lo, hi
+
+
+def _reference_qp_step(u_ref, u_prev, a_row, b_rhs, config):
+    u_ref = np.asarray(u_ref, dtype=float).ravel()
+    u_prev = np.asarray(u_prev, dtype=float).ravel()
+    a = np.asarray(a_row, dtype=float).ravel()
+    lo, hi = _reference_effective_box(u_prev, config)
+    rho = config.slack_weight
+    u = np.clip(u_ref, lo, hi)
+    z = 0.0
+    scale = abs(b_rhs) + float(np.abs(a) @ np.abs(u))
+    active = float(a @ u) - b_rhs > 1e-12 * scale
+    if active:
+        with np.errstate(all="ignore"):
+            kinks = np.concatenate([(u_ref - lo) / a, (u_ref - hi) / a])
+            kinks = np.sort(kinks[(kinks > 0) & (kinks < math.inf)])
+            g = np.clip(u_ref - kinks[:, None] * a, lo, hi) @ a - b_rhs \
+                - kinks / (2.0 * rho)
+            j = int(np.count_nonzero(g > 0))
+            left, right = np.concatenate([[0.0], kinks, [math.inf]])[j:j + 2]
+            v = u_ref - min(0.5 * (left + right), 2.0 * left + 1.0) * a
+            free = (lo < v) & (v < hi)
+            lam = (a @ np.where(free, u_ref, np.clip(v, lo, hi)) - b_rhs) \
+                / (a[free] @ a[free] + 1.0 / (2.0 * rho))
+            lam = min(max(lam, left), right)
+            u = np.clip(u_ref - lam * a, lo, hi)
+        z = lam / (2.0 * rho)
+    d = u - u_ref
+    return sc.QpResult(u, float(z), active, 0.5 * float(d @ d) + rho * z * z)
+
+
+# signed zeros, ties and 1e-300 among the draws
+_EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300])
+
+
+@st.composite
+def lean_qp_instances(draw):
+    """m = 1..8 channels; boxes that may be degenerate; finite, zero and
+    infinite rate limits, with u_prev at, inside or beyond the box; entries
+    of a that are zero, negative or 1e-300; b of both signs, drawn about
+    a.clip(u_ref) so that both barrier states occur."""
+    m = draw(st.integers(1, 8))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=m, max_size=m)))
+
+    lo = vec(_EDGE | st.floats(-1.0, 1.0))
+    hi = lo + vec(st.just(0.0) | _EDGE.map(abs) | st.floats(0.0, 2.0))
+    frac = vec(st.sampled_from([0.0, 1.0, -0.25, 1.25]) | st.floats(0.0, 1.0))
+    u_prev = np.where(frac == 0.0, lo, np.where(frac == 1.0, hi,
+                                                lo + (hi - lo) * frac))
+    r_u = vec(st.sampled_from([math.inf, 0.0]) | st.floats(0.0, 2.0))
+    u_ref = vec(_EDGE | st.floats(-3.0, 3.0))
+    a = vec(_EDGE | st.floats(-10.0, 10.0))
+    a_u = float(a @ np.clip(u_ref, lo, hi))
+    b = a_u - draw(st.floats(-0.5, 1.5)) * abs(a_u) \
+        + draw(_EDGE | st.floats(-0.1, 0.1))
+    rho = 10.0 ** draw(st.floats(-1.0, 14.0))
+    cfg = config(Delta=draw(st.sampled_from([1.0, 0.1, 0.02])),
+                 r_u=tuple(r_u), slack_weight=rho,
+                 u_box=tuple(zip(lo.tolist(), hi.tolist())))
+    return u_ref, u_prev, a, b, cfg
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lean_qp_instances())
+# kinks 2 and 3, root between them at lam = 2.5: the root piece's left
+# kink is kinks[0], not 0
+@example((np.array([3.0]), np.array([0.5]), np.array([1.0]), 0.5,
+          config(slack_weight=1e6)))
+def test_qp_step_matches_reference_bit_for_bit(instance):
+    u_ref, u_prev, a, b, cfg = instance
+    try:
+        expected = _reference_qp_step(u_ref, u_prev, a, b, cfg)
+    except InfeasibleBox as exc:
+        with pytest.raises(InfeasibleBox) as got:
+            sc.qp_step(u_ref, u_prev, a, b, cfg)
+        assert str(got.value) == str(exc)
+        return
+    for got_bound, bound in zip(sc._effective_box(u_prev, cfg),
+                                _reference_effective_box(u_prev, cfg)):
+        assert _bits(got_bound) == _bits(bound)
+    got = sc.qp_step(u_ref, u_prev, a, b, cfg)
+    assert got.barrier_active == expected.barrier_active
+    assert _bits(got.u_star) == _bits(expected.u_star)
+    assert _bits(got.slack) == _bits(expected.slack)
+    assert _bits(got.objective) == _bits(expected.objective)
 
 
 # ---------------------------------------------------------------------------
