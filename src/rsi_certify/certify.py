@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import series as ts
 from .dynamics import OsgoodResult, excess_escape_time
 from .errors import GridMismatch, ZeroGradient
-from .estimate import BreakSegmentation
+from .estimate import BreakSegmentation, normal_quantile
 
 DEFAULT_ENVELOPE_TOL = 1e-9
 NONBINDING_SLACK = 0.10      # envelope slack fraction that counts as headroom
@@ -187,7 +186,7 @@ def test_superlinearity(p_hat: float, se: float, alpha: float = 0.05) -> TestOut
     when p_hat - z_{1-alpha} * se exceeds 1 strictly."""
     if se < 0:
         raise ValueError("se must be nonnegative")
-    z = float(ndtri(1 - alpha))
+    z = normal_quantile(1 - alpha)
     stat = p_hat - z * se
     return TestOutcome(stat > 1.0, stat - 1.0, stat)
 
@@ -212,7 +211,7 @@ def test_ceiling(upsilon_c_plus: float, se_c: float,
     """
     if set(ceilings) != {"io", "mem", "pow"}:
         raise ValueError("ceilings must be given for io, mem, pow")
-    z = float(ndtri(1 - alpha / 3.0))
+    z = normal_quantile(1 - alpha / 3.0)
     lhs = upsilon_c_plus - z * se_c
     upper = {name: e + z * se for name, (e, se) in ceilings.items()}
     binding = min(upper, key=upper.get)
@@ -392,9 +391,14 @@ class Certificate:
 
     def to_json(self) -> str:
         """Strict JSON (no bare Infinity or NaN): non-finite floats at any
-        depth are written as the strings "inf", "-inf" and "nan"."""
-        return json.dumps(_encode_nonfinite(self.to_json_dict()), indent=2,
-                          sort_keys=True, allow_nan=False)
+        depth are written as the strings "inf", "-inf" and "nan".  The dict
+        is walked for them only when the plain dump refuses one."""
+        d = self.to_json_dict()
+        try:
+            return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            return json.dumps(_encode_nonfinite(d), indent=2, sort_keys=True,
+                              allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":

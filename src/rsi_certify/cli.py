@@ -643,9 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()    # argparse keeps no state between parse_args calls
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:   # --help: 0; usage error: 1 (2 is singular)
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:

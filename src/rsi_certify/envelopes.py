@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import series as ts
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     NonPositiveTemperature,
     TemperatureOrdering,
 )
+from .estimate import normal_quantile
 
 K_B = 1.380649e-23  # J/K, exact SI value
 LN2 = math.log(2.0)
@@ -237,7 +237,7 @@ def propagate_uncertainty(rel_errors: dict, alpha: float = 0.05) -> UncertaintyB
         raise NegativeDelta(f"relative errors must be nonnegative: {deltas}")
     first_order = float(sum(deltas))
     s = math.sqrt(sum(d * d for d in deltas))
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = normal_quantile(1.0 - alpha / 2.0)
     return UncertaintyBand(first_order, s, (math.exp(-z * s), math.exp(z * s)),
                            alpha)
 

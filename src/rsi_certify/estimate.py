@@ -12,6 +12,7 @@ cooperative-structure (antagonism) diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,13 @@ from .errors import (
     TooShort,
     WeakInstrument,
 )
+
+
+@functools.lru_cache
+def normal_quantile(q: float) -> float:
+    """The standard normal quantile at ``q``, computed once per level."""
+    return float(ndtri(q))
+
 
 WEAK_INSTRUMENT_F = 10.0  # Staiger-Stock rule of thumb for one instrument
 
@@ -133,7 +141,7 @@ class RollingElasticity:
     @property
     def ci(self) -> tuple[np.ndarray, np.ndarray]:
         """Two-sided level-``alpha`` bounds value -+ z * se, per window."""
-        z = float(ndtri(1 - self.alpha / 2.0))
+        z = normal_quantile(1 - self.alpha / 2.0)
         return self.values - z * self.ses, self.values + z * self.ses
 
     @property
@@ -573,7 +581,7 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
     csum = np.cumsum(y)
     csum2 = np.cumsum(y * y)
     k = np.arange(k_lo, k_hi + 1)
-    s1, q1 = csum[k - 1], csum2[k - 1]
+    s1, q1 = csum[k_lo - 1:k_hi], csum2[k_lo - 1:k_hi]
     s2, q2 = csum[-1] - s1, csum2[-1] - q1
     rss1 = (q1 - s1 * s1 / k) + (q2 - s2 * s2 / (n - k))
     denom = rss1 / max(n - 2, 1)
@@ -666,7 +674,7 @@ def required_samples(sigma: float, tau: float, delta: float,
         raise TooShort("sigma, tau, delta must be positive")
     if not (0 < alpha < 0.5 and 0 < beta < 0.5):
         raise TooShort("alpha and beta must lie in (0, 0.5)")
-    z = float(ndtri(1 - alpha) + ndtri(1 - beta))
+    z = normal_quantile(1 - alpha) + normal_quantile(1 - beta)
     return int(math.ceil(z * z * sigma * sigma / (delta * delta * tau * tau)))
 
 
@@ -721,7 +729,7 @@ def antagonism_diagnostics(partials, a_hat: float, theta: float,
     """
     if not 0 <= theta < 1:
         raise TooShort(f"theta={theta} must lie in [0, 1)")
-    z = float(ndtri(1 - alpha))
+    z = normal_quantile(1 - alpha)
     viol = 0.0
     stat_zero = True
     for value, se in partials:

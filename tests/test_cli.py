@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -808,6 +809,136 @@ def test_control_sim_artifacts_are_pinned(tmp_path, channels):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("control_log.jsonl", "control_summary.json"))
     assert digests == CONTROL_DIGESTS[channels]
+
+
+def subcritical_csv_config(n=500):
+    """Loss-path CSV series in the working directory whose raw index obeys
+    dG/dt = G**0.8 / 3600 from G = 10, with temperature and usable-power
+    series whose service ceiling covers the rate; returns the config."""
+    rng = np.random.default_rng(2024)
+    span = (40.0 ** 0.2 - 10.0 ** 0.2) / (0.2 / 3600.0)
+    t = 1.7e9 + np.linspace(0.0, span, n)
+    g = (10.0 ** 0.2 + 0.2 / 3600.0 * (t - t[0])) ** 5.0
+    tasks = (("t0", 0.6, 0.05), ("t1", 0.4, 0.1))
+    for task, _, floor in tasks:
+        write_series_csv(Path(f"loss_{task}.csv"), t, floor * np.exp(
+            40.01 - g + rng.normal(0.0, 1e-3, n)), "loss")
+    temp = 300.0 * np.exp(rng.normal(0.0, 1e-4, n))
+    write_series_csv(Path("temp.csv"), t, temp, "K")
+    write_series_csv(Path("p_use.csv"), t,
+                     1.25 / 3600.0 * 1.380649e-23 * math.log(2.0) * temp, "W")
+    return write_json(Path("subcritical.json"), {
+        "seed": 0,
+        "series": {"losses": [{"task": task, "path": f"loss_{task}.csv"}
+                              for task, _, _ in tasks],
+                   "T": "temp.csv", "P_use": "p_use.csv"},
+        "benchmark": {"tasks": [{"id": i, "weight": w, "floor": f}
+                                for i, w, f in tasks], "t_ref": float(t[0])},
+        "envelope_params": {"P_max": 1e-18, "T_range": [299.0, 301.0],
+                            "cop_range": [1e9, 1e9], "sigma_eff": 1.0},
+        "phi": {"kind": "power", "p": 0.8, "c": 3.0, "domain_floor": 10.0},
+        "estimation": {"window": span / 9.0, "lag": "auto", "alpha": 0.05},
+        "certify": {"alpha": 0.05, "envelope_tol": 0.05},
+        "flags": {"capped_power": True}})
+
+
+def superlinear_json_config(n=500):
+    """A capability JSON series in the working directory on
+    I = 1 / (1 - t/3600) with log-noise 1e-3 and a capital channel that
+    escapes at T_K = 1 s; returns the config."""
+    rng = np.random.default_rng(2025)
+    t = np.linspace(0.0, 0.9 * 3600.0, n)
+    i_vals = np.exp(rng.normal(0.0, 1e-3, n)) / (1.0 - t / 3600.0)
+    write_json(Path("capability.json"), {
+        "name": "capability", "unit": "nat", "snapshot_version": "superlinear",
+        "samples": [{"t": a, "value": b}
+                    for a, b in zip((1.7e9 + t).tolist(), i_vals.tolist())]})
+    return write_json(Path("superlinear.json"), {
+        "seed": 0,
+        "series": {"capability": "capability.json"},
+        "estimation": {"window": 360.0, "alpha": 0.05},
+        "certify": {"alpha": 0.05},
+        "capital": {"K0": 1.0, "r": 2.0, "zeta": 2.0}})
+
+
+# sha256 of every certify artifact on the two configs above, written and
+# run from a working directory of their own (the certificate echoes the
+# config path); recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64.
+CERTIFY_DIGESTS = {
+    "subcritical": {
+        "certificate.json":
+            "d7d01a5757d7d93973e86d3df77fef0e8b0ceb2a910d041fe6c2fd6ebcf32686",
+        "elasticity.csv":
+            "33470e5e886d21ae641bcb8bdf3e6c0855a51856a19786ffcf0781a0232f82de",
+        "envelope_slack.csv":
+            "787580ad53a7dd8db3d24e065a3e1b7ccf941556306bd4f03a46f9610b06ef9c",
+        "report.txt":
+            "740f4eb26c4a660b643b2439748acc6725c3486aa9aa1f6ac15eea0984594de7",
+        "segments.csv":
+            "be2c68432c3b7479a3b68355fd5fb21e1e08b7f35c03b9f9f1f0a6ecead87db8"},
+    "superlinear": {
+        "certificate.json":
+            "da2d52805d20aed38a12ca77a9c381b9336097613033528eb22b8fd6930870ea",
+        "elasticity.csv":
+            "4e2ebdf106a5677cc4b6a0c4565c2ad021c0aae52cc90d36322bf935bbbaef8b",
+        "report.txt":
+            "99371e0bc015953630edd120808e88161f99efc1dd63b895bc42d5e9b069d037",
+        "segments.csv":
+            "77c30f622fe5ffe707dcf97f8df2e5ae3255e873ff97c9c9ad708f4169f0f617"},
+}
+# (config writer, exit code) per pinned config
+CERTIFY_CONFIGS = {"subcritical": (subcritical_csv_config, 0),
+                   "superlinear": (superlinear_json_config, 3)}
+
+
+def artifact_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out).iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_DIGESTS))
+def test_certify_artifacts_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write, code = CERTIFY_CONFIGS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the unconstrained channels
+        assert run(["certify", "--config", write(), "--out", "out"]) == code
+    assert artifact_digests("out") == CERTIFY_DIGESTS[name]
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
+    # consecutive calls in one process give what each gives in a fresh
+    # interpreter, whatever options the call before them set
+    monkeypatch.chdir(tmp_path)
+    cfg = superlinear_json_config()
+    scen = write_json(Path("scen.json"), {
+        "phi": {"kind": "power", "p": 2.0, "c": 1.0},
+        "gain": 1.0, "I0": 1.0, "horizon": 5.0, "threshold": 1e6})
+    calls = [["certify", "--config", cfg, "--alpha", "0.1"],
+             ["certify", "--config", cfg],
+             ["simulate", "--config", scen, "--format", "json"],
+             ["simulate", "--config", scen],
+             ["certify", "--config", cfg, "--alpha", "0.1"]]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for i, argv in enumerate(calls):
+        alone = subprocess.run(
+            [sys.executable, "-m", "rsi_certify.cli", *argv,
+             "--out", f"alone{i}"], env=env, capture_output=True, text=True)
+        capsys.readouterr()
+        assert run([*argv, "--out", f"main{i}"]) == alone.returncode
+        assert capsys.readouterr().out == alone.stdout
+        assert (artifact_digests(f"main{i}")
+                == artifact_digests(f"alone{i}")), argv
+    assert artifact_digests("main0") != artifact_digests("main1")
+    assert cli.main(["certify", "--help"]) == 0
+    assert cli.main(["certify", "--config", cfg, "--bogus"]) == 1
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt its parser")
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    assert run(["certify", "--config", cfg, "--out", "again"]) == 3
+    assert artifact_digests("again") == artifact_digests("main1")
 
 
 def test_benchmark_spec_by_path_matches_inline(tmp_path):
