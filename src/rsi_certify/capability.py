@@ -112,17 +112,18 @@ def loss_index(losses: list[ts.TimeSeries], spec: BenchmarkSpec) -> ts.TimeSerie
     return ts.TimeSeries("itilde", "nat", base.t, -total, None, version)
 
 
-def _finite_difference_rate(t: np.ndarray, v: np.ndarray):
-    """Rates on t[:-1]: forward difference at the first point, central
-    differences on the interior."""
-    n = t.size
-    if n < 2:
+def capability_rate(I: ts.TimeSeries) -> ts.TimeSeries:
+    """Idot of a capability series on its grid less the last point: a
+    forward difference at the first point, central differences on the
+    interior."""
+    t, v = I.t, I.values
+    if t.size < 2:
         raise GridMismatch("need at least two samples to differentiate")
-    rate = np.empty(n - 1)
+    rate = np.empty(t.size - 1)
     rate[0] = (v[1] - v[0]) / (t[1] - t[0])
-    if n > 2:
-        rate[1:] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
-    return t[:-1].copy(), rate
+    rate[1:] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
+    return ts.TimeSeries("capability_rate", "nat/s", t[:-1], rate, None,
+                         I.snapshot_version)
 
 
 def canonicalize(itilde: ts.TimeSeries, spec: BenchmarkSpec) -> CapabilitySeries:
@@ -140,10 +141,7 @@ def canonicalize(itilde: ts.TimeSeries, spec: BenchmarkSpec) -> CapabilitySeries
     i_vals = itilde.values - offset
     i_series = ts.TimeSeries("capability", "nat", itilde.t, i_vals, None,
                              itilde.snapshot_version)
-    dt, rate = _finite_difference_rate(itilde.t, i_vals)
-    idot = ts.TimeSeries("capability_rate", "nat/s", dt, rate, None,
-                         itilde.snapshot_version)
-    return CapabilitySeries(i_series, idot, spec)
+    return CapabilitySeries(i_series, capability_rate(i_series), spec)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -95,13 +96,16 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
 
 
 def _number(value, key: str, kind=float):
-    """A JSON number; true, false and numeric text are refused too."""
+    """A JSON number, integral for ``kind=int``; true, false and numeric
+    text are refused too."""
     try:
-        if isinstance(value, (bool, str)):
+        if isinstance(value, (bool, str)) or \
+                kind is int and not float(value).is_integer():
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} must be a number, "
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {what}, "
                           f"got {value!r}") from None
 
 
@@ -217,7 +221,7 @@ def _envelope_params(cfg, key: str) -> env.EnvelopeParams:
 
     ranges = ("T_range", "cop_range", "eta_elec_range", "eta_use_range")
     return _build(env.EnvelopeParams, _section(cfg, key, required=True), key,
-                  exclude=("k_B",), P_max=number("P_max"),
+                  P_max=number("P_max"),
                   sigma_eff=number("sigma_eff"),
                   **{name: pair(name) for name in ranges})
 
@@ -296,12 +300,9 @@ def _profile(cfg, args, load, alpha):
         if "capability_rate" in roles:
             idot = load(roles["capability_rate"], "nat/s")
         else:
-            dt, rate = cap._finite_difference_rate(i_series.t,
-                                                   i_series.values)
-            idot = ts.TimeSeries("capability_rate", "nat/s", dt, rate, None,
-                                 i_series.snapshot_version)
+            idot = cap.capability_rate(i_series)
     prof = est.rolling_elasticity(i_series, idot, window, lag=lag, alpha=alpha)
-    segs = est.segment_profile(prof, trim=trim)
+    segs = est.segment_profile(prof)
     return window, i_series, idot, snapshots, prof, segs
 
 
@@ -382,6 +383,12 @@ def run_certify(cfg, args, load) -> Outcome:
                    "seed", int)
     window, i_series, idot, snapshots, prof, segs = _profile(cfg, args, load,
                                                              alpha)
+    # _profile refused any other flags key
+    flags = dict.fromkeys(SECTION_KEYS["flags"], False) | _section(cfg, "flags")
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key 'flags.{key}' must be true or "
+                              f"false, got {value!r}")
     t_on, i_on, rate_on = est.shared_samples(i_series, idot)
     pos = (i_on > 0) & (rate_on > 0)
     i_pos, rate_pos = i_on[pos], rate_on[pos]
@@ -450,13 +457,12 @@ def run_certify(cfg, args, load) -> Outcome:
             *(_number(c.get(k), f"capital.{k}") for k in ("K0", "r", "zeta")),
             _number(c.get("delta", 0.0), "capital.delta"))
         capital_T = params_k.escape_time()
-        flags = _section(cfg, "flags")
         try:
             region = dyn.classify_region(
                 params_k.zeta, ptot_plus,
-                capped_power=flags.get("capped_power", False),
-                logistic=flags.get("logistic_data", False),
-                baseline_effort_floor=flags.get("effort_floor", False),
+                capped_power=flags["capped_power"],
+                logistic=flags["logistic_data"],
+                baseline_effort_floor=flags["effort_floor"],
                 capital=params_k)
             bound = "" if region.bound is None else f", T_K={region.bound!r}"
             region_note = f"region {region.region}: {region.conclusion}{bound}"
@@ -552,17 +558,22 @@ def render_report(cert: ct.Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-SCENARIO_KEYS = ("phi", "gain", "I0", "horizon", "threshold", "rtol",
-                 "capital", "name")
+SCENARIO_KEYS = ("phi", "gain", "I0", "horizon", "threshold", "rtol", "name")
 
 
 def run_simulate(cfg, args, load) -> Outcome:
     phi = _phi(_section(cfg, "phi", required=True))
     _known(cfg, SCENARIO_KEYS, "scenario")
-    res = dyn.integrate(dyn.envelope_rhs(phi, cfg.get("gain", 1.0)),
-                        cfg["I0"], cfg["horizon"],
-                        blowup_threshold=cfg.get("threshold"),
-                        rtol=cfg.get("rtol", 1e-8))
+    for key in ("I0", "horizon"):
+        if key not in cfg:
+            raise ConfigError(f"missing config key {key!r}")
+    threshold = cfg.get("threshold")
+    res = dyn.integrate(
+        dyn.envelope_rhs(phi, _number(cfg.get("gain", 1.0), "gain")),
+        _number(cfg["I0"], "I0"), _number(cfg["horizon"], "horizon"),
+        blowup_threshold=None if threshold is None
+        else _number(threshold, "threshold"),
+        rtol=_number(cfg.get("rtol", 1e-8), "rtol"))
     if args.format == "json":
         traj = ts.TimeSeries(cfg.get("name", "trajectory"), "nat", res.t,
                              res.I)
@@ -577,15 +588,24 @@ def run_simulate(cfg, args, load) -> Outcome:
                    artifacts)
 
 
+def _integer(key: str):
+    """A ``_build`` converter to an integral JSON number."""
+    return lambda value: _number(value, key, int)
+
+
 def run_control_sim(cfg, args, load) -> Outcome:
     _known(cfg, ("plant", "control", "policy"), "control-sim")
     scenario = _build(sc.PlantScenario, _section(cfg, "plant", required=True),
-                      "plant", phi=_phi, antagonism=tuple)
+                      "plant", phi=_phi, antagonism=tuple,
+                      n_steps=_integer("plant.n_steps"),
+                      benchmark_every=_integer("plant.benchmark_every"))
     config = _build(sc.ControlConfig, _section(cfg, "control", required=True),
                     "control", exclude=("alpha_fn",), r_u=tuple,
                     u_box=lambda box: tuple(map(tuple, box)))
     policy = _build(sc.PolicyThresholds, _section(cfg, "policy"), "policy",
-                    exclude=("slack_tol",))
+                    exclude=("slack_tol",),
+                    escalate_consecutive_slack=_integer(
+                        "policy.escalate_consecutive_slack"))
     log = sc.supervise(scenario, config, policy)
     return Outcome(
         EXIT_OK,
@@ -655,7 +675,11 @@ def main(argv=None) -> int:
         cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        outcome = args.run(cfg, args, FileInputs())
+        # every warning the command raises, each time it raises it: printed
+        # once per distinct text, without the raising source line
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            outcome = args.run(cfg, args, FileInputs())
         os.makedirs(args.out, exist_ok=True)
         for name, text in outcome.artifacts.items():
             with open(os.path.join(args.out, name), "w", encoding="utf-8",
@@ -669,6 +693,8 @@ def main(argv=None) -> int:
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_ERROR
+    for text in dict.fromkeys(str(w.message) for w in raised):
+        print(f"warning [{args.command}]: {text}", file=sys.stderr)
     print(outcome.message)
     return outcome.code
 

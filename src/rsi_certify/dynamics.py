@@ -275,9 +275,7 @@ class IntegrationResult:
 
 
 def envelope_rhs(phi: PhiSpec, gain=1.0):
-    """Right-hand side a(t) * Phi(I); gain may be a constant or callable."""
-    if callable(gain):
-        return lambda t, I: gain(t) * phi(I)
+    """Right-hand side gain * Phi(I) for a constant gain."""
     g = float(gain)
     return lambda t, I: g * phi(I)
 

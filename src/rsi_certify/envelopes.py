@@ -53,11 +53,8 @@ class EnvelopeParams:
     eta_elec_range: tuple[float, float] = (1.0, 1.0)
     eta_use_range: tuple[float, float] = (1.0, 1.0)
     sigma_eff: float = 1.0
-    k_B: float = K_B
 
     def __post_init__(self):
-        if self.k_B != K_B:
-            raise ValueError(f"k_B is a fixed constant {K_B!r}")
         if not math.isfinite(self.P_max) or self.P_max < 0:
             raise NegativePower(f"P_max={self.P_max!r} must be finite and >= 0")
         if self.T_range[0] <= 0:

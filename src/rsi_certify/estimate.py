@@ -43,15 +43,15 @@ WEAK_INSTRUMENT_F = 10.0  # Staiger-Stock rule of thumb for one instrument
 # HAC covariance
 
 
-def auto_lag(n: int) -> int:
-    """Standard automatic truncation lag floor(4 * (n/100)^(2/9))."""
-    return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
-
-
 def auto_lags(counts: np.ndarray) -> np.ndarray:
-    """auto_lag of each count, as one array expression; equal to it for
-    every count from 1 to 2,000,000."""
+    """Standard automatic truncation lag floor(4 * (n/100)^(2/9)) of each
+    count n."""
     return np.floor(4.0 * (counts / 100.0) ** (2.0 / 9.0)).astype(int)
+
+
+def auto_lag(n: int) -> int:
+    """``auto_lags`` of one count."""
+    return int(auto_lags(n))
 
 
 def newey_west_cov(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray:
@@ -452,14 +452,14 @@ def iv_slope(Y: ts.TimeSeries, X: ts.TimeSeries, Z: ts.TimeSeries,
                              first_stage_f=f_stat)
     beta = float((dz * dy).sum()) / szx
 
-    # HAC variance of the moment m_t = z_t * e_t around the IV solution
-    e = dy - beta * dx
-    m = (dz * e)[:, None]
+    # HAC (Bartlett) long-run variance of the moment m_t = z_t * e_t around
+    # the IV solution
     eff_lag = auto_lag(n) if lag == "auto" else int(lag)
-    s_long = newey_west_cov(np.ones((n, 1)), (m[:, 0]), min(eff_lag, n - 1))
-    # newey_west_cov with a constant design returns the long-run variance of
-    # the moment divided by n^2
-    var_beta = float(s_long[0, 0]) * n * n / szx ** 2
+    if eff_lag < 0:
+        raise SingularDesign(f"lag={eff_lag} must be nonnegative")
+    m = dz * (dy - beta * dx)
+    var_beta = float(ts._newey_west_meat(
+        m[None, :], np.array([min(eff_lag, n - 1)]))[0]) / szx ** 2
     return IvSlopeResult(beta, math.sqrt(max(var_beta, 0.0)), float(f_stat))
 
 
@@ -597,34 +597,31 @@ def _sup_wald_mean_shift(y: np.ndarray, trim: float):
 SUP_WALD_MIN_SEGMENT = 30  # fewest estimates a segment needs to be scanned
 
 
-def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = SUP_WALD_TRIM,
-                    alpha: float = 0.05,
-                    min_segment: int = SUP_WALD_MIN_SEGMENT) -> BreakSegmentation:
+def sup_wald_breaks(slope_series: ts.SlopeSeries,
+                    alpha: float = 0.05) -> BreakSegmentation:
     """Segment a local-slope process at mean shifts found by sup-Wald scans.
 
-    A single-break scan with the asymptotic critical value is applied
-    recursively (binary segmentation) until no segment of at least
-    ``min_segment`` points rejects stability.  No break yields one segment
-    covering the whole window.
+    A single-break scan at SUP_WALD_TRIM with the asymptotic critical value
+    is applied recursively (binary segmentation) until no segment of at
+    least SUP_WALD_MIN_SEGMENT points rejects stability.  No break yields
+    one segment covering the whole window.
     """
-    if trim != SUP_WALD_TRIM:
-        raise TooShort(f"no tabulated critical values for trim={trim}; "
-                       f"choose {SUP_WALD_TRIM}")
     if alpha not in SUP_WALD_CRITICAL_15:
         raise TooShort(f"no tabulated critical value for alpha={alpha}; "
                        f"choose from {sorted(SUP_WALD_CRITICAL_15)}")
     y = np.asarray(slope_series.slope, dtype=float)
     t = np.asarray(slope_series.t, dtype=float)
-    if y.size < min_segment:
-        raise TooShort(f"need >= {min_segment} points, got {y.size}")
+    if y.size < SUP_WALD_MIN_SEGMENT:
+        raise TooShort(f"need >= {SUP_WALD_MIN_SEGMENT} points, "
+                       f"got {y.size}")
     critical = SUP_WALD_CRITICAL_15[alpha]
 
     breaks: list[int] = []
 
     def scan(lo: int, hi: int):
-        if hi - lo < min_segment:
+        if hi - lo < SUP_WALD_MIN_SEGMENT:
             return
-        w, k = _sup_wald_mean_shift(y[lo:hi], trim)
+        w, k = _sup_wald_mean_shift(y[lo:hi], SUP_WALD_TRIM)
         if k is None or w <= critical:
             return
         split = lo + k
@@ -640,13 +637,12 @@ def sup_wald_breaks(slope_series: ts.SlopeSeries, trim: float = SUP_WALD_TRIM,
     return BreakSegmentation(bp_times, segments)
 
 
-def segment_profile(prof: RollingElasticity,
-                    trim: float = SUP_WALD_TRIM) -> BreakSegmentation:
+def segment_profile(prof: RollingElasticity) -> BreakSegmentation:
     """Regime segments of a rolling elasticity profile: sup-Wald breaks
     when the profile holds at least SUP_WALD_MIN_SEGMENT estimates, else
     one segment covering the whole profile."""
     if prof.t.size >= SUP_WALD_MIN_SEGMENT:
-        return sup_wald_breaks(prof.to_slope_series(), trim=trim)
+        return sup_wald_breaks(prof.to_slope_series())
     return BreakSegmentation(
         [], [(float(prof.t[0]), _segment_end(prof.t[-1]))])
 

@@ -173,16 +173,12 @@ def robust_residual(base: float, sigma_I: float, sigma_x: float) -> float:
 
 
 def barrier_budget(I_hat: float, config: ControlConfig,
-                   sigma_I: float = 0.0, sigma_x: float = 0.0,
-                   use_estimation_margin: bool = True) -> float:
-    """Interior rate budget -alpha(I_hat - I_bar) less the latency,
-    estimation, and antagonism margins.  May be negative near or above the
-    boundary, in which case the QP throttles to the box floor and takes
-    slack."""
+                   sigma_I: float = 0.0, sigma_x: float = 0.0) -> float:
+    """Interior rate budget -alpha(I_hat - I_bar) less the latency and
+    antagonism margins.  May be negative near or above the boundary, in
+    which case the QP throttles to the box floor and takes slack."""
     budget = -config.alpha(I_hat - config.I_bar)
     budget -= config.L_h * config.tau_bar
-    if use_estimation_margin:
-        budget -= config.eps_I
     budget -= sigma_I + sigma_x
     return budget
 
@@ -282,8 +278,8 @@ def observer_update(state: ObserverState, phi_svc_hat: float, Phi,
     benchmark value with its confidence weight (zero when no benchmark
     arrived this period).
     """
-    phi_val = Phi(state.I_hat) if callable(Phi) else float(Phi)
-    predicted = state.I_hat + config.Delta * phi_val * phi_svc_hat * throttle
+    predicted = state.I_hat \
+        + config.Delta * Phi(state.I_hat) * phi_svc_hat * throttle
     if benchmark is None:
         return ObserverState(predicted, state.last_benchmark)
     value, age, confidence = benchmark
@@ -383,12 +379,6 @@ class StepLog:
     budget: float
     violation_rate: float
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "t": self.t, "I_true": self.I_true,
-                "I_hat": self.I_hat, "u": self.u, "slack": self.slack,
-                "action": self.action, "budget": self.budget,
-                "violation_rate": self.violation_rate}
-
 
 @dataclass
 class SupervisionLog:
@@ -401,10 +391,11 @@ class SupervisionLog:
         return [s.action for s in self.steps]
 
     def to_jsonl(self) -> str:
-        """One JSON object per step, one step per line."""
+        """One JSON object per step (its fields, sorted), one step per
+        line."""
         # the encoder json.dumps(..., sort_keys=True) would build per step
         encode = json.JSONEncoder(sort_keys=True).encode
-        return "".join(encode(s.to_json_dict()) + "\n" for s in self.steps)
+        return "".join(encode(vars(s)) + "\n" for s in self.steps)
 
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -493,8 +484,7 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
 
         # -- barrier QP
         a_row = np.full(config.n_channels, gain)
-        budget = barrier_budget(I_hat, config, sigma_i, sigma_x,
-                                use_estimation_margin=False)
+        budget = barrier_budget(I_hat, config, sigma_i, sigma_x)
         qp = qp_step(u_ref, u_prev, a_row, budget, config)
         u_k = qp.u_star
         u_0 = float(u_k[0])

@@ -84,7 +84,7 @@ def test_ingest_deterministic(tmp_path):
 # envelope
 
 
-def test_envelope_command(tmp_path):
+def test_envelope_command(tmp_path, capsys):
     t = np.linspace(0, 9, 10)
     write_series_csv(tmp_path / "p_use.csv", t, np.full(10, 1.0), "W")
     write_series_csv(tmp_path / "temp.csv", t, np.full(10, 300.0), "K")
@@ -97,8 +97,10 @@ def test_envelope_command(tmp_path):
                        "delta_cop": 0.01, "delta_P": 0.01, "delta_T": 0.01},
     })
     out = tmp_path / "out"
-    with pytest.warns(UserWarning):
-        assert run(["envelope", "--config", cfg, "--out", out]) == 0
+    assert run(["envelope", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning [envelope]: unconstrained channel: no {channel} bandwidth "
+        "series supplied" for channel in ("io", "mem")]
     doc = json.loads((out / "envelope.json").read_text())
     assert doc["phi_svc"]["unit"] == "nat/s"
     assert doc["phi_pt_bar"]["band"]["first_order"] == pytest.approx(0.05)
@@ -515,7 +517,7 @@ def hard_cap_config(tmp_path, cfg):
 
 @pytest.mark.parametrize("extend", [cop_series_config, hard_cap_config])
 def test_certify_builds_the_envelope_command_envelope(tmp_path, monkeypatch,
-                                                      extend):
+                                                      capsys, extend):
     cfg = json.loads(open(case_b_config(tmp_path)).read())
     extend(tmp_path, cfg)
     env_cfg = {"params": cfg["envelope_params"], "series": cfg["series"],
@@ -528,13 +530,14 @@ def test_certify_builds_the_envelope_command_envelope(tmp_path, monkeypatch,
         return seen[-1]
 
     monkeypatch.setattr(cli.env, "compute_envelope", recording)
-    with pytest.warns(UserWarning):
-        run(["envelope", "--config", write_json(tmp_path / "env.json",
-                                                 env_cfg),
-             "--out", tmp_path / "env"])
-    with pytest.warns(UserWarning):
-        run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
-             "--out", tmp_path / "cert"])
+    run(["envelope", "--config", write_json(tmp_path / "env.json", env_cfg),
+         "--out", tmp_path / "env"])
+    assert "warning [envelope]: unconstrained channel" in \
+        capsys.readouterr().err
+    run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+         "--out", tmp_path / "cert"])
+    assert "warning [certify]: unconstrained channel" in \
+        capsys.readouterr().err
     envelope_svc, certify_svc = (r.phi_svc.values for r in seen)
     assert np.array_equal(certify_svc, envelope_svc)
     assert envelope_svc == pytest.approx(np.full(400, 1.0 if "hard_cap_p_use"
@@ -783,6 +786,53 @@ def test_control_sim_rejects_nonfinite_numbers(tmp_path, capsys, where, key,
     assert len(err.strip().splitlines()) == 1 and f"{where}.{key}" in err
 
 
+SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
+            "horizon": 1.0}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("simulate", {**SCENARIO, "I0": "1"}, "'I0'"),
+    ("simulate", {"phi": SCENARIO["phi"], "horizon": 1.0},
+     "missing config key 'I0'"),
+    ("simulate", {"phi": SCENARIO["phi"], "I0": 1.0},
+     "missing config key 'horizon'"),
+    ("simulate", {**SCENARIO, "gain": True}, "'gain'"),
+    ("simulate", {**SCENARIO, "horizon": [1.0]}, "'horizon'"),
+    ("simulate", {**SCENARIO, "threshold": "1e6"}, "'threshold'"),
+    ("simulate", {**SCENARIO, "rtol": False}, "'rtol'"),
+    ("simulate", {**SCENARIO, "capital": {"K0": 1.0, "r": 2.0, "zeta": 2.0}},
+     "scenario key 'capital'"),
+    ("control-sim", control_config(plant=("n_steps", 2.5)), "plant.n_steps"),
+    ("control-sim", control_config(plant=("n_steps", True)), "plant.n_steps"),
+    ("control-sim", control_config(plant=("benchmark_every", True)),
+     "plant.benchmark_every"),
+    ("control-sim", control_config(plant=("benchmark_every", 1.5)),
+     "plant.benchmark_every"),
+    ("control-sim", control_config(policy=("escalate_consecutive_slack", 2.5)),
+     "policy.escalate_consecutive_slack"),
+    ("control-sim", control_config(policy=("escalate_consecutive_slack",
+                                           True)),
+     "policy.escalate_consecutive_slack"),
+])
+def test_simulate_and_control_sim_numbers_name_the_key(tmp_path, capsys,
+                                                       command, cfg, named):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0], err
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    digests = []
+    for n_steps in (5, 5.0):
+        path = write_json(tmp_path / "ctl.json",
+                          control_config(plant=("n_steps", n_steps)))
+        out = tmp_path / f"out{n_steps!r}"
+        assert run(["control-sim", "--config", path, "--out", out]) == 0
+        digests.append(artifact_digests(out))
+    assert digests[0] == digests[1]
+
+
 # sha256 of control_log.jsonl and control_summary.json on scenarios shaped
 # like the benchmark's control configs, shortened to 200 steps (recorded
 # with numpy 2.4.6 on x86-64).  Making the plant a function of all m
@@ -939,6 +989,31 @@ def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", no_rebuild)
     assert run(["certify", "--config", cfg, "--out", "again"]) == 3
     assert artifact_digests("again") == artifact_digests("main1")
+
+
+def test_warnings_print_one_line_each_on_every_run(tmp_path, monkeypatch,
+                                                  capsys):
+    # the warnings module printed each under the path and line of the call
+    # that raised it, and only on the first run of the process
+    monkeypatch.chdir(tmp_path)
+    cfg = subcritical_csv_config()
+    errs = []
+    for out in ("out0", "out1"):
+        assert run(["certify", "--config", cfg, "--out", out]) == 0
+        errs.append(capsys.readouterr().err.splitlines())
+    assert errs[0] == errs[1] == [
+        f"warning [certify]: unconstrained channel: no {channel} bandwidth "
+        "series supplied" for channel in ("io", "mem")]
+
+
+def test_a_failed_run_prints_only_its_error(tmp_path, capsys):
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    cfg["exponents"] = {"alpha": "x"}   # read after the envelope warned
+    assert run(["certify", "--config", write_json(tmp_path / "bad.json", cfg),
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error [certify]: config key 'exponents.alpha' must be a number, "
+        "got 'x'"]
 
 
 def test_benchmark_spec_by_path_matches_inline(tmp_path):
@@ -1150,6 +1225,25 @@ def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)
     cfg = {"series": {"capability": cap_path},
            "estimation": {"window": 0.1}, **cfg}
+    code, err = run_quietly(["certify", "--config",
+                             write_json(tmp_path / "c.json", cfg),
+                             "--out", tmp_path / "out"])
+    assert code == 1 and len(err) == 1 and named in err[0], err
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"flags": {"capped_power": "false"}}, "'flags.capped_power'"),
+    ({"flags": {"capped_power": [0]}}, "'flags.capped_power'"),
+    ({"flags": {"logistic_data": 0}}, "'flags.logistic_data'"),
+    ({"flags": {"effort_floor": None}}, "'flags.effort_floor'"),
+    ({"seed": 2.7}, "'seed'"),
+])
+def test_flags_and_seed_are_refused_not_coerced(tmp_path, cfg, named):
+    # "false" once classified the region as B-capped in config_echo, and a
+    # seed of 2.7 was echoed as 2
+    cfg = {"series": {"capability": capability_fixture(tmp_path)},
+           "estimation": {"window": 0.1},
+           "capital": {"K0": 1.0, "r": 2.0, "zeta": 0.5}, **cfg}
     code, err = run_quietly(["certify", "--config",
                              write_json(tmp_path / "c.json", cfg),
                              "--out", tmp_path / "out"])

@@ -8,10 +8,9 @@ generator (``perfbench/fixtures.py`` of this checkout, imported as it
 is), and each tree then runs all of them in one fresh interpreter of its
 own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it:
 ``certify`` on certify fixtures, ``control-sim`` on control ones.  Every
-artifact, exit code and stdout must be byte-identical between the trees;
-stderr is not compared (warnings name the source line that raised them).
-Prints one line per difference and a summary; exits 0 when there is
-none, 1 otherwise.
+artifact, exit code, stdout and stderr must be byte-identical between the
+trees.  Prints one line per difference and a summary; exits 0 when there
+is none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-8k", "certify-fleet", "control-1ch", "control-6ch")
@@ -50,7 +48,8 @@ def build_runs(seeds, workloads, root) -> list[dict]:
 
 
 def run_tree(tree, runs, out_root) -> dict:
-    """Exit code and stdout of each run, from one interpreter on ``tree``."""
+    """Exit code, stdout and stderr of each run, from one interpreter on
+    ``tree``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree),
                                                    "src"))
     spec = os.path.join(out_root, "runs.json")
@@ -71,13 +70,14 @@ def child(spec_path) -> None:
         spec = json.load(fh)
     results = {}
     for r in spec["runs"]:
-        stdout = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
-            warnings.simplefilter("ignore")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             code = rsi_certify.cli.main(
                 [r["cmd"], "--config", r["config"],
                  "--out", os.path.join(spec["out"], r["id"])])
-        results[r["id"]] = {"code": code, "stdout": stdout.getvalue()}
+        results[r["id"]] = {"code": code, "stdout": stdout.getvalue(),
+                            "stderr": stderr.getvalue()}
     with open(os.path.join(spec["out"], "results.json"), "w",
               encoding="utf-8") as fh:
         json.dump(results, fh)
@@ -94,7 +94,7 @@ def files_under(d) -> dict:
 
 
 def compare(runs, outs, results) -> list[str]:
-    """One line per artifact, exit code or stdout that differs."""
+    """One line per artifact, exit code, stdout or stderr that differs."""
     diffs = []
     for r in runs:
         rid = r["id"]
@@ -103,8 +103,9 @@ def compare(runs, outs, results) -> list[str]:
         if parent["code"] != change["code"]:
             diffs.append(f"{rid}: exit code {parent['code']} != "
                          f"{change['code']}")
-        if parent["stdout"] != change["stdout"]:
-            diffs.append(f"{rid}: stdout differs")
+        for stream in ("stdout", "stderr"):
+            if parent[stream] != change[stream]:
+                diffs.append(f"{rid}: {stream} differs")
         p_files, c_files = files_under(p_out), files_under(c_out)
         for name in sorted(set(p_files) | set(c_files)):
             if p_files.get(name) != c_files.get(name):
