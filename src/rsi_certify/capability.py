@@ -10,7 +10,7 @@ Rates are taken by finite differences on the sample grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

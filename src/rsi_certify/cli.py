@@ -593,19 +593,49 @@ def _integer(key: str):
     return lambda value: _number(value, key, int)
 
 
+def _as_given(key: str, optional: bool = False):
+    """A ``_build`` converter that refuses all but a JSON number (null too
+    where ``optional``), true and false included, and passes the number on
+    as given: an integer stays one in the control log."""
+    def check(value):
+        if value is not None or not optional:
+            _number(value, key)
+        return value
+    return check
+
+
+def _tuple_of(key: str, entry=_as_given):
+    """A ``_build`` converter of a JSON array to a tuple whose entry i is
+    converted by ``entry(f"{key}[{i}]")``."""
+    return lambda values: tuple(entry(f"{key}[{i}]")(value)
+                                for i, value in enumerate(values))
+
+
 def run_control_sim(cfg, args, load) -> Outcome:
+    def numbers(where, *names, optional=()):
+        return {k: _as_given(f"{where}.{k}", k in optional) for k in names}
+
     _known(cfg, ("plant", "control", "policy"), "control-sim")
     scenario = _build(sc.PlantScenario, _section(cfg, "plant", required=True),
-                      "plant", phi=_phi, antagonism=tuple,
+                      "plant", phi=_phi,
+                      antagonism=_tuple_of("plant.antagonism"),
                       n_steps=_integer("plant.n_steps"),
-                      benchmark_every=_integer("plant.benchmark_every"))
+                      benchmark_every=_integer("plant.benchmark_every"),
+                      **numbers("plant", "I0", "phi_svc_true", "phi_svc_meas",
+                                "u_ref", "state_error", "latency", "ptot_hat",
+                                optional=("phi_svc_meas", "ptot_hat")))
     config = _build(sc.ControlConfig, _section(cfg, "control", required=True),
-                    "control", exclude=("alpha_fn",), r_u=tuple,
-                    u_box=lambda box: tuple(map(tuple, box)))
+                    "control", exclude=("alpha_fn",),
+                    r_u=_tuple_of("control.r_u"),
+                    u_box=_tuple_of("control.u_box", _tuple_of),
+                    **numbers("control", "I_bar", "kappa", "Delta", "tau_bar",
+                              "L_h", "eps_I", "slack_weight"))
     policy = _build(sc.PolicyThresholds, _section(cfg, "policy"), "policy",
                     exclude=("slack_tol",),
                     escalate_consecutive_slack=_integer(
-                        "policy.escalate_consecutive_slack"))
+                        "policy.escalate_consecutive_slack"),
+                    **numbers("policy", "governance_delta",
+                              "antagonism_theta"))
     log = sc.supervise(scenario, config, policy)
     return Outcome(
         EXIT_OK,

@@ -14,7 +14,7 @@ adaptive Runge-Kutta integrator used as the cross-check oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1

@@ -22,8 +22,6 @@ import numpy as np
 
 from . import series as ts
 from .errors import (
-    DegenerateRegressor,
-    GridMismatch,
     NegativeDelta,
     NegativePower,
     NonPositiveTemperature,

@@ -26,13 +26,14 @@ windows' weighted moments come from prefix sums in O(n): not over the
 whole series, whose sums would cancel catastrophically on epoch-second
 timestamps, but over blocks about one window wide, each shifted to its own
 origin, so the cancellation is bounded by the block (Chan, Golub & LeVeque
-1983).  The Newey-West lag sums of a large call come from prefix sums over
-the same blocks too: the residual products g_i of a window are its 15
-coefficients dotted with 15 per-sample features, so 120 prefix-summed
-products of the features with their Bartlett-filtered copies give every
-window's lag sums, less a boundary term from 2L samples.  A window whose
-own rounding bound is over budget is refitted, or its lag sums summed,
-from its gathered samples.
+1983).  The Newey-West lag sums come from prefix sums over the same
+blocks too: the residual products g_i of a window are its 15 coefficients
+dotted with 15 per-sample features, so 120 prefix-summed products of the
+features with their Bartlett-filtered copies give every window's lag sums,
+less a boundary term from 2L samples.  Two passes and one fallback: a
+small call is fitted from its gathered samples and a larger one from the
+prefix sums, and a window whose own rounding bound is over budget is
+refitted whole from its gathered samples.
 """
 
 from __future__ import annotations
@@ -491,9 +492,7 @@ def wls_slope(x: np.ndarray, y: np.ndarray, w: np.ndarray):
 # (n near 17k with a window at a ninth of the span) those temporaries grow
 # with n: tracemalloc read 1.9, 2.4 and 4.7 MB at n = 8k, 16k and 32k.
 # A call whose windows hold no more samples than one gathered block is
-# fitted from the gathered samples: near that size the prefix sums cost
-# about what they save (a Newey-West call broke even near 40k samples, a
-# classical one near 10k, on the certify fixtures' shape).
+# fitted from the gathered samples.
 WINDOW_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -535,15 +534,13 @@ class WindowFits(NamedTuple):
 # bound is refitted from its gathered samples.  Measured against extended
 # precision, the error stays within a few times the bound.
 MOMENT_RTOL = 1e-12
-# The same for a Newey-West meat from lag sums: a window over this bound
-# gathers its samples for the lag sums alone.
+# The same for a Newey-West meat from lag sums.
 LAG_RTOL = 1e-10
-# When a Newey-West call takes its lag sums from prefix sums: see
-# windowed_wls.  A lag over LAG_SUMS_MAX_LAG would cost O(L^2) per window in
-# the boundary term, and each distinct lag one more pass over a block.  A
-# step of the lag sums reads at most LAG_SUMS_STEP windows or sample
-# positions, under 200 values each, whatever the series length.
-LAG_SUMS_MIN_BLOCKS = 64
+# A lag over LAG_SUMS_MAX_LAG would cost O(L^2) per window in the boundary
+# term of the lag sums, and each distinct lag one more pass over a block:
+# such a window is refitted too.  A step of the lag sums reads at most
+# LAG_SUMS_STEP windows or sample positions, under 200 values each,
+# whatever the series length.
 LAG_SUMS_MAX_LAG = 32
 LAG_SUMS_STEP = 512
 _EPS = float(np.finfo(float).eps)
@@ -565,33 +562,22 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     Var(b) = [sum g_i^2 + 2 sum_l (1 - l/(L+1)) sum_i g_i g_{i-l}] / sxx^2
     with g_i = w_i r_i (x_i - xbar), times n_eff / (n_eff - 2).
 
-    Which pass fits a window: a call whose windows hold at most
+    Two passes and one fallback: a call whose windows hold at most
     WINDOW_BLOCK_ELEMENTS samples in all is fitted from gathered samples
-    (_fit_rows).  A larger one takes its moments from prefix sums; its
-    Newey-West lag sums come from prefix sums as well (_lag_sums, O(n) in
-    all) when the windows hold more than LAG_SUMS_MIN_BLOCKS times
-    WINDOW_BLOCK_ELEMENTS samples and the window's lag is at most
-    LAG_SUMS_MAX_LAG, and otherwise from the window's gathered samples, with
-    g formed from the moments' xbar, ybar and slope.  Per window, the
-    gathered samples take over again where a rounding bound is over budget:
-    _fit_rows refits the window, centred in two passes, when the moments'
-    bound exceeds MOMENT_RTOL (a nearly flat regressor, a nearly exact fit),
-    and the lag sums alone are gathered when theirs exceeds LAG_RTOL.  On
-    the certify fixtures' shape the two lag passes broke even near 50 times
-    WINDOW_BLOCK_ELEMENTS (n = 4000 at a ninth of the span per window):
-    certify-8k's call (202 times) takes the lag sums, the 500-sample fleet
-    logs stay on the gathered pass.
+    (_fit_rows).  A larger one takes its moments from prefix sums, and its
+    Newey-West lag sums too (_lag_sums, O(n) in all).  A window whose
+    moments' rounding bound exceeds MOMENT_RTOL (a nearly flat regressor, a
+    nearly exact fit), or whose lag sums' exceeds LAG_RTOL (or is nan: a
+    lag below 0 or over LAG_SUMS_MAX_LAG), is refitted whole by _fit_rows
+    from its gathered samples, centred in two passes.
     """
     t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=np.intp))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.intp))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        size = (hi - lo).sum()
-        if size > WINDOW_BLOCK_ELEMENTS:
-            fits, redo = _moment_fits(
-                t, x, y, centers, half, quality, lags,
-                lag_sums=size > LAG_SUMS_MIN_BLOCKS * WINDOW_BLOCK_ELEMENTS)
+        if (hi - lo).sum() > WINDOW_BLOCK_ELEMENTS:
+            fits, redo = _moment_fits(t, x, y, centers, half, quality, lags)
         else:
             fits = np.empty((len(WindowFits._fields), centers.size))
             redo = np.arange(centers.size)
@@ -603,35 +589,20 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     return WindowFits(*fits)
 
 
-def _moment_fits(t, x, y, centers, half, quality, lags, lag_sums):
+def _moment_fits(t, x, y, centers, half, quality, lags):
     """The fits of windowed_wls from _window_moments, one row per
-    WindowFits field, and the indices of the windows whose rounding bound
-    exceeds MOMENT_RTOL, whose columns are left to be refitted.  With
-    ``lag_sums`` the Newey-West meats come from _lag_sums, and only the
-    windows whose lag-sum bound exceeds LAG_RTOL gather their samples."""
+    WindowFits field, and the indices of the windows whose moments' bound
+    exceeds MOMENT_RTOL or whose lag sums' exceeds LAG_RTOL, whose columns
+    are left to be refitted."""
     # the samples of lo:hi with |t - c| <= half; the others weigh 0
     a, b = window_bounds(t, centers, half, rtol=0.0)
     sw, sww, x0, y0, xbar, ybar, sxx, slope, rss, meat, lag_bound, bound = \
-        _window_moments(t, x, y, centers, half, a, b, quality,
-                        lags if lag_sums else None)
+        _window_moments(t, x, y, centers, half, a, b, quality, lags)
     ok = bound <= MOMENT_RTOL
     if lags is None:  # classical: meat / sxx^2 = sigma^2 / sxx
         meat = rss * sxx / sw
     else:
-        keep = np.flatnonzero(ok & ~(lag_bound <= LAG_RTOL))
-        for k, w, (g, r) in _window_rows(t, (x, y), centers[keep], half,
-                                         a[keep], b[keep], quality):
-            # x - xbar and the residual, taken about the block origin first:
-            # the rounding of a mean far from 0 would shift them all alike
-            k = keep[k]
-            g -= x0[k, None]
-            g -= xbar[k, None]
-            r -= y0[k, None]
-            r -= ybar[k, None]
-            r -= slope[k, None] * g
-            g *= w
-            g *= r
-            meat[k] = _newey_west_meat(g, lags[k])
+        ok &= lag_bound <= LAG_RTOL
     fits = _closed_form(sw, sw * sw / sww, x0 + xbar, sxx, slope, y0 + ybar,
                         meat)
     return np.array(fits), np.flatnonzero(~ok)

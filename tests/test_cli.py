@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -813,6 +812,20 @@ SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
     ("control-sim", control_config(policy=("escalate_consecutive_slack",
                                            True)),
      "policy.escalate_consecutive_slack"),
+    ("control-sim", control_config(plant=("I0", True)),
+     "config key 'plant.I0' must be a number, got True"),
+    ("control-sim", control_config(plant=("ptot_hat", False)),
+     "config key 'plant.ptot_hat' must be a number, got False"),
+    ("control-sim", control_config(plant=("antagonism", [0.0, True])),
+     "config key 'plant.antagonism[1]' must be a number, got True"),
+    ("control-sim", control_config(control=("kappa", True)),
+     "config key 'control.kappa' must be a number, got True"),
+    ("control-sim", control_config(control=("r_u", [True])),
+     "config key 'control.r_u[0]' must be a number, got True"),
+    ("control-sim", control_config(control=("u_box", [[0.0, True]])),
+     "config key 'control.u_box[0][1]' must be a number, got True"),
+    ("control-sim", control_config(policy=("antagonism_theta", False)),
+     "config key 'policy.antagonism_theta' must be a number, got False"),
 ])
 def test_simulate_and_control_sim_numbers_name_the_key(tmp_path, capsys,
                                                        command, cfg, named):
@@ -950,9 +963,7 @@ def artifact_digests(out):
 def test_certify_artifacts_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     write, code = CERTIFY_CONFIGS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # the unconstrained channels
-        assert run(["certify", "--config", write(), "--out", "out"]) == code
+    assert run(["certify", "--config", write(), "--out", "out"]) == code
     assert artifact_digests("out") == CERTIFY_DIGESTS[name]
 
 
@@ -1041,11 +1052,10 @@ def test_benchmark_spec_by_path_matches_inline(tmp_path):
 
 
 def run_quietly(argv):
-    """(exit code, stderr lines) of one run, warnings silenced."""
+    """(exit code, stderr lines) of one run, its warning lines included."""
     err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+    with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("ignore")
         code = run(argv)
     return code, err.getvalue().splitlines()
 

@@ -335,7 +335,8 @@ def test_fallback_refits_a_window_bit_for_bit():
     # prefix sums cover: the block mean moves by ~3e5, the window's raw
     # moments dwarf its spread, and _fit_rows refits it from its samples;
     # so it does the few windows that reach the jump with a zero weight,
-    # and no window farther away
+    # and no window farther away, and the windows whose lag sums are over
+    # their own bound: exactly those, each bit for bit
     rng = np.random.default_rng(3)
     n = 400
     t = 1.7e9 + np.arange(n, dtype=float)
@@ -352,16 +353,24 @@ def test_fallback_refits_a_window_bit_for_bit():
         return fit_rows(xs, ys, w, lg)
 
     # one window per gathered block, so the refit row is not padded
-    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1), \
-            mock.patch.object(ts, "_fit_rows", spy):
-        fit = ts.windowed_wls(t, x, y, t, half, lo, hi, lags=lags)
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1):
+        with mock.patch.object(ts, "_fit_rows", spy):
+            fit = ts.windowed_wls(t, x, y, t, half, lo, hi, lags=lags)
+        a, b = ts.window_bounds(t, t, half, rtol=0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ts._window_moments(t, x, y, t, half, a, b, None, lags)
+    moments_over = ~(out[11] <= ts.MOMENT_RTOL)
+    over = np.flatnonzero(moments_over | ~(out[10] <= ts.LAG_RTOL))
     near = [j for j in range(n) if x[lo[j]:hi[j]].tolist() in refitted]
-    assert k in near and len(near) == len(refitted)
-    assert all(abs(t[j] - t[hi[k]]) <= 2 * half for j in near)
-    a, b = lo[k], hi[k]
-    w = ts.epanechnikov((t[a:b] - t[k]) / half)
-    ref = ts._fit_rows(x[None, a:b], y[None, a:b], w[None], lags[[k]])
-    assert [f[k] for f in fit] == [r[0] for r in ref]
+    assert near == over.tolist() and len(refitted) == over.size
+    assert moments_over[k]
+    assert all(abs(t[j] - t[hi[k]]) <= 2 * half
+               for j in np.flatnonzero(moments_over))
+    for j in over:
+        a, b = lo[j], hi[j]
+        w = ts.epanechnikov((t[a:b] - t[j]) / half)
+        ref = ts._fit_rows(x[None, a:b], y[None, a:b], w[None], lags[[j]])
+        assert [f[j] for f in fit] == [r[0] for r in ref]
 
 
 @st.composite
@@ -401,8 +410,7 @@ def lag_inputs(draw):
 def lag_path_fits(t, x, y, centers, half, lo, hi, quality, lags):
     """windowed_wls with every window on the moments and lag sums, and the
     windows whose lag sums passed their bound."""
-    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1), \
-            mock.patch.object(ts, "LAG_SUMS_MIN_BLOCKS", 0):
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1):
         fit = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
     a, b = ts.window_bounds(t, centers, half, rtol=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -414,7 +422,7 @@ def lag_path_fits(t, x, y, centers, half, lo, hi, quality, lags):
 @given(lag_inputs())
 def test_lag_sums_match_the_gathered_meat(data):
     # the Newey-West error from lag sums against the gathered reference
-    # (_fit_rows and _newey_west_meat) on every window whose lag sums pass
+    # (_fit_rows) on every window whose lag sums pass
     # their rounding bound; at least 1e-9, about 10 LAG_RTOL, apart
     t, x, y, centers, half, lo, hi, quality, lags = data
     fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, quality,
@@ -425,7 +433,7 @@ def test_lag_sums_match_the_gathered_meat(data):
                                atol=0)
 
 
-def lag_fixture(n=600, noise=0.1, start=1.7e9, seed=5):
+def lag_fixture(n=600, noise=0.1, start=1.7e9, seed=5, half=40.0):
     rng = np.random.default_rng(seed)
     t = start + np.arange(n, dtype=float)
     x = np.log(1.0 + np.arange(n) / 50.0)
@@ -433,7 +441,6 @@ def lag_fixture(n=600, noise=0.1, start=1.7e9, seed=5):
     for i in range(1, n):
         e[i] = 0.6 * e[i - 1] + rng.normal(0.0, 1.0)
     y = 1.3 * x + noise * e
-    half = 40.0
     lo, hi = ts.window_bounds(t, t, half)
     return t, x, y, t, half, lo, hi
 
@@ -443,7 +450,7 @@ def test_lag_sums_take_nearly_every_window(rule):
     # the lag sums take nearly every window of a noisy fit, the first ones
     # (which start before sample L) included.  (With L = k - 2 they take
     # few: the normal equations make sum g_i = 0, so a Bartlett sum over the
-    # whole window cancels, and the bound sends it to the gathered pass.)
+    # whole window cancels, and the bound sends it to _fit_rows.)
     t, x, y, centers, half, lo, hi = lag_fixture()
     k = hi - lo
     lags = {"0": np.zeros_like(k), "1": np.ones_like(k),
@@ -457,16 +464,27 @@ def test_lag_sums_take_nearly_every_window(rule):
     np.testing.assert_allclose(fit.se, ref, rtol=1e-9, atol=0)
 
 
-def test_nearly_exact_fit_falls_back_to_the_gathered_lag_sums():
-    # residuals 1e-9 of a regressor of order 1: the expansion the lag sums
-    # take cancels to about 1e-5, so their bound refuses every window, and
-    # each window's lag sums come from its gathered samples
-    t, x, y, centers, half, lo, hi = lag_fixture(noise=1e-9)
-    lags = est.auto_lags(hi - lo)
-    fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None, lags)
-    assert not by_sums.any()
-    ref = extended_fits(t, x, y, centers, half, lo, hi, None, lags)[2]
-    np.testing.assert_allclose(fit.se, ref, rtol=1e-6, atol=0)
+def test_windows_over_either_bound_are_refitted_whole():
+    # residuals 1e-9 of a regressor of order 1 put every window over the
+    # moments' bound; a noisy fit with L = k - 2 passes that bound, but its
+    # lag sums cancel (the normal equations make sum g_i = 0) and nearly
+    # every window is over theirs.  Either way the window is refitted from
+    # its gathered samples, every field as _fit_rows gives it.
+    for noise, half, rule in ((1e-9, 40.0, est.auto_lags),
+                              (0.1, 10.0, lambda k: k - 2)):
+        t, x, y, centers, half, lo, hi = lag_fixture(noise=noise, half=half)
+        lags = rule(hi - lo)
+        fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None,
+                                     lags)
+        assert by_sums.mean() < 0.05
+        for k in np.flatnonzero(~by_sums):
+            a, b = lo[k], hi[k]
+            w = ts.epanechnikov((t[a:b] - centers[k]) / half)
+            ref = ts._fit_rows(x[None, a:b], y[None, a:b], w[None],
+                               lags[[k]])
+            assert [f[k] for f in fit] == [r[0] for r in ref]
+        ref = extended_fits(t, x, y, centers, half, lo, hi, None, lags)[2]
+        np.testing.assert_allclose(fit.se, ref, rtol=1e-6, atol=0)
 
 
 def test_lag_over_the_cap_skips_the_lag_sums():
