@@ -57,12 +57,6 @@ class BenchmarkSpec:
             "t_ref": self.t_ref,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BenchmarkSpec":
-        tasks = tuple(TaskSpec(x["id"], x["weight"], x["floor"])
-                      for x in d["tasks"])
-        return cls(tasks, float(d["t_ref"]))
-
 
 @dataclass(frozen=True)
 class CapabilitySeries:

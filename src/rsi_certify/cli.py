@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import sys
+import types
+import typing
 import warnings
 from typing import NamedTuple
 
@@ -82,79 +86,194 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _section(cfg: dict, key: str, required: bool = False) -> dict:
-    """The JSON object at ``cfg[key]``; {} if absent and not required."""
-    value = cfg.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing config key {key!r}")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be a JSON object, "
-                          f"got {type(value).__name__}")
-    return value
+# ---------------------------------------------------------------------------
+# config declarations and their one reader: a command's config is a frozen
+# declaration with one typed field per key, and a field without a default
+# is a required key; a field typed ``object`` is a hook for library
+# callers, not a config key.
 
 
-def _number(value, key: str, kind=float):
-    """A JSON number, integral for ``kind=int``; true, false and numeric
-    text are refused too."""
-    try:
-        if isinstance(value, (bool, str)) or \
-                kind is int and not float(value).is_integer():
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key!r} must be {what}, "
-                          f"got {value!r}") from None
+def _declare(name: str, label: str | None = None, /, **keys):
+    """A frozen declaration of ``keys``, each a type (required) or a (type,
+    default) pair; ``label`` names an unknown key of a whole config."""
+    return dataclasses.make_dataclass(name, [
+        (key, spec[0], dataclasses.field(default=spec[1]))
+        if isinstance(spec, tuple) else (key, spec)
+        for key, spec in keys.items()],
+        namespace={"label": label}, frozen=True, kw_only=True)
 
 
-def _known(d: dict, allowed, where: str) -> None:
+def _optional(tp):
+    """An optional key: null or absent is None."""
+    return tp | None, None
+
+
+Loss = _declare("Loss", path=str, task=_optional(str))  # task: series name
+SERIES_ROLES = ("capability", "capability_rate", "K", "C", "D_eff", "E",
+                "P_fac", "T", "B_io", "B_mem", "P_use", "COP")
+Series = _declare("Series", losses=_optional(tuple[Loss, ...]),
+                  **dict.fromkeys(SERIES_ROLES, _optional(str)))
+Estimation = _declare("Estimation", window=_optional(float),  # or --window
+                      lag=(int | str, "auto"), alpha=(float, 0.05),
+                      trim=(float, est.SUP_WALD_TRIM))
+Wasserstein = _declare("Wasserstein", gamma=float, L_xi=float, L_rho=float,
+                       delta_W=float, safety_delta=(float, 0.1))
+Certify = _declare(
+    "Certify", alpha=(float, 0.05), small_gain=(float, 0.0),
+    envelope_tol=(float, 0.05), nonbinding_slack=(float, ct.NONBINDING_SLACK),
+    nonbinding_fraction=(float, ct.NONBINDING_FRACTION),
+    grad_norm=(float, 0.0), wasserstein=_optional(Wasserstein))
+# ct.effective_exponents' arguments, in its order
+Exponents = _declare("Exponents", **dict.fromkeys(
+    ("alpha", "beta", "gamma", "alpha_tilde", "rho", "r", "chi_hat"), float))
+Flags = _declare("Flags", **dict.fromkeys(
+    ("capped_power", "logistic_data", "effort_floor"), (bool, False)))
+RelErrors = _declare("RelErrors", **dict.fromkeys(env.DELTA_KEYS, float))
+# what a config sets of a PhiSpec, per kind
+PowerPhi = _declare("PowerPhi", kind=str, p=float, c=(float, 1.0),
+                    domain_floor=_optional(float))
+PHI_KINDS = {"power": PowerPhi, "power_log": PowerPhi,
+             "tabulated": _declare("TabulatedPhi", kind=str,
+                                   grid=tuple[float, ...],
+                                   values=tuple[float, ...])}
+
+# what the envelope is built from, in envelope's config and certify's
+ENVELOPE_KEYS = {
+    "series": Series,
+    "cop_model": _optional(_declare("CopModel", T_hot=float, zeta_cop=float)),
+    "hard_cap_b_mem": _optional(float), "hard_cap_p_use": _optional(float),
+    "rel_errors": _optional(RelErrors)}
+# estimate and certify share one config, so both refuse a key neither reads
+Config = _declare(
+    "Config", "config", **ENVELOPE_KEYS, seed=(int, 0),
+    # a BenchmarkSpec or the path of one, read where series.losses needs it
+    benchmark=_optional(dict | str),
+    envelope_params=(env.EnvelopeParams, None),  # absent: no envelope layer
+    phi=_optional(dyn.PhiSpec), estimation=(Estimation, Estimation()),
+    certify=(Certify, Certify()), exponents=_optional(Exponents),
+    capital=_optional(dyn.CapitalParams), flags=(Flags, Flags()))
+PIPELINE_KEYS = tuple(f.name for f in dataclasses.fields(Config))
+EnvelopeConfig = _declare("EnvelopeConfig", "config", **ENVELOPE_KEYS,
+                          params=env.EnvelopeParams, alpha=(float, 0.05))
+Ingest = _declare("Ingest", "config", files=tuple[_declare(
+    "IngestFile", path=str, unit=_optional(str), name=_optional(str)), ...])
+Scenario = _declare("Scenario", "scenario", phi=dyn.PhiSpec, I0=float,
+                    horizon=float, gain=(float, 1.0),
+                    threshold=_optional(float), rtol=(float, 1e-8),
+                    name=(str, "trajectory"))
+ControlSim = _declare("ControlSim", "control-sim", plant=sc.PlantScenario,
+                      control=sc.ControlConfig,
+                      policy=(sc.PolicyThresholds, sc.PolicyThresholds()))
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """``cls``'s config keys: name -> (type, default), resolved once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)
+            if hints[f.name] is not object}
+
+
+NUMBER = (int, float)
+WORDS = {float: "a number", int: "an integer", bool: "true or false",
+         str: "a string"}
+
+
+@functools.cache
+def _shape(tp):
+    """``tp`` taken apart once: its origin (``tp`` itself if plain), its
+    arguments less None, whether None is one of them, the Python type of
+    the JSON values it reads, and its rule in words."""
+    origin = typing.get_origin(tp) or tp
+    args = typing.get_args(tp)
+    arms = tuple(arg for arg in args if arg is not type(None))
+    if origin is types.UnionType:
+        words = " or ".join(_shape(arm)[4] for arm in arms)
+    elif origin is tuple:
+        words = "an array" + ("" if args[-1] is Ellipsis
+                              else f" of {len(args)} entries")
+    else:
+        words = WORDS.get(tp, "a JSON object")
+    kind = {float: NUMBER, int: NUMBER, bool: bool, str: str, tuple: list}
+    return origin, arms, len(arms) < len(args), kind.get(origin, dict), words
+
+
+def _takes(tp, value) -> bool:
+    """Whether ``value`` is of the JSON kind that ``tp`` reads."""
+    kind = _shape(tp)[3]
+    return isinstance(value, kind) and not (kind is NUMBER
+                                            and isinstance(value, bool))
+
+
+def _read(tp, value, where: str):
+    """``value``, the config's entry at key path ``where``, read as ``tp``,
+    or a ConfigError that names ``where``.  A ``float`` takes a JSON number
+    but not a bool (an integer reads as a float), an ``int`` an integral
+    number (``5.0`` is ``5``), a ``bool`` true or false, a ``str`` a
+    string, a ``tuple`` an array entry by entry, ``X | None`` null too (and
+    ``{}`` for a section X: an empty section is an absent one), and a
+    declaration an object whose keys must all be its fields."""
+    origin, args, optional, _, words = _shape(tp)
+    if origin is types.UnionType:
+        if optional and (value is None or value == {}
+                         and any(_takes(arm, value) for arm in args)):
+            return None
+        tp = next((arm for arm in args if _takes(arm, value)), tp)
+        if tp in args:
+            return _read(tp, value, where)
+    elif _takes(tp, value):
+        if tp in (bool, str, dict):
+            return value
+        if tp is float or tp is int and (isinstance(value, int)
+                                         or value.is_integer()):
+            return tp(value)
+        if origin is tuple:
+            if args[-1] is Ellipsis:
+                args = (args[0],) * len(value)
+            if len(args) == len(value):
+                return tuple(_read(arg, v, f"{where}[{i}]")
+                             for i, (arg, v) in enumerate(zip(args, value)))
+        elif tp is dyn.PhiSpec:
+            kind = _read(str, value.get("kind"), f"{where}.kind")
+            if kind in PHI_KINDS:
+                return _object(PHI_KINDS[kind], value, where, dyn.PhiSpec)
+            raise ConfigError(f"config key '{where}.kind' must be one of "
+                              f"{', '.join(PHI_KINDS)}, got {kind!r}")
+        elif dataclasses.is_dataclass(tp):
+            return _object(tp, value, where)
+    raise ConfigError(f"config key {where!r} must be {words}, got {value!r}")
+
+
+def _object(cls, d: dict, where: str, make=None):
+    """``make`` (``cls`` by default) of the config object ``d``, whose keys
+    must be ``cls``'s fields; an error of ``make``'s own is located."""
+    fields = _fields(cls)
     for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown {where} key {key!r}")
-
-
-def _build(cls, d: dict, where: str, exclude=(), **convert):
-    """A ``cls`` from the config object ``d``, whose keys must be fields of
-    ``cls`` outside ``exclude``; ``convert`` maps a key to its converter.
-    A ValueError of ``cls``'s own checks begins with the field it names,
-    so ``where`` turns that into the config key (``control.Delta``)."""
-    _known(d, {f.name for f in dataclasses.fields(cls)} - set(exclude), where)
+        if key not in fields:
+            raise ConfigError(f"unknown {where or cls.label} key {key!r}")
+    kwargs = {}
+    for name, (tp, default) in fields.items():
+        path = f"{where}.{name}" if where else name
+        if name in d:
+            kwargs[name] = _read(tp, d[name], path)
+        elif default is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {path!r}: {cls.__name__} "
+                              f"has no default for {name!r}")
     try:
-        return cls(**{k: convert[k](v) if k in convert else v
-                      for k, v in d.items()})
-    except TypeError as exc:        # a missing field or a non-numeric value
-        raise ConfigError(f"{where}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
-
-
-# PhiSpec arguments a config may set, per kind
-PHI_ARGS = {"power": ("p", "c", "domain_floor"),
-            "power_log": ("p", "c", "domain_floor"),
-            "tabulated": ("grid", "values")}
-
-
-def _phi(d) -> dyn.PhiSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("config key 'phi' must be a JSON object")
-    kind = d.get("kind")
-    names = PHI_ARGS.get(kind, ()) if isinstance(kind, str) else ()
-    if names:                       # an unknown kind is PhiSpec's to name
-        _known(d, ("kind", *names), f"phi ({kind})")
-    return dyn.PhiSpec(kind, **{
-        k: d[k] if kind == "tabulated" else _number(d[k], f"phi.{k}")
-        for k in names if k in d})
+        return (make or cls)(**kwargs)
+    except (ValueError, ToolkitError) as exc:
+        text = str(exc)
+        sep = "." if re.match(r"\w*", text).group() in fields else ": "
+        raise ConfigError(f"{where}{sep}{text}") from None
 
 
 def run_ingest(cfg, args, load) -> Outcome:
     loaded, failures = [], []
-    for entry in cfg["files"]:
+    for entry in _read(Ingest, cfg, "").files:
         try:
-            s = load(entry["path"], entry.get("unit"))
-            s = s.replace(name=entry.get("name", s.name))
-            loaded.append((entry["path"], s))
+            s = load(entry.path, entry.unit)
+            s = s.replace(name=entry.name or s.name)
+            loaded.append((entry.path, s))
         except ToolkitError as exc:     # load names the file
             failures.append(str(exc))
     if failures:
@@ -176,63 +295,27 @@ ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
                   ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
                   ("P_use", "P_use", "W"), ("COP", "cop", None))
 
-# The keys estimate and certify read, per section.  The two commands share
-# one config, so both refuse any other key.
-SECTION_KEYS = {
-    "series": ("capability", "capability_rate", "losses", "K", "C", "D_eff",
-               "E", *(role for role, _, _ in ENVELOPE_ROLES)),
-    "estimation": ("window", "lag", "alpha", "trim"),
-    "certify": ("alpha", "small_gain", "envelope_tol", "nonbinding_slack",
-                "nonbinding_fraction", "grad_norm", "wasserstein"),
-    "exponents": ("alpha", "beta", "gamma", "alpha_tilde", "rho", "r",
-                  "chi_hat"),       # effective_exponents' order
-    "capital": ("K0", "r", "zeta", "delta"),
-    "flags": ("capped_power", "logistic_data", "effort_floor")}
-PIPELINE_KEYS = (*SECTION_KEYS, "seed", "benchmark", "envelope_params", "phi",
-                 "cop_model", "hard_cap_b_mem", "hard_cap_p_use", "rel_errors")
 
-
-def _envelope(cfg, params, load, alpha) -> env.EnvelopeResult:
+def _envelope(c, params, load, alpha) -> env.EnvelopeResult:
     """The service envelope of the config's series roles, COP model and
     hard caps; ``envelope`` and ``certify`` both build it here."""
-    roles = _section(cfg, "series", required=True)
-    series = {arg: load(roles[role], unit)
-              for role, arg, unit in ENVELOPE_ROLES if role in roles}
+    series = {arg: load(getattr(c.series, role), unit)
+              for role, arg, unit in ENVELOPE_ROLES
+              if getattr(c.series, role) is not None}
     return env.compute_envelope(
-        params, **series, cop_model=cfg.get("cop_model"),
-        hard_cap_b_mem=cfg.get("hard_cap_b_mem"),
-        hard_cap_p_use=cfg.get("hard_cap_p_use"),
-        rel_errors=cfg.get("rel_errors"), alpha=alpha)
-
-
-def _envelope_params(cfg, key: str) -> env.EnvelopeParams:
-    """EnvelopeParams from the config object ``cfg[key]``, whose entries
-    must be its fields, as numbers and pairs of numbers."""
-    def number(name):
-        return lambda value: _number(value, f"{key}.{name}")
-
-    def pair(name):
-        def convert(value):
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ConfigError(f"config key '{key}.{name}' must be a pair "
-                                  f"of numbers, got {value!r}")
-            return tuple(map(number(name), value))
-        return convert
-
-    ranges = ("T_range", "cop_range", "eta_elec_range", "eta_use_range")
-    return _build(env.EnvelopeParams, _section(cfg, key, required=True), key,
-                  P_max=number("P_max"),
-                  sigma_eff=number("sigma_eff"),
-                  **{name: pair(name) for name in ranges})
+        params, **series,
+        cop_model=c.cop_model and vars(c.cop_model),
+        hard_cap_b_mem=c.hard_cap_b_mem, hard_cap_p_use=c.hard_cap_p_use,
+        rel_errors=c.rel_errors and vars(c.rel_errors), alpha=alpha)
 
 
 def run_envelope(cfg, args, load) -> Outcome:
-    params = _envelope_params(cfg, "params")
-    result = _envelope(cfg, params, load, _alpha(args, cfg, ""))
+    c = _read(EnvelopeConfig, cfg, "")
+    result = _envelope(c, c.params, load, _alpha(args, c.alpha, "alpha"))
     return Outcome(
         EXIT_OK,
         f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
-        f"(sigma_eff = {params.sigma_eff} nat/bit, "
+        f"(sigma_eff = {c.params.sigma_eff} nat/bit, "
         f"snapshot {result.phi_svc.snapshot_version or 'n/a'})",
         {"envelope.json": _json_text(result.to_json_dict()),
          "envelope.csv": ts.csv_text({
@@ -241,69 +324,68 @@ def run_envelope(cfg, args, load) -> Outcome:
              "binding": result.binding})})
 
 
-def _setting(args, option: str, section: dict, where: str, default=None):
-    """``--option`` if given, else the config's ``where.option`` (top-level
-    ``option`` when ``where`` is empty, or ``default``), as a number, and
-    the name to report it under."""
-    value = getattr(args, option, None)
-    if value is not None:
-        return value, f"--{option}"
-    key = f"{where}.{option}" if where else option
-    return _number(section.get(option, default), key), key
+def _setting(args, option: str, value, key: str):
+    """``--option`` if given, else ``value``, and the name it goes by."""
+    flag = getattr(args, option, None)
+    return (flag, f"--{option}") if flag is not None else (value, key)
 
 
-def _alpha(args, section: dict, where: str) -> float:
-    alpha, name = _setting(args, "alpha", section, where, 0.05)
+def _alpha(args, value: float, key: str) -> float:
+    alpha, name = _setting(args, "alpha", value, key)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
     return alpha
 
 
-def _profile(cfg, args, load, alpha):
-    """What estimate and certify share: the window, I and Idot (from loss
-    series or a direct series), their snapshots, the rolling elasticity
-    profile and its regime segmentation.  A key that neither command reads
-    is refused here, for both."""
-    _known(cfg, PIPELINE_KEYS, "config")
-    for where, keys in SECTION_KEYS.items():
-        _known(_section(cfg, where), keys, where)
-    est_cfg = _section(cfg, "estimation")
-    window, name = _setting(args, "window", est_cfg, "estimation")
+def _pipeline(cfg, args):
+    """The config ``estimate`` and ``certify`` read, its rules between
+    keys and of range checked, and the estimation window."""
+    c = _read(Config, cfg, "")
+    e = c.estimation
+    window, name = _setting(args, "window", e.window, "estimation.window")
+    if window is None:
+        raise ConfigError("missing config key 'estimation.window'")
     if not 0 < window < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {window!r}")
-    trim = _number(est_cfg.get("trim", est.SUP_WALD_TRIM), "estimation.trim")
-    if trim != est.SUP_WALD_TRIM:   # the one trim with tabulated critical values
-        raise ConfigError(f"estimation.trim must be 0.15, got {trim!r}")
-    lag = est_cfg.get("lag", "auto")
-    if lag != "auto":
-        lag = _number(lag, "estimation.lag")
-        if not (lag >= 0 and lag.is_integer()):
-            raise ConfigError('estimation.lag must be "auto" or an integer '
-                              f">= 0, got {lag!r}")
-        lag = int(lag)
-    roles = _section(cfg, "series", required=True)
+    if e.trim != est.SUP_WALD_TRIM:     # the one tabulated trim
+        raise ConfigError(f"estimation.trim must be 0.15, got {e.trim!r}")
+    if e.lag != "auto" and (isinstance(e.lag, str) or e.lag < 0):
+        raise ConfigError('estimation.lag must be "auto" or an integer '
+                          f">= 0, got {e.lag!r}")
+    if c.series.losses is not None and c.benchmark is None:
+        raise ConfigError("series.losses needs config key 'benchmark'")
+    if c.series.losses is None and c.series.capability is None:
+        raise ConfigError("series needs a 'capability' or 'losses' key")
+    return c, window
+
+
+def _profile(c, window, load, alpha):
+    """What estimate and certify share: I and Idot (from loss series or a
+    direct series), their snapshots, the rolling elasticity profile and
+    its regime segmentation."""
+    roles = c.series
     snapshots = {}
-    if "losses" in roles:
-        bench = cfg["benchmark"]
-        spec = cap.BenchmarkSpec.from_json_dict(
-            bench if isinstance(bench, dict) else load.document(bench))
+    if roles.losses is not None:
+        spec = _read(cap.BenchmarkSpec, c.benchmark if isinstance(
+            c.benchmark, dict) else load.document(c.benchmark), "benchmark")
         losses = []
-        for entry in roles["losses"]:
-            s = load(entry["path"])
-            losses.append(s.replace(name=entry.get("task", s.name)))
+        for entry in roles.losses:
+            s = load(entry.path)
+            losses.append(s.replace(name=entry.task or s.name))
             snapshots[f"loss:{losses[-1].name}"] = losses[-1].snapshot_version
         series_cap = cap.canonicalize(cap.loss_index(losses, spec), spec)
         i_series, idot = series_cap.I, series_cap.Idot
     else:
-        i_series = load(roles["capability"], "nat")
+        i_series = load(roles.capability, "nat")
         snapshots["capability"] = i_series.snapshot_version
-        if "capability_rate" in roles:
-            idot = load(roles["capability_rate"], "nat/s")
+        if roles.capability_rate is not None:
+            idot = load(roles.capability_rate, "nat/s")
         else:
             idot = cap.capability_rate(i_series)
-    prof = est.rolling_elasticity(i_series, idot, window, lag=lag, alpha=alpha)
+    prof = est.rolling_elasticity(i_series, idot, window,
+                                  lag=c.estimation.lag, alpha=alpha)
     segs = est.segment_profile(prof)
-    return window, i_series, idot, snapshots, prof, segs
+    return i_series, idot, snapshots, prof, segs
 
 
 def _elasticity_csv(prof) -> str:
@@ -313,8 +395,9 @@ def _elasticity_csv(prof) -> str:
 
 
 def run_estimate(cfg, args, load) -> Outcome:
-    alpha = _alpha(args, _section(cfg, "estimation"), "estimation")
-    window, _, _, snapshots, prof, segs = _profile(cfg, args, load, alpha)
+    c, window = _pipeline(cfg, args)
+    alpha = _alpha(args, c.estimation.alpha, "estimation.alpha")
+    _, _, snapshots, prof, segs = _profile(c, window, load, alpha)
     return Outcome(
         EXIT_OK,
         f"{prof.t.size} elasticity windows, "
@@ -353,17 +436,16 @@ def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
     return out
 
 
-def _measured_upsilons(cfg, load, window) -> dict[str, ct.UpsilonBand]:
+def _measured_upsilons(roles, load, window) -> dict[str, ct.UpsilonBand]:
     """Capital elasticities of any resource series present in the config."""
-    roles = _section(cfg, "series", required=True)
-    if "K" not in roles:
+    if roles.K is None:
         return {}
-    K = load(roles["K"])
+    K = load(roles.K)
     out = {}
     for name, role in (("C", "C"), ("D", "D_eff"), ("E", "E")):
-        if role not in roles:
+        if getattr(roles, role) is None:
             continue
-        profile = ts.elasticity(load(roles[role]), K, window)
+        profile = ts.elasticity(load(getattr(roles, role)), K, window)
         out[name] = ct.UpsilonBand(float(profile.slope.min()),
                                    float(profile.slope.max()),
                                    float(profile.se[np.argmin(profile.slope)]),
@@ -372,35 +454,20 @@ def _measured_upsilons(cfg, load, window) -> dict[str, ct.UpsilonBand]:
 
 
 def run_certify(cfg, args, load) -> Outcome:
-    cert_cfg = _section(cfg, "certify")
-    alpha = _alpha(args, cert_cfg, "certify")
-    knob = {key: _number(cert_cfg.get(key, default), f"certify.{key}")
-            for key, default in (("small_gain", 0.0), ("envelope_tol", 0.05),
-                                 ("nonbinding_slack", ct.NONBINDING_SLACK),
-                                 ("nonbinding_fraction", ct.NONBINDING_FRACTION),
-                                 ("grad_norm", 0.0))}
-    seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0),
-                   "seed", int)
-    window, i_series, idot, snapshots, prof, segs = _profile(cfg, args, load,
-                                                             alpha)
-    # _profile refused any other flags key
-    flags = dict.fromkeys(SECTION_KEYS["flags"], False) | _section(cfg, "flags")
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key 'flags.{key}' must be true or "
-                              f"false, got {value!r}")
+    c, window = _pipeline(cfg, args)
+    knob, flags = c.certify, c.flags
+    alpha = _alpha(args, knob.alpha, "certify.alpha")
+    seed = args.seed if args.seed is not None else c.seed
+    i_series, idot, snapshots, prof, segs = _profile(c, window, load, alpha)
     t_on, i_on, rate_on = est.shared_samples(i_series, idot)
     pos = (i_on > 0) & (rate_on > 0)
     i_pos, rate_pos = i_on[pos], rate_on[pos]
-    phi_cfg = _section(cfg, "phi")
-    phi_spec = _phi(phi_cfg) if phi_cfg else None
+    phi_spec = c.phi
 
     # optional envelope layer
     envelope_check_res = None
-    env_cfg = _section(cfg, "envelope_params")
-    if "envelope_params" in cfg:
-        svc = _envelope(cfg, _envelope_params(cfg, "envelope_params"), load,
-                        alpha).phi_svc
+    if c.envelope_params is not None:
+        svc = _envelope(c, c.envelope_params, load, alpha).phi_svc
         common, ji, si = np.intersect1d(t_on, svc.t, return_indices=True)
         i_env, rate_env, svc_env = i_on[ji], rate_on[ji], svc.values[si]
         if phi_spec is None:
@@ -416,7 +483,7 @@ def run_certify(cfg, args, load) -> Outcome:
             ts.TimeSeries("Idot", "nat/s", common, rate_env),
             ts.TimeSeries("Phi_of_I", "nat", common, phi_of_i),
             ts.TimeSeries("phi_svc", "nat/s", common, svc_env),
-            small_gain=knob["small_gain"], tol=knob["envelope_tol"])
+            small_gain=knob.small_gain, tol=knob.envelope_tol)
         snapshots["phi_svc"] = svc.snapshot_version
 
     # reciprocal-integral classification of the state factor
@@ -438,11 +505,9 @@ def run_certify(cfg, args, load) -> Outcome:
                                          float(i_pos.min()))
 
     # per-segment totals
-    e = _section(cfg, "exponents")
-    if e:
-        effs = ct.effective_exponents(*(_number(e.get(k), f"exponents.{k}")
-                                        for k in SECTION_KEYS["exponents"]))
-        upsilons = _measured_upsilons(cfg, load, window)
+    if c.exponents is not None:
+        effs = ct.effective_exponents(**vars(c.exponents))
+        upsilons = _measured_upsilons(c.series, load, window)
     else:
         effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
         upsilons = {}
@@ -451,19 +516,15 @@ def run_certify(cfg, args, load) -> Outcome:
 
     # optional capital channel and region classification
     capital_T = region_note = None
-    c = _section(cfg, "capital")
-    if c:
-        params_k = dyn.CapitalParams(
-            *(_number(c.get(k), f"capital.{k}") for k in ("K0", "r", "zeta")),
-            _number(c.get("delta", 0.0), "capital.delta"))
-        capital_T = params_k.escape_time()
+    if c.capital is not None:
+        capital_T = c.capital.escape_time()
         try:
             region = dyn.classify_region(
-                params_k.zeta, ptot_plus,
-                capped_power=flags["capped_power"],
-                logistic=flags["logistic_data"],
-                baseline_effort_floor=flags["effort_floor"],
-                capital=params_k)
+                c.capital.zeta, ptot_plus,
+                capped_power=flags.capped_power,
+                logistic=flags.logistic_data,
+                baseline_effort_floor=flags.effort_floor,
+                capital=c.capital)
             bound = "" if region.bound is None else f", T_K={region.bound!r}"
             region_note = f"region {region.region}: {region.conclusion}{bound}"
         except ToolkitError as exc:
@@ -477,33 +538,30 @@ def run_certify(cfg, args, load) -> Outcome:
         event_bound = ct.event_blowup_bound(float(i_pos[-1]), delta, a0)
 
     extra_margins = {}
-    if knob["grad_norm"]:
+    if knob.grad_norm:
         extra_margins["manifold_distance"] = ct.manifold_distance(
-            ptot_plus, knob["grad_norm"])
-    w = _section(cert_cfg, "wasserstein")
-    if w:
-        ball_keys = ("gamma", "L_xi", "L_rho", "delta_W")
-        _known(w, (*ball_keys, "safety_delta"), "certify.wasserstein")
-        ball = [_number(w.get(key), f"certify.wasserstein.{key}")
-                for key in ball_keys]
-        safety = _number(w.get("safety_delta", 0.1),
-                         "certify.wasserstein.safety_delta")
-        dm = ct.distribution_margin(ptot_plus, *ball, safety)
-        extra_margins["wasserstein_margin"] = 1.0 - safety - dm.worst_case_ptot
+            ptot_plus, knob.grad_norm)
+    w = knob.wasserstein
+    if w is not None:
+        dm = ct.distribution_margin(ptot_plus, w.gamma, w.L_xi, w.L_rho,
+                                    w.delta_W, w.safety_delta)
+        extra_margins["wasserstein_margin"] = (1.0 - w.safety_delta
+                                               - dm.worst_case_ptot)
 
     config_echo = {"config_path": str(args.config), "seed": seed,
                    "window": window, "alpha": alpha,
-                   "sigma_eff": env_cfg.get("sigma_eff", 1.0) if env_cfg
-                   else None,
-                   "certify": cert_cfg,
-                   "estimation": _section(cfg, "estimation")}
+                   "sigma_eff": None if c.envelope_params is None
+                   else c.envelope_params.sigma_eff,
+                   # the sections as written
+                   "certify": cfg.get("certify", {}),
+                   "estimation": cfg.get("estimation", {})}
     if region_note:
         config_echo["region"] = region_note
 
     certificate = ct.decide(
         ptots, envelope_check_res, osgood, segs, alpha=alpha,
-        nonbinding_slack=knob["nonbinding_slack"],
-        nonbinding_fraction=knob["nonbinding_fraction"],
+        nonbinding_slack=knob.nonbinding_slack,
+        nonbinding_fraction=knob.nonbinding_fraction,
         event_bound=event_bound, capital_escape_time=capital_T,
         extra_margins=extra_margins, config_echo=config_echo,
         snapshot_versions=snapshots)
@@ -558,25 +616,12 @@ def render_report(cert: ct.Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-SCENARIO_KEYS = ("phi", "gain", "I0", "horizon", "threshold", "rtol", "name")
-
-
 def run_simulate(cfg, args, load) -> Outcome:
-    phi = _phi(_section(cfg, "phi", required=True))
-    _known(cfg, SCENARIO_KEYS, "scenario")
-    for key in ("I0", "horizon"):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
-    threshold = cfg.get("threshold")
-    res = dyn.integrate(
-        dyn.envelope_rhs(phi, _number(cfg.get("gain", 1.0), "gain")),
-        _number(cfg["I0"], "I0"), _number(cfg["horizon"], "horizon"),
-        blowup_threshold=None if threshold is None
-        else _number(threshold, "threshold"),
-        rtol=_number(cfg.get("rtol", 1e-8), "rtol"))
+    c = _read(Scenario, cfg, "")
+    res = dyn.integrate(dyn.envelope_rhs(c.phi, c.gain), c.I0, c.horizon,
+                        blowup_threshold=c.threshold, rtol=c.rtol)
     if args.format == "json":
-        traj = ts.TimeSeries(cfg.get("name", "trajectory"), "nat", res.t,
-                             res.I)
+        traj = ts.TimeSeries(c.name, "nat", res.t, res.I)
         artifacts = {"trajectory.json": _json_text(traj.to_json_dict())}
     else:
         artifacts = {"trajectory.csv": ts.csv_text({"t": res.t, "I": res.I})}
@@ -588,55 +633,9 @@ def run_simulate(cfg, args, load) -> Outcome:
                    artifacts)
 
 
-def _integer(key: str):
-    """A ``_build`` converter to an integral JSON number."""
-    return lambda value: _number(value, key, int)
-
-
-def _as_given(key: str, optional: bool = False):
-    """A ``_build`` converter that refuses all but a JSON number (null too
-    where ``optional``), true and false included, and passes the number on
-    as given: an integer stays one in the control log."""
-    def check(value):
-        if value is not None or not optional:
-            _number(value, key)
-        return value
-    return check
-
-
-def _tuple_of(key: str, entry=_as_given):
-    """A ``_build`` converter of a JSON array to a tuple whose entry i is
-    converted by ``entry(f"{key}[{i}]")``."""
-    return lambda values: tuple(entry(f"{key}[{i}]")(value)
-                                for i, value in enumerate(values))
-
-
 def run_control_sim(cfg, args, load) -> Outcome:
-    def numbers(where, *names, optional=()):
-        return {k: _as_given(f"{where}.{k}", k in optional) for k in names}
-
-    _known(cfg, ("plant", "control", "policy"), "control-sim")
-    scenario = _build(sc.PlantScenario, _section(cfg, "plant", required=True),
-                      "plant", phi=_phi,
-                      antagonism=_tuple_of("plant.antagonism"),
-                      n_steps=_integer("plant.n_steps"),
-                      benchmark_every=_integer("plant.benchmark_every"),
-                      **numbers("plant", "I0", "phi_svc_true", "phi_svc_meas",
-                                "u_ref", "state_error", "latency", "ptot_hat",
-                                optional=("phi_svc_meas", "ptot_hat")))
-    config = _build(sc.ControlConfig, _section(cfg, "control", required=True),
-                    "control", exclude=("alpha_fn",),
-                    r_u=_tuple_of("control.r_u"),
-                    u_box=_tuple_of("control.u_box", _tuple_of),
-                    **numbers("control", "I_bar", "kappa", "Delta", "tau_bar",
-                              "L_h", "eps_I", "slack_weight"))
-    policy = _build(sc.PolicyThresholds, _section(cfg, "policy"), "policy",
-                    exclude=("slack_tol",),
-                    escalate_consecutive_slack=_integer(
-                        "policy.escalate_consecutive_slack"),
-                    **numbers("policy", "governance_delta",
-                              "antagonism_theta"))
-    log = sc.supervise(scenario, config, policy)
+    c = _read(ControlSim, cfg, "")
+    log = sc.supervise(c.plant, c.control, c.policy)
     return Outcome(
         EXIT_OK,
         f"control loop {log.final_status}; max overshoot "

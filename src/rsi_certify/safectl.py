@@ -329,6 +329,9 @@ def throttle_cap(phi_spec: dyn.PhiSpec, requested_cap: float = 1.0,
 # closed-loop supervisor
 
 
+SLACK_TOL = 1e-9    # a QP slack above this counts toward escalation
+
+
 @dataclass
 class PlantScenario:
     """Simulated control-affine plant dI/dt = Phi(I) * phi_svc * u."""
@@ -360,11 +363,9 @@ class PolicyThresholds:
     governance_delta: float = 0.1      # throttle-and-escalate margin on ptot
     escalate_consecutive_slack: int = 3
     antagonism_theta: float = 0.5      # fraction of the current gain budget
-    slack_tol: float = 1e-9
 
     def __post_init__(self):
-        _check_finite(self, "governance_delta", "antagonism_theta",
-                      "slack_tol")
+        _check_finite(self, "governance_delta", "antagonism_theta")
 
 
 @dataclass
@@ -489,7 +490,7 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
         u_k = qp.u_star
         u_0 = float(u_k[0])
 
-        if qp.slack > policy.slack_tol:
+        if qp.slack > SLACK_TOL:
             consecutive_slack += 1
         else:
             consecutive_slack = 0

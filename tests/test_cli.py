@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsi_certify import capability as cap
 from rsi_certify import certify as ct
 from rsi_certify import cli
+from rsi_certify import dynamics as dyn
 from rsi_certify import estimate as est
 from rsi_certify import series as ts
 
@@ -826,6 +832,12 @@ SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
      "config key 'control.u_box[0][1]' must be a number, got True"),
     ("control-sim", control_config(policy=("antagonism_theta", False)),
      "config key 'policy.antagonism_theta' must be a number, got False"),
+    ("control-sim", control_config(plant=("osgood_ok", "false")),
+     "config key 'plant.osgood_ok' must be true or false, got 'false'"),
+    ("control-sim", control_config(plant=("osgood_ok", 0)),
+     "config key 'plant.osgood_ok' must be true or false, got 0"),
+    ("control-sim", control_config(plant=("osgood_ok", None)),
+     "config key 'plant.osgood_ok' must be true or false, got None"),
 ])
 def test_simulate_and_control_sim_numbers_name_the_key(tmp_path, capsys,
                                                        command, cfg, named):
@@ -843,6 +855,31 @@ def test_integral_float_is_an_integer(tmp_path):
         out = tmp_path / f"out{n_steps!r}"
         assert run(["control-sim", "--config", path, "--out", out]) == 0
         digests.append(artifact_digests(out))
+    assert digests[0] == digests[1]
+
+
+def test_integers_in_float_fields_are_read_as_floats(tmp_path, monkeypatch):
+    # one rule for every command: certify echoes an integral
+    # estimation.window as 360.0, and control-sim logs an integral plant.I0
+    # as 1.0, byte for byte as if the config had written 1.0
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(Path(superlinear_json_config()).read_text())
+    cfg["estimation"]["window"] = 360
+    assert run(["certify", "--config", write_json(Path("int.json"), cfg),
+                "--out", "out"]) == 3
+    window = json.loads(Path("out/certificate.json").read_text())[
+        "config_echo"]["window"]
+    assert type(window) is float and window == 360.0
+    digests = []
+    for i0 in (1, 1.0):
+        path = write_json(tmp_path / "ctl.json",
+                          control_config(plant=("I0", i0)))
+        out = tmp_path / f"ctl{i0!r}"
+        assert run(["control-sim", "--config", path, "--out", out]) == 0
+        digests.append(artifact_digests(out))
+        first = json.loads((out / "control_log.jsonl").read_text()
+                           .splitlines()[0])
+        assert type(first["I_true"]) is float and first["I_true"] == 1.0
     assert digests[0] == digests[1]
 
 
@@ -1177,6 +1214,10 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
 
 ENVELOPE = {"P_max": 1e-18, "T_range": [300.0, 300.0],
             "cop_range": [1e9, 1e9]}
+LOSS = {"path": "loss_t0.csv", "task": "t0"}
+BENCH = {"tasks": [{"id": "t0", "weight": 1.0, "floor": 0.01}], "t_ref": 0.0}
+REL = {"delta_use": 0.01, "delta_elec": 0.01, "delta_cop": 0.01,
+       "delta_P": 0.01, "delta_T": 0.01}
 
 
 @pytest.mark.parametrize("cfg, named", [
@@ -1230,6 +1271,31 @@ ENVELOPE = {"P_max": 1e-18, "T_range": [300.0, 300.0],
      "envelope_params.cop_range"),
     ({"envelope_params": {**ENVELOPE, "sigma_eff": True}},
      "envelope_params.sigma_eff"),
+    ({"series": {"losses": [{"task": "t0"}]}, "benchmark": BENCH},
+     "missing config key 'series.losses[0].path'"),
+    ({"series": {"losses": ["loss_t0.csv"]}, "benchmark": BENCH},
+     "config key 'series.losses[0]' must be a JSON object"),
+    ({"series": {"losses": [LOSS]}}, "needs config key 'benchmark'"),
+    ({"series": {"losses": [LOSS]},
+      "benchmark": {**BENCH, "tasks": [{**BENCH["tasks"][0],
+                                        "weight": "0.4"}]}},
+     "config key 'benchmark.tasks[0].weight' must be a number"),
+    ({"series": {"losses": [LOSS]}, "benchmark": {**BENCH, "t_ref": "1.7e9"}},
+     "config key 'benchmark.t_ref' must be a number"),
+    ({"series": {"losses": [LOSS]}, "benchmark": {**BENCH, "t_rf": 0.0}},
+     "unknown benchmark key 't_rf'"),
+    ({"series": {"losses": [{**LOSS, "taks": "t0"}]}, "benchmark": BENCH},
+     "unknown series.losses[0] key 'taks'"),
+    ({"rel_errors": {**REL, "delta_P": "0.01"}},
+     "config key 'rel_errors.delta_P' must be a number"),
+    ({"rel_errors": {**REL, "delta_P": True}},
+     "config key 'rel_errors.delta_P' must be a number"),
+    ({"rel_errors": {**REL, "delta_typo": 0.01}},
+     "unknown rel_errors key 'delta_typo'"),
+    ({"hard_cap_p_use": True}, "config key 'hard_cap_p_use' must be a number"),
+    ({"hard_cap_p_use": "5"}, "config key 'hard_cap_p_use' must be a number"),
+    ({"series": {"capability": "c.json", "P_use": 5}},
+     "config key 'series.P_use' must be a string"),
 ])
 def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)
@@ -1258,6 +1324,140 @@ def test_flags_and_seed_are_refused_not_coerced(tmp_path, cfg, named):
                              write_json(tmp_path / "c.json", cfg),
                              "--out", tmp_path / "out"])
     assert code == 1 and len(err) == 1 and named in err[0], err
+
+
+# a config that sets every key each declaration reads, to a value of its
+# type that passes every range check; no series is ever read
+FULL_PIPELINE = {
+    "seed": 0,
+    "series": {"capability": "c.json", "capability_rate": "r.json",
+               "losses": [LOSS],
+               **{role: f"{role}.csv" for role in (
+                   "K", "C", "D_eff", "E", "P_fac", "T", "B_io", "B_mem",
+                   "P_use", "COP")}},
+    "benchmark": BENCH,
+    "envelope_params": {**ENVELOPE, "eta_elec_range": [1.0, 1.0],
+                        "eta_use_range": [1.0, 1.0], "sigma_eff": 1.0},
+    "phi": {"kind": "power", "p": 2.0, "c": 1.0, "domain_floor": 1.0},
+    "estimation": {"window": 0.1, "lag": 1, "alpha": 0.05, "trim": 0.15},
+    "certify": {"alpha": 0.05, "small_gain": 0.0, "envelope_tol": 0.05,
+                "nonbinding_slack": 0.1, "nonbinding_fraction": 0.5,
+                "grad_norm": 0.0,
+                "wasserstein": {"gamma": 0.5, "L_xi": 0.1, "L_rho": 0.1,
+                                "delta_W": 0.1, "safety_delta": 0.1}},
+    "exponents": {"alpha": 0.1, "beta": 0.0, "gamma": 0.0,
+                  "alpha_tilde": 0.0, "rho": 0.5, "r": 1.0, "chi_hat": 0.1},
+    "capital": {"K0": 1.0, "r": 2.0, "zeta": 2.0, "delta": 0.0},
+    "flags": {"capped_power": False, "logistic_data": False,
+              "effort_floor": False},
+    "cop_model": {"T_hot": 320.0, "zeta_cop": 0.5},
+    "hard_cap_b_mem": 1.0, "hard_cap_p_use": 1.0,
+    "rel_errors": REL}
+FULL_CONTROL = {
+    "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0,
+                      "domain_floor": 1e-3},
+              "I0": 1.0, "phi_svc_true": 1.0, "phi_svc_meas": 1.0,
+              "n_steps": 5, "u_ref": 1.0, "state_error": 0.0, "latency": 0.0,
+              "benchmark_every": 0, "antagonism": [0.0, 0.0],
+              "ptot_hat": 0.5, "osgood_ok": True},
+    "control": {"I_bar": 5.0, "kappa": 1.0, "Delta": 0.05, "tau_bar": 0.0,
+                "L_h": 0.0, "eps_I": 0.0, "r_u": [1.0], "u_box": [[0.0, 1.0]],
+                "slack_weight": 1e6},
+    "policy": {"governance_delta": 0.1, "escalate_consecutive_slack": 3,
+               "antagonism_theta": 0.5}}
+
+
+def arms(tp):
+    """The types a key of type ``tp`` may hold."""
+    return typing.get_args(tp) if typing.get_origin(tp) is types.UnionType \
+        else (tp,)
+
+
+def section_of(tp):
+    """The declaration a key of type ``tp`` holds, if any, and whether as
+    the entries of an array.  A ``phi`` is read by PowerPhi here (the
+    configs above set a power kind) and the ``benchmark`` object by
+    BenchmarkSpec."""
+    for arm in arms(tp):
+        if typing.get_origin(arm) is tuple:
+            entry = typing.get_args(arm)[0]
+            if dataclasses.is_dataclass(entry):
+                return entry, True
+        elif arm in (dyn.PhiSpec, dict) or dataclasses.is_dataclass(arm):
+            return {dyn.PhiSpec: cli.PowerPhi,
+                    dict: cap.BenchmarkSpec}.get(arm, arm), False
+    return None, False
+
+
+def declared_keys(cls, path=()):
+    """(key path, type) of every key ``cls`` reads, nested sections (and
+    the first entry of an array of them) included."""
+    for name, (tp, _) in cli._fields(cls).items():
+        yield path + (name,), tp
+        section, array = section_of(tp)
+        if section is not None:
+            yield from declared_keys(section, path + ((name, 0) if array
+                                                      else (name,)))
+
+
+def key_text(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
+
+
+def faults(tp):
+    """The values the property puts at a key of type ``tp``: each one that
+    the type refuses of a bool, numeric text, null and a list."""
+    takes = arms(tp)
+    return [[True], *[fault for fault, kind in (
+        (True, bool), ("0.5", str), (None, type(None))) if kind not in takes]]
+
+
+UNKNOWN = object()      # stands for an unknown key beside the drawn one
+PROPERTY_CASES = [(command, base, path, fault)
+                  for command, base, decl in (
+                      (cli.run_certify, FULL_PIPELINE, cli.Config),
+                      (cli.run_control_sim, FULL_CONTROL, cli.ControlSim))
+                  for path, tp in declared_keys(decl)
+                  for fault in [*faults(tp), UNKNOWN]]
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_full_configs_set_every_declared_key():
+    # the property below reaches every key only if these set each one
+    for base, decl in ((FULL_PIPELINE, cli.Config),
+                       (FULL_CONTROL, cli.ControlSim)):
+        cli._read(decl, base, "")
+        for path, _ in declared_keys(decl):
+            at(base, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(PROPERTY_CASES))
+def test_every_declared_key_refuses_a_value_of_another_type(case):
+    command, base, path, fault = case
+    cfg = copy.deepcopy(base)
+    if fault is UNKNOWN:
+        at(cfg, path[:-1])["zz_unknown"] = 1.0
+        parent = key_text(path[:-1])
+        named = f"unknown {parent} key 'zz_unknown'" if parent \
+            else "key 'zz_unknown'"
+    else:
+        at(cfg, path[:-1])[path[-1]] = fault
+        named = key_text(path)
+
+    def load(path, unit=None):
+        return {}[path]     # no series: the run must stop at its config
+    load.document = load
+    with pytest.raises(cli.ConfigError) as exc:
+        command(cfg, certify_args("c.json"), load)
+    text = str(exc.value)
+    assert "\n" not in text and named in text, (path, fault, text)
 
 
 def test_misspelled_envelope_key_is_refused_by_both_commands(tmp_path):

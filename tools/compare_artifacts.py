@@ -7,7 +7,8 @@ seed and workload the inputs are written once by the benchmark's own
 generator (``perfbench/fixtures.py`` of this checkout, imported as it
 is), and each tree then runs all of them in one fresh interpreter of its
 own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it:
-``certify`` on certify fixtures, ``control-sim`` on control ones.  Every
+``certify`` and ``estimate`` (the other command that reads the certify
+config) on certify fixtures, ``control-sim`` on control ones.  Every
 artifact, exit code, stdout and stderr must be byte-identical between the
 trees.  Prints one line per difference and a summary; exits 0 when there
 is none, 1 otherwise.
@@ -40,10 +41,15 @@ def build_runs(seeds, workloads, root) -> list[dict]:
             for d in fixtures.build_workload(workload, seed, base):
                 with open(os.path.join(d, "truth.json"), encoding="utf-8") as fh:
                     kind = json.load(fh)["kind"]
-                runs.append({
-                    "id": os.path.relpath(d, os.path.join(root, "inputs")),
-                    "cmd": "certify" if kind == "certify" else "control-sim",
-                    "config": os.path.join(d, "config.json")})
+                rid = os.path.relpath(d, os.path.join(root, "inputs"))
+                config = os.path.join(d, "config.json")
+                if kind == "certify":
+                    runs += [{"id": rid, "cmd": "certify", "config": config},
+                             {"id": f"{rid}-estimate", "cmd": "estimate",
+                              "config": config}]
+                else:
+                    runs.append({"id": rid, "cmd": "control-sim",
+                                 "config": config})
     return runs
 
 
