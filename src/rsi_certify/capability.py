@@ -19,6 +19,7 @@ from .errors import GridMismatch, MissingTask, NonPositiveValue, RefOutOfRange
 
 WEIGHT_SUM_TOL = 1e-12
 REF_PIN_TOL = 1e-9
+AFFINE_TOL = 1e-6   # largest elasticity change an affine map may cause
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class AffineCheckResult:
 
 
 def affine_invariance_check(cap: CapabilitySeries, a: float, b: float,
-                            window: float, tol: float = 1e-6,
+                            window: float,
                             min_abscissa: float = 0.0) -> AffineCheckResult:
     """Check that the feedback elasticity is unchanged under I -> a*I + b.
 
@@ -187,7 +188,7 @@ def affine_invariance_check(cap: CapabilitySeries, a: float, b: float,
         return AffineCheckResult(False, float("inf"), 0,
                                  "no common window centers")
     dev = float(np.max(np.abs(p_base.slope[idx_b] - p_tran.slope[idx_t])))
-    ok = dev <= tol
+    ok = dev <= AFFINE_TOL
     detail = "" if ok else (f"max |p(aI+b) - p(I)| = {dev:.3e} over "
-                            f"{common.size} windows exceeds tol={tol:g}")
+                            f"{common.size} windows exceeds tol={AFFINE_TOL:g}")
     return AffineCheckResult(ok, dev, int(common.size), detail)

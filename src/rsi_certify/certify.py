@@ -389,46 +389,17 @@ class Certificate:
             "notes": list(self.notes),
         }
 
-    def to_json(self) -> str:
-        """Strict JSON (no bare Infinity or NaN): non-finite floats at any
-        depth are written as the strings "inf", "-inf" and "nan".  The dict
-        is walked for them only when the plain dump refuses one."""
+    def document(self) -> tuple[dict, str]:
+        """The certificate document and its strict JSON text (no bare
+        Infinity or NaN): non-finite floats at any depth are the strings
+        "inf", "-inf" and "nan" in both.  The dict is walked for them only
+        when the plain dump refuses one."""
         d = self.to_json_dict()
         try:
-            return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+            return d, json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:
-            return json.dumps(_encode_nonfinite(d), indent=2, sort_keys=True,
-                              allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        """Inverse of to_json: numeric fields map "inf", "-inf" and "nan"
-        back to floats; the config echo keeps them as written."""
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Certificate":
-        """A certificate from the parsed text of to_json."""
-        segments = []
-        for s in d["segments"]:
-            pt = PtotEstimate(_number(s["ptot_minus"]), _number(s["ptot_plus"]),
-                              _number(s["se_minus"]), _number(s["se_plus"]),
-                              _numbers(s["components_minus"]),
-                              _numbers(s["components_plus"]))
-            segments.append(SegmentRecord(
-                _number(s["range"][0]), _number(s["range"][1]), pt,
-                TestOutcome(s["tests"]["superlinearity_plus"] == "reject",
-                            0.0, 0.0),
-                TestOutcome(s["tests"]["superlinearity_minus"] == "reject",
-                            _number(s["tests"]["margin_minus"]), 0.0),
-                _number(s["envelope"]["pass_fraction"]),
-                s["envelope"]["nonbinding"],
-                s["envelope"]["disabled"]))
-        return cls(d["verdict"], segments,
-                   _number(d["envelope_pass_fraction"]), _numbers(d["margins"]),
-                   d["osgood_divergent"], _number(d["event_bound"]),
-                   _number(d["capital_escape_time"]), d["config_echo"],
-                   d["data_snapshot_versions"], d["notes"])
+            d = _encode_nonfinite(d)
+            return d, json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _encode_nonfinite(obj):
@@ -440,16 +411,6 @@ def _encode_nonfinite(obj):
     if isinstance(obj, (list, tuple)):
         return [_encode_nonfinite(v) for v in obj]
     return obj
-
-
-def _number(value):
-    """A numeric certificate field as read back: the strings written for
-    non-finite floats become floats again; None stays None."""
-    return float(value) if isinstance(value, str) else value
-
-
-def _numbers(d: dict) -> dict:
-    return {k: _number(v) for k, v in d.items()}
 
 
 def decide(ptots: PtotEstimate | list[PtotEstimate],

@@ -356,6 +356,8 @@ def _pipeline(cfg, args):
         raise ConfigError("series.losses needs config key 'benchmark'")
     if c.series.losses is None and c.series.capability is None:
         raise ConfigError("series needs a 'capability' or 'losses' key")
+    if isinstance(c.benchmark, dict):   # weights must sum to 1 where used
+        _object(cap.BenchmarkSpec, c.benchmark, "benchmark", dict)
     return c, window
 
 
@@ -566,7 +568,8 @@ def run_certify(cfg, args, load) -> Outcome:
         extra_margins=extra_margins, config_echo=config_echo,
         snapshot_versions=snapshots)
 
-    artifacts = {"certificate.json": certificate.to_json() + "\n",
+    document, text = certificate.document()
+    artifacts = {"certificate.json": text + "\n",
                  "elasticity.csv": _elasticity_csv(prof)}
     if envelope_check_res is not None:
         artifacts["envelope_slack.csv"] = ts.csv_text({
@@ -579,38 +582,46 @@ def run_certify(cfg, args, load) -> Outcome:
         "t_end": [r.t_end for r in segments],
         "ptot_minus": [r.ptot.minus for r in segments],
         "ptot_plus": [r.ptot.plus for r in segments]})
-    artifacts["report.txt"] = render_report(certificate)
+    artifacts["report.txt"] = render_report(document)
     return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
                    artifacts)
 
 
-def render_report(cert: ct.Certificate) -> str:
-    lines = ["=" * 64, f"REGIME CERTIFICATE: {cert.verdict}", "=" * 64,
-             f"segments analyzed: {len(cert.segments)}"]
-    for i, r in enumerate(cert.segments):
+def render_report(doc: dict) -> str:
+    """The text report of a certificate document, as ``certificate.json``
+    holds it: each number goes through ``float``, so the strings "inf",
+    "-inf" and "nan" print as those numbers do."""
+    lines = ["=" * 64, f"REGIME CERTIFICATE: {doc['verdict']}", "=" * 64,
+             f"segments analyzed: {len(doc['segments'])}"]
+    for i, s in enumerate(doc["segments"]):
+        t_start, t_end = map(float, s["range"])
         lines.append(
-            f"  [{i}] t in [{r.t_start:.6g}, {r.t_end:.6g}): "
-            f"p_tot in [{r.ptot.minus:.4f}, {r.ptot.plus:.4f}] "
-            f"(se {r.ptot.se_minus:.4f}/{r.ptot.se_plus:.4f}), "
-            f"superlinearity {r.super_test_minus.label}, "
-            f"envelope pass {r.envelope_pass_fraction:.3f}"
-            + (" [disabled]" if r.envelope_disabled else ""))
-    lines += [f"envelope pass fraction: {cert.envelope_pass_fraction:.4f}",
+            f"  [{i}] t in [{t_start:.6g}, {t_end:.6g}): "
+            f"p_tot in [{float(s['ptot_minus']):.4f}, "
+            f"{float(s['ptot_plus']):.4f}] "
+            f"(se {float(s['se_minus']):.4f}/{float(s['se_plus']):.4f}), "
+            f"superlinearity {s['tests']['superlinearity_minus']}, "
+            f"envelope pass {float(s['envelope']['pass_fraction']):.3f}"
+            + (" [disabled]" if s["envelope"]["disabled"] else ""))
+    lines += ["envelope pass fraction: "
+              f"{float(doc['envelope_pass_fraction']):.4f}",
               "state-factor reciprocal integral divergent: "
-              f"{cert.osgood_divergent}"]
-    for name, value in sorted(cert.margins.items()):
-        shown = "not evaluated" if value is None else f"{value:.6g}"
+              f"{doc['osgood_divergent']}"]
+    for name, value in sorted(doc["margins"].items()):
+        shown = "not evaluated" if value is None else f"{float(value):.6g}"
         lines.append(f"margin {name}: {shown}")
-    if cert.event_bound is not None:
-        lines.append(f"event blow-up bound T_hat: {cert.event_bound:.6g} s")
-    if cert.capital_escape_time is not None:
-        lines.append(f"capital escape time T_K: {cert.capital_escape_time!r} s")
-    if cert.data_snapshot_versions:
+    if doc["event_bound"] is not None:
+        lines.append("event blow-up bound T_hat: "
+                     f"{float(doc['event_bound']):.6g} s")
+    if doc["capital_escape_time"] is not None:
+        lines.append("capital escape time T_K: "
+                     f"{float(doc['capital_escape_time'])!r} s")
+    if doc["data_snapshot_versions"]:
         lines.append("data snapshots: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(cert.data_snapshot_versions.items())))
-    lines += [f"note: {note}" for note in cert.notes]
-    if cert.config_echo:
-        lines.append("config echo: " + json.dumps(cert.config_echo,
+            f"{k}={v}" for k, v in sorted(doc["data_snapshot_versions"].items())))
+    lines += [f"note: {note}" for note in doc["notes"]]
+    if doc["config_echo"]:
+        lines.append("config echo: " + json.dumps(doc["config_echo"],
                                                   sort_keys=True))
     lines.append("=" * 64)
     return "\n".join(lines) + "\n"
@@ -649,7 +660,7 @@ def run_control_sim(cfg, args, load) -> Outcome:
 
 
 def run_report(cfg, args, load) -> Outcome:
-    text = render_report(ct.Certificate.from_json_dict(cfg))
+    text = render_report(cfg)
     return Outcome(EXIT_OK, text, {"report.txt": text})
 
 

@@ -30,6 +30,12 @@ from .errors import (
 
 P_DEGENERATE_TOL = 1e-9  # below this |p-1| the power closed forms use the
                          # exponential limit
+INTEGRATE_MAX_STEPS = 2_000_000  # step budget, accepted plus rejected
+DISCRETE_MAX_STEPS = 10_000      # iterate budget of the recursion
+# worst_case_times checks the envelopes' order at this many points,
+# geometric from the floor to this multiple of it
+ORDER_CHECK_POINTS = 128
+ORDER_CHECK_SPAN = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +106,12 @@ class PhiSpec:
             self.c_tail = values[-1] / grid[-1] ** self.p_tail
         else:
             raise NonPositivePhi(f"unknown rate-factor kind {kind!r}")
+        # the least argument taken: the floor less a relative 1e-12
+        self.lowest = self.domain_floor * (1 - 1e-12)
         self.evaluate = array_path = self._array_path
         if self.p is not None:      # a Python float takes the scalar path
             c, p, with_log = self.c, self.p, kind == "power_log"
-            power, log = np.power, np.log
-            below = self.domain_floor * (1 - 1e-12)
+            power, log, below = np.power, np.log, self.lowest
 
             def evaluate(s):
                 if type(s) is not float or s < below:
@@ -114,8 +121,8 @@ class PhiSpec:
             self.evaluate = evaluate
 
     @classmethod
-    def power(cls, p: float, c: float = 1.0, domain_floor: float | None = None):
-        return cls("power", p=p, c=c, domain_floor=domain_floor)
+    def power(cls, p: float, c: float = 1.0):
+        return cls("power", p=p, c=c)
 
     @classmethod
     def power_log(cls, p: float, c: float = 1.0, domain_floor: float = math.e):
@@ -132,7 +139,7 @@ class PhiSpec:
         s_arr = np.asarray(s, dtype=float)
         scalar = s_arr.ndim == 0
         s_arr = np.atleast_1d(s_arr)
-        if np.any(s_arr < self.domain_floor * (1 - 1e-12)):
+        if np.any(s_arr < self.lowest):
             raise NonPositivePhi(
                 f"evaluation below domain floor {self.domain_floor}")
         if self.kind == "power":
@@ -169,7 +176,7 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
     evaluated in closed form; tabulated factors use the trapezoid rule over
     the table plus an analytic tail from the last fitted local exponent.
     """
-    if I0 < phi.domain_floor * (1 - 1e-12):
+    if I0 < phi.lowest:
         raise NonPositivePhi(f"I0={I0} below domain floor {phi.domain_floor}")
     if phi(I0) <= 0:
         raise NonPositivePhi("rate factor must be positive at I0")
@@ -296,8 +303,7 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 def integrate(rhs, I0: float, horizon: float,
               blowup_threshold: float | None = None,
-              rtol: float = 1e-8, atol: float = 1e-12,
-              max_steps: int = 2_000_000) -> IntegrationResult:
+              rtol: float = 1e-8, atol: float = 1e-12) -> IntegrationResult:
     """Adaptive scalar integration of dI/dt = rhs(t, I) with blow-up event.
 
     Steps are accepted when the embedded 4th/5th order error estimate meets
@@ -327,7 +333,7 @@ def integrate(rhs, I0: float, horizon: float,
     k = [0.0] * 6
 
     while t < horizon:
-        if n_steps + n_rejected > max_steps:
+        if n_steps + n_rejected > INTEGRATE_MAX_STEPS:
             raise StepUnderflowWithoutThreshold(
                 f"step budget exhausted at t={t!r}, I={I!r}")
         h = min(h, horizon - t)
@@ -409,14 +415,14 @@ class DiscreteRsiResult:
         return not self.bound_respected
 
 
-def discrete_rsi(I0: float, a: float, p: float, threshold: float,
-                 max_steps: int = 10_000) -> DiscreteRsiResult:
+def discrete_rsi(I0: float, a: float, p: float,
+                 threshold: float) -> DiscreteRsiResult:
     """Iterate the superlinear recursion until the threshold is crossed."""
     if a <= 0 or p <= 1.0 or I0 <= 0:
         raise SubcriticalExponent("need a > 0, p > 1, I0 > 0")
     iterates = [float(I0)]
     x = float(I0)
-    while x < threshold and len(iterates) <= max_steps:
+    while x < threshold and len(iterates) <= DISCRETE_MAX_STEPS:
         try:
             x = x + a * x ** p
         except OverflowError:
@@ -428,7 +434,8 @@ def discrete_rsi(I0: float, a: float, p: float, threshold: float,
             break
     if iterates[-1] < threshold:
         raise StepUnderflowWithoutThreshold(
-            f"threshold {threshold} not reached within {max_steps} steps")
+            f"threshold {threshold} not reached within {DISCRETE_MAX_STEPS} "
+            "steps")
     steps = len(iterates)
     bound = math.ceil(excess_escape_time(I0, a, p - 1.0))
     return DiscreteRsiResult(tuple(iterates), steps, bound, steps <= bound)
@@ -527,9 +534,8 @@ class WorstCaseResult:
     verdict: str  # "robust-nonsingular" | "robust-blowup" | "indeterminate"
 
 
-def worst_case_times(a_min: PhiSpec, a_max: PhiSpec, I0: float,
-                     order_check_points: int = 128,
-                     order_check_span: float = 1e6) -> WorstCaseResult:
+def worst_case_times(a_min: PhiSpec, a_max: PhiSpec,
+                     I0: float) -> WorstCaseResult:
     """Uniform time bounds from ordered gain envelopes.
 
     T_min integrates 1/a_max (the fastest admissible growth), T_max
@@ -538,7 +544,7 @@ def worst_case_times(a_min: PhiSpec, a_max: PhiSpec, I0: float,
     envelopes leaves the question open.
     """
     floor = max(a_min.domain_floor, a_max.domain_floor, I0)
-    grid = np.geomspace(floor, floor * order_check_span, order_check_points)
+    grid = np.geomspace(floor, floor * ORDER_CHECK_SPAN, ORDER_CHECK_POINTS)
     lo_vals = a_min(grid)
     hi_vals = a_max(grid)
     if np.any(lo_vals > hi_vals * (1 + 1e-9)):

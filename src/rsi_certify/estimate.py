@@ -37,6 +37,10 @@ def normal_quantile(q: float) -> float:
 
 
 WEAK_INSTRUMENT_F = 10.0  # Staiger-Stock rule of thumb for one instrument
+MIN_WINDOW_POINTS = 5     # fewest samples a rolling or index window fits
+RV_WINDOW_DECADES = 0.5   # width of an index window in log10 abscissa
+RV_ACCEPT_QUANTILE = 0.95  # bootstrap quantile a constant index stays under
+POTTER_MAX_PAIRS = 250_000  # pairs the Potter scan checks at most
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +78,7 @@ def newey_west_cov(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray
         bread = np.linalg.inv(xtx)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign("X'X is singular") from exc
-    if np.linalg.cond(xtx) > 1e14:
-        raise SingularDesign("X'X is numerically singular")
+    _require_conditioned(np.linalg.cond(xtx))
 
     xe = X * e[:, None]
     meat = xe.T @ xe
@@ -84,6 +87,12 @@ def newey_west_cov(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray
         gamma = xe[ell:].T @ xe[:-ell]
         meat += w * (gamma + gamma.T)
     return bread @ meat @ bread
+
+
+def _require_conditioned(cond) -> None:
+    """Refuse fits whose X'X condition number exceeds 1e14 or is NaN."""
+    if not np.all(cond <= 1e14):
+        raise SingularDesign("X'X is numerically singular")
 
 
 def newey_west_se(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray:
@@ -98,8 +107,7 @@ def _hac_slope_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, lag: int):
     kernel's closed-form fit.  Returns (slope, se, intercept)."""
     rows = (np.asarray(a, dtype=float)[None, :] for a in (x, y, w))
     fit = ts._fit_rows(*rows, np.array([lag]))
-    if not fit.cond[0] <= 1e14:
-        raise SingularDesign("X'X is numerically singular")
+    _require_conditioned(fit.cond)
     return float(fit.slope[0]), float(fit.se[0]), float(fit.intercept[0])
 
 
@@ -169,7 +177,7 @@ def shared_samples(I: ts.TimeSeries, Idot: ts.TimeSeries):
 
 def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
                        lag: int | str = "auto", alpha: float = 0.05,
-                       min_points: int = 5, centers=None) -> RollingElasticity:
+                       centers=None) -> RollingElasticity:
     """Local log-log slope of the rate against the state, per window center.
 
     The feedback elasticity is only defined where the rate is positive;
@@ -183,7 +191,7 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     closed forms, per-window HAC sums).
     """
     common, i_vals, r_vals = shared_samples(I, Idot)
-    if common.size < min_points:
+    if common.size < MIN_WINDOW_POINTS:
         raise AllWindowsDegenerate("series share too few timestamps")
 
     half = window / 2.0
@@ -193,7 +201,7 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     n_win = hi - lo
     # per window: 0 fit, k > 0 gap GAP_REASONS[k - 1], -1 too few samples;
     # prefix counts of nonpositive samples find the nonpositive windows
-    gap = np.where(n_win < min_points, -1, 0)
+    gap = np.where(n_win < MIN_WINDOW_POINTS, -1, 0)
     for code, values in ((1, r_vals), (2, i_vals)):
         bad = np.concatenate(([0], np.cumsum(values <= 0)))
         gap[(gap == 0) & (bad[hi] > bad[lo])] = code
@@ -211,8 +219,7 @@ def rolling_elasticity(I: ts.TimeSeries, Idot: ts.TimeSeries, window: float,
     ok = ~degenerate
     if np.any(lags[ok] < 0):
         raise SingularDesign(f"lag={lag} must be nonnegative")
-    if not np.all(fit.cond[ok] <= 1e14):
-        raise SingularDesign("X'X is numerically singular")
+    _require_conditioned(fit.cond[ok])
 
     gaps = [(c, GAP_REASONS[k - 1])
             for c, k in zip(eval_centers.tolist(), gap.tolist()) if k > 0]
@@ -257,15 +264,15 @@ class RVIndices:
         return bool(parts) and all(parts)
 
 
-def _local_index_profile(abscissa: np.ndarray, values: np.ndarray,
-                         window_decades: float, min_points: int = 5):
+def _local_index_profile(abscissa: np.ndarray, values: np.ndarray):
     """Rolling log-log slopes over windows of fixed width in log-abscissa.
 
-    Returns (centers, slopes, masses, local_fit) where masses are the
-    kernel mass per window (the weights of the band-weighted mean) and
-    local_fit holds each sample's fitted log-value from the window centered
-    on it (global-fit fallback at the edges); the local residuals feed the
-    wild bootstrap.
+    Returns (centers, slopes, masses, s, global_fit, resid_local) where
+    masses are the kernel mass per window (the weights of the band-weighted
+    mean), s the sorted abscissa, global_fit each sample's log-value on the
+    global power-law fit, and resid_local each sample's residual from the
+    window centered on it (from the global fit at the edges); the last
+    three feed the wild bootstrap.
     """
     order = np.argsort(abscissa)
     s = np.asarray(abscissa, dtype=float)[order]
@@ -278,24 +285,24 @@ def _local_index_profile(abscissa: np.ndarray, values: np.ndarray,
             f"abscissa spans {span:.2f} decades; need at least one")
     ls = np.log(s)
     lv = np.log(v)
-    half = 0.5 * window_decades * math.log(10.0)
+    half = 0.5 * RV_WINDOW_DECADES * math.log(10.0)
     slope_g, intercept_g, _, _ = ts.wls_slope(ls, lv, np.ones_like(ls))
-    local_fit = intercept_g + slope_g * ls
+    global_fit = intercept_g + slope_g * ls
+    local_fit = global_fit.copy()
     lo, hi = ts.window_bounds(ls, ls, half, rtol=1e-12)
-    sel = np.flatnonzero(hi - lo >= min_points)
+    sel = np.flatnonzero(hi - lo >= MIN_WINDOW_POINTS)
     fit = ts.windowed_wls(ls, ls, lv, ls[sel], half, lo[sel], hi[sel])
     ok = fit.var_x > 0
     if not ok.any():
         raise AllWindowsDegenerate("no index window had enough points")
     sel, slopes = sel[ok], fit.slope[ok]
     local_fit[sel] = fit.intercept[ok] + slopes * ls[sel]
-    return np.exp(ls[sel]), slopes, fit.sw[ok], local_fit
+    return np.exp(ls[sel]), slopes, fit.sw[ok], s, global_fit, lv - local_fit
 
 
-def _index_estimate(abscissa, values, window_decades, bootstrap_reps,
-                    seed, accept_quantile) -> IndexEstimate:
-    centers, slopes, masses, local_fit = _local_index_profile(
-        abscissa, values, window_decades)
+def _index_estimate(abscissa, values, bootstrap_reps, seed) -> IndexEstimate:
+    centers, slopes, masses, s, global_fit, resid_local = \
+        _local_index_profile(abscissa, values)
     hat = float((masses * slopes).sum() / masses.sum())
     fluct = float(np.max(np.abs(slopes - hat)))
 
@@ -303,22 +310,15 @@ def _index_estimate(abscissa, values, window_decades, bootstrap_reps,
     # rebuild on the global power-law fit plus Rademacher-flipped LOCAL
     # residuals (global residuals would absorb breakpoint structure into
     # the null and mask genuine index changes)
-    order = np.argsort(abscissa)
-    s = np.asarray(abscissa, dtype=float)[order]
-    v = np.asarray(values, dtype=float)[order]
-    ls, lv = np.log(s), np.log(v)
-    slope_g, intercept_g, _, _ = ts.wls_slope(ls, lv, np.ones_like(ls))
-    resid_local = lv - local_fit
     rng = np.random.default_rng(seed)
     boot_fluct = np.empty(bootstrap_reps)
     for b in range(bootstrap_reps):
-        flips = rng.choice([-1.0, 1.0], size=ls.size)
-        lv_b = intercept_g + slope_g * ls + flips * resid_local
-        _, slopes_b, masses_b, _ = _local_index_profile(
-            s, np.exp(lv_b), window_decades)
+        flips = rng.choice([-1.0, 1.0], size=s.size)
+        lv_b = global_fit + flips * resid_local
+        _, slopes_b, masses_b, *_ = _local_index_profile(s, np.exp(lv_b))
         hat_b = (masses_b * slopes_b).sum() / masses_b.sum()
         boot_fluct[b] = np.max(np.abs(slopes_b - hat_b))
-    threshold = float(np.quantile(boot_fluct, accept_quantile))
+    threshold = float(np.quantile(boot_fluct, RV_ACCEPT_QUANTILE))
     accepted = fluct <= threshold + 1e-12
     return IndexEstimate(hat, float(slopes.min()), float(slopes.max()),
                          accepted, fluct, threshold,
@@ -326,8 +326,7 @@ def _index_estimate(abscissa, values, window_decades, bootstrap_reps,
 
 
 def rv_indices(phi_samples=None, eta_samples=None, neg_lprime_samples=None,
-               window_decades: float = 0.5, bootstrap_reps: int = 999,
-               seed: int = 0, accept_quantile: float = 0.95) -> RVIndices:
+               bootstrap_reps: int = 999) -> RVIndices:
     """Estimate local power-law indices by log-derivative regressions.
 
     Each input is a pair of positive arrays (abscissa, values) spanning at
@@ -335,18 +334,16 @@ def rv_indices(phi_samples=None, eta_samples=None, neg_lprime_samples=None,
     the local slopes themselves; the learning-curve index is recovered
     from the slope of the negated loss derivative via rho = -1 - slope.
     Constancy (the regular-variation hypothesis) is accepted when the
-    profile fluctuation stays below a wild-bootstrap quantile.
+    profile fluctuation stays below the ``RV_ACCEPT_QUANTILE`` quantile of
+    a wild bootstrap, seeded 0, 1 and 2 for q, xi and rho.
     """
     out = RVIndices()
     if phi_samples is not None:
-        out.q = _index_estimate(*phi_samples, window_decades, bootstrap_reps,
-                                seed, accept_quantile)
+        out.q = _index_estimate(*phi_samples, bootstrap_reps, 0)
     if eta_samples is not None:
-        out.xi = _index_estimate(*eta_samples, window_decades, bootstrap_reps,
-                                 seed + 1, accept_quantile)
+        out.xi = _index_estimate(*eta_samples, bootstrap_reps, 1)
     if neg_lprime_samples is not None:
-        base = _index_estimate(*neg_lprime_samples, window_decades,
-                               bootstrap_reps, seed + 2, accept_quantile)
+        base = _index_estimate(*neg_lprime_samples, bootstrap_reps, 2)
         # rho = -1 - slope flips the envelope ordering
         out.rho = IndexEstimate(
             hat=-1.0 - base.hat, minus=-1.0 - base.plus,
@@ -372,12 +369,12 @@ class PotterResult:
         return self.passed
 
 
-def potter_check(I_values, L_values, eps: float, c_eps: float,
-                 max_pairs: int = 250_000, seed: int = 0) -> PotterResult:
+def potter_check(I_values, L_values, eps: float,
+                 c_eps: float) -> PotterResult:
     """Check |log(L_i/L_j)| <= eps |log(I_i/I_j)| + log(c_eps) over pairs.
 
-    All pairs are scanned when their count is below ``max_pairs``; beyond
-    that a seeded random subsample keeps the scan deterministic.  Returns
+    All pairs are scanned when their count is at most ``POTTER_MAX_PAIRS``;
+    beyond that a seeded random subsample keeps the scan deterministic.  Returns
     the worst pair and its violation margin (positive means violated).
     """
     I = np.asarray(I_values, dtype=float)
@@ -392,12 +389,12 @@ def potter_check(I_values, L_values, eps: float, c_eps: float,
     li = np.log(I)
     ll = np.log(L)
     total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_pairs:
+    if total_pairs <= POTTER_MAX_PAIRS:
         iu, ju = np.triu_indices(n, k=1)
     else:
-        rng = np.random.default_rng(seed)
-        iu = rng.integers(0, n, size=max_pairs)
-        ju = rng.integers(0, n, size=max_pairs)
+        rng = np.random.default_rng(0)
+        iu = rng.integers(0, n, size=POTTER_MAX_PAIRS)
+        ju = rng.integers(0, n, size=POTTER_MAX_PAIRS)
         keep = iu != ju
         iu, ju = iu[keep], ju[keep]
     margin = np.abs(ll[iu] - ll[ju]) - eps * np.abs(li[iu] - li[ju]) \

@@ -298,8 +298,8 @@ class ThrottleCertificate:
     note: str
 
 
-def throttle_cap(phi_spec: dyn.PhiSpec, requested_cap: float = 1.0,
-                 I0: float | None = None) -> ThrottleCertificate:
+def throttle_cap(phi_spec: dyn.PhiSpec,
+                 requested_cap: float = 1.0) -> ThrottleCertificate:
     """Certify a constant service cap against the state factor.
 
     When the reciprocal integral of the state factor diverges, any constant
@@ -311,9 +311,7 @@ def throttle_cap(phi_spec: dyn.PhiSpec, requested_cap: float = 1.0,
         raise NoStaticCapPossible("requested cap must be positive")
     # divergence class of a power-type factor does not depend on the start
     # point; anchor away from an underflowing domain floor
-    start = max(phi_spec.domain_floor, 1.0) if I0 is None \
-        else max(I0, phi_spec.domain_floor)
-    res = dyn.osgood_classify(phi_spec, start)
+    res = dyn.osgood_classify(phi_spec, max(phi_spec.domain_floor, 1.0))
     if not res.divergent:
         raise NoStaticCapPossible(
             "state factor has a convergent reciprocal integral "
@@ -330,6 +328,7 @@ def throttle_cap(phi_spec: dyn.PhiSpec, requested_cap: float = 1.0,
 
 
 SLACK_TOL = 1e-9    # a QP slack above this counts toward escalation
+PLANT_SUBSTEPS = 16     # RK4 substeps per control period
 
 
 @dataclass
@@ -404,15 +403,15 @@ class SupervisionLog:
 
 
 def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
-                   dt: float, substeps: int = 16) -> float:
+                   dt: float) -> float:
     """Exact-enough zero-order-hold plant integration (RK4 substeps)."""
     if u <= 0 or dt <= 0:
         return I
     if isinstance(phi, dyn.PhiSpec):    # any callable works; skip __call__
         phi = phi.evaluate
-    h = dt / substeps
+    h = dt / PLANT_SUBSTEPS
     y = I
-    for _ in range(substeps):
+    for _ in range(PLANT_SUBSTEPS):
         k1 = phi(y) * phi_svc * u
         k2 = phi(y + 0.5 * h * k1) * phi_svc * u
         k3 = phi(y + 0.5 * h * k2) * phi_svc * u

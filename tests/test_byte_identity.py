@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rsi_certify import certify as ct
+from rsi_certify import cli
 from rsi_certify import envelopes as env
 from rsi_certify import estimate as est
 from rsi_certify import series as ts
@@ -82,7 +83,14 @@ def certificates(draw):
 @settings(max_examples=300, deadline=None)
 @given(certificates())
 def test_certificate_json_matches_reference(cert):
-    assert cert.to_json() == _reference_to_json(cert)
+    assert cert.document()[1] == _reference_to_json(cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificates())
+def test_report_of_the_document_is_the_report_of_its_text(cert):
+    document, text = cert.document()
+    assert cli.render_report(document) == cli.render_report(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,21 @@ def test_report_roundtrip(tmp_path, capsys):
     assert (tmp_path / "rep" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("grad_norm", [2.0, math.inf], ids=["finite",
+                                                            "infinity"])
+def test_report_reproduces_the_certify_report(tmp_path, grad_norm):
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg["certify"]["grad_norm"] = grad_norm     # echoed as written
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert ("Infinity" in open(path).read()) is (grad_norm == math.inf)
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert run(["certify", "--config", path, "--out", out]) == 2
+    assert run(["report", "--config", out / "certificate.json",
+                "--out", rep]) == 0
+    assert (rep / "report.txt").read_bytes() == \
+        (out / "report.txt").read_bytes()
+
+
 def test_missing_config_is_operational_error(tmp_path, capsys):
     assert run(["certify", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "out"]) == 1
@@ -1296,6 +1311,15 @@ REL = {"delta_use": 0.01, "delta_elec": 0.01, "delta_cop": 0.01,
     ({"hard_cap_p_use": "5"}, "config key 'hard_cap_p_use' must be a number"),
     ({"series": {"capability": "c.json", "P_use": 5}},
      "config key 'series.P_use' must be a string"),
+    # an inline benchmark is read even where no loss series uses it
+    ({"benchmark": {"tsks": 1}}, "unknown benchmark key 'tsks'"),
+    ({"benchmark": {"tasks": []}}, "missing config key 'benchmark.t_ref'"),
+    ({"benchmark": {**BENCH, "t_ref": "0"}},
+     "config key 'benchmark.t_ref' must be a number"),
+    ({"benchmark": {**BENCH, "tasks": [{**BENCH["tasks"][0], "wieght": 1.0}]}},
+     "unknown benchmark.tasks[0] key 'wieght'"),
+    ({"benchmark": {**BENCH, "tasks": [{**BENCH["tasks"][0], "floor": -1.0}]}},
+     "benchmark.tasks[0]: task 't0': floor must be positive"),
 ])
 def test_config_type_faults_name_the_key(tmp_path, cfg, named):
     cap_path = capability_fixture(tmp_path)

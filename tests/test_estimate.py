@@ -227,6 +227,22 @@ def test_rv_indices_envelopes_bracket_profile():
     assert res.q.minus <= res.q.hat <= res.q.plus
 
 
+def test_rv_indices_efficiency_index():
+    x = np.geomspace(1.0, 1e3, 120)
+    res = est.rv_indices(eta_samples=(x, 2.0 * x ** 0.3), bootstrap_reps=99)
+    assert res.q is None and res.rho is None
+    assert res.xi.hat == pytest.approx(0.3, abs=1e-9)
+    assert res.xi.accepted and res.rv_accepted
+    # a kink in the efficiency factor fails constancy, and the joint verdict
+    kinked = np.where(x < 30.0, x ** 0.2, 30.0 ** -0.6 * x ** 0.8)
+    both = est.rv_indices(phi_samples=(x, x ** 0.7),
+                          eta_samples=(x, kinked), bootstrap_reps=99)
+    assert both.q.accepted and not both.xi.accepted
+    assert not both.rv_accepted
+    assert both.xi.minus == pytest.approx(0.2, abs=0.1)
+    assert both.xi.plus == pytest.approx(0.8, abs=0.1)
+
+
 def test_rv_indices_insufficient_range():
     I = np.geomspace(1.0, 5.0, 50)
     with pytest.raises(InsufficientRange):

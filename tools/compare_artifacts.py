@@ -7,8 +7,9 @@ seed and workload the inputs are written once by the benchmark's own
 generator (``perfbench/fixtures.py`` of this checkout, imported as it
 is), and each tree then runs all of them in one fresh interpreter of its
 own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it:
-``certify`` and ``estimate`` (the other command that reads the certify
-config) on certify fixtures, ``control-sim`` on control ones.  Every
+``certify``, ``estimate`` (the other command that reads the certify
+config) and ``report`` (on the ``certificate.json`` that tree's ``certify``
+wrote) on certify fixtures, ``control-sim`` on control ones.  Every
 artifact, exit code, stdout and stderr must be byte-identical between the
 trees.  Prints one line per difference and a summary; exits 0 when there
 is none, 1 otherwise.
@@ -44,9 +45,13 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                 rid = os.path.relpath(d, os.path.join(root, "inputs"))
                 config = os.path.join(d, "config.json")
                 if kind == "certify":
+                    # relative: in each tree's output, where certify wrote it
+                    cert = os.path.join(rid, "certificate.json")
                     runs += [{"id": rid, "cmd": "certify", "config": config},
                              {"id": f"{rid}-estimate", "cmd": "estimate",
-                              "config": config}]
+                              "config": config},
+                             {"id": f"{rid}-report", "cmd": "report",
+                              "config": cert}]
                 else:
                     runs.append({"id": rid, "cmd": "control-sim",
                                  "config": config})
@@ -80,7 +85,7 @@ def child(spec_path) -> None:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = rsi_certify.cli.main(
-                [r["cmd"], "--config", r["config"],
+                [r["cmd"], "--config", os.path.join(spec["out"], r["config"]),
                  "--out", os.path.join(spec["out"], r["id"])])
         results[r["id"]] = {"code": code, "stdout": stdout.getvalue(),
                             "stderr": stderr.getvalue()}
