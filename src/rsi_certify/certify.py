@@ -12,7 +12,6 @@ as inconclusive with both facts attached.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -376,41 +375,9 @@ class Certificate:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "segments": [s.to_json_dict() for s in self.segments],
-            "envelope_pass_fraction": self.envelope_pass_fraction,
-            "margins": dict(self.margins),
-            "osgood_divergent": self.osgood_divergent,
-            "event_bound": self.event_bound,
-            "capital_escape_time": self.capital_escape_time,
-            "config_echo": self.config_echo,
-            "data_snapshot_versions": dict(self.data_snapshot_versions),
-            "notes": list(self.notes),
-        }
-
-    def document(self) -> tuple[dict, str]:
-        """The certificate document and its strict JSON text (no bare
-        Infinity or NaN): non-finite floats at any depth are the strings
-        "inf", "-inf" and "nan" in both.  The dict is walked for them only
-        when the plain dump refuses one."""
-        d = self.to_json_dict()
-        try:
-            return d, json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError:
-            d = _encode_nonfinite(d)
-            return d, json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _encode_nonfinite(obj):
-    """Replace non-finite floats, at any depth, by "inf", "-inf" or "nan"."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, dict):
-        return {k: _encode_nonfinite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_nonfinite(v) for v in obj]
-    return obj
+        """Each field under its own name, the segments as documents."""
+        return {**vars(self),
+                "segments": [s.to_json_dict() for s in self.segments]}
 
 
 def decide(ptots: PtotEstimate | list[PtotEstimate],

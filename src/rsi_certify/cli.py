@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
@@ -53,16 +52,6 @@ class Outcome(NamedTuple):
     artifacts: dict     # output file name -> file text
 
 
-def _load_json(path):
-    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
-    a ParseError that names it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
-        raise ParseError(f"{path}: not a UTF-8 JSON document: {exc}") from None
-
-
 class FileInputs:
     """``main``'s ``load``: ``load(path, unit)`` reads a CSV or JSON series,
     ``load.document(path)`` any other JSON file a config names.  A series
@@ -74,16 +63,14 @@ class FileInputs:
             s = ts.read_json(path) if path.endswith(".json") \
                 else ts.ingest_csv(path)
         except (ToolkitError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
+            text = str(exc)     # a document that is not JSON names its file
+            raise ParseError(text if text.startswith(f"{path}: ")
+                             else f"{path}: {text}") from None
         if unit is not None and s.unit != unit:
             raise ts.UnitMismatch(f"{path}: unit {s.unit!r}, expected {unit!r}")
         return s
 
-    document = staticmethod(_load_json)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    document = staticmethod(ts.read_json_document)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +151,20 @@ Scenario = _declare("Scenario", "scenario", phi=dyn.PhiSpec, I0=float,
 ControlSim = _declare("ControlSim", "control-sim", plant=sc.PlantScenario,
                       control=sc.ControlConfig,
                       policy=(sc.PolicyThresholds, sc.PolicyThresholds()))
+# certificate.json as report reads it: a number may be "inf", "-inf", "nan"
+NUM = float | str
+CertificateDoc = _declare(
+    "CertificateDoc", "certificate", verdict=str, segments=tuple[_declare(
+        "Segment", range=tuple[NUM, NUM], components_minus=dict,
+        components_plus=dict, **dict.fromkeys(
+            ("ptot_minus", "ptot_plus", "se_minus", "se_plus"), NUM),
+        tests=_declare("Tests", superlinearity_plus=str,
+                       superlinearity_minus=str, margin_minus=NUM),
+        envelope=_declare("SegmentEnvelope", pass_fraction=NUM,
+                          nonbinding=bool, disabled=bool)), ...],
+    envelope_pass_fraction=NUM, margins=dict, osgood_divergent=bool,
+    event_bound=NUM | None, capital_escape_time=NUM | None,
+    config_echo=dict, data_snapshot_versions=dict, notes=tuple[str, ...])
 
 
 @functools.cache
@@ -281,11 +282,11 @@ def run_ingest(cfg, args, load) -> Outcome:
 
     artifacts, summary = {}, []
     for path, s in sorted(loaded, key=lambda r: r[1].name):
-        artifacts[f"{s.name}.json"] = _json_text(s.to_json_dict())
+        artifacts[f"{s.name}.json"] = ts.json_text(s.to_json_dict())
         summary.append({"path": path, "name": s.name, "unit": s.unit,
                         "snapshot_version": s.snapshot_version,
                         "n_samples": len(s)})
-    artifacts["ingest_manifest.json"] = _json_text({"files": summary})
+    artifacts["ingest_manifest.json"] = ts.json_text({"files": summary})
     return Outcome(EXIT_OK, f"ingested {len(summary)} series into {args.out}",
                    artifacts)
 
@@ -317,7 +318,7 @@ def run_envelope(cfg, args, load) -> Outcome:
         f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
         f"(sigma_eff = {c.params.sigma_eff} nat/bit, "
         f"snapshot {result.phi_svc.snapshot_version or 'n/a'})",
-        {"envelope.json": _json_text(result.to_json_dict()),
+        {"envelope.json": ts.json_text(result.to_json_dict()),
          "envelope.csv": ts.csv_text({
              "t": result.phi_svc.t, "phi_pt_nat_per_s": result.phi_pt.values,
              "phi_svc_nat_per_s": result.phi_svc.values,
@@ -404,7 +405,7 @@ def run_estimate(cfg, args, load) -> Outcome:
         EXIT_OK,
         f"{prof.t.size} elasticity windows, "
         f"{len(segs.breakpoints)} break(s)",
-        {"elasticity.json": _json_text({
+        {"elasticity.json": ts.json_text({
             "alpha": alpha,
             "window_seconds": window,
             "estimates": [e.to_json_dict() for e in prof.estimates],
@@ -568,8 +569,8 @@ def run_certify(cfg, args, load) -> Outcome:
         extra_margins=extra_margins, config_echo=config_echo,
         snapshot_versions=snapshots)
 
-    document, text = certificate.document()
-    artifacts = {"certificate.json": text + "\n",
+    document = certificate.to_json_dict()
+    artifacts = {"certificate.json": ts.json_text(document),
                  "elasticity.csv": _elasticity_csv(prof)}
     if envelope_check_res is not None:
         artifacts["envelope_slack.csv"] = ts.csv_text({
@@ -588,15 +589,19 @@ def run_certify(cfg, args, load) -> Outcome:
 
 
 def render_report(doc: dict) -> str:
-    """The text report of a certificate document, as ``certificate.json``
-    holds it: each number goes through ``float``, so the strings "inf",
-    "-inf" and "nan" print as those numbers do."""
+    """The text report of a certificate document, the dict ``certify``
+    writes or ``certificate.json`` read back: each number goes through
+    ``float`` and the config echo through ``json_text``, so a non-finite
+    float and the string ``json_text`` writes for it print alike."""
     lines = ["=" * 64, f"REGIME CERTIFICATE: {doc['verdict']}", "=" * 64,
              f"segments analyzed: {len(doc['segments'])}"]
+    if doc["segments"]:     # bounds as offsets from one origin, in full
+        t0 = float(doc["segments"][0]["range"][0])
+        lines.append(f"segment bounds: seconds from t0 = {t0!r}")
     for i, s in enumerate(doc["segments"]):
-        t_start, t_end = map(float, s["range"])
+        t_start, t_end = (float(t) - t0 for t in s["range"])
         lines.append(
-            f"  [{i}] t in [{t_start:.6g}, {t_end:.6g}): "
+            f"  [{i}] t - t0 in [{t_start!r}, {t_end!r}): "
             f"p_tot in [{float(s['ptot_minus']):.4f}, "
             f"{float(s['ptot_plus']):.4f}] "
             f"(se {float(s['se_minus']):.4f}/{float(s['se_plus']):.4f}), "
@@ -621,8 +626,8 @@ def render_report(doc: dict) -> str:
             f"{k}={v}" for k, v in sorted(doc["data_snapshot_versions"].items())))
     lines += [f"note: {note}" for note in doc["notes"]]
     if doc["config_echo"]:
-        lines.append("config echo: " + json.dumps(doc["config_echo"],
-                                                  sort_keys=True))
+        lines.append("config echo: "
+                     + ts.json_text(doc["config_echo"], indent=None).rstrip())
     lines.append("=" * 64)
     return "\n".join(lines) + "\n"
 
@@ -633,10 +638,10 @@ def run_simulate(cfg, args, load) -> Outcome:
                         blowup_threshold=c.threshold, rtol=c.rtol)
     if args.format == "json":
         traj = ts.TimeSeries(c.name, "nat", res.t, res.I)
-        artifacts = {"trajectory.json": _json_text(traj.to_json_dict())}
+        artifacts = {"trajectory.json": ts.json_text(traj.to_json_dict())}
     else:
         artifacts = {"trajectory.csv": ts.csv_text({"t": res.t, "I": res.I})}
-    artifacts["simulation.json"] = _json_text(
+    artifacts["simulation.json"] = ts.json_text(
         {"status": res.status, "t_star": res.t_star, "n_steps": res.n_steps,
          "final_I": float(res.I[-1]), "final_t": float(res.t[-1])})
     return Outcome(EXIT_OK, f"simulation {res.status}"
@@ -652,7 +657,7 @@ def run_control_sim(cfg, args, load) -> Outcome:
         f"control loop {log.final_status}; max overshoot "
         f"{log.max_overshoot:.3e} nat",
         {"control_log.jsonl": log.to_jsonl(),
-         "control_summary.json": _json_text(
+         "control_summary.json": ts.json_text(
              {"final_status": log.final_status,
               "max_overshoot": log.max_overshoot,
               "max_violation_rate": log.max_violation_rate,
@@ -660,6 +665,10 @@ def run_control_sim(cfg, args, load) -> Outcome:
 
 
 def run_report(cfg, args, load) -> Outcome:
+    try:
+        _read(CertificateDoc, cfg, "")
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     text = render_report(cfg)
     return Outcome(EXIT_OK, text, {"report.txt": text})
 
@@ -712,7 +721,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # --help: 0; usage error: 1 (2 is singular)
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        cfg = _load_json(args.config)
+        cfg = ts.read_json_document(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
         # every warning the command raises, each time it raises it: printed

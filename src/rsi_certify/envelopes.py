@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,24 +110,12 @@ class EnvelopeResult:
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "phi_pt": self.phi_pt.to_json_dict(),
-            "phi_svc": self.phi_svc.to_json_dict(),
-            "binding": list(self.binding),
-            "phi_pt_bar": {
-                "value": self.phi_pt_bar.value,
-                "band": None if self.phi_pt_bar.band is None else {
-                    "first_order": self.phi_pt_bar.band.first_order,
-                    "s": self.phi_pt_bar.band.s,
-                    "interval_factors": list(self.phi_pt_bar.band.interval_factors),
-                    "alpha": self.phi_pt_bar.band.alpha,
-                },
-            },
-            "warnings": list(self.warnings),
-        }
-        out["phi_io"] = None if self.phi_io is None else self.phi_io.to_json_dict()
-        out["phi_mem"] = None if self.phi_mem is None else self.phi_mem.to_json_dict()
-        return out
+        ceilings = {"phi_pt": self.phi_pt, "phi_svc": self.phi_svc,
+                    "phi_io": self.phi_io, "phi_mem": self.phi_mem}
+        return {"binding": self.binding, "warnings": self.warnings,
+                "phi_pt_bar": asdict(self.phi_pt_bar),
+                **{name: None if s is None else s.to_json_dict()
+                   for name, s in ceilings.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +221,11 @@ def propagate_uncertainty(rel_errors: dict, alpha: float = 0.05) -> UncertaintyB
     first_order = float(sum(deltas))
     s = math.sqrt(sum(d * d for d in deltas))
     z = normal_quantile(1.0 - alpha / 2.0)
-    return UncertaintyBand(first_order, s, (math.exp(-z * s), math.exp(z * s)),
-                           alpha)
+    try:
+        upper = math.exp(z * s)
+    except OverflowError:   # past the largest float, as static_cap overflows
+        upper = math.inf
+    return UncertaintyBand(first_order, s, (math.exp(-z * s), upper), alpha)
 
 
 def static_cap(params: EnvelopeParams, rel_errors: dict | None = None,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -556,8 +556,7 @@ class BreakSegmentation:
     segments: list[tuple[float, float]]
 
     def to_json_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints),
-                "segments": [list(s) for s in self.segments]}
+        return asdict(self)
 
 
 def _sup_wald_mean_shift(y: np.ndarray, trim: float):

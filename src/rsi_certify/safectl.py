@@ -36,13 +36,13 @@ differs from a Python sum in the last bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics as dyn
+from . import series as ts
 from .errors import InfeasibleBox, NoStaticCapPossible
 
 
@@ -391,11 +391,9 @@ class SupervisionLog:
         return [s.action for s in self.steps]
 
     def to_jsonl(self) -> str:
-        """One JSON object per step (its fields, sorted), one step per
-        line."""
-        # the encoder json.dumps(..., sort_keys=True) would build per step
-        encode = json.JSONEncoder(sort_keys=True).encode
-        return "".join(encode(vars(s)) + "\n" for s in self.steps)
+        """One strict JSON object per step (its fields, sorted), one step
+        per line."""
+        return "".join(ts.json_text(vars(s), indent=None) for s in self.steps)
 
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -430,8 +428,8 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     reference throttle through the QP, and apply it with the scenario's
     actuation latency.  Actions: escalate when the governance elasticity
     exceeds 1 - delta or the QP slack stays positive for the configured
-    run of steps; shutdown when the antagonism budget is blown or the
-    gain's reciprocal integral stops diverging.
+    run of steps; shutdown on a blown antagonism budget, a convergent
+    reciprocal integral of the gain or a sampled state that is not finite.
     """
     if scenario.latency > config.tau_bar + 1e-12:
         raise ValueError("scenario latency exceeds the configured tau_bar")
@@ -467,9 +465,9 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
                 throttle=float(u_prev[0]))
             I_hat = observer.I_hat
 
-        # -- governance checks before actuation
+        # -- governance checks before actuation (a non-finite state escaped)
         action = "certify"
-        if not scenario.osgood_ok:
+        if not (scenario.osgood_ok and math.isfinite(I_sample)):
             action = "shutdown"
         else:
             # Phi(I_hat) * phi_svc_hat: the gain budget and the barrier row

@@ -363,6 +363,44 @@ def csv_text(columns: dict) -> str:
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
+_ENCODERS: dict = {}    # json_text's strict encoder per indent, built once
+
+
+def json_text(obj, indent=2) -> str:
+    """Strict JSON text of ``obj`` (RFC 8259), keys sorted, and a newline:
+    a non-finite float at any depth is written "inf", "-inf" or "nan", for
+    which ``obj`` is walked only when the plain dump refuses it."""
+    encoder = _ENCODERS.get(indent)
+    if encoder is None:
+        encoder = _ENCODERS[indent] = json.JSONEncoder(
+            indent=indent, sort_keys=True, allow_nan=False)
+    try:
+        return encoder.encode(obj) + "\n"
+    except ValueError:
+        return encoder.encode(_nonfinite_as_text(obj)) + "\n"
+
+
+def _nonfinite_as_text(obj):
+    """``obj`` with its non-finite floats as json_text writes them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_text(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_as_text(v) for v in obj]
+    return obj
+
+
+def read_json_document(path):
+    """The JSON document in ``path``, UTF-8 with or without a BOM; a file
+    that is not one raises a ParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: not a UTF-8 JSON document: {exc}") from None
+
+
 def write_csv(series: TimeSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(series.to_csv_text())
@@ -370,13 +408,11 @@ def write_csv(series: TimeSeries, path) -> None:
 
 def write_json(series: TimeSeries, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(series.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(series.to_json_dict()))
 
 
 def read_json(path) -> TimeSeries:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return TimeSeries.from_json_dict(json.load(fh))
+    return TimeSeries.from_json_dict(read_json_document(path))
 
 
 # ---------------------------------------------------------------------------

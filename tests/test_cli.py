@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -988,7 +989,7 @@ CERTIFY_DIGESTS = {
         "envelope_slack.csv":
             "787580ad53a7dd8db3d24e065a3e1b7ccf941556306bd4f03a46f9610b06ef9c",
         "report.txt":
-            "740f4eb26c4a660b643b2439748acc6725c3486aa9aa1f6ac15eea0984594de7",
+            "24cb7616aec6601350d4bac5b892898cf9ae4a1cf15899409bc48dc968c864d5",
         "segments.csv":
             "be2c68432c3b7479a3b68355fd5fb21e1e08b7f35c03b9f9f1f0a6ecead87db8"},
     "superlinear": {
@@ -997,7 +998,7 @@ CERTIFY_DIGESTS = {
         "elasticity.csv":
             "4e2ebdf106a5677cc4b6a0c4565c2ad021c0aae52cc90d36322bf935bbbaef8b",
         "report.txt":
-            "99371e0bc015953630edd120808e88161f99efc1dd63b895bc42d5e9b069d037",
+            "c673a352cc85774ef1e80a897f70210702b53eb8c8412b5073cb610227010aee",
         "segments.csv":
             "77c30f622fe5ffe707dcf97f8df2e5ae3255e873ff97c9c9ad708f4169f0f617"},
 }
@@ -1017,6 +1018,24 @@ def test_certify_artifacts_are_pinned(tmp_path, monkeypatch, name):
     write, code = CERTIFY_CONFIGS[name]
     assert run(["certify", "--config", write(), "--out", "out"]) == code
     assert artifact_digests("out") == CERTIFY_DIGESTS[name]
+
+
+def test_report_prints_each_segment_bound_in_full(tmp_path, monkeypatch):
+    # epoch-second bounds print as offsets from the first start, so the
+    # segments of one hour no longer all read 1.7e+09
+    monkeypatch.chdir(tmp_path)
+    assert run(["certify", "--config", superlinear_json_config(),
+                "--out", "out"]) == 3
+    ranges = [s["range"] for s in json.loads(
+        Path("out/certificate.json").read_text())["segments"]]
+    report = Path("out/report.txt").read_text()
+    t0 = ranges[0][0]
+    assert f"segment bounds: seconds from t0 = {t0!r}\n" in report
+    printed = re.findall(r"t - t0 in \[(\S+), (\S+)\)", report)
+    assert [(float(a), float(b)) for a, b in printed] == \
+        [(a - t0, b - t0) for a, b in ranges]
+    assert len({x for pair in printed for x in pair}) == \
+        len({t for pair in ranges for t in pair}) > 2
 
 
 def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
@@ -1616,3 +1635,125 @@ def test_module_run_writes_one_stderr_line(tmp_path):
     assert proc.stderr.splitlines() == [
         f"error [certify]: {path}: not a UTF-8 JSON document: Expecting "
         "property name enclosed in double quotes: line 1 column 2 (char 1)"]
+
+
+# ---------------------------------------------------------------------------
+# every artifact is strict JSON; every document may carry a BOM
+
+
+def strict_json(text):
+    """``text`` read as RFC 8259 JSON: a bare Infinity or NaN raises."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def escaping_plant(n_steps=5):
+    # dI/dt = 50 I^3 u from I0 = 5 escapes within one period Delta = 1
+    return {"plant": {"phi": {"kind": "power", "p": 3.0, "c": 50.0},
+                      "I0": 5.0, "n_steps": n_steps},
+            "control": {"I_bar": 10.0, "kappa": 1.0, "Delta": 1.0}}
+
+
+def envelope_config(tmp_path, **params):
+    t = np.linspace(0, 9, 10)
+    write_series_csv(tmp_path / "p_use.csv", t, np.full(10, 1.0), "W")
+    write_series_csv(tmp_path / "temp.csv", t, np.full(10, 300.0), "K")
+    return {"params": {"P_max": 100.0, "T_range": [300.0, 320.0],
+                       "cop_range": [1.0, 1.0], "sigma_eff": 1.0, **params},
+            "series": {"P_use": str(tmp_path / "p_use.csv"),
+                       "T": str(tmp_path / "temp.csv")}}
+
+
+def infinite_capital_escape(tmp_path):
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg["capital"]["zeta"] = 1.0        # T_K is infinite
+    return cfg
+
+
+# case -> (command, config writer, exit code)
+STRICT_CASES = {
+    "control-sim-no-steps": ("control-sim", lambda tmp: {
+        "plant": {"phi": {"kind": "power", "p": 2.0, "c": 2.0}, "I0": 1.0,
+                  "n_steps": 0},
+        "control": {"I_bar": 10.0, "kappa": 1.0, "Delta": 0.02}}, 0),
+    "control-sim-escape": ("control-sim", lambda tmp: escaping_plant(), 0),
+    "envelope-overflow": ("envelope", lambda tmp: envelope_config(
+        tmp, P_max=1e300, T_range=[1e-300, 320.0]), 0),
+    "certify-infinite-escape": ("certify", infinite_capital_escape, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_every_json_artifact_is_strict(tmp_path, case):
+    command, write, code = STRICT_CASES[case]
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + json.dumps(write(tmp_path)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_quietly([command, "--config", path, "--out", out])[0] == code
+    texts = []
+    for artifact in sorted(out.iterdir()):
+        if artifact.suffix in (".json", ".jsonl"):
+            texts.append(artifact.read_text(encoding="utf-8"))
+            for doc in (texts[-1].splitlines() if artifact.suffix == ".jsonl"
+                        else [texts[-1]]):
+                strict_json(doc)
+    assert any(word in text for text in texts
+               for word in ('"inf"', '"-inf"')), texts
+    if command == "certify":     # report reads a BOM'd certificate
+        cert = tmp_path / "certificate.json"
+        cert.write_bytes(b"\xef\xbb\xbf" + (out / "certificate.json")
+                         .read_bytes())
+        assert run_quietly(["report", "--config", cert,
+                            "--out", tmp_path / "rep"])[0] == 0
+        assert (tmp_path / "rep" / "report.txt").read_bytes() == \
+            (out / "report.txt").read_bytes()
+
+
+def test_escaped_plant_shuts_down(tmp_path):
+    path = write_json(tmp_path / "ctl.json", escaping_plant(n_steps=50))
+    out = tmp_path / "out"
+    assert run_quietly(["control-sim", "--config", path, "--out", out])[0] == 0
+    summary = strict_json((out / "control_summary.json").read_text())
+    steps = [strict_json(line) for line
+             in (out / "control_log.jsonl").read_text().splitlines()]
+    assert summary["final_status"] == "shutdown"
+    assert summary["n_steps"] == len(steps) == 2
+    assert [s["action"] for s in steps] == ["certify", "shutdown"]
+    assert steps[-1]["I_true"] == "inf"
+
+
+def test_envelope_band_overflows_to_infinity(tmp_path, capsys):
+    cfg = envelope_config(tmp_path)
+    cfg["rel_errors"] = dict.fromkeys(
+        ("delta_use", "delta_elec", "delta_cop", "delta_P", "delta_T"), 0.01)
+    cfg["rel_errors"]["delta_use"] = 400.0
+    out = tmp_path / "out"
+    assert run(["envelope", "--config", write_json(tmp_path / "env.json", cfg),
+                "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning [envelope]: unconstrained channel: no {channel} bandwidth "
+        "series supplied" for channel in ("io", "mem")]
+    band = strict_json((out / "envelope.json").read_text())["phi_pt_bar"]["band"]
+    assert band["interval_factors"][1] == "inf"
+
+
+@pytest.mark.parametrize("fault, field", [
+    ("no fields", "'verdict'"), ("no ptot_minus", "'segments[0].ptot_minus'"),
+    ("segments 5", "'segments' must be an array")])
+def test_report_names_the_faulty_certificate_field(tmp_path, fault, field):
+    out = tmp_path / "out"
+    assert run(["certify", "--config", case_a_config(tmp_path),
+                "--out", out]) == 2
+    doc = json.loads((out / "certificate.json").read_text())
+    if fault == "no fields":
+        doc = {}
+    elif fault == "no ptot_minus":
+        del doc["segments"][0]["ptot_minus"]
+    else:
+        doc["segments"] = 5
+    path = write_json(tmp_path / "cert.json", doc)
+    code, err = run_quietly(["report", "--config", path,
+                             "--out", tmp_path / "rep"])
+    assert code == 1 and len(err) == 1, err
+    assert f"error [report]: {path}: " in err[0] and field in err[0], err

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every defaulted parameter of its functions is set by some call.
+"""Every name a module of the package imports is used in that module,
+every defaulted parameter of its functions is set by some call, and the
+json module is used by one writer and one reader alone.
 
 ``__init__`` is left out of the import check: its imports are the
 package's re-exports.
@@ -101,3 +102,32 @@ def test_every_default_is_set_by_some_call(path):
              for func, position, name in defaulted_parameters(source)
              if not any(sets(c, position, name) for c in calls.get(func, ()))]
     assert unset == []
+
+
+# ---------------------------------------------------------------------------
+# one JSON writer and one JSON reader
+
+JSON_IO = ("series.py", ("json_text", "read_json_document"))
+
+
+def json_uses(module: str, source: str) -> list[str]:
+    """Each line of ``source`` that names the json module outside
+    ``series.json_text`` and ``series.read_json_document``; ``series``
+    alone may import it, and only as ``json``."""
+    out = []
+    for top in ast.parse(source).body:
+        if module == JSON_IO[0] and (getattr(top, "name", None) in JSON_IO[1]
+                                     or isinstance(top, ast.Import) and all(
+                                         a.asname is None for a in top.names)):
+            continue
+        out += [f"line {node.lineno}" for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == "json"
+                or isinstance(node, ast.ImportFrom) and node.module == "json"
+                or isinstance(node, ast.Import)
+                and any(a.name == "json" for a in node.names)]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_json_is_read_and_written_in_one_place(path):
+    assert json_uses(path, (PACKAGE / path).read_text(encoding="utf-8")) == []

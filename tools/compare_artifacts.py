@@ -6,12 +6,15 @@ Each tree is a source checkout (its package under ``src/``).  For every
 seed and workload the inputs are written once by the benchmark's own
 generator (``perfbench/fixtures.py`` of this checkout, imported as it
 is), and each tree then runs all of them in one fresh interpreter of its
-own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it:
-``certify``, ``estimate`` (the other command that reads the certify
-config) and ``report`` (on the ``certificate.json`` that tree's ``certify``
-wrote) on certify fixtures, ``control-sim`` on control ones.  Every
-artifact, exit code, stdout and stderr must be byte-identical between the
-trees.  Prints one line per difference and a summary; exits 0 when there
+own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it.
+On a certify fixture it runs ``certify``, ``estimate`` (the other command
+that reads the certify config), ``report`` (on the ``certificate.json``
+that tree's ``certify`` wrote), ``envelope`` (on the fixture's envelope
+series roles with its ``envelope_params`` as ``params``, where it has
+them) and ``ingest`` (on the fixture's CSV series).  On a control fixture
+it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
+plant's ``phi`` and ``I0`` over a horizon of 1 s.  Every artifact, exit
+code, stdout and stderr must be byte-identical between the trees.  Prints one line per difference and a summary; exits 0 when there
 is none, 1 otherwise.
 """
 
@@ -28,6 +31,14 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-8k", "certify-fleet", "control-1ch", "control-6ch")
+# the series roles the envelope command reads, as the certify config names them
+ENVELOPE_ROLES = ("P_fac", "T", "B_io", "B_mem", "P_use", "COP")
+
+
+def write_config(path, obj) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return path
 
 
 def build_runs(seeds, workloads, root) -> list[dict]:
@@ -44,6 +55,8 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                     kind = json.load(fh)["kind"]
                 rid = os.path.relpath(d, os.path.join(root, "inputs"))
                 config = os.path.join(d, "config.json")
+                with open(config, encoding="utf-8") as fh:
+                    cfg = json.load(fh)
                 if kind == "certify":
                     # relative: in each tree's output, where certify wrote it
                     cert = os.path.join(rid, "certificate.json")
@@ -52,9 +65,33 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                               "config": config},
                              {"id": f"{rid}-report", "cmd": "report",
                               "config": cert}]
+                    if "envelope_params" in cfg:
+                        series = {role: cfg["series"][role]
+                                  for role in ENVELOPE_ROLES
+                                  if role in cfg["series"]}
+                        runs.append({"id": f"{rid}-envelope", "cmd": "envelope",
+                                     "config": write_config(
+                                         os.path.join(d, "envelope.json"),
+                                         {"series": series,
+                                          "params": cfg["envelope_params"]})})
+                    files = [{"path": os.path.join(d, name)}
+                             for name in sorted(os.listdir(d))
+                             if name.endswith(".csv")]
+                    if files:
+                        runs.append({"id": f"{rid}-ingest", "cmd": "ingest",
+                                     "config": write_config(
+                                         os.path.join(d, "ingest.json"),
+                                         {"files": files})})
                 else:
                     runs.append({"id": rid, "cmd": "control-sim",
                                  "config": config})
+                    scenario = write_config(
+                        os.path.join(d, "simulate.json"),
+                        {"phi": cfg["plant"]["phi"], "I0": cfg["plant"]["I0"],
+                         "horizon": 1.0})
+                    runs += [{"id": f"{rid}-simulate-{fmt}", "cmd": "simulate",
+                              "config": scenario, "args": ["--format", fmt]}
+                             for fmt in ("json", "csv")]
     return runs
 
 
@@ -79,18 +116,20 @@ def child(spec_path) -> None:
 
     with open(spec_path, encoding="utf-8") as fh:
         spec = json.load(fh)
+    # relative --out paths, so that a message naming one reads alike in
+    # both trees
+    os.chdir(spec["out"])
     results = {}
     for r in spec["runs"]:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = rsi_certify.cli.main(
-                [r["cmd"], "--config", os.path.join(spec["out"], r["config"]),
-                 "--out", os.path.join(spec["out"], r["id"])])
+                [r["cmd"], "--config", r["config"], "--out", r["id"],
+                 *r.get("args", ())])
         results[r["id"]] = {"code": code, "stdout": stdout.getvalue(),
                             "stderr": stderr.getvalue()}
-    with open(os.path.join(spec["out"], "results.json"), "w",
-              encoding="utf-8") as fh:
+    with open("results.json", "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
 
