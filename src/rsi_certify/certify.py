@@ -382,7 +382,7 @@ class Certificate:
 
 def decide(ptots: PtotEstimate | list[PtotEstimate],
            envelope: EnvelopeCheckResult | None,
-           osgood: OsgoodResult | None,
+           osgood: OsgoodResult,
            segments: BreakSegmentation,
            alpha: float = 0.05,
            nonbinding_slack: float = NONBINDING_SLACK,
@@ -428,10 +428,7 @@ def decide(ptots: PtotEstimate | list[PtotEstimate],
                for (t_lo, t_hi), pt, frac, nonbind
                in zip(seg_ranges, ptots, fracs, nonbinding)]
 
-    osgood_divergent = bool(osgood.divergent) if osgood is not None else False
-    if osgood is None:
-        notes.append("no state-factor classification supplied")
-
+    osgood_divergent = bool(osgood.divergent)
     all_subcritical = all(r.ptot.plus <= 1.0 + 1e-12 for r in records)
     all_envelopes_verified = all(r.envelope_pass_fraction >= 1.0 - 1e-12
                                  for r in records) and not envelope_disabled

@@ -22,7 +22,7 @@ import sys
 import types
 import typing
 import warnings
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,9 @@ SERIES_ROLES = ("capability", "capability_rate", "K", "C", "D_eff", "E",
 Series = _declare("Series", losses=_optional(tuple[Loss, ...]),
                   **dict.fromkeys(SERIES_ROLES, _optional(str)))
 Estimation = _declare("Estimation", window=_optional(float),  # or --window
-                      lag=(int | str, "auto"), alpha=(float, 0.05),
-                      trim=(float, est.SUP_WALD_TRIM))
+                      lag=(int | Literal["auto"], "auto"), alpha=(float, 0.05),
+                      # the one trim with tabulated critical values
+                      trim=(Literal[est.SUP_WALD_TRIM], est.SUP_WALD_TRIM))
 Wasserstein = _declare("Wasserstein", gamma=float, L_xi=float, L_rho=float,
                        delta_W=float, safety_delta=(float, 0.1))
 Certify = _declare(
@@ -123,6 +124,7 @@ PHI_KINDS = {"power": PowerPhi, "power_log": PowerPhi,
              "tabulated": _declare("TabulatedPhi", kind=str,
                                    grid=tuple[float, ...],
                                    values=tuple[float, ...])}
+PHI_KIND = Literal[tuple(PHI_KINDS)]
 
 # what the envelope is built from, in envelope's config and certify's
 ENVELOPE_KEYS = {
@@ -151,20 +153,26 @@ Scenario = _declare("Scenario", "scenario", phi=dyn.PhiSpec, I0=float,
 ControlSim = _declare("ControlSim", "control-sim", plant=sc.PlantScenario,
                       control=sc.ControlConfig,
                       policy=(sc.PolicyThresholds, sc.PolicyThresholds()))
-# certificate.json as report reads it: a number may be "inf", "-inf", "nan"
-NUM = float | str
+# certificate.json as report reads it: a non-finite number is written as
+# one of three strings
+NUM = float | Literal["inf", "-inf", "nan"]
+LABEL = Literal["reject", "fail_to_reject"]
 CertificateDoc = _declare(
-    "CertificateDoc", "certificate", verdict=str, segments=tuple[_declare(
+    "CertificateDoc", "certificate", verdict=Literal[tuple(VERDICT_EXIT)],
+    segments=tuple[_declare(
         "Segment", range=tuple[NUM, NUM], components_minus=dict,
         components_plus=dict, **dict.fromkeys(
             ("ptot_minus", "ptot_plus", "se_minus", "se_plus"), NUM),
-        tests=_declare("Tests", superlinearity_plus=str,
-                       superlinearity_minus=str, margin_minus=NUM),
+        tests=_declare("Tests", superlinearity_plus=LABEL,
+                       superlinearity_minus=LABEL, margin_minus=NUM),
         envelope=_declare("SegmentEnvelope", pass_fraction=NUM,
                           nonbinding=bool, disabled=bool)), ...],
-    envelope_pass_fraction=NUM, margins=dict, osgood_divergent=bool,
-    event_bound=NUM | None, capital_escape_time=NUM | None,
-    config_echo=dict, data_snapshot_versions=dict, notes=tuple[str, ...])
+    envelope_pass_fraction=NUM, margins=_declare(
+        "Margins", ptot_margin=NUM, manifold_distance=NUM | None,
+        wasserstein_margin=NUM | None),
+    osgood_divergent=bool, event_bound=NUM | None,
+    capital_escape_time=NUM | None, config_echo=dict,
+    data_snapshot_versions=dict, notes=tuple[str, ...])
 
 
 @functools.cache
@@ -176,8 +184,15 @@ def _fields(cls) -> dict:
 
 
 NUMBER = (int, float)
-WORDS = {float: "a number", int: "an integer", bool: "true or false",
-         str: "a string"}
+UNIONS = (types.UnionType, typing.Union)   # X | None, X | Literal[...]
+# a scalar type: the Python type of the JSON values it reads, and its rule
+SCALARS = {float: (NUMBER, "a number"), sc.Unbounded: (NUMBER, "a number"),
+           int: (NUMBER, "an integer"), bool: (bool, "true or false"),
+           str: (str, "a string")}
+# a number type: the numbers it takes, and its rule for one it refuses
+NUMBER_RULES = {float: (math.isfinite, "a finite number"),
+                sc.Unbounded: (lambda x: not math.isnan(x),
+                               "a number or ±Infinity")}
 
 
 @functools.cache
@@ -188,15 +203,16 @@ def _shape(tp):
     origin = typing.get_origin(tp) or tp
     args = typing.get_args(tp)
     arms = tuple(arg for arg in args if arg is not type(None))
-    if origin is types.UnionType:
+    kind, words = SCALARS.get(origin, (dict, "a JSON object"))
+    if origin in UNIONS:
         words = " or ".join(_shape(arm)[4] for arm in arms)
+    elif origin is Literal:
+        kind = SCALARS[type(args[0])][0]
+        words = "one of " * (len(args) > 1) + ", ".join(map(repr, args))
     elif origin is tuple:
-        words = "an array" + ("" if args[-1] is Ellipsis
-                              else f" of {len(args)} entries")
-    else:
-        words = WORDS.get(tp, "a JSON object")
-    kind = {float: NUMBER, int: NUMBER, bool: bool, str: str, tuple: list}
-    return origin, arms, len(arms) < len(args), kind.get(origin, dict), words
+        kind, words = list, "an array" + (
+            "" if args[-1] is Ellipsis else f" of {len(args)} entries")
+    return origin, arms, len(arms) < len(args), kind, words
 
 
 def _takes(tp, value) -> bool:
@@ -208,14 +224,17 @@ def _takes(tp, value) -> bool:
 
 def _read(tp, value, where: str):
     """``value``, the config's entry at key path ``where``, read as ``tp``,
-    or a ConfigError that names ``where``.  A ``float`` takes a JSON number
-    but not a bool (an integer reads as a float), an ``int`` an integral
-    number (``5.0`` is ``5``), a ``bool`` true or false, a ``str`` a
-    string, a ``tuple`` an array entry by entry, ``X | None`` null too (and
+    or a ConfigError that names ``where``.  A ``float`` takes a finite JSON
+    number but not a bool (an integer reads as a float), an ``Unbounded``
+    ``±Infinity`` too, an ``int`` an integral number (``5.0`` is ``5``), a
+    ``bool`` true or false, a ``str`` a string, a ``Literal`` one of its
+    values, of the same JSON kind, a ``tuple`` an array entry by entry, a
+    union the value by the arm of its JSON kind, ``X | None`` null too (and
     ``{}`` for a section X: an empty section is an absent one), and a
-    declaration an object whose keys must all be its fields."""
+    declaration an object whose keys must all be its fields.  No key takes
+    NaN."""
     origin, args, optional, _, words = _shape(tp)
-    if origin is types.UnionType:
+    if origin in UNIONS:
         if optional and (value is None or value == {}
                          and any(_takes(arm, value) for arm in args)):
             return None
@@ -223,23 +242,26 @@ def _read(tp, value, where: str):
         if tp in args:
             return _read(tp, value, where)
     elif _takes(tp, value):
-        if tp in (bool, str, dict):
+        if origin is Literal:
+            if value in args:
+                return args[args.index(value)]
+        elif tp in (bool, str, dict):
             return value
-        if tp is float or tp is int and (isinstance(value, int)
-                                         or value.is_integer()):
-            return tp(value)
-        if origin is tuple:
+        elif tp in NUMBER_RULES:
+            admits, words = NUMBER_RULES[tp]
+            if admits(value):
+                return float(value)
+        elif tp is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        elif origin is tuple:
             if args[-1] is Ellipsis:
                 args = (args[0],) * len(value)
             if len(args) == len(value):
                 return tuple(_read(arg, v, f"{where}[{i}]")
                              for i, (arg, v) in enumerate(zip(args, value)))
         elif tp is dyn.PhiSpec:
-            kind = _read(str, value.get("kind"), f"{where}.kind")
-            if kind in PHI_KINDS:
-                return _object(PHI_KINDS[kind], value, where, dyn.PhiSpec)
-            raise ConfigError(f"config key '{where}.kind' must be one of "
-                              f"{', '.join(PHI_KINDS)}, got {kind!r}")
+            kind = _read(PHI_KIND, value.get("kind"), f"{where}.kind")
+            return _object(PHI_KINDS[kind], value, where, dyn.PhiSpec)
         elif dataclasses.is_dataclass(tp):
             return _object(tp, value, where)
     raise ConfigError(f"config key {where!r} must be {words}, got {value!r}")
@@ -348,9 +370,7 @@ def _pipeline(cfg, args):
         raise ConfigError("missing config key 'estimation.window'")
     if not 0 < window < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {window!r}")
-    if e.trim != est.SUP_WALD_TRIM:     # the one tabulated trim
-        raise ConfigError(f"estimation.trim must be 0.15, got {e.trim!r}")
-    if e.lag != "auto" and (isinstance(e.lag, str) or e.lag < 0):
+    if e.lag != "auto" and e.lag < 0:
         raise ConfigError('estimation.lag must be "auto" or an integer '
                           f">= 0, got {e.lag!r}")
     if c.series.losses is not None and c.benchmark is None:

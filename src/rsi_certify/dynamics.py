@@ -368,13 +368,11 @@ def integrate(rhs, I0: float, horizon: float,
         n_steps += 1
         if i_new >= threshold:
             # refine the crossing time inside the step via exponential
-            # interpolation of the state
-            if I >= threshold:
-                t_star = t
-            else:
-                frac = (math.log(threshold) - math.log(I)) \
-                    / (math.log(i_new) - math.log(I))
-                t_star = t + frac * h
+            # interpolation of the state (I < threshold: the run stops at
+            # the first crossing)
+            frac = (math.log(threshold) - math.log(I)) \
+                / (math.log(i_new) - math.log(I))
+            t_star = t + frac * h
             ts_out.append(t_star)
             is_out.append(threshold)
             return IntegrationResult(np.array(ts_out), np.array(is_out),

@@ -53,8 +53,8 @@ class EnvelopeParams:
     sigma_eff: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.P_max) or self.P_max < 0:
-            raise NegativePower(f"P_max={self.P_max!r} must be finite and >= 0")
+        if self.P_max < 0:
+            raise NegativePower(f"P_max={self.P_max!r} must be >= 0")
         if self.T_range[0] <= 0:
             raise NonPositiveTemperature("T_min must be positive")
         for name, (lo, hi) in (("T_range", self.T_range),

@@ -65,8 +65,6 @@ def newey_west_cov(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray
     lag 0 collapses to the heteroskedasticity-robust (White) covariance.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     e = np.asarray(residuals, dtype=float)
     n, k = X.shape
     if e.shape != (n,):

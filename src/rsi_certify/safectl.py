@@ -37,6 +37,7 @@ differs from a Python sum in the last bit.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,8 @@ from . import series as ts
 from .errors import InfeasibleBox, NoStaticCapPossible
 
 
-def _check_finite(obj, *names) -> None:
-    """Raise a ValueError that names the first of the fields ``names`` of
-    ``obj`` holding neither None nor a finite number: a NaN passes every
-    range check written as a comparison."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+# a config number that may be infinite: a rate limit or a box bound
+Unbounded = typing.NewType("Unbounded", float)
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,12 @@ class ControlConfig:
     tau_bar: float = 0.0             # worst-case actuation latency (s)
     L_h: float = 0.0                 # Lipschitz bound on the barrier rate
     eps_I: float = 0.0               # certified state-estimation error (nats)
-    r_u: tuple[float, ...] = (math.inf,)   # per-channel actuation rate limit
-    u_box: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
+    r_u: tuple[Unbounded, ...] = (math.inf,)   # per-channel rate limit
+    u_box: tuple[tuple[Unbounded, Unbounded], ...] = ((0.0, 1.0),)
     slack_weight: float = 1e6        # rho_s, penalty on the barrier slack
     alpha_fn: object = None          # optional monotone class-K callback
 
     def __post_init__(self):
-        _check_finite(self, "I_bar", "kappa", "Delta", "tau_bar", "L_h",
-                      "eps_I", "slack_weight")
         for name in ("kappa", "Delta", "slack_weight"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -89,7 +82,7 @@ class ControlConfig:
         if len(self.r_u) != len(self.u_box):
             raise ValueError("r_u and u_box must have matching channel counts")
         for i, (r, box) in enumerate(zip(self.r_u, self.u_box)):
-            if not r >= 0:                      # NaN fails too
+            if r < 0:
                 raise ValueError(f"r_u[{i}] must be nonnegative, got {r!r}")
             if len(box) != 2 or not box[0] <= box[1]:
                 raise ValueError(f"u_box[{i}] must be an ordered pair "
@@ -348,23 +341,12 @@ class PlantScenario:
     ptot_hat: float | None = None         # governance signal, constant
     osgood_ok: bool = True
 
-    def __post_init__(self):
-        _check_finite(self, "I0", "phi_svc_true", "phi_svc_meas", "u_ref",
-                      "state_error", "latency", "ptot_hat")
-        for i, sigma in enumerate(self.antagonism):
-            if not -math.inf < sigma < math.inf:
-                raise ValueError(f"antagonism[{i}] must be a finite number, "
-                                 f"got {sigma!r}")
-
 
 @dataclass(frozen=True)
 class PolicyThresholds:
     governance_delta: float = 0.1      # throttle-and-escalate margin on ptot
     escalate_consecutive_slack: int = 3
     antagonism_theta: float = 0.5      # fraction of the current gain budget
-
-    def __post_init__(self):
-        _check_finite(self, "governance_delta", "antagonism_theta")
 
 
 @dataclass

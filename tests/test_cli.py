@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 import typing
 from pathlib import Path
@@ -24,6 +25,7 @@ from rsi_certify import certify as ct
 from rsi_certify import cli
 from rsi_certify import dynamics as dyn
 from rsi_certify import estimate as est
+from rsi_certify import safectl as sc
 from rsi_certify import series as ts
 
 
@@ -466,12 +468,18 @@ def test_report_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("grad_norm", [2.0, math.inf], ids=["finite",
                                                             "infinity"])
-def test_report_reproduces_the_certify_report(tmp_path, grad_norm):
+def test_report_reproduces_the_certify_report(tmp_path, capsys, grad_norm):
     cfg = json.loads(open(case_a_config(tmp_path)).read())
     cfg["certify"]["grad_norm"] = grad_norm     # echoed as written
     path = write_json(tmp_path / "cfg.json", cfg)
     assert ("Infinity" in open(path).read()) is (grad_norm == math.inf)
     out, rep = tmp_path / "out", tmp_path / "rep"
+    if grad_norm == math.inf:   # a config number is finite
+        assert run(["certify", "--config", path, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error [certify]: config key 'certify.grad_norm' must be a "
+            "finite number, got inf"]
+        return
     assert run(["certify", "--config", path, "--out", out]) == 2
     assert run(["report", "--config", out / "certificate.json",
                 "--out", rep]) == 0
@@ -809,6 +817,40 @@ def test_control_sim_rejects_nonfinite_numbers(tmp_path, capsys, where, key,
 
 SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
             "horizon": 1.0}
+
+
+def full_certify_config(tmp_path):
+    cfg = json.loads(open(case_b_config(tmp_path)).read())
+    cfg["capital"] = {"K0": 1.0, "r": 2.0, "zeta": 2.0}
+    cfg["exponents"] = dict(FULL_PIPELINE["exponents"])
+    return cfg
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("certify", ("capital", "K0"), math.nan),
+    ("certify", ("exponents", "alpha"), math.nan),
+    ("envelope", ("params", "T_range", 0), math.nan),
+    ("certify", ("envelope_params", "sigma_eff"), math.nan),
+    ("certify", ("phi", "p"), math.nan),
+    ("certify", ("certify", "small_gain"), math.nan),
+    ("simulate", ("I0",), math.nan),
+    ("simulate", ("horizon",), math.inf),
+], ids=lambda v: key_text(v) if isinstance(v, tuple) else None)
+def test_nonfinite_config_number_is_refused_naming_its_key(
+        tmp_path, command, path, value):
+    # a NaN passed every range check written as a comparison: certify
+    # certified on capital.K0 = NaN, and simulate spun to its step budget
+    cfg = {"certify": full_certify_config, "envelope": envelope_config,
+           "simulate": lambda tmp: copy.deepcopy(SCENARIO)}[command](tmp_path)
+    at(cfg, path[:-1])[path[-1]] = value
+    start = time.perf_counter()
+    code, err = run_quietly([command, "--config",
+                             write_json(tmp_path / "cfg.json", cfg),
+                             "--out", tmp_path / "out"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, [
+        f"error [{command}]: config key '{key_text(path)}' must be a finite "
+        f"number, got {value!r}"])
 
 
 @pytest.mark.parametrize("command, cfg, named", [
@@ -1410,37 +1452,80 @@ FULL_CONTROL = {
                "antagonism_theta": 0.5}}
 
 
+# the other commands' configs, set as fully; the certificate document as
+# certify writes it, non-finite numbers as strings
+FULL_ENVELOPE = {"params": FULL_PIPELINE["envelope_params"], "alpha": 0.05,
+                 **{key: FULL_PIPELINE[key] for key in (
+                     "series", "cop_model", "hard_cap_b_mem",
+                     "hard_cap_p_use", "rel_errors")}}
+FULL_SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0,
+                         "domain_floor": 1e-3},
+                 "I0": 1.0, "horizon": 1.0, "gain": 1.0, "threshold": 1e6,
+                 "rtol": 1e-8, "name": "trajectory"}
+FULL_INGEST = {"files": [{"path": "c.csv", "unit": "nat",
+                          "name": "capability"}]}
+FULL_CERTIFICATE = {
+    "verdict": "inconclusive",
+    "segments": [{"range": [0.0, 1.0], "ptot_minus": 0.5, "ptot_plus": 1.5,
+                  "se_minus": 0.1, "se_plus": 0.1,
+                  "components_minus": {"p_hat_inf": 0.5},
+                  "components_plus": {"p_hat_sup": 1.5},
+                  "tests": {"superlinearity_plus": "reject",
+                            "superlinearity_minus": "fail_to_reject",
+                            "margin_minus": -0.5},
+                  "envelope": {"pass_fraction": 1.0, "nonbinding": True,
+                               "disabled": True}}],
+    "envelope_pass_fraction": 1.0,
+    "margins": {"ptot_margin": -0.5, "manifold_distance": None,
+                "wasserstein_margin": "nan"},
+    "osgood_divergent": False, "event_bound": None,
+    "capital_escape_time": "inf", "config_echo": {"seed": 0},
+    "data_snapshot_versions": {"capability": "fix01"},
+    "notes": ["no envelope series supplied"]}
+# (command, its full config, the declaration it is read by)
+FULL_CONFIGS = ((cli.run_certify, FULL_PIPELINE, cli.Config),
+                (cli.run_control_sim, FULL_CONTROL, cli.ControlSim),
+                (cli.run_envelope, FULL_ENVELOPE, cli.EnvelopeConfig),
+                (cli.run_simulate, FULL_SCENARIO, cli.Scenario),
+                (cli.run_ingest, FULL_INGEST, cli.Ingest),
+                (cli.run_report, FULL_CERTIFICATE, cli.CertificateDoc))
+
+
 def arms(tp):
     """The types a key of type ``tp`` may hold."""
-    return typing.get_args(tp) if typing.get_origin(tp) is types.UnionType \
+    return typing.get_args(tp) if typing.get_origin(tp) in cli.UNIONS \
         else (tp,)
 
 
-def section_of(tp):
-    """The declaration a key of type ``tp`` holds, if any, and whether as
-    the entries of an array.  A ``phi`` is read by PowerPhi here (the
-    configs above set a power kind) and the ``benchmark`` object by
-    BenchmarkSpec."""
+def section_of(tp, name):
+    """The declaration a key ``name`` of type ``tp`` holds, if any.  A
+    ``phi`` is read by PowerPhi here (the configs above set a power kind)
+    and the ``benchmark`` object by BenchmarkSpec."""
+    for arm in arms(tp):
+        if arm is dict and name == "benchmark":
+            return cap.BenchmarkSpec
+        if arm is dyn.PhiSpec or dataclasses.is_dataclass(arm):
+            return {dyn.PhiSpec: cli.PowerPhi}.get(arm, arm)
+    return None
+
+
+def typed_keys(path, tp):
+    """(key path, type) of the key at ``path`` and of every key within it:
+    a section's keys and an array's first entry, recursively."""
+    yield path, tp
     for arm in arms(tp):
         if typing.get_origin(arm) is tuple:
-            entry = typing.get_args(arm)[0]
-            if dataclasses.is_dataclass(entry):
-                return entry, True
-        elif arm in (dyn.PhiSpec, dict) or dataclasses.is_dataclass(arm):
-            return {dyn.PhiSpec: cli.PowerPhi,
-                    dict: cap.BenchmarkSpec}.get(arm, arm), False
-    return None, False
+            yield from typed_keys(path + (0,), typing.get_args(arm)[0])
+    section = section_of(tp, path[-1])
+    if section is not None:
+        yield from declared_keys(section, path)
 
 
 def declared_keys(cls, path=()):
-    """(key path, type) of every key ``cls`` reads, nested sections (and
-    the first entry of an array of them) included."""
+    """(key path, type) of every key ``cls`` reads, nested sections and
+    the first entry of every array included."""
     for name, (tp, _) in cli._fields(cls).items():
-        yield path + (name,), tp
-        section, array = section_of(tp)
-        if section is not None:
-            yield from declared_keys(section, path + ((name, 0) if array
-                                                      else (name,)))
+        yield from typed_keys(path + (name,), tp)
 
 
 def key_text(path):
@@ -1450,19 +1535,23 @@ def key_text(path):
 
 def faults(tp):
     """The values the property puts at a key of type ``tp``: each one that
-    the type refuses of a bool, numeric text, null and a list."""
+    the type refuses of a bool, numeric text, null and a list, and at a
+    number key NaN, and ±Infinity unless the key is Unbounded."""
     takes = arms(tp)
-    return [[True], *[fault for fault, kind in (
+    out = [[True], *[fault for fault, kind in (
         (True, bool), ("0.5", str), (None, type(None))) if kind not in takes]]
+    if any(cli._shape(arm)[3] is cli.NUMBER for arm in takes):
+        out += [math.nan] if sc.Unbounded in takes \
+            else [math.nan, math.inf, -math.inf]
+    return out
 
 
 UNKNOWN = object()      # stands for an unknown key beside the drawn one
 PROPERTY_CASES = [(command, base, path, fault)
-                  for command, base, decl in (
-                      (cli.run_certify, FULL_PIPELINE, cli.Config),
-                      (cli.run_control_sim, FULL_CONTROL, cli.ControlSim))
+                  for command, base, decl in FULL_CONFIGS
                   for path, tp in declared_keys(decl)
-                  for fault in [*faults(tp), UNKNOWN]]
+                  for fault in [*faults(tp), *[UNKNOWN] * isinstance(
+                      path[-1], str)]]
 
 
 def at(doc, path):
@@ -1473,34 +1562,38 @@ def at(doc, path):
 
 def test_full_configs_set_every_declared_key():
     # the property below reaches every key only if these set each one
-    for base, decl in ((FULL_PIPELINE, cli.Config),
-                       (FULL_CONTROL, cli.ControlSim)):
+    for _, base, decl in FULL_CONFIGS:
         cli._read(decl, base, "")
         for path, _ in declared_keys(decl):
             at(base, path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=st.sampled_from(PROPERTY_CASES))
-def test_every_declared_key_refuses_a_value_of_another_type(case):
-    command, base, path, fault = case
-    cfg = copy.deepcopy(base)
-    if fault is UNKNOWN:
-        at(cfg, path[:-1])["zz_unknown"] = 1.0
-        parent = key_text(path[:-1])
-        named = f"unknown {parent} key 'zz_unknown'" if parent \
-            else "key 'zz_unknown'"
-    else:
-        at(cfg, path[:-1])[path[-1]] = fault
-        named = key_text(path)
+def no_series(path, unit=None):
+    return {}[path]     # no series: the run must stop at its config
 
-    def load(path, unit=None):
-        return {}[path]     # no series: the run must stop at its config
-    load.document = load
-    with pytest.raises(cli.ConfigError) as exc:
-        command(cfg, certify_args("c.json"), load)
-    text = str(exc.value)
-    assert "\n" not in text and named in text, (path, fault, text)
+
+no_series.document = no_series
+
+
+def test_every_declared_key_refuses_a_value_of_another_type():
+    # every case on every run: the whole set takes a fraction of a second
+    for command, base, path, fault in PROPERTY_CASES:
+        cfg = copy.deepcopy(base)
+        if fault is UNKNOWN:
+            at(cfg, path[:-1])["zz_unknown"] = 1.0
+            parent = key_text(path[:-1])
+            named = f"unknown {parent} key 'zz_unknown'" if parent \
+                else "key 'zz_unknown'"
+        else:
+            at(cfg, path[:-1])[path[-1]] = fault
+            named = key_text(path)
+        try:
+            command(cfg, certify_args("c.json"), no_series)
+            text = "accepted"
+        except cli.ConfigError as exc:
+            text = str(exc)
+        assert "\n" not in text and named in text, \
+            (command.__name__, path, fault, text)
 
 
 def test_misspelled_envelope_key_is_refused_by_both_commands(tmp_path):
@@ -1757,3 +1850,61 @@ def test_report_names_the_faulty_certificate_field(tmp_path, fault, field):
                              "--out", tmp_path / "rep"])
     assert code == 1 and len(err) == 1, err
     assert f"error [report]: {path}: " in err[0] and field in err[0], err
+
+
+@pytest.mark.parametrize("path, text, named", [
+    (("segments", 0, "ptot_minus"), "abc",
+     "config key 'segments[0].ptot_minus' must be one of 'inf', '-inf', "
+     "'nan', got 'abc'"),
+    (("margins", "ptot_margin"), "abc",
+     "config key 'margins.ptot_margin' must be one of 'inf', '-inf', "
+     "'nan', got 'abc'"),
+    (("verdict",), "totally-fine",
+     "config key 'verdict' must be one of 'nonsingular-certified', "
+     "'singular-admissible', 'inconclusive', got 'totally-fine'"),
+], ids=["ptot_minus", "margin", "verdict"])
+def test_report_refuses_a_string_the_certificate_never_writes(
+        tmp_path, path, text, named):
+    out = tmp_path / "out"
+    assert run_quietly(["certify", "--config", case_a_config(tmp_path),
+                        "--out", out])[0] == 2
+    doc = json.loads((out / "certificate.json").read_text())
+    at(doc, path[:-1])[path[-1]] = text
+    cert = write_json(tmp_path / "cert.json", doc)
+    assert run_quietly(["report", "--config", cert,
+                        "--out", tmp_path / "rep"]) == (
+        1, [f"error [report]: {cert}: {named}"])
+
+
+def test_certify_writes_the_wasserstein_margin(tmp_path):
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    w = {"gamma": 0.5, "L_xi": 0.1, "L_rho": 0.2, "delta_W": 0.1,
+         "safety_delta": 0.05}
+    cfg["certify"]["wasserstein"] = w
+    out = tmp_path / "out"
+    assert run_quietly(["certify", "--config",
+                        write_json(tmp_path / "cfg.json", cfg),
+                        "--out", out])[0] == 2
+    doc = json.loads((out / "certificate.json").read_text())
+    ptot_plus = max(s["ptot_plus"] for s in doc["segments"])
+    dm = ct.distribution_margin(ptot_plus, w["gamma"], w["L_xi"], w["L_rho"],
+                                w["delta_W"], w["safety_delta"])
+    assert doc["margins"]["wasserstein_margin"] == \
+        1.0 - w["safety_delta"] - dm.worst_case_ptot
+    assert "margin wasserstein_margin: " in (out / "report.txt").read_text()
+
+
+def test_exponents_without_capital_series_add_no_resource_term(tmp_path):
+    # without series.K no capital elasticity is measured, so each segment's
+    # bounds are the rolling profile's infimum and supremum alone
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg["exponents"] = dict(FULL_PIPELINE["exponents"])
+    out = tmp_path / "out"
+    assert run_quietly(["certify", "--config",
+                        write_json(tmp_path / "cfg.json", cfg),
+                        "--out", out])[0] == 2
+    segments = json.loads((out / "certificate.json").read_text())["segments"]
+    assert segments
+    for s in segments:
+        assert s["components_minus"] == {"p_hat_inf": s["ptot_minus"]}
+        assert s["components_plus"] == {"p_hat_sup": s["ptot_plus"]}

@@ -246,6 +246,22 @@ def test_integrate_rejects_bad_threshold():
         dyn.integrate(lambda t, i: i, 1.0, 1.0, blowup_threshold=0.5)
 
 
+def test_integrate_rejects_a_stage_that_leaves_the_positive_states():
+    # dI = -I decays below atol, where the controller grows the step until
+    # a stage overshoots zero: that stage is rejected and the step shrunk,
+    # so rhs is never evaluated at a nonpositive state
+    seen = []
+
+    def rhs(t, i):
+        seen.append(i)
+        return -i
+    res = dyn.integrate(rhs, 1.0, horizon=100.0)
+    assert res.status == "completed" and res.t[-1] == 100.0
+    assert res.n_rejected > 0
+    assert min(seen) > 0 and np.all(res.I > 0)
+    assert res.I[-1] == pytest.approx(math.exp(-100.0), rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # discrete recursion
 

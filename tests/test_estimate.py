@@ -292,6 +292,22 @@ def test_potter_power_violates():
     assert res.worst_margin > 0
 
 
+def test_potter_samples_pairs_beyond_the_cap_deterministically():
+    # 800 samples make 319,600 pairs, more than POTTER_MAX_PAIRS: the scan
+    # draws a seeded sample, so two calls agree, and a sample whose factor
+    # jumps by e^10 is found in a violating pair
+    n = 800
+    assert n * (n - 1) // 2 > est.POTTER_MAX_PAIRS
+    I = np.exp(np.linspace(0.0, 5.0, n))
+    L = np.full(n, 3.0)
+    assert est.potter_check(I, L, eps=0.01, c_eps=1.0).passed
+    L[400] *= math.exp(10.0)
+    res = est.potter_check(I, L, eps=0.01, c_eps=1.0)
+    assert res == est.potter_check(I, L, eps=0.01, c_eps=1.0)
+    assert not res.passed and 400 in res.worst_pair
+    assert res.worst_margin > 9.9
+
+
 # ---------------------------------------------------------------------------
 # IV slope
 
