@@ -55,13 +55,18 @@ class Outcome(NamedTuple):
 class FileInputs:
     """``main``'s ``load``: ``load(path, unit)`` reads a CSV or JSON series,
     ``load.document(path)`` any other JSON file a config names.  A series
-    that cannot be read raises a ParseError that names its file."""
+    that cannot be read raises a ParseError that names its file.  One
+    instance serves one command: the CSV files it reads share the
+    timestamp columns already parsed (``ts.ingest_csv``'s ``clocks``)."""
+
+    def __init__(self):
+        self.clocks = {}
 
     def __call__(self, path, unit=None) -> ts.TimeSeries:
         path = str(path)
         try:
             s = ts.read_json(path) if path.endswith(".json") \
-                else ts.ingest_csv(path)
+                else ts.ingest_csv(path, clocks=self.clocks)
         except (ToolkitError, TypeError, ValueError) as exc:
             text = str(exc)     # a document that is not JSON names its file
             raise ParseError(text if text.startswith(f"{path}: ")
@@ -222,6 +227,15 @@ def _takes(tp, value) -> bool:
                                             and isinstance(value, bool))
 
 
+def _float(number) -> float:
+    """A JSON number as a float: NaN for an integer beyond the float range,
+    so that no number key takes it."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.nan
+
+
 def _read(tp, value, where: str):
     """``value``, the config's entry at key path ``where``, read as ``tp``,
     or a ConfigError that names ``where``.  A ``float`` takes a finite JSON
@@ -232,7 +246,7 @@ def _read(tp, value, where: str):
     union the value by the arm of its JSON kind, ``X | None`` null too (and
     ``{}`` for a section X: an empty section is an absent one), and a
     declaration an object whose keys must all be its fields.  No key takes
-    NaN."""
+    NaN, or an integer beyond the float range."""
     origin, args, optional, _, words = _shape(tp)
     if origin in UNIONS:
         if optional and (value is None or value == {}
@@ -249,9 +263,9 @@ def _read(tp, value, where: str):
             return value
         elif tp in NUMBER_RULES:
             admits, words = NUMBER_RULES[tp]
-            if admits(value):
-                return float(value)
-        elif tp is int and (isinstance(value, int) or value.is_integer()):
+            if admits(number := _float(value)):
+                return number
+        elif tp is int and _float(value).is_integer():
             return int(value)
         elif origin is tuple:
             if args[-1] is Ellipsis:

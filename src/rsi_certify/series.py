@@ -9,13 +9,16 @@ the effective-dataset combination D_real + rho * D_synth.
 
 CSV ingest reads a file in the layout the package writes (the ``# unit=``
 line, the header, then rows of plain numbers with the header's field
-count and increasing timestamps) in one vectorised pass; one
-np.array(cells, dtype=float) follows float() as the per-line loop does.
-Any other file goes to that loop from the top: comments or blank lines
-among the rows, quotes, CR, spaced or empty cells, RFC3339 timestamps,
-nan/inf cells, a wrong field count, a timestamp that does not increase.
-The loop is the only code that names a line in an error.  A leading UTF-8
-BOM, as spreadsheet exports write, is dropped before either reads.
+count and increasing timestamps, with LF or CRLF line ends) in one
+vectorised pass; one np.array(cells, dtype=float) follows float() as the
+per-line loop does.  Any other file goes to that loop from the top:
+comments or blank lines among the rows, quotes, a lone CR, spaced or empty
+cells, RFC3339 timestamps, nan/inf cells, a wrong field count, a timestamp
+that does not increase.  The loop is the only code that names a line in
+an error.  A leading UTF-8 BOM, as spreadsheet exports write, is dropped
+before either reads.  The files of one collector share a clock: a caller
+that passes one ``clocks`` dict to each read has a timestamp column parsed
+once, and a later file whose timestamp cells are the same text reuses it.
 
 Every rolling fit in the package (log_slope, elasticity, and in the
 estimation layer the rolling elasticity, the index profiles and the
@@ -241,34 +244,44 @@ HEADERS = (["t", "value"], ["t", "value", "quality"])
 _CELL = r"[0-9eE.+\-]+"   # the only characters the columnar pass accepts
 
 
-def ingest_csv(path, expected_unit: str | None = None) -> TimeSeries:
+def ingest_csv(path, expected_unit: str | None = None,
+               clocks: dict | None = None) -> TimeSeries:
     """Read a telemetry CSV into a validated TimeSeries.
 
     Expected layout: a ``# unit=<unit>`` comment line, a ``t,value[,quality]``
     header, then one row per sample, in UTF-8 with or without a BOM.
     Timestamps may be epoch seconds or RFC3339.  The snapshot version is a
     content hash of the file's bytes, so re-ingesting a revised file yields
-    a distinct series.
+    a distinct series.  ``clocks``, a dict the caller passes to each file
+    it reads together, holds the timestamp columns the columnar pass has
+    parsed, so a file whose timestamp cells are text-identical to an
+    earlier one's parses only its other cells.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     snapshot = hashlib.sha256(raw).hexdigest()[:16]
     text = raw.decode("utf-8-sig")
-    unit, t, values, qualities = _read_columns(text) or _read_lines(text)
+    unit, t, values, qualities = (_read_columns(text, clocks)
+                                  or _read_lines(text))
     if expected_unit is not None and unit != expected_unit:
         raise UnitMismatch(f"file declares unit {unit!r}, expected {expected_unit!r}")
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return TimeSeries(name, unit, t, values, qualities, snapshot)
 
 
-def _read_columns(text: str):
+def _read_columns(text: str, clocks: dict | None = None):
     """The columnar pass: (unit, t, values, qualities or None) of a file
     whose first line declares the unit, whose second is the header, and
     whose data rows are plain numbers with the header's field count, one
-    row per line, timestamps finite and increasing.  Anything else gives
-    None, and _read_lines reads the file."""
+    row per line (LF or CRLF), timestamps finite and increasing.  Anything
+    else gives None, and _read_lines reads the file.  With ``clocks``, the
+    timestamp column is taken from it when its cells, joined, are a key
+    there, and is added to it otherwise: identical cells, identical
+    floats."""
+    if "\r" in text:   # a CRLF file reads as LF; a lone CR stays
+        text = text.replace("\r\n", "\n")
     parts = text.split("\n", 2)
-    # a CR or other break that splitlines sees would make the lines differ
+    # a lone CR or another break that splitlines sees makes lines differ
     if len(parts) < 3 or not (parts[0].isprintable() and parts[1].isprintable()):
         return None
     unit_line, header_line, block = parts
@@ -277,18 +290,28 @@ def _read_columns(text: str):
     header = [c.lower() for c in _cells(header_line)]
     if unit is None or header not in HEADERS:
         return None
-    row = ",".join([_CELL] * len(header))
+    k = len(header)
+    row = ",".join([_CELL] * k)
     if not re.fullmatch(f"(?:{row}\n)*{row}\n?", block):
         return None
+    cells = block.replace(",", " ").split()
+    n = len(cells) // k
+    key = None if clocks is None else ",".join(cells[::k])
+    t = None if key is None else clocks.get(key)
+    if t is not None:
+        del cells[::k]      # a known clock: parse the other cells only
     try:
-        data = np.array(block.replace(",", " ").split(), dtype=float)
+        data = np.array(cells, dtype=float).reshape(n, -1)
     except ValueError:
         return None
-    data = data.reshape(-1, len(header))
-    t = data[:, 0]
-    if not (np.isfinite(data).all() and np.all(np.diff(t) > 0)):
+    if t is None:
+        t, data = data[:, 0], data[:, 1:]
+    if not (np.isfinite(t).all() and np.isfinite(data).all()
+            and np.all(np.diff(t) > 0)):
         return None
-    return unit, t, data[:, 1], data[:, 2] if len(header) == 3 else None
+    if key is not None:     # the column alone, not the block it came from
+        clocks[key] = np.ascontiguousarray(t)
+    return unit, t, data[:, 0], data[:, 1] if k == 3 else None
 
 
 def _read_lines(text: str):

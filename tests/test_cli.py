@@ -88,6 +88,36 @@ def test_ingest_deterministic(tmp_path):
     assert (out1 / "a.json").read_bytes() == (out2 / "a.json").read_bytes()
 
 
+def test_each_command_reads_through_a_fresh_loader(tmp_path, monkeypatch):
+    # a process that runs many commands, as the benchmark's worker does,
+    # must not reuse an earlier command's parse of a clock
+    t = np.linspace(0, 9, 10)
+    for name in "ab":
+        write_series_csv(tmp_path / f"{name}.csv", t, np.exp(t), "W")
+    cfg = write_json(tmp_path / "m.json", {
+        "files": [{"path": str(tmp_path / f"{name}.csv")} for name in "ab"]})
+    loaders, reads = [], []
+
+    class Recording(cli.FileInputs):
+        def __init__(self):
+            super().__init__()
+            loaders.append(self)
+
+    real = ts.ingest_csv
+
+    def ingest(path, expected_unit=None, clocks=None):
+        reads.append((clocks, len(clocks)))    # the clocks known before
+        return real(path, expected_unit, clocks)
+
+    monkeypatch.setattr(cli, "FileInputs", Recording)
+    monkeypatch.setattr(ts, "ingest_csv", ingest)
+    for out in ("o1", "o2"):
+        assert run(["ingest", "--config", cfg, "--out", tmp_path / out]) == 0
+    assert len(loaders) == 2 and loaders[0].clocks is not loaders[1].clocks
+    assert [(c is loaders[i // 2].clocks, n) for i, (c, n) in
+            enumerate(reads)] == [(True, 0), (True, 1)] * 2
+
+
 # ---------------------------------------------------------------------------
 # envelope
 
@@ -815,6 +845,7 @@ def test_control_sim_rejects_nonfinite_numbers(tmp_path, capsys, where, key,
     assert len(err.strip().splitlines()) == 1 and f"{where}.{key}" in err
 
 
+BEYOND_FLOAT = 10 ** 400    # a JSON integer that float() cannot convert
 SCENARIO = {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1.0,
             "horizon": 1.0}
 
@@ -835,11 +866,14 @@ def full_certify_config(tmp_path):
     ("certify", ("certify", "small_gain"), math.nan),
     ("simulate", ("I0",), math.nan),
     ("simulate", ("horizon",), math.inf),
+    pytest.param("simulate", ("I0",), BEYOND_FLOAT,
+                 id="simulate-I0-beyond_float"),
 ], ids=lambda v: key_text(v) if isinstance(v, tuple) else None)
 def test_nonfinite_config_number_is_refused_naming_its_key(
         tmp_path, command, path, value):
     # a NaN passed every range check written as a comparison: certify
-    # certified on capital.K0 = NaN, and simulate spun to its step budget
+    # certified on capital.K0 = NaN, and simulate spun to its step budget;
+    # an integer beyond the float range failed with an unlocated line
     cfg = {"certify": full_certify_config, "envelope": envelope_config,
            "simulate": lambda tmp: copy.deepcopy(SCENARIO)}[command](tmp_path)
     at(cfg, path[:-1])[path[-1]] = value
@@ -1536,13 +1570,14 @@ def key_text(path):
 def faults(tp):
     """The values the property puts at a key of type ``tp``: each one that
     the type refuses of a bool, numeric text, null and a list, and at a
-    number key NaN, and ±Infinity unless the key is Unbounded."""
+    number key NaN and an integer beyond the float range, and ±Infinity
+    unless the key is Unbounded."""
     takes = arms(tp)
     out = [[True], *[fault for fault, kind in (
         (True, bool), ("0.5", str), (None, type(None))) if kind not in takes]]
     if any(cli._shape(arm)[3] is cli.NUMBER for arm in takes):
-        out += [math.nan] if sc.Unbounded in takes \
-            else [math.nan, math.inf, -math.inf]
+        out += [math.nan, BEYOND_FLOAT] if sc.Unbounded in takes \
+            else [math.nan, BEYOND_FLOAT, math.inf, -math.inf]
     return out
 
 

@@ -237,6 +237,157 @@ def test_columnar_ingest_matches_the_line_loop(tmp_path_factory, text):
         assert_same_read(columns, ts._read_lines(text))
 
 
+def test_crlf_file_takes_the_columnar_pass(tmp_path):
+    t = 1.7e9 + np.cumsum(np.full(50, 0.1))
+    v = np.exp(np.linspace(-3.0, 3.0, 50))
+    for weights in (None, np.linspace(0.0, 1.0, 50)):
+        ts.write_csv(ts.TimeSeries("s", "W", t, v, weights), tmp_path / "s.csv")
+        text = (tmp_path / "s.csv").read_text()
+        for body in (text, text.rstrip("\n")):
+            crlf = body.replace("\n", "\r\n")
+            got = ts._read_columns(crlf)
+            assert got is not None
+            assert_same_read(got, ts._read_lines(crlf))
+            assert_same_read(got, ts._read_columns(body))
+            # a lone CR is a break only the line loop reads
+            for lone in (body.replace("\n", "\r"),
+                         crlf.replace("\r\n", "\r", 3)):
+                assert ts._read_columns(lone) is None
+
+
+def test_a_shared_clock_is_parsed_once():
+    t = 1.7e9 + np.cumsum(np.full(20, 0.25))
+    a, b = (ts.TimeSeries(name, "W", t, np.exp(t - t[0]) + k).to_csv_text()
+            for k, name in enumerate("ab"))
+    clocks = {}
+    first = ts._read_columns(a, clocks)
+    [clock] = clocks.values()
+    second = ts._read_columns(b, clocks)
+    assert len(clocks) == 1 and second[1] is clock
+    assert_same_read(second, ts._read_lines(b))
+    # the same times spelled otherwise are another clock, read to the
+    # same floats
+    respelled = a.replace(".0,", ".00,")
+    assert respelled != a
+    third = ts._read_columns(respelled, clocks)
+    assert len(clocks) == 2 and third[1] is not clock
+    assert_same_read(third, first)
+
+
+class CountingNumpy:
+    """numpy, with the cells of each np.array call on text counted."""
+
+    def __init__(self):
+        self.cells = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, obj, *args, **kwargs):
+        if isinstance(obj, list) and obj and isinstance(obj[0], str):
+            self.cells.append(len(obj))
+        return np.array(obj, *args, **kwargs)
+
+
+def test_ingest_without_a_clock_keeps_no_state(tmp_path, monkeypatch):
+    n = 30
+    t = 1.7e9 + np.arange(float(n))
+    ts.write_csv(ts.TimeSeries("s", "W", t, np.exp(t - t[0])),
+                 tmp_path / "s.csv")
+    counting = CountingNumpy()
+    monkeypatch.setattr(ts, "np", counting)
+    for _ in range(2):
+        ts.ingest_csv(tmp_path / "s.csv")
+    assert counting.cells == [2 * n, 2 * n]     # every cell, every time
+    clocks = {}
+    for _ in range(2):
+        ts.ingest_csv(tmp_path / "s.csv", clocks=clocks)
+    assert counting.cells[2:] == [2 * n, n]     # the clock once
+
+
+def _spellings(t: float) -> list[str]:
+    """Texts that float() reads as ``t``: 1.0, 1.00, 1e0 and the like."""
+    text = repr(t)
+    out = [text, f"{t:.17e}"]
+    if "." in text and "e" not in text:
+        out.append(text + "0")
+    if t.is_integer() and abs(t) < 1e15:
+        out.append(f"{int(t)}e0")
+    return out
+
+
+CLOCK_EDITS = ("verbatim", "respell one", "move one", "respell all",
+               "fewer rows", "more rows", "duplicate time",
+               "decreasing time", "cell fault", "own file")
+
+
+@st.composite
+def clocked_csvs(draw):
+    """CSV texts that each take their timestamp cells from the file before
+    them, verbatim or edited (one cell respelled or moved, every cell
+    respelled, rows dropped or added, a duplicate or decreasing time, a
+    cell fault), with or without a quality column; or a telemetry_csv
+    file of their own."""
+    t0 = draw(st.sampled_from([0.0, 1.0, 1.7e9, -3.5]))
+    steps = draw(st.lists(st.sampled_from([1.0, 0.25, 1e-6, 7.0]),
+                          min_size=1, max_size=8))
+    stamps = [repr(float(x)) for x in t0 + np.cumsum(steps)]
+    texts = []
+    for _ in range(draw(st.integers(2, 5))):
+        edit = draw(st.sampled_from(CLOCK_EDITS))
+        if edit == "own file":
+            texts.append(draw(telemetry_csv()))
+            continue
+        stamps = list(stamps)
+        last = float(stamps[-1])
+        i = draw(st.integers(0, len(stamps) - 1))
+        if edit == "respell one":
+            stamps[i] = draw(st.sampled_from(_spellings(float(stamps[i]))))
+        elif edit == "move one":
+            stamps[i] = repr(float(stamps[i]) + draw(st.sampled_from(
+                [1e-9, -1e-9, 0.5, -0.5])))
+        elif edit == "respell all":
+            stamps = [draw(st.sampled_from(_spellings(float(x))))
+                      for x in stamps]
+        elif edit == "fewer rows":
+            stamps = stamps[:i + 1]
+        elif edit == "more rows":
+            stamps += [repr(last + k + 1.0)
+                       for k in range(draw(st.integers(1, 3)))]
+        elif edit == "duplicate time" and i > 0:
+            stamps[i] = stamps[i - 1]
+        elif edit == "decreasing time":
+            stamps[i] = repr(float(stamps[i]) - 10.0)
+        quality = draw(st.booleans())
+        rows = []
+        for stamp in stamps:
+            cells = [stamp, draw(NUMBER_CELLS)]
+            if quality:
+                cells.append(repr(draw(st.floats(0.0, 1.0))))
+            rows.append(cells)
+        if edit == "cell fault":
+            fault = draw(st.sampled_from(sorted(CELL_FAULTS)))
+            rows[i] = CELL_FAULTS[fault](rows[i], float(stamps[i]))
+        eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        header = "t,value,quality" if quality else "t,value"
+        texts.append(eol.join(["# unit=W", header, *map(",".join, rows)])
+                     + eol)
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=clocked_csvs())
+def test_reading_through_a_shared_clock_is_reading_alone(tmp_path_factory,
+                                                         texts):
+    folder = tmp_path_factory.mktemp("clock")
+    clocks = {}
+    for i, text in enumerate(texts):
+        path = folder / f"s{i}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        shared = _outcome(lambda p: ts.ingest_csv(p, clocks=clocks), path)
+        assert shared == _outcome(ts.ingest_csv, path)
+
+
 @pytest.mark.parametrize("text", [
     "# unit=W\nt,value\n1.5,2.0\n2.5,3.0\n",              # columnar pass
     "# unit=W\nt,value,quality\n2024-01-01T00:00:00Z,2.0,\n"

@@ -11,7 +11,9 @@ On a certify fixture it runs ``certify``, ``estimate`` (the other command
 that reads the certify config), ``report`` (on the ``certificate.json``
 that tree's ``certify`` wrote), ``envelope`` (on the fixture's envelope
 series roles with its ``envelope_params`` as ``params``, where it has
-them) and ``ingest`` (on the fixture's CSV series).  On a control fixture
+them) and ``ingest`` (on the fixture's CSV series), and ``certify`` and
+``ingest`` again on a copy of the fixture whose CSV files have CRLF line
+ends (``<fixture>-crlf``).  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s.  Every artifact, exit
 code, stdout and stderr must be byte-identical between the trees.  Prints one line per difference and a summary; exits 0 when there
@@ -39,6 +41,32 @@ def write_config(path, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
     return path
+
+
+def crlf_copy(d, cfg) -> tuple[str, dict]:
+    """A copy of the fixture directory ``d`` whose CSV files end their
+    lines with CRLF, and its config, whose paths into ``d`` name the copy."""
+    crlf = d + "-crlf"
+    os.makedirs(crlf)
+    for name in os.listdir(d):
+        with open(os.path.join(d, name), "rb") as fh:
+            data = fh.read()
+        if name.endswith(".csv"):
+            data = data.replace(b"\n", b"\r\n")
+        with open(os.path.join(crlf, name), "wb") as fh:
+            fh.write(data)
+    text = json.dumps(cfg).replace(json.dumps(d + os.sep)[1:-1],
+                                   json.dumps(crlf + os.sep)[1:-1])
+    return crlf, json.loads(text)
+
+
+def ingest_run(rid, d) -> list[dict]:
+    """``ingest`` of the CSV files in ``d``, if it holds any."""
+    files = [{"path": os.path.join(d, name)}
+             for name in sorted(os.listdir(d)) if name.endswith(".csv")]
+    return [{"id": f"{rid}-ingest", "cmd": "ingest",
+             "config": write_config(os.path.join(d, "ingest.json"),
+                                    {"files": files})}] if files else []
 
 
 def build_runs(seeds, workloads, root) -> list[dict]:
@@ -74,14 +102,13 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                          os.path.join(d, "envelope.json"),
                                          {"series": series,
                                           "params": cfg["envelope_params"]})})
-                    files = [{"path": os.path.join(d, name)}
-                             for name in sorted(os.listdir(d))
-                             if name.endswith(".csv")]
-                    if files:
-                        runs.append({"id": f"{rid}-ingest", "cmd": "ingest",
-                                     "config": write_config(
-                                         os.path.join(d, "ingest.json"),
-                                         {"files": files})})
+                    runs += ingest_run(rid, d)
+                    crlf, crlf_cfg = crlf_copy(d, cfg)
+                    runs += [{"id": f"{rid}-crlf", "cmd": "certify",
+                              "config": write_config(
+                                  os.path.join(crlf, "config.json"),
+                                  crlf_cfg)},
+                             *ingest_run(f"{rid}-crlf", crlf)]
                 else:
                     runs.append({"id": rid, "cmd": "control-sim",
                                  "config": config})
