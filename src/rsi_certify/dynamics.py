@@ -42,6 +42,14 @@ ORDER_CHECK_SPAN = 1e6
 # rate factors
 
 
+# The scalar exponents that numpy's float64 power loop (DOUBLE_power, given
+# one exponent for the whole array) computes by arithmetic instead of pow,
+# as plain-float formulas with its bits.  Its -1 entry, 1/s, is left out:
+# 1/0 raises in Python where numpy only warns.
+EXACT_POWERS = {0.0: lambda s: 1.0, 0.5: math.sqrt, 1.0: lambda s: s,
+                2.0: lambda s: s * s}
+
+
 class PhiSpec:
     """State-dependent rate factor Phi on [domain_floor, inf).
 
@@ -52,11 +60,15 @@ class PhiSpec:
                  extrapolated beyond the table with the last local exponent.
 
     A Python float passed to a power kind takes a scalar path that returns
-    the array path's result bit for bit.  It applies the same numpy ufuncs
-    in the same order, because libm's pow, exp and log differ from numpy's
-    vectorized loops in the last bit, and the barrier QP amplifies that bit.
-    It is ``evaluate``, bound when the spec is made (and fixed from then
-    on), which ``__call__`` and the plant's RK4 stages call.
+    the array path's result bit for bit, because libm's pow, exp and log
+    differ from numpy's vectorized loops in the last bit, and the barrier
+    QP amplifies that bit.  An exponent in ``EXACT_POWERS`` is the
+    plain-float formula numpy's loop itself computes; any other exponent,
+    and any power that is not finite (numpy's value and its overflow
+    warning), goes through ``np.power``, and ``power_log`` through
+    ``np.log`` as well.  It is ``evaluate``, bound when the spec is made
+    (and fixed from then on), which ``__call__`` and the plant's RK4
+    stages call.
     """
 
     def __init__(self, kind: str, p: float | None = None, c: float = 1.0,
@@ -112,11 +124,15 @@ class PhiSpec:
         if self.p is not None:      # a Python float takes the scalar path
             c, p, with_log = self.c, self.p, kind == "power_log"
             power, log, below = np.power, np.log, self.lowest
+            exact, isfinite = EXACT_POWERS.get(p), math.isfinite
 
             def evaluate(s):
                 if type(s) is not float or s < below:
                     return array_path(s)    # which refuses s below the floor
-                out = c * float(power(s, p))    # same bits as numpy's product
+                x = exact(s) if exact else math.nan     # nan: no formula
+                if not isfinite(x):     # numpy's value and overflow warning
+                    x = float(power(s, p))
+                out = c * x     # same bits as numpy's product
                 return out * float(log(s)) if with_log else out
             self.evaluate = evaluate
 
@@ -470,7 +486,13 @@ def discrete_sublinear_check(iterates, A: float, p: float) -> SublinearCheckResu
 
 @dataclass(frozen=True)
 class CapitalParams:
-    """Reduced-form capital accumulation dK/dt = r K^zeta - delta K."""
+    """Reduced-form capital accumulation dK/dt = r K^zeta - delta K.
+
+    In u = K^(1-zeta) the channel is linear, u' = (zeta-1)(delta u - r).
+    For zeta > 1, K escapes iff it grows at K0, that is iff K0 exceeds the
+    critical stock K* = (delta/r)^(1/(zeta-1)); at or below K* it decays
+    or stays.
+    """
 
     K0: float
     r: float
@@ -481,35 +503,70 @@ class CapitalParams:
         if self.K0 <= 0 or self.r <= 0 or self.zeta < 0 or self.delta < 0:
             raise ValueError("need K0 > 0, r > 0, zeta >= 0, delta >= 0")
 
+    def halved_rate_holds(self) -> bool:
+        """Whether dK/dt >= (r/2) K^zeta from K0 on: delta = 0, or zeta > 1
+        and K0 >= (2 delta/r)^(1/(zeta-1)), from where K only grows."""
+        return self.delta == 0.0 or (
+            self.zeta > 1.0
+            and 2.0 * self.delta * self.K0 ** (1.0 - self.zeta) <= self.r)
+
     def escape_time(self) -> float:
-        """T_K = 2 K0^(1-zeta) / (r (zeta-1)), the escape time of
-        dK/dt = (r/2) K^zeta; infinite when zeta <= 1."""
-        return 2.0 * blowup_time(self.K0, self.r, self.zeta)
+        """T_K, infinite when K does not escape (zeta <= 1, or K0 <= K*).
+
+        Where the halved rate holds, T_K = 2 K0^(1-zeta) / (r (zeta-1)),
+        the escape time of dK/dt = (r/2) K^zeta.  Between K* and that
+        threshold it is the exact escape time
+        ln(r / (r - delta K0^(1-zeta))) / ((zeta-1) delta), which is
+        shorter."""
+        if self.zeta <= 1.0:
+            return math.inf
+        if self.halved_rate_holds():
+            return 2.0 * blowup_time(self.K0, self.r, self.zeta)
+        room = self.r - self.delta * self.K0 ** (1.0 - self.zeta)
+        if room <= 0.0:
+            return math.inf
+        return math.log(self.r / room) / ((self.zeta - 1.0) * self.delta)
 
 
 @dataclass(frozen=True)
 class CapitalLowerResult:
     K_lower: float | np.ndarray
     T_K: float
-    label: str  # "power-blowup" | "exponential" | "polynomial"
+    label: str  # "power-blowup" | "exponential" | "polynomial" | "bounded"
 
 
 def capital_lower(params: CapitalParams, t) -> CapitalLowerResult:
-    """Explicit lower solution of the capital channel: the halved-rate
-    comparison dK/dt >= (r/2) K^zeta, solved by ``powerlaw_solution``.  For
-    zeta > 1 it escapes at T_K (t >= T_K raises BeyondBlowup); within 1e-9
-    of zeta = 1 it is exponential, below that polynomial, T_K infinite."""
-    zeta = params.zeta
+    """Explicit lower solution of the capital channel.  Where the halved
+    rate holds, the comparison dK/dt >= (r/2) K^zeta, solved by
+    ``powerlaw_solution``; elsewhere (delta > 0) the exact solution.  For
+    zeta > 1 it escapes at T_K = ``escape_time()`` when that is finite
+    (t >= T_K raises BeyondBlowup), and is labelled bounded when it is
+    not.  Within 1e-9 of zeta = 1 it is exponential, below that polynomial
+    (bounded when delta > 0), T_K infinite."""
+    zeta, delta = params.zeta, params.delta
+    t_arr = np.asarray(t, dtype=float)
     if abs(zeta - 1.0) < P_DEGENERATE_TOL:
         label, T_K = "exponential", math.inf
     elif zeta < 1.0:
-        label, T_K = "polynomial", math.inf
+        label, T_K = "polynomial" if delta == 0.0 else "bounded", math.inf
     else:
-        label, T_K = "power-blowup", params.escape_time()
-        if np.any(np.asarray(t, dtype=float) >= T_K):
+        T_K = params.escape_time()
+        label = "power-blowup" if T_K < math.inf else "bounded"
+        if np.any(t_arr >= T_K):
             raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
-    return CapitalLowerResult(powerlaw_solution(params.K0, 0.5 * params.r,
-                                                zeta, t), T_K, label)
+    if params.halved_rate_holds():
+        return CapitalLowerResult(powerlaw_solution(
+            params.K0, 0.5 * params.r, zeta, t), T_K, label)
+    if label == "exponential":
+        K = params.K0 * np.exp((params.r - delta) * t_arr)
+    else:   # u = K^(1-zeta) relaxes to r/delta at rate (1-zeta) delta
+        u0 = params.K0 ** (1.0 - zeta)
+        u = u0 + (u0 - params.r / delta) * np.expm1((zeta - 1.0) * delta
+                                                     * t_arr)
+        if np.any(u <= 0):      # the last ulps before T_K
+            raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
+        K = u ** (1.0 / (1.0 - zeta))
+    return CapitalLowerResult(float(K) if t_arr.ndim == 0 else K, T_K, label)
 
 
 def logistic_data(D_max: float, nu: float, rate: float, t) -> float | np.ndarray:
@@ -593,11 +650,12 @@ def classify_region(zeta: float, p: float, capped_power: bool = False,
     """Map (zeta, p, channel flags) to the canonical parameter regions.
 
     A-supercritical (zeta>1, p>1): blow-up, bounded by the capital escape
-    time when parameters are supplied.  A-subcritical (zeta>1, p<=1):
-    nonsingular, possibly hyper-exponential.  B (capped power): nonsingular
-    for p<=1; for p>1 blow-up requires a baseline effort floor, otherwise
-    the conclusion is conditional.  C (logistic data, bounded compute): the
-    criterion reduces to p versus 1.
+    time when parameters are supplied, but conditional when they put K0 at
+    or below the critical stock, where capital does not escape.
+    A-subcritical (zeta>1, p<=1): nonsingular, possibly hyper-exponential.
+    B (capped power): nonsingular for p<=1; for p>1 blow-up requires a
+    baseline effort floor, otherwise the conclusion is conditional.  C
+    (logistic data, bounded compute): the criterion reduces to p versus 1.
     """
     if capped_power and logistic:
         raise AmbiguousFlags("capped_power and logistic_data cannot both be "
@@ -622,8 +680,16 @@ def classify_region(zeta: float, p: float, capped_power: bool = False,
         return RegionVerdict(REGION_C, BLOWUP,
                              note="saturating data with superlinear feedback")
     if zeta > 1.0:
+        bound = capital.escape_time() if capital is not None else None
+        if bound == math.inf:
+            stays = "capital at or below its critical stock does not escape; "
+            if p > 1.0:
+                return RegionVerdict(REGION_A_SUPER, CONDITIONAL,
+                                     note=stays + "superlinear feedback "
+                                                  "alone is not certified")
+            return RegionVerdict(REGION_A_SUB, NONSINGULAR,
+                                 note=stays + "feedback is sublinear")
         if p > 1.0:
-            bound = capital.escape_time() if capital is not None else None
             return RegionVerdict(REGION_A_SUPER, BLOWUP, bound,
                                  "T_K" if bound is not None else None,
                                  note="superlinear capital and feedback")

@@ -267,16 +267,16 @@ def observer_update(state: ObserverState, phi_svc_hat: float, Phi,
     """One prediction-correction step of the capability observer.
 
     Prediction integrates the envelope rate Phi(I_hat) * phi_svc_hat *
-    throttle over the sample period; the correction blends in the latest
-    benchmark value with its confidence weight (zero when no benchmark
-    arrived this period).
+    throttle over the sample period; the correction moves the prediction
+    toward the latest benchmark value by its confidence weight (zero when
+    no benchmark arrived this period).
     """
     predicted = state.I_hat \
         + config.Delta * Phi(state.I_hat) * phi_svc_hat * throttle
     if benchmark is None:
         return ObserverState(predicted, state.last_benchmark)
     value, age, confidence = benchmark
-    corrected = predicted + confidence * (value - state.I_hat)
+    corrected = predicted + confidence * (value - predicted)
     return ObserverState(corrected, (value, age, confidence))
 
 

@@ -484,6 +484,21 @@ def test_control_sim_keeps_ceiling(tmp_path):
     assert json.loads(lines[0])["action"] == "certify"
 
 
+def test_control_sim_overflowing_square_warns_as_numpy(tmp_path, capsys):
+    # Phi = I^2 takes the plain-float product; the overflowing one goes
+    # back through numpy, which warns, and the escaped plant shuts down
+    cfg = write_json(tmp_path / "ctl.json", {
+        "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
+                  "n_steps": 5},
+        "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}})
+    out = tmp_path / "out"
+    assert run(["control-sim", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().err == \
+        "warning [control-sim]: overflow encountered in power\n"
+    summary = json.loads((out / "control_summary.json").read_text())
+    assert summary["final_status"] == "shutdown"
+
+
 def test_report_roundtrip(tmp_path, capsys):
     cfg = case_a_config(tmp_path)
     out = tmp_path / "out"

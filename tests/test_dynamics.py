@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
@@ -95,8 +95,12 @@ def test_osgood_rejects_below_floor():
 # ---------------------------------------------------------------------------
 # rate factor: a Python float against a one-element array
 
-# exponents at which numpy's power loop and libm often differ in the last bit
-EXPONENTS = st.sampled_from([0.8, 1.5, 2.0, 3.0]) | st.floats(0.0, 6.0)
+# exponents at which numpy's power loop and libm often differ in the last
+# bit, the exact-power table's and their neighbours (the ufunc path)
+EXPONENTS = st.sampled_from([0.8, 1.5, 2.0, 3.0, *dyn.EXACT_POWERS,
+                             float(np.nextafter(2.0, math.inf)),
+                             float(np.nextafter(2.0, -math.inf))]) \
+    | st.floats(0.0, 6.0)
 
 
 @st.composite
@@ -148,6 +152,44 @@ def test_scalar_call_overflows_to_inf_like_the_array_call():
         assert phi(1e200) == math.inf
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert phi(np.array([1e200]))[0] == math.inf
+    # an exact-table exponent: the overflowing s * s goes back to numpy
+    square = dyn.PhiSpec.power(2.0)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        assert square(1e155) == math.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert square(np.array([1e155]))[0] == math.inf
+
+
+def bits_of(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("p", sorted(dyn.EXACT_POWERS))
+def test_exact_powers_are_numpys_bits(p):
+    # a numpy whose power loop computes one of these otherwise fails here,
+    # not through moved digests
+    rng = np.random.default_rng(20221)
+    top = math.sqrt(np.finfo(float).max)
+    near_top = [top * (1 + k * 2.0 ** -52) for k in range(-4, 5)]
+    x = np.concatenate([
+        rng.integers(0, 0x7FF0_0000_0000_0000, 40_000,
+                     dtype=np.uint64).view(np.float64),   # finite, >= 0
+        rng.integers(1, 1 << 52, 2_000, dtype=np.uint64).view(np.float64),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.0, *near_top,
+         np.finfo(float).max, math.inf]])
+    entry = dyn.EXACT_POWERS[p]
+    with np.errstate(all="ignore"):
+        want = np.power(x, p)
+        got = np.array([entry(s) for s in x.tolist()])
+        # the scalar call the evaluator makes, and the evaluator itself
+        scalar = np.array([float(np.power(s, p)) for s in x.tolist()])
+        phi = dyn.PhiSpec("power", p=p, domain_floor=5e-324)
+        evaluated = np.array([phi(s) for s in x[x > 0].tolist()])
+    np.testing.assert_array_equal(bits_of(scalar), bits_of(want))
+    finite = np.isfinite(got)
+    np.testing.assert_array_equal(bits_of(got[finite]), bits_of(want[finite]))
+    assert not np.isfinite(want[~finite]).any()   # numpy's value stands
+    np.testing.assert_array_equal(bits_of(evaluated), bits_of(want[x > 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +411,72 @@ def test_capital_lower_subcritical_labels():
     assert math.isinf(poly.T_K)
     # oracle: dK = (r/2) K^0.5 with r=2 -> K = (sqrt(K0) + t/2)^2 = 9 at t=4
     assert poly.K_lower == pytest.approx(9.0)
+    # depreciation bounds a sublinear channel: K -> (r/delta)^2 = 4, and
+    # sqrt(K) = 2 - e^(-t/2) solves dK = 2 K^0.5 - K from K0 = 1
+    sat = dyn.capital_lower(dyn.CapitalParams(1.0, 2.0, 0.5, delta=1.0), 4.0)
+    assert (sat.label, sat.T_K) == ("bounded", math.inf)
+    assert sat.K_lower == pytest.approx((2.0 - math.exp(-2.0)) ** 2)
 
 
 def test_capital_lower_beyond_escape():
     with pytest.raises(BeyondBlowup):
         dyn.capital_lower(dyn.CapitalParams(1.0, 2.0, 2.0), 1.5)
+
+
+def test_capital_below_its_critical_stock_does_not_escape():
+    # dK/dt = 2 K^2 - 10 K decays from K0 = 1 (K* = 5)
+    params = dyn.CapitalParams(K0=1.0, r=2.0, zeta=2.0, delta=10.0)
+    assert params.escape_time() == math.inf
+    low = dyn.capital_lower(params, np.array([0.0, 0.5, 2.0]))
+    assert (low.T_K, low.label) == (math.inf, "bounded")
+    num = dyn.integrate(lambda t, k: 2.0 * k * k - 10.0 * k, 1.0,
+                        horizon=2.0, rtol=1e-10, atol=1e-20)
+    assert num.status == "completed"
+    np.testing.assert_allclose(low.K_lower[-1], num.I[-1], rtol=1e-7)
+    assert low.K_lower[-1] < 1e-8
+    for p in (0.5, 2.0):
+        verdict = dyn.classify_region(2.0, p, capital=params)
+        assert verdict.bound is None
+        assert "capital escapes" not in verdict.note
+        assert "critical stock" in verdict.note
+    assert dyn.classify_region(2.0, 2.0, capital=params).conclusion \
+        == dyn.CONDITIONAL
+
+
+def test_capital_escape_between_the_manifold_and_the_halved_rate():
+    # K* = 0.75 < K0 = 1 < 1.5: dK/dt = 2 K^2 - 1.5 K escapes at the exact
+    # time ln(r / (r - delta K0^(1-zeta))) / ((zeta-1) delta) = ln 4 / 1.5
+    params = dyn.CapitalParams(K0=1.0, r=2.0, zeta=2.0, delta=1.5)
+    assert not params.halved_rate_holds()
+    assert params.escape_time() == pytest.approx(math.log(4.0) / 1.5,
+                                                 rel=1e-15)
+    low = dyn.capital_lower(params, 0.5)
+    assert low.label == "power-blowup"
+    # u = 1/K = 4/3 - (1/3) e^(1.5 t)
+    assert low.K_lower == pytest.approx(1.0 / (4.0 / 3.0
+                                               - math.exp(0.75) / 3.0))
+    with pytest.raises(BeyondBlowup):
+        dyn.capital_lower(params, params.escape_time())
+
+
+@settings(max_examples=150, deadline=None)
+@given(K0=st.floats(1e-2, 1e2), r=st.floats(0.1, 10.0),
+       zeta=st.floats(1.1, 4.0),
+       delta=st.just(0.0) | st.floats(0.0, 20.0))
+def test_capital_escapes_exactly_above_its_critical_stock(K0, r, zeta, delta):
+    params = dyn.CapitalParams(K0, r, zeta, delta)
+    K_star = (delta / r) ** (1.0 / (zeta - 1.0))
+    # the two sides of K0 = K* round differently in the last bits
+    assume(abs(K0 - K_star) > 1e-9 * K0)
+    T_K = params.escape_time()
+    assert (T_K == math.inf) == (K0 <= K_star)
+    if T_K < math.inf:
+        num = dyn.integrate(lambda t, k: r * k ** zeta - delta * k, K0,
+                            horizon=2.0 * T_K, blowup_threshold=1e8 * K0,
+                            rtol=1e-10)
+        assert num.blowup_detected
+        # up to the integrator's own tolerance, where T_K is exact
+        assert num.t_star <= T_K * (1 + 1e-7)
 
 
 # ---------------------------------------------------------------------------

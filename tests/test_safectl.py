@@ -368,10 +368,11 @@ def test_observer_pure_prediction():
 
 
 def test_observer_blended_update():
+    # predicted 1 + 0.1 * 1 * 2 = 1.2, moved halfway to the benchmark 1.5
     cfg = config(Delta=0.1)
     out = sc.observer_update(sc.ObserverState(1.0), 2.0, lambda s: 1.0,
                              (1.5, 0.0, 0.5), cfg)
-    assert out.I_hat == pytest.approx(1.45)
+    assert out.I_hat == pytest.approx(1.35)
 
 
 def test_observer_tracks_model_consistent_run():
@@ -384,8 +385,10 @@ def test_observer_tracks_model_consistent_run():
     worst = 0.0
     for _ in range(40):
         obs = sc.observer_update(obs, 1.0, phi, (I, 0.0, 1.0), cfg)
+        assert obs.I_hat == I
         I = sc._plant_advance(phi, 1.0, 1.0, I, cfg.Delta)
-        worst = max(worst, abs(obs.I_hat - I) / I)
+        predicted = sc.observer_update(obs, 1.0, phi, None, cfg)
+        worst = max(worst, abs(predicted.I_hat - I) / I)
     # Euler-vs-exact one-step gap for dI = 0.5 I: (Delta*0.5)^2/2 relative
     assert worst <= (cfg.Delta * 0.5) ** 2
 
@@ -592,6 +595,18 @@ def test_supervisor_observer_predicts_between_benchmarks():
         else:
             assert abs(s.I_hat - s.I_true) <= step + 1e-12 * s.I_true
         prev, u_prev = s.I_hat, s.u
+
+
+def test_supervisor_full_confidence_benchmark_lands_on_the_state():
+    # the correction moves the prediction, not the previous estimate, to
+    # the benchmark: at unit confidence the step's estimate is the state
+    # (the two lie within a factor 2, so value - predicted is exact)
+    scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(1.5), I0=1.0,
+                                phi_svc_meas=0.8, benchmark_every=3,
+                                n_steps=10)
+    log = sc.supervise(scenario, config(I_bar=10.0, kappa=1.0, Delta=0.1))
+    errors = {s.k: s.I_hat - s.I_true for s in log.steps if s.k % 3 == 0}
+    assert errors == {0: 0.0, 3: 0.0, 6: 0.0, 9: 0.0}
 
 
 def test_supervision_log_jsonl_roundtrip(tmp_path):

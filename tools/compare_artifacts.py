@@ -15,7 +15,9 @@ them) and ``ingest`` (on the fixture's CSV series), and ``certify`` and
 ``ingest`` again on a copy of the fixture whose CSV files have CRLF line
 ends (``<fixture>-crlf``).  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
-plant's ``phi`` and ``I0`` over a horizon of 1 s.  Every artifact, exit
+plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
+the plant's exponent set to each of ``PLANT_EXPONENTS``, and once on
+``OVERFLOW_CONFIG``, a plant that overflows.  Every artifact, exit
 code, stdout and stderr must be byte-identical between the trees.  Prints one line per difference and a summary; exits 0 when there
 is none, 1 otherwise.
 """
@@ -26,6 +28,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +38,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-8k", "certify-fleet", "control-1ch", "control-6ch")
 # the series roles the envelope command reads, as the certify config names them
 ENVELOPE_ROLES = ("P_fac", "T", "B_io", "B_mem", "P_use", "COP")
+# Phi exponents run on each control fixture's plant besides its own p = 2:
+# those Phi evaluates in plain floats, and 2 + 1 ulp, which takes np.power
+PLANT_EXPONENTS = (0.0, 0.5, 1.0, math.nextafter(2.0, math.inf))
+# a plant whose Phi = I^2 overflows: numpy's value and its warning
+OVERFLOW_CONFIG = {
+    "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
+              "n_steps": 5},
+    "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}}
 
 
 def write_config(path, obj) -> str:
@@ -110,16 +121,32 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                   crlf_cfg)},
                              *ingest_run(f"{rid}-crlf", crlf)]
                 else:
-                    runs.append({"id": rid, "cmd": "control-sim",
-                                 "config": config})
-                    scenario = write_config(
-                        os.path.join(d, "simulate.json"),
-                        {"phi": cfg["plant"]["phi"], "I0": cfg["plant"]["I0"],
-                         "horizon": 1.0})
-                    runs += [{"id": f"{rid}-simulate-{fmt}", "cmd": "simulate",
-                              "config": scenario, "args": ["--format", fmt]}
-                             for fmt in ("json", "csv")]
+                    runs += control_runs(rid, d, cfg)
+                    for p in PLANT_EXPONENTS:
+                        plant = dict(cfg["plant"],
+                                     phi=dict(cfg["plant"]["phi"], p=p))
+                        runs += control_runs(f"{rid}-p{p!r}", d,
+                                             dict(cfg, plant=plant))
+    if any(w.startswith("control") for w in workloads):
+        d = os.path.join(root, "inputs", "overflow")
+        os.makedirs(d)
+        runs += control_runs("overflow", d, OVERFLOW_CONFIG)
     return runs
+
+
+def control_runs(rid, d, cfg) -> list[dict]:
+    """``control-sim`` on ``cfg``, and ``simulate`` of its plant in both
+    formats, with their configs written to ``d``."""
+    name = os.path.basename(rid)
+    runs = [{"id": rid, "cmd": "control-sim",
+             "config": write_config(os.path.join(d, f"{name}.json"), cfg)}]
+    scenario = write_config(
+        os.path.join(d, f"{name}-simulate.json"),
+        {"phi": cfg["plant"]["phi"], "I0": cfg["plant"]["I0"],
+         "horizon": 1.0})
+    return runs + [{"id": f"{rid}-simulate-{fmt}", "cmd": "simulate",
+                    "config": scenario, "args": ["--format", fmt]}
+                   for fmt in ("json", "csv")]
 
 
 def run_tree(tree, runs, out_root) -> dict:
