@@ -67,8 +67,10 @@ class PhiSpec:
     and any power that is not finite (numpy's value and its overflow
     warning), goes through ``np.power``, and ``power_log`` through
     ``np.log`` as well.  It is ``evaluate``, bound when the spec is made
-    (and fixed from then on), which ``__call__`` and the plant's RK4
-    stages call.
+    (and fixed from then on), which ``__call__`` calls.  The other reader
+    of ``EXACT_POWERS`` is ``safectl._plant_advance``, which binds the
+    table formula for a whole control period where ``evaluate``'s guards
+    cannot fire, and ``evaluate`` itself elsewhere.
     """
 
     def __init__(self, kind: str, p: float | None = None, c: float = 1.0,
@@ -228,11 +230,30 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
 # closed forms
 
 
+# exp overflows above this, the log of the largest float
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _power_times(x: float, y: float, scale: float) -> float:
+    """scale * x ** y for positive floats, with that product's bits; taken
+    in logarithms where the power alone is beyond the float range (there
+    Python's ** raises), and inf where the product is beyond it too."""
+    try:
+        return scale * x ** y
+    except OverflowError:
+        log_v = math.log(scale) + y * math.log(x)
+        return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
+
+
 def excess_escape_time(I0, a, delta):
     """Escape time I0^(-delta) / (a delta) of dI/dt = a I^(1+delta): the
     bound I0^(1-p)/(a (p-1)) at delta = p - 1, bit for bit, since
-    fl(1 - p) = -fl(p - 1).  Callers check delta > 0."""
-    return I0 ** (-delta) / (a * delta)
+    fl(1 - p) = -fl(p - 1); inf where it is beyond the float range.
+    Callers check delta > 0."""
+    try:
+        return I0 ** (-delta) / (a * delta)
+    except OverflowError:   # the power alone is beyond the float range
+        return _power_times(I0, -delta, 1.0 / (a * delta))
 
 
 def blowup_bound(I0: float, I1: float, a0: float, p: float) -> float:
@@ -264,11 +285,14 @@ def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
         out = I0 * np.exp(a0 * t_arr)
         return float(out) if t_arr.ndim == 0 else out
     delta = p - 1.0
-    base = I0 ** -delta - a0 * delta * t_arr
+    try:
+        scale, base = 1.0, I0 ** -delta - a0 * delta * t_arr
+    except OverflowError:   # I0^-delta beyond the float range: factor it out
+        scale, base = I0, 1.0 - a0 * delta * t_arr * I0 ** delta
     if p > 1.0 and np.any(base <= 0):
         T = excess_escape_time(I0, a0, delta)
         raise BeyondBlowup(f"t >= blow-up time {T!r}")
-    out = base ** (-1.0 / delta)
+    out = scale * base ** (-1.0 / delta)
     return float(out) if t_arr.ndim == 0 else out
 
 
@@ -421,7 +445,7 @@ class DiscreteRsiResult:
 
     iterates: tuple[float, ...]
     steps_to_threshold: int
-    analytic_step_bound: int
+    analytic_step_bound: int | float    # inf beyond the float range
     bound_respected: bool
 
     @property
@@ -451,7 +475,8 @@ def discrete_rsi(I0: float, a: float, p: float,
             f"threshold {threshold} not reached within {DISCRETE_MAX_STEPS} "
             "steps")
     steps = len(iterates)
-    bound = math.ceil(excess_escape_time(I0, a, p - 1.0))
+    bound = excess_escape_time(I0, a, p - 1.0)     # inf beyond the floats
+    bound = bound if bound == math.inf else math.ceil(bound)
     return DiscreteRsiResult(tuple(iterates), steps, bound, steps <= bound)
 
 
@@ -506,25 +531,28 @@ class CapitalParams:
     def halved_rate_holds(self) -> bool:
         """Whether dK/dt >= (r/2) K^zeta from K0 on: delta = 0, or zeta > 1
         and K0 >= (2 delta/r)^(1/(zeta-1)), from where K only grows."""
-        return self.delta == 0.0 or (
-            self.zeta > 1.0
-            and 2.0 * self.delta * self.K0 ** (1.0 - self.zeta) <= self.r)
+        return self.delta == 0.0 or (self.zeta > 1.0 and _power_times(
+            self.K0, 1.0 - self.zeta, 2.0 * self.delta) <= self.r)
+
+    def escapes(self) -> bool:
+        """Whether K escapes: zeta > 1 and K0 > K*, delta K0^(1-zeta) < r."""
+        return self.zeta > 1.0 and (self.delta == 0.0 or _power_times(
+            self.K0, 1.0 - self.zeta, self.delta) < self.r)
 
     def escape_time(self) -> float:
-        """T_K, infinite when K does not escape (zeta <= 1, or K0 <= K*).
+        """T_K, infinite when K does not escape (zeta <= 1, or K0 <= K*),
+        or escapes after a time beyond the float range.
 
         Where the halved rate holds, T_K = 2 K0^(1-zeta) / (r (zeta-1)),
         the escape time of dK/dt = (r/2) K^zeta.  Between K* and that
         threshold it is the exact escape time
         ln(r / (r - delta K0^(1-zeta))) / ((zeta-1) delta), which is
         shorter."""
-        if self.zeta <= 1.0:
+        if not self.escapes():
             return math.inf
         if self.halved_rate_holds():
             return 2.0 * blowup_time(self.K0, self.r, self.zeta)
-        room = self.r - self.delta * self.K0 ** (1.0 - self.zeta)
-        if room <= 0.0:
-            return math.inf
+        room = self.r - _power_times(self.K0, 1.0 - self.zeta, self.delta)
         return math.log(self.r / room) / ((self.zeta - 1.0) * self.delta)
 
 
@@ -551,7 +579,7 @@ def capital_lower(params: CapitalParams, t) -> CapitalLowerResult:
         label, T_K = "polynomial" if delta == 0.0 else "bounded", math.inf
     else:
         T_K = params.escape_time()
-        label = "power-blowup" if T_K < math.inf else "bounded"
+        label = "power-blowup" if params.escapes() else "bounded"
         if np.any(t_arr >= T_K):
             raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
     if params.halved_rate_holds():
@@ -560,12 +588,15 @@ def capital_lower(params: CapitalParams, t) -> CapitalLowerResult:
     if label == "exponential":
         K = params.K0 * np.exp((params.r - delta) * t_arr)
     else:   # u = K^(1-zeta) relaxes to r/delta at rate (1-zeta) delta
-        u0 = params.K0 ** (1.0 - zeta)
-        u = u0 + (u0 - params.r / delta) * np.expm1((zeta - 1.0) * delta
-                                                     * t_arr)
+        try:
+            scale, u0, rest = 1.0, params.K0 ** (1.0 - zeta), params.r / delta
+        except OverflowError:   # u0 beyond the float range: u in its units
+            scale, u0 = params.K0, 1.0
+            rest = params.r / delta * params.K0 ** (zeta - 1.0)
+        u = u0 + (u0 - rest) * np.expm1((zeta - 1.0) * delta * t_arr)
         if np.any(u <= 0):      # the last ulps before T_K
             raise BeyondBlowup(f"t >= capital escape time T_K={T_K!r}")
-        K = u ** (1.0 / (1.0 - zeta))
+        K = scale * u ** (1.0 / (1.0 - zeta))
     return CapitalLowerResult(float(K) if t_arr.ndim == 0 else K, T_K, label)
 
 
@@ -650,8 +681,9 @@ def classify_region(zeta: float, p: float, capped_power: bool = False,
     """Map (zeta, p, channel flags) to the canonical parameter regions.
 
     A-supercritical (zeta>1, p>1): blow-up, bounded by the capital escape
-    time when parameters are supplied, but conditional when they put K0 at
-    or below the critical stock, where capital does not escape.
+    time when parameters are supplied (infinite when it is beyond the float
+    range), but conditional when they put K0 at or below the critical
+    stock, where capital does not escape.
     A-subcritical (zeta>1, p<=1): nonsingular, possibly hyper-exponential.
     B (capped power): nonsingular for p<=1; for p>1 blow-up requires a
     baseline effort floor, otherwise the conclusion is conditional.  C
@@ -681,7 +713,7 @@ def classify_region(zeta: float, p: float, capped_power: bool = False,
                              note="saturating data with superlinear feedback")
     if zeta > 1.0:
         bound = capital.escape_time() if capital is not None else None
-        if bound == math.inf:
+        if capital is not None and not capital.escapes():
             stays = "capital at or below its critical stock does not escape; "
             if p > 1.0:
                 return RegionVerdict(REGION_A_SUPER, CONDITIONAL,
@@ -690,9 +722,11 @@ def classify_region(zeta: float, p: float, capped_power: bool = False,
             return RegionVerdict(REGION_A_SUB, NONSINGULAR,
                                  note=stays + "feedback is sublinear")
         if p > 1.0:
+            late = "; capital escapes after a time beyond the float range" \
+                if bound == math.inf else ""
             return RegionVerdict(REGION_A_SUPER, BLOWUP, bound,
                                  "T_K" if bound is not None else None,
-                                 note="superlinear capital and feedback")
+                                 note="superlinear capital and feedback" + late)
         return RegionVerdict(REGION_A_SUB, NONSINGULAR,
                              note="capital escapes but feedback is "
                                   "sublinear; growth may be hyper-exponential")

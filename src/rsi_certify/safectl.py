@@ -30,8 +30,8 @@ radii are arrays built with the ControlConfig, Phi's evaluator is bound
 with the PhiSpec, and u_ref and the measured phi_svc are read once per
 run.  Per step remain one Phi(I_hat)*phi_svc (shared by the antagonism
 budget and the barrier row), the QP's numpy calls, and the plant's 64 RK4
-evaluations of Phi.  The QP keeps one array path for every m: numpy's dot
-differs from a Python sum in the last bit.
+stages (Phi's table formula, bound per period).  The QP keeps one array path
+for every m: numpy's dot differs from a Python sum in the last bit.
 """
 
 from __future__ import annotations
@@ -384,19 +384,33 @@ class SupervisionLog:
 
 def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
                    dt: float) -> float:
-    """Exact-enough zero-order-hold plant integration (RK4 substeps)."""
+    """Exact-enough zero-order-hold plant integration (RK4 substeps).
+
+    A power Phi with an ``EXACT_POWERS`` exponent binds c and its table
+    formula when the inputs are floats, I >= the floor and phi_svc >= 0:
+    every stage argument is then a float at or above I, so ``evaluate``'s
+    guards cannot fire.  A period that ends non-finite is rerun through
+    ``evaluate``, for numpy's value and warning.  Else c = 1.0, exactly.
+    """
     if u <= 0 or dt <= 0:
         return I
-    if isinstance(phi, dyn.PhiSpec):    # any callable works; skip __call__
-        phi = phi.evaluate
     h = dt / PLANT_SUBSTEPS
+    fast = isinstance(phi, dyn.PhiSpec) and phi.kind == "power" and \
+        phi.p in dyn.EXACT_POWERS and I >= phi.lowest and phi_svc >= 0 and \
+        type(I) is type(phi_svc) is type(u) is type(h) is float
+    c, f = (phi.c, dyn.EXACT_POWERS[phi.p]) if fast else (1.0, phi)
+    if isinstance(f, dyn.PhiSpec):      # any callable works; skip __call__
+        f = f.evaluate
+    half, sixth = 0.5 * h, h / 6.0
     y = I
     for _ in range(PLANT_SUBSTEPS):
-        k1 = phi(y) * phi_svc * u
-        k2 = phi(y + 0.5 * h * k1) * phi_svc * u
-        k3 = phi(y + 0.5 * h * k2) * phi_svc * u
-        k4 = phi(y + h * k3) * phi_svc * u
-        y += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = c * f(y) * phi_svc * u
+        k2 = c * f(y + half * k1) * phi_svc * u
+        k3 = c * f(y + half * k2) * phi_svc * u
+        k4 = c * f(y + h * k3) * phi_svc * u
+        y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if fast and not math.isfinite(y):
+        return _plant_advance(phi.evaluate, phi_svc, u, I, dt)
     return y
 
 

@@ -332,6 +332,20 @@ def test_certify_case_a_singular_with_capital_time(tmp_path):
     assert "A-supercritical" in cert["config_echo"]["region"]
 
 
+def test_certify_capital_escape_beyond_the_float_range(tmp_path):
+    # K0^(1-zeta) = 1e400 is beyond the float range: T_K is inf, and the
+    # capital (delta = 0, so K* = 0) still escapes
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    cfg["capital"] = {"K0": 1e-200, "r": 2.0, "zeta": 3.0}
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", out]) == 2
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["capital_escape_time"] == "inf"
+    assert cert["config_echo"]["region"] \
+        == "region A-supercritical: finite-time blow-up, T_K=inf"
+
+
 def test_certify_joins_rate_on_timestamps(tmp_path):
     # a capability_rate on every other timestamp of I: the event bound
     # must pair each rate with the state at the same time, not with the
@@ -486,17 +500,20 @@ def test_control_sim_keeps_ceiling(tmp_path):
 
 def test_control_sim_overflowing_square_warns_as_numpy(tmp_path, capsys):
     # Phi = I^2 takes the plain-float product; the overflowing one goes
-    # back through numpy, which warns, and the escaped plant shuts down
-    cfg = write_json(tmp_path / "ctl.json", {
-        "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
-                  "n_steps": 5},
-        "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}})
-    out = tmp_path / "out"
-    assert run(["control-sim", "--config", cfg, "--out", out]) == 0
-    assert capsys.readouterr().err == \
-        "warning [control-sim]: overflow encountered in power\n"
-    summary = json.loads((out / "control_summary.json").read_text())
-    assert summary["final_status"] == "shutdown"
+    # back through numpy, which warns, and the escaped plant shuts down.
+    # From 1e150 the supervisor's Phi(I) = 1e300 is finite and the first
+    # overflow is in the plant's RK4 stages, whose period is rerun
+    for I0 in (1e155, 1e150):
+        cfg = write_json(tmp_path / "ctl.json", {
+            "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0},
+                      "I0": I0, "n_steps": 5},
+            "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}})
+        out = tmp_path / f"out{I0:g}"
+        assert run(["control-sim", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == \
+            "warning [control-sim]: overflow encountered in power\n"
+        summary = json.loads((out / "control_summary.json").read_text())
+        assert summary["final_status"] == "shutdown"
 
 
 def test_report_roundtrip(tmp_path, capsys):

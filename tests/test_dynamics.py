@@ -459,6 +459,49 @@ def test_capital_escape_between_the_manifold_and_the_halved_rate():
         dyn.capital_lower(params, params.escape_time())
 
 
+def test_capital_escape_beyond_the_float_range_is_infinite():
+    # K0^(1-zeta) = 1e400 is beyond the float range, where Python's **
+    # raises; with delta = 0, K* = 0 and this capital escapes after ~1e400 s
+    params = dyn.CapitalParams(1e-200, 2.0, 3.0)
+    assert params.escape_time() == math.inf
+    assert dyn.blowup_time(1e-200, 2.0, 3.0) == math.inf
+    assert params.escapes()
+    low = dyn.capital_lower(params, np.array([0.0, 1e6]))
+    assert (low.T_K, low.label) == (math.inf, "power-blowup")
+    np.testing.assert_array_equal(low.K_lower, [1e-200, 1e-200])
+    assert dyn.powerlaw_solution(1e-200, 1.0, 3.0, 1.0) == 1e-200
+    for p, conclusion in ((2.0, dyn.BLOWUP), (0.5, dyn.NONSINGULAR)):
+        verdict = dyn.classify_region(3.0, p, capital=params)
+        assert verdict.conclusion == conclusion
+        assert "critical stock" not in verdict.note
+    assert "beyond the float range" in dyn.classify_region(
+        3.0, 2.0, capital=params).note
+    # the discrete step bound I0^(1-p) / (a (p-1)) is beyond it too
+    steps = dyn.discrete_rsi(1e-200, 1.0, 3.0, 1e-200)
+    assert (steps.analytic_step_bound, steps.bound_respected) \
+        == (math.inf, True)
+
+
+def test_capital_times_with_a_power_beyond_the_float_range():
+    # K0^(1-zeta) = 1e400, but T_K = 2e400 / (1e300 * 2) = 1e100 is a float
+    params = dyn.CapitalParams(1e-200, 1e300, 3.0)
+    assert params.escape_time() == pytest.approx(1e100, rel=1e-12)
+    assert dyn.blowup_time(1e-200, 1e300, 3.0) == pytest.approx(5e99,
+                                                                rel=1e-12)
+    # with delta = 1 that K0 is below K* = 0.5^(1/2): u = 1/K^2 grows as
+    # e^(2t), so K decays as K0 e^(-t)
+    decays = dyn.CapitalParams(1e-200, 2.0, 3.0, delta=1.0)
+    assert not decays.halved_rate_holds() and not decays.escapes()
+    assert decays.escape_time() == math.inf
+    low = dyn.capital_lower(decays, np.array([0.0, 1.0]))
+    assert low.label == "bounded"
+    np.testing.assert_allclose(low.K_lower, [1e-200, 1e-200 * math.exp(-1)],
+                               rtol=1e-12)
+    verdict = dyn.classify_region(3.0, 2.0, capital=decays)
+    assert (verdict.conclusion, verdict.bound) == (dyn.CONDITIONAL, None)
+    assert "critical stock" in verdict.note
+
+
 @settings(max_examples=150, deadline=None)
 @given(K0=st.floats(1e-2, 1e2), r=st.floats(0.1, 10.0),
        zeta=st.floats(1.1, 4.0),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,49 @@ def test_plant_advance_scalar_path_matches_array_path(kind, p, c, I, svc, u,
         got = sc._plant_advance(phi, svc, u, I, dt)
         expected = sc._plant_advance(via_array, svc, u, I, dt)
     np.testing.assert_equal(got, expected)
+
+
+def _advance_outcome(phi, *args):
+    """What one plant period gives: its value with its type and bits, or
+    the error it raises, and every warning it records."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            y = sc._plant_advance(phi, *args)
+            out = (type(y), np.float64(y).tobytes())
+        except Exception as exc:    # noqa: BLE001 - compared, not hidden
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+PLANT_PS = [0.8, 1.5, 3.0, *dyn.EXACT_POWERS,
+            math.nextafter(2.0, math.inf), math.nextafter(2.0, -math.inf)]
+NUMBER_TYPES = st.sampled_from([float, np.float64])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["power", "power_log"]),
+       p=st.sampled_from(PLANT_PS), c=st.just(1.0) | st.floats(0.1, 3.0),
+       I=st.floats(-300.0, 160.0).map(lambda e: 10.0 ** e)
+       | st.floats(1e-300, 1e160),
+       svc=st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+       u=st.just(0.0) | st.floats(0.0, 2.0), dt=st.floats(1e-4, 1.0),
+       types=st.tuples(NUMBER_TYPES, NUMBER_TYPES, NUMBER_TYPES,
+                       NUMBER_TYPES))
+# an overflowing period, in Python floats and with a numpy state (types
+# are those of phi_svc, u, I and dt)
+@example(kind="power", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
+         types=(float,) * 4)
+@example(kind="power", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
+         types=(float, float, np.float64, float))
+def test_plant_advance_table_binding_matches_evaluate(kind, p, c, I, svc, u,
+                                                      dt, types):
+    # the period's table binding against evaluate called at every stage
+    phi = dyn.PhiSpec(kind, p=p, c=c)
+    args = [t(v) for t, v in zip(types, (svc, u, max(I, phi.domain_floor),
+                                         dt))]
+    assert _advance_outcome(phi, *args) == \
+        _advance_outcome(lambda s: phi.evaluate(s), *args)
 
 
 def test_observer_zero_interval_correction_is_exact():

@@ -16,10 +16,15 @@ them) and ``ingest`` (on the fixture's CSV series), and ``certify`` and
 ends (``<fixture>-crlf``).  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
-the plant's exponent set to each of ``PLANT_EXPONENTS``, and once on
-``OVERFLOW_CONFIG``, a plant that overflows.  Every artifact, exit
-code, stdout and stderr must be byte-identical between the trees.  Prints one line per difference and a summary; exits 0 when there
-is none, 1 otherwise.
+the plant's exponent set to each of ``PLANT_EXPONENTS``, and with each of
+``PLANT_VARIANTS`` (a control period split by latency, an observer, no or
+negative service, a ``power_log`` plant), and once each on
+``OVERFLOW_CONFIG`` and ``STAGE_OVERFLOW_CONFIG``, plants that overflow
+first in the supervisor's Phi and first in the plant's RK4 stages.  So the
+stages run both on Phi's table formula and through its evaluator, over
+whole, split and overflowing periods.  Every artifact, exit code, stdout
+and stderr must be byte-identical between the trees.  Prints one line per
+difference and a summary; exits 0 when there is none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -41,11 +46,28 @@ ENVELOPE_ROLES = ("P_fac", "T", "B_io", "B_mem", "P_use", "COP")
 # Phi exponents run on each control fixture's plant besides its own p = 2:
 # those Phi evaluates in plain floats, and 2 + 1 ulp, which takes np.power
 PLANT_EXPONENTS = (0.0, 0.5, 1.0, math.nextafter(2.0, math.inf))
+# plant and control keys set on each control fixture, by run name: the
+# period split by an actuation latency, an observer whose telemetry
+# misreads phi_svc, no service, a negative one under a positive reading (a
+# plant the supervisor keeps running), and a power_log Phi from a state
+# above its floor
+PLANT_VARIANTS = {
+    "latency": ({"latency": 0.005}, {"tau_bar": 0.005}),
+    "observer": ({"benchmark_every": 3, "phi_svc_meas": 0.8}, {}),
+    "svc0": ({"phi_svc_true": 0.0}, {}),
+    "svc-neg": ({"phi_svc_true": -0.5, "phi_svc_meas": 1.0}, {}),
+    "power-log": ({"phi": {"kind": "power_log", "p": 1.5, "c": 0.5},
+                   "I0": 3.0}, {}),
+}
 # a plant whose Phi = I^2 overflows: numpy's value and its warning
 OVERFLOW_CONFIG = {
     "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
               "n_steps": 5},
     "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}}
+# the same from 1e150, where the first overflow is in the plant's RK4 stages
+# (the supervisor's Phi(I) = 1e300 is finite), so its warning is the plant's
+STAGE_OVERFLOW_CONFIG = dict(OVERFLOW_CONFIG, plant=dict(
+    OVERFLOW_CONFIG["plant"], I0=1e150))
 
 
 def write_config(path, obj) -> str:
@@ -127,10 +149,15 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                      phi=dict(cfg["plant"]["phi"], p=p))
                         runs += control_runs(f"{rid}-p{p!r}", d,
                                              dict(cfg, plant=plant))
+                    for name, (plant, control) in PLANT_VARIANTS.items():
+                        runs += control_runs(f"{rid}-{name}", d, dict(
+                            cfg, plant=dict(cfg["plant"], **plant),
+                            control=dict(cfg["control"], **control)))
     if any(w.startswith("control") for w in workloads):
         d = os.path.join(root, "inputs", "overflow")
         os.makedirs(d)
         runs += control_runs("overflow", d, OVERFLOW_CONFIG)
+        runs += control_runs("overflow-stage", d, STAGE_OVERFLOW_CONFIG)
     return runs
 
 
