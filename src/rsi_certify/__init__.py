@@ -3,7 +3,8 @@
 Submodules: series (telemetry primitives), capability (canonical index),
 envelopes (thermodynamic service ceilings), dynamics (blow-up analytics),
 estimate (HAC statistics), certify (tests and verdicts), safectl (barrier
-throttling), cli (pipeline commands; imported on its own, so that
+throttling), pipeline (the pure certify derivation, imported by cli), cli
+(config reader and I/O shell; imported on its own, so that
 ``python -m rsi_certify.cli`` runs it without a warning).
 """
 

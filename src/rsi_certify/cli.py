@@ -1,13 +1,11 @@
-"""Pipeline orchestration: ingest, envelope, estimate, certify, simulate,
-control-sim, report.
-
-Each command is a function ``run_<cmd>(cfg, args, load) -> Outcome`` that
-opens no file: series come through ``load``, and the deterministic
-artifacts (same inputs, config and seed, same bytes) come back as text.
-``main`` alone reads the config and writes the artifacts.  Exit codes: 0
-for a nonsingular certificate or a completed run, 2 for
-singular-admissible, 3 for inconclusive, 1 for any operational or usage
-error.
+"""The config reader and the I/O shell of the commands: each is a
+``run_<cmd>(cfg, args, load) -> Outcome`` that reads its config, calls the
+library (``pipeline`` for estimate and certify) and renders its artifacts
+as text, the same bytes for the same inputs, config and seed.  It opens no
+file (series come through ``load``); ``main`` alone reads the config and
+writes the artifacts.  Exit codes: 0 for a nonsingular certificate or a
+completed run, 2 for singular-admissible, 3 for inconclusive, 1 for any
+operational or usage error.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ import typing
 import warnings
 from typing import Literal, NamedTuple
 
-import numpy as np
-
 from . import capability as cap
 from . import certify as ct
 from . import dynamics as dyn
 from . import envelopes as env
 from . import estimate as est
+from . import pipeline
 from . import series as ts
 from .errors import ConfigError, ParseError, ToolkitError
 from . import safectl as sc
@@ -327,28 +324,10 @@ def run_ingest(cfg, args, load) -> Outcome:
                    artifacts)
 
 
-# (series role in the config, compute_envelope argument, expected unit)
-ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
-                  ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
-                  ("P_use", "P_use", "W"), ("COP", "cop", None))
-
-
-def _envelope(c, params, load, alpha) -> env.EnvelopeResult:
-    """The service envelope of the config's series roles, COP model and
-    hard caps; ``envelope`` and ``certify`` both build it here."""
-    series = {arg: load(getattr(c.series, role), unit)
-              for role, arg, unit in ENVELOPE_ROLES
-              if getattr(c.series, role) is not None}
-    return env.compute_envelope(
-        params, **series,
-        cop_model=c.cop_model and vars(c.cop_model),
-        hard_cap_b_mem=c.hard_cap_b_mem, hard_cap_p_use=c.hard_cap_p_use,
-        rel_errors=c.rel_errors and vars(c.rel_errors), alpha=alpha)
-
-
 def run_envelope(cfg, args, load) -> Outcome:
     c = _read(EnvelopeConfig, cfg, "")
-    result = _envelope(c, c.params, load, _alpha(args, c.alpha, "alpha"))
+    result = pipeline.envelope(c, c.params, load,
+                               _alpha(args, c.alpha, "alpha"))
     return Outcome(
         EXIT_OK,
         f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
@@ -374,9 +353,10 @@ def _alpha(args, value: float, key: str) -> float:
     return alpha
 
 
-def _pipeline(cfg, args):
+def _pipeline_config(cfg, args, load, section: str):
     """The config ``estimate`` and ``certify`` read, its rules between
-    keys and of range checked, and the estimation window."""
+    keys and of range checked, the estimation window, the test level of
+    ``section`` and the BenchmarkSpec that indexes series.losses."""
     c = _read(Config, cfg, "")
     e = c.estimation
     window, name = _setting(args, "window", e.window, "estimation.window")
@@ -393,36 +373,11 @@ def _pipeline(cfg, args):
         raise ConfigError("series needs a 'capability' or 'losses' key")
     if isinstance(c.benchmark, dict):   # weights must sum to 1 where used
         _object(cap.BenchmarkSpec, c.benchmark, "benchmark", dict)
-    return c, window
-
-
-def _profile(c, window, load, alpha):
-    """What estimate and certify share: I and Idot (from loss series or a
-    direct series), their snapshots, the rolling elasticity profile and
-    its regime segmentation."""
-    roles = c.series
-    snapshots = {}
-    if roles.losses is not None:
-        spec = _read(cap.BenchmarkSpec, c.benchmark if isinstance(
-            c.benchmark, dict) else load.document(c.benchmark), "benchmark")
-        losses = []
-        for entry in roles.losses:
-            s = load(entry.path)
-            losses.append(s.replace(name=entry.task or s.name))
-            snapshots[f"loss:{losses[-1].name}"] = losses[-1].snapshot_version
-        series_cap = cap.canonicalize(cap.loss_index(losses, spec), spec)
-        i_series, idot = series_cap.I, series_cap.Idot
-    else:
-        i_series = load(roles.capability, "nat")
-        snapshots["capability"] = i_series.snapshot_version
-        if roles.capability_rate is not None:
-            idot = load(roles.capability_rate, "nat/s")
-        else:
-            idot = cap.capability_rate(i_series)
-    prof = est.rolling_elasticity(i_series, idot, window,
-                                  lag=c.estimation.lag, alpha=alpha)
-    segs = est.segment_profile(prof)
-    return i_series, idot, snapshots, prof, segs
+    alpha = _alpha(args, getattr(c, section).alpha, f"{section}.alpha")
+    spec = None if c.series.losses is None else _read(
+        cap.BenchmarkSpec, c.benchmark if isinstance(c.benchmark, dict)
+        else load.document(c.benchmark), "benchmark")
+    return c, window, alpha, spec
 
 
 def _elasticity_csv(prof) -> str:
@@ -432,16 +387,14 @@ def _elasticity_csv(prof) -> str:
 
 
 def run_estimate(cfg, args, load) -> Outcome:
-    c, window = _pipeline(cfg, args)
-    alpha = _alpha(args, c.estimation.alpha, "estimation.alpha")
-    _, _, snapshots, prof, segs = _profile(c, window, load, alpha)
+    c, window, alpha, spec = _pipeline_config(cfg, args, load, "estimation")
+    _, _, snapshots, prof, segs = pipeline.profile(c, window, load, alpha,
+                                                   spec)
     return Outcome(
         EXIT_OK,
-        f"{prof.t.size} elasticity windows, "
-        f"{len(segs.breakpoints)} break(s)",
+        f"{prof.t.size} elasticity windows, {len(segs.breakpoints)} break(s)",
         {"elasticity.json": ts.json_text({
-            "alpha": alpha,
-            "window_seconds": window,
+            "alpha": alpha, "window_seconds": window,
             "estimates": [e.to_json_dict() for e in prof.estimates],
             "gaps": [{"t": t, "reason": r} for t, r in prof.gaps],
             "breaks": segs.to_json_dict(),
@@ -449,174 +402,30 @@ def run_estimate(cfg, args, load) -> Outcome:
          "elasticity.csv": _elasticity_csv(prof)})
 
 
-def _segment_ptots(prof: est.RollingElasticity, segs, effs, upsilons):
-    """Per-segment elasticity bounds: the rolling profile's infimum and
-    supremum, which already reflect realized resource co-movement, plus the
-    resource terms of measured capital elasticities (a conservative double
-    count)."""
-    res_minus, res_plus, var_minus, var_plus = ct.resource_terms(effs,
-                                                                 upsilons)
-    out = []
-    # segments start at profile timestamps, so none is empty
-    for start, stop in np.searchsorted(prof.t, segs.segments):
-        lo = start + int(np.argmin(prof.values[start:stop]))
-        hi = start + int(np.argmax(prof.values[start:stop]))
-        comp_minus = {"p_hat_inf": float(prof.values[lo]), **res_minus}
-        comp_plus = {"p_hat_sup": float(prof.values[hi]), **res_plus}
-        out.append(ct.PtotEstimate(
-            minus=float(sum(comp_minus.values())),
-            plus=float(sum(comp_plus.values())),
-            se_minus=math.hypot(prof.ses[lo], math.sqrt(var_minus)),
-            se_plus=math.hypot(prof.ses[hi], math.sqrt(var_plus)),
-            components_minus=comp_minus,
-            components_plus=comp_plus))
-    return out
-
-
-def _measured_upsilons(roles, load, window) -> dict[str, ct.UpsilonBand]:
-    """Capital elasticities of any resource series present in the config."""
-    if roles.K is None:
-        return {}
-    K = load(roles.K)
-    out = {}
-    for name, role in (("C", "C"), ("D", "D_eff"), ("E", "E")):
-        if getattr(roles, role) is None:
-            continue
-        profile = ts.elasticity(load(getattr(roles, role)), K, window)
-        out[name] = ct.UpsilonBand(float(profile.slope.min()),
-                                   float(profile.slope.max()),
-                                   float(profile.se[np.argmin(profile.slope)]),
-                                   float(profile.se[np.argmax(profile.slope)]))
-    return out
-
-
 def run_certify(cfg, args, load) -> Outcome:
-    c, window = _pipeline(cfg, args)
-    knob, flags = c.certify, c.flags
-    alpha = _alpha(args, knob.alpha, "certify.alpha")
-    seed = args.seed if args.seed is not None else c.seed
-    i_series, idot, snapshots, prof, segs = _profile(c, window, load, alpha)
-    t_on, i_on, rate_on = est.shared_samples(i_series, idot)
-    pos = (i_on > 0) & (rate_on > 0)
-    i_pos, rate_pos = i_on[pos], rate_on[pos]
-    phi_spec = c.phi
-
-    # optional envelope layer
-    envelope_check_res = None
-    if c.envelope_params is not None:
-        svc = _envelope(c, c.envelope_params, load, alpha).phi_svc
-        common, ji, si = np.intersect1d(t_on, svc.t, return_indices=True)
-        i_env, rate_env, svc_env = i_on[ji], rate_on[ji], svc.values[si]
-        if phi_spec is None:
-            # least-squares power law of Idot / phi_svc against I (log-log)
-            with np.errstate(divide="ignore"):
-                ratio = rate_env / svc_env
-                fit = (i_env > 0) & (ratio > 0)
-                slope, intercept, _, _ = ts.wls_slope(
-                    np.log(i_env[fit]), np.log(ratio[fit]), np.ones(fit.sum()))
-            phi_spec = dyn.PhiSpec.power(max(slope, 0.0), math.exp(intercept))
-        phi_of_i = phi_spec(np.maximum(i_env, phi_spec.domain_floor))
-        envelope_check_res = ct.envelope_check(
-            ts.TimeSeries("Idot", "nat/s", common, rate_env),
-            ts.TimeSeries("Phi_of_I", "nat", common, phi_of_i),
-            ts.TimeSeries("phi_svc", "nat/s", common, svc_env),
-            small_gain=knob.small_gain, tol=knob.envelope_tol)
-        snapshots["phi_svc"] = svc.snapshot_version
-
-    # reciprocal-integral classification of the state factor
-    if phi_spec is not None:
-        floor = max(phi_spec.domain_floor,
-                    float(np.min(i_series.values[i_series.values > 0],
-                                 initial=1.0)))
-        osgood = dyn.osgood_classify(phi_spec, max(floor, 1e-12))
-    else:
-        # no envelope layer: classify the fitted direct feedback law
-        # dI/dt <= a0 * I^p with p the profile supremum and a0 the tightest
-        # gain covering every sample
-        sup_p = float(prof.values.max())
-        if sup_p <= 1.0 or not i_pos.size:
-            osgood = dyn.OsgoodResult(True, math.inf, sup_p)
-        else:
-            a0_fit = float(np.max(rate_pos / i_pos ** sup_p))
-            osgood = dyn.osgood_classify(dyn.PhiSpec.power(sup_p, a0_fit),
-                                         float(i_pos.min()))
-
-    # per-segment totals
-    if c.exponents is not None:
-        effs = ct.effective_exponents(**vars(c.exponents))
-        upsilons = _measured_upsilons(c.series, load, window)
-    else:
-        effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
-        upsilons = {}
-    ptots = _segment_ptots(prof, segs, effs, upsilons)
-    ptot_plus = max(p.plus for p in ptots)
-
-    # optional capital channel and region classification
-    capital_T = region_note = None
-    if c.capital is not None:
-        capital_T = c.capital.escape_time()
-        try:
-            region = dyn.classify_region(
-                c.capital.zeta, ptot_plus,
-                capped_power=flags.capped_power,
-                logistic=flags.logistic_data,
-                baseline_effort_floor=flags.effort_floor,
-                capital=c.capital)
-            bound = "" if region.bound is None else f", T_K={region.bound!r}"
-            region_note = f"region {region.region}: {region.conclusion}{bound}"
-        except ToolkitError as exc:
-            region_note = f"region classification unavailable: {exc}"
-
-    # event-level bound for a singular verdict
-    event_bound = None
-    delta = max(p.minus for p in ptots) - 1.0
-    if delta > 0.0:
-        a0 = float(np.min(rate_pos / i_pos ** (1.0 + delta)))
-        event_bound = ct.event_blowup_bound(float(i_pos[-1]), delta, a0)
-
-    extra_margins = {}
-    if knob.grad_norm:
-        extra_margins["manifold_distance"] = ct.manifold_distance(
-            ptot_plus, knob.grad_norm)
-    w = knob.wasserstein
-    if w is not None:
-        dm = ct.distribution_margin(ptot_plus, w.gamma, w.L_xi, w.L_rho,
-                                    w.delta_W, w.safety_delta)
-        extra_margins["wasserstein_margin"] = (1.0 - w.safety_delta
-                                               - dm.worst_case_ptot)
-
-    config_echo = {"config_path": str(args.config), "seed": seed,
+    c, window, alpha, spec = _pipeline_config(cfg, args, load, "certify")
+    config_echo = {"config_path": str(args.config),
+                   "seed": _setting(args, "seed", c.seed, "seed")[0],
                    "window": window, "alpha": alpha,
                    "sigma_eff": None if c.envelope_params is None
                    else c.envelope_params.sigma_eff,
                    # the sections as written
                    "certify": cfg.get("certify", {}),
                    "estimation": cfg.get("estimation", {})}
-    if region_note:
-        config_echo["region"] = region_note
-
-    certificate = ct.decide(
-        ptots, envelope_check_res, osgood, segs, alpha=alpha,
-        nonbinding_slack=knob.nonbinding_slack,
-        nonbinding_fraction=knob.nonbinding_fraction,
-        event_bound=event_bound, capital_escape_time=capital_T,
-        extra_margins=extra_margins, config_echo=config_echo,
-        snapshot_versions=snapshots)
-
+    certificate, (_, _, _, prof, _), check = pipeline.certify(
+        c, window, alpha, load, spec, config_echo)
     document = certificate.to_json_dict()
     artifacts = {"certificate.json": ts.json_text(document),
                  "elasticity.csv": _elasticity_csv(prof)}
-    if envelope_check_res is not None:
+    if check is not None:
         artifacts["envelope_slack.csv"] = ts.csv_text({
-            "t": envelope_check_res.t,
-            "slack_fraction": envelope_check_res.slack,
-            "passed": envelope_check_res.passed})
-    segments = certificate.segments
+            "t": check.t, "slack_fraction": check.slack,
+            "passed": check.passed})
     artifacts["segments.csv"] = ts.csv_text({
-        "t_start": [r.t_start for r in segments],
-        "t_end": [r.t_end for r in segments],
-        "ptot_minus": [r.ptot.minus for r in segments],
-        "ptot_plus": [r.ptot.plus for r in segments]})
+        "t_start": [r.t_start for r in certificate.segments],
+        "t_end": [r.t_end for r in certificate.segments],
+        "ptot_minus": [r.ptot.minus for r in certificate.segments],
+        "ptot_plus": [r.ptot.plus for r in certificate.segments]})
     artifacts["report.txt"] = render_report(document)
     return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
                    artifacts)

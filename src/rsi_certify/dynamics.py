@@ -196,7 +196,7 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
     """
     if I0 < phi.lowest:
         raise NonPositivePhi(f"I0={I0} below domain floor {phi.domain_floor}")
-    if phi(I0) <= 0:
+    if phi.kind != "power" and phi(I0) <= 0:   # c I^p > 0 if it underflows
         raise NonPositivePhi("rate factor must be positive at I0")
 
     if phi.kind == "power":     # the integral is the escape time of c I^p
@@ -625,9 +625,9 @@ def worst_case_times(a_min: PhiSpec, a_max: PhiSpec,
     """Uniform time bounds from ordered gain envelopes.
 
     T_min integrates 1/a_max (the fastest admissible growth), T_max
-    integrates 1/a_min.  Infinite T_min certifies robust nonsingularity;
-    finite T_max certifies robust blow-up; otherwise the gap between the
-    envelopes leaves the question open.
+    integrates 1/a_min.  A divergent integral of 1/a_max certifies robust
+    nonsingularity, a convergent one of 1/a_min robust blow-up (if beyond
+    the float range, its time reads inf); otherwise the question is open.
     """
     floor = max(a_min.domain_floor, a_max.domain_floor, I0)
     grid = np.geomspace(floor, floor * ORDER_CHECK_SPAN, ORDER_CHECK_POINTS)
@@ -642,9 +642,9 @@ def worst_case_times(a_min: PhiSpec, a_max: PhiSpec,
     t_max_res = osgood_classify(a_min, max(I0, a_min.domain_floor))
     T_min = t_min_res.value
     T_max = t_max_res.value
-    if math.isinf(T_min):
+    if t_min_res.divergent:
         verdict = "robust-nonsingular"
-    elif math.isfinite(T_max):
+    elif not t_max_res.divergent:
         verdict = "robust-blowup"
     else:
         verdict = "indeterminate"

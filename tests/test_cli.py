@@ -25,6 +25,7 @@ from rsi_certify import certify as ct
 from rsi_certify import cli
 from rsi_certify import dynamics as dyn
 from rsi_certify import estimate as est
+from rsi_certify import pipeline
 from rsi_certify import safectl as sc
 from rsi_certify import series as ts
 
@@ -401,7 +402,7 @@ def test_last_segment_keeps_final_estimate_at_epoch_seconds():
                                  0.05)
     segs = est.segment_profile(prof)
     effs = ct.effective_exponents(0, 0, 0, 0, rho=0.0, r=1.0, chi_hat=0.0)
-    (ptot,) = cli._segment_ptots(prof, segs, effs, {})
+    (ptot,) = pipeline.segment_ptots(prof, segs, effs, {})
     assert ptot.components_plus["p_hat_sup"] == 1.5
     assert ptot.plus == 1.5
 
@@ -566,6 +567,8 @@ def certify_args(cfg_path):
 @pytest.mark.parametrize("make_config", [case_a_config, case_b_config])
 def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
                                               make_config):
+    # run_certify, run_estimate and the library call pipeline.certify open
+    # no file, and give what main writes
     cfg_path = make_config(tmp_path)
     cfg = json.loads(open(cfg_path).read())
     files = cli.FileInputs()
@@ -575,18 +578,32 @@ def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
         return table[path]
 
     def no_open(*args, **kwargs):
-        raise AssertionError("run_certify opened a file")
+        raise AssertionError("a pure command opened a file")
 
+    c = cli._read(cli.Config, cfg, "")
+    window, alpha = c.estimation.window, c.certify.alpha
+    echo = {"config_path": str(cfg_path), "seed": c.seed, "window": window,
+            "alpha": alpha, "sigma_eff": c.envelope_params
+            and c.envelope_params.sigma_eff, "certify": cfg["certify"],
+            "estimation": cfg["estimation"]}
     with monkeypatch.context() as m:
         m.setattr("builtins.open", no_open)
-        outcome = cli.run_certify(cfg, certify_args(cfg_path), load)
-    out = tmp_path / "out"
-    assert run(["certify", "--config", cfg_path, "--out", out]) == outcome.code
-    assert outcome.artifacts["certificate.json"] == \
-        (out / "certificate.json").read_text()
-    assert sorted(outcome.artifacts) == sorted(p.name for p in out.iterdir())
-    for name, text in outcome.artifacts.items():
-        assert (out / name).read_text() == text
+        outcomes = {"certify": cli.run_certify(cfg, certify_args(cfg_path),
+                                               load),
+                    "estimate": cli.run_estimate(cfg, certify_args(cfg_path),
+                                                 load)}
+        certificate, _, _ = pipeline.certify(c, window, alpha, load, None,
+                                             echo)
+    for command, outcome in outcomes.items():
+        out = tmp_path / command
+        assert run([command, "--config", cfg_path, "--out", out]) == \
+            outcome.code
+        assert sorted(outcome.artifacts) == sorted(p.name
+                                                   for p in out.iterdir())
+        for name, text in outcome.artifacts.items():
+            assert (out / name).read_text() == text
+    assert ts.json_text(certificate.to_json_dict()) == \
+        (tmp_path / "certify" / "certificate.json").read_text()
 
 
 def cop_series_config(tmp_path, cfg):

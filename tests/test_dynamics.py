@@ -92,6 +92,21 @@ def test_osgood_rejects_below_floor():
         dyn.osgood_classify(dyn.PhiSpec.power_log(1.0), 1.5)
 
 
+def test_osgood_power_whose_factor_underflows_at_I0():
+    # 1e-200 ** 3 rounds to 0.0, but c I^p > 0 for any I0 > 0 and c > 0:
+    # the integral converges, to a time beyond the float range
+    phi = dyn.PhiSpec.power(3.0)
+    assert phi(1e-200) == 0.0
+    assert dyn.osgood_classify(phi, 1e-200) == dyn.OsgoodResult(
+        False, math.inf, 3.0)
+    assert dyn.worst_case_times(phi, phi, 1e-200) == dyn.WorstCaseResult(
+        math.inf, math.inf, "robust-blowup")
+    # a power_log factor is 0 at s = 1, below its floor by a relative 1e-12
+    with pytest.raises(NonPositivePhi, match="positive at I0"):
+        dyn.osgood_classify(dyn.PhiSpec.power_log(2.0, domain_floor=1.0
+                                                  + 1e-13), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # rate factor: a Python float against a one-element array
 
@@ -757,6 +772,15 @@ def test_worst_case_robust_nonsingular():
     res = dyn.worst_case_times(dyn.PhiSpec.power(0.5),
                                dyn.PhiSpec.power(0.9), 1.0)
     assert res.verdict == "robust-nonsingular"
+
+
+def test_worst_case_convergent_beyond_the_float_range_is_blowup():
+    # p = 1 + 1 ulp converges, but its escape time from 1 at c = 1e-300
+    # (1 / (c (p - 1)) ~ 4.5e315) reads inf: the verdict follows convergence
+    phi = dyn.PhiSpec.power(math.nextafter(1.0, 2.0), 1e-300)
+    assert not dyn.osgood_classify(phi, 1.0).divergent
+    assert dyn.worst_case_times(phi, phi, 1.0) == dyn.WorstCaseResult(
+        math.inf, math.inf, "robust-blowup")
 
 
 def test_worst_case_order_violation():

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every defaulted parameter of its functions is set by some call, and the
-json module is used by one writer and one reader alone.
+every defaulted parameter of its functions is set by some call, the json
+module is used by one writer and one reader alone, the certify pipeline
+imports no I/O module and the CLI no numpy.
 
 ``__init__`` is left out of the import check: its imports are the
 package's re-exports.
@@ -131,3 +132,31 @@ def json_uses(module: str, source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_json_is_read_and_written_in_one_place(path):
     assert json_uses(path, (PACKAGE / path).read_text(encoding="utf-8")) == []
+
+
+# ---------------------------------------------------------------------------
+# the certify pipeline stays pure, and the CLI stays a shell around it
+
+SHELL_MODULES = ("os", "sys", "argparse", "json", "warnings")
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_pipeline_does_no_io_and_cli_no_numerics():
+    pipeline = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert imported_modules(pipeline).isdisjoint(SHELL_MODULES)
+    assert not [node.lineno for node in ast.walk(ast.parse(pipeline))
+                if isinstance(node, ast.Name) and node.id == "open"
+                or isinstance(node, ast.Attribute) and node.attr == "open"]
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "numpy" not in imported_modules(cli)
+    assert "os" in imported_modules(cli)    # the scan sees the shell's I/O
