@@ -326,8 +326,8 @@ def run_ingest(cfg, args, load) -> Outcome:
 
 def run_envelope(cfg, args, load) -> Outcome:
     c = _read(EnvelopeConfig, cfg, "")
-    result = pipeline.envelope(c, c.params, load,
-                               _alpha(args, c.alpha, "alpha"))
+    result = pipeline.envelope(c, c.params, load, pipeline.alpha_in_range(
+        *_setting(args, "alpha", c.alpha, "alpha")))
     return Outcome(
         EXIT_OK,
         f"static cap phi_pt_bar = {result.phi_pt_bar.value:.6e} nat/s "
@@ -346,13 +346,6 @@ def _setting(args, option: str, value, key: str):
     return (flag, f"--{option}") if flag is not None else (value, key)
 
 
-def _alpha(args, value: float, key: str) -> float:
-    alpha, name = _setting(args, "alpha", value, key)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
 def _pipeline_config(cfg, args, load, section: str):
     """The config ``estimate`` and ``certify`` read, its rules between
     keys and of range checked, the estimation window, the test level of
@@ -362,8 +355,7 @@ def _pipeline_config(cfg, args, load, section: str):
     window, name = _setting(args, "window", e.window, "estimation.window")
     if window is None:
         raise ConfigError("missing config key 'estimation.window'")
-    if not 0 < window < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {window!r}")
+    pipeline.window_in_range(window, name)
     if e.lag != "auto" and e.lag < 0:
         raise ConfigError('estimation.lag must be "auto" or an integer '
                           f">= 0, got {e.lag!r}")
@@ -373,7 +365,8 @@ def _pipeline_config(cfg, args, load, section: str):
         raise ConfigError("series needs a 'capability' or 'losses' key")
     if isinstance(c.benchmark, dict):   # weights must sum to 1 where used
         _object(cap.BenchmarkSpec, c.benchmark, "benchmark", dict)
-    alpha = _alpha(args, getattr(c, section).alpha, f"{section}.alpha")
+    alpha = pipeline.alpha_in_range(*_setting(
+        args, "alpha", getattr(c, section).alpha, f"{section}.alpha"))
     spec = None if c.series.losses is None else _read(
         cap.BenchmarkSpec, c.benchmark if isinstance(c.benchmark, dict)
         else load.document(c.benchmark), "benchmark")

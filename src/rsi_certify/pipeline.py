@@ -18,12 +18,26 @@ from . import dynamics as dyn
 from . import envelopes as env
 from . import estimate as est
 from . import series as ts
-from .errors import ToolkitError
+from .errors import ConfigError, ToolkitError
 
 # (series role in the config, compute_envelope argument, expected unit)
 ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
                   ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
                   ("P_use", "P_use", "W"), ("COP", "cop", None))
+
+
+def window_in_range(window, name: str) -> float:
+    """``window`` if positive and finite, else a ConfigError on ``name``."""
+    if not 0 < window < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {window!r}")
+    return window
+
+
+def alpha_in_range(alpha, name: str) -> float:
+    """``alpha`` if it lies in (0, 1), else a ConfigError on ``name``."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def envelope(c, params, load, alpha) -> env.EnvelopeResult:
@@ -43,6 +57,7 @@ def profile(c, window, load, alpha, spec) -> tuple:
     """I and Idot (from loss series indexed by the BenchmarkSpec ``spec``,
     or a direct series), their snapshots, the rolling elasticity profile
     and its regime segmentation."""
+    window_in_range(window, "window"), alpha_in_range(alpha, "alpha")
     roles = c.series
     snapshots = {}
     if roles.losses is not None:

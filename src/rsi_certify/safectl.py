@@ -25,13 +25,14 @@ superlinear plant can escape within a single period if Delta exceeds
 roughly I/(kappa*(I_bar - I)*(p - 1)) at the current state; pick the sample
 period below that scale (it is most restrictive when the state is small).
 
-Cost note: a step pays for its arithmetic only.  The box bounds and rate
-radii are arrays built with the ControlConfig, Phi's evaluator is bound
-with the PhiSpec, and u_ref and the measured phi_svc are read once per
-run.  Per step remain one Phi(I_hat)*phi_svc (shared by the antagonism
-budget and the barrier row), the QP's numpy calls, and the plant's 64 RK4
-stages (Phi's table formula, bound per period).  The QP keeps one array path
-for every m: numpy's dot differs from a Python sum in the last bit.
+Cost note: a step pays for its arithmetic only.  The box (bounds, radii and
+rows) is built with the ControlConfig, Phi's evaluator is bound with the
+PhiSpec, and u_ref, the barrier row's buffer and the measured phi_svc are
+set once per run.  Per step remain one Phi(I_hat)*phi_svc, an active QP's
+~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64) and the plant's 64
+RK4 stages (Phi's table formula, bound per period).  The QP's dots stay
+numpy calls: OpenBLAS computes a ddot of length < 16 as a sequential fused
+multiply-add, and Python 3.11 has no math.fma to match it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .errors import InfeasibleBox, NoStaticCapPossible
 
 # a config number that may be infinite: a rate limit or a box bound
 Unbounded = typing.NewType("Unbounded", float)
+# searchsorted's bounds of the positive finite floats (the least is 5e-324)
+_POSITIVE_FINITE = np.array([5e-324, math.inf])
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,12 @@ class ControlConfig:
             if len(box) != 2 or not box[0] <= box[1]:
                 raise ValueError(f"u_box[{i}] must be an ordered pair "
                                  f"(lo, hi), got {box!r}")
-        # the QP's per-step arrays, built once: box bounds and rate radii
+        # the QP's per-step arrays, built once: box bounds, rate radii, and
+        # the box as rows (lo, hi) where no channel's rate is limited
         lo, hi = np.array(self.u_box, dtype=float).reshape(-1, 2).T.copy()
-        object.__setattr__(self, "_box", (lo, hi, np.array(
-            self.r_u, dtype=float) * self.Delta))
+        r = np.array(self.r_u, dtype=float) * self.Delta
+        object.__setattr__(self, "_box", (lo, hi, r, np.array([lo, hi])
+                                          if np.all(r == math.inf) else None))
         if self.alpha_fn is not None:
             if abs(self.alpha_fn(0.0)) > 1e-12:
                 raise ValueError("alpha_fn must vanish at zero")
@@ -189,12 +194,13 @@ class QpResult:
 
 
 def _clip(x, lo, hi):
-    # np.clip's ufunc: maximum/minimum return the bound on ties (+-0.0)
-    return np.minimum(np.maximum(x, lo), hi)
+    # np.clip's ufunc, in place: maximum/minimum return the bound on ties
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
-def _effective_box(u_prev: np.ndarray, config: ControlConfig):
-    box_lo, box_hi, radius = config._box    # the box wins ties, as above
+def _effective_box(u_prev: np.ndarray, config: ControlConfig) -> np.ndarray:
+    """Rows (lo, hi): the box cut to the rate window u_prev -/+ r."""
+    box_lo, box_hi, radius, _ = config._box     # the box wins ties, as above
     lo = np.maximum(u_prev - radius, box_lo)
     hi = np.minimum(u_prev + radius, box_hi)
     empty = lo > hi + 1e-15
@@ -204,7 +210,7 @@ def _effective_box(u_prev: np.ndarray, config: ControlConfig):
         raise InfeasibleBox(
             f"channel {i}: box [{b_lo}, {b_hi}] and rate window "
             f"[{u_prev[i] - r}, {u_prev[i] + r}] do not intersect")
-    return lo, hi
+    return np.array((lo, hi))
 
 
 def qp_step(u_ref, u_prev, a_row, b_rhs: float,
@@ -225,35 +231,39 @@ def qp_step(u_ref, u_prev, a_row, b_rhs: float,
     m = config.n_channels
     if not (u_ref.size == u_prev.size == a.size == m):
         raise InfeasibleBox(f"expected {m}-channel vectors")
-    lo, hi = _effective_box(u_prev, config)
+    box = config._box[3]    # None if a channel's rate is limited
+    if box is None or not math.isfinite(u_prev.dot(u_prev)):   # u_prev too
+        box = _effective_box(u_prev, config)
+    lo, hi = box[0], box[1]
     rho = config.slack_weight
 
     # barrier inactive: box projection feasible up to rounding of a.u - b?
-    u = _clip(u_ref, lo, hi)
+    u = _clip(u_ref.copy(), lo, hi)
     z = 0.0
-    scale = abs(b_rhs) + float(np.abs(a) @ np.abs(u))
-    active = float(a @ u) - b_rhs > 1e-12 * scale
+    excess = float(a.dot(u)) - b_rhs    # <= 0: inactive at any scale
+    active = excess > 0.0 and excess > 1e-12 * (
+        abs(b_rhs) + float(np.abs(a).dot(np.abs(u))))
     if active:
         # kinks of zero or tiny entries of a are not finite and are dropped
         with np.errstate(all="ignore"):
-            kinks = np.concatenate([(u_ref - lo) / a, (u_ref - hi) / a])
-            kinks = kinks[(kinks > 0) & (kinks < math.inf)]
-            kinks.sort()
-            g = _clip(u_ref - kinks[:, None] * a, lo, hi) @ a - b_rhs \
-                - kinks / (2.0 * rho)
-            j = int(np.count_nonzero(g > 0))
-            left = kinks[j - 1] if j else 0.0
-            right = kinks[j] if j < kinks.size else math.inf
+            kinks = ((u_ref - box) / a).ravel()
+            kinks.sort()    # NaN sorts last
+            i, k = kinks.searchsorted(_POSITIVE_FINITE).tolist()
+            kinks = kinks[i:k]
+            j = int(np.count_nonzero(_clip(u_ref - kinks[:, None] * a, lo, hi)
+                                     .dot(a) - b_rhs > kinks / (2.0 * rho)))
+            left, right = ([0.0] + kinks.tolist() + [math.inf])[j:j + 2]
             # a point strictly inside the root's piece fixes its clamp pattern
             v = u_ref - min(0.5 * (left + right), 2.0 * left + 1.0) * a
             free = (lo < v) & (v < hi)
-            lam = (a @ np.where(free, u_ref, _clip(v, lo, hi)) - b_rhs) \
-                / (a[free] @ a[free] + 1.0 / (2.0 * rho))
+            np.copyto(_clip(v, lo, hi), u_ref, where=free)
+            a_free = a[free]
+            lam = (a.dot(v) - b_rhs) / (a_free.dot(a_free) + 1.0 / (2.0 * rho))
             lam = min(max(lam, left), right)
             u = _clip(u_ref - lam * a, lo, hi)
         z = lam / (2.0 * rho)
     d = u - u_ref
-    return QpResult(u, float(z), active, 0.5 * float(d @ d) + rho * z * z)
+    return QpResult(u, float(z), active, 0.5 * float(d.dot(d)) + rho * z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +445,11 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
         else scenario.phi_svc_meas          # the telemetry value
     u_prev = np.zeros(config.n_channels)
     u_ref = np.full(config.n_channels, scenario.u_ref)
+    a_row = np.empty(config.n_channels)     # the barrier row, filled per step
     steps: list[StepLog] = []
-    consecutive_slack = 0
+    slack_run = 0       # steps in a row whose QP took slack
+    governance = scenario.ptot_hat is not None and \
+        scenario.ptot_hat > 1.0 - policy.governance_delta
     max_overshoot = -math.inf
     max_violation = 0.0
     sigma_i, sigma_x = scenario.antagonism
@@ -477,20 +490,14 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
             break
 
         # -- barrier QP
-        a_row = np.full(config.n_channels, gain)
+        a_row.fill(gain)
         budget = barrier_budget(I_hat, config, sigma_i, sigma_x)
         qp = qp_step(u_ref, u_prev, a_row, budget, config)
         u_k = qp.u_star
         u_0 = float(u_k[0])
 
-        if qp.slack > SLACK_TOL:
-            consecutive_slack += 1
-        else:
-            consecutive_slack = 0
-        if consecutive_slack >= policy.escalate_consecutive_slack:
-            action = "escalate"
-        if scenario.ptot_hat is not None and \
-                scenario.ptot_hat > 1.0 - policy.governance_delta:
+        slack_run = slack_run + 1 if qp.slack > SLACK_TOL else 0
+        if governance or slack_run >= policy.escalate_consecutive_slack:
             action = "escalate"
 
         # -- per-step violation of the barrier the QP enforces,

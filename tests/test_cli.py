@@ -606,6 +606,26 @@ def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
         (tmp_path / "certify" / "certificate.json").read_text()
 
 
+@pytest.mark.parametrize("window, alpha, message", [
+    (0.1, 1.5, "alpha must lie in (0, 1), got 1.5"),
+    (0.1, 0.0, "alpha must lie in (0, 1), got 0.0"),
+    (0.0, 0.05, "window must be positive and finite, got 0.0"),
+    (-0.1, 0.05, "window must be positive and finite, got -0.1"),
+    (math.nan, 0.05, "window must be positive and finite, got nan"),
+    (0.0, 1.5, "window must be positive and finite, got 0.0"),
+])
+def test_pipeline_applies_the_range_rules(tmp_path, window, alpha, message):
+    # a library caller gets the CLI's located error, not a verdict or
+    # AllWindowsDegenerate; the window is checked first, as the CLI does
+    cfg = json.loads(open(case_a_config(tmp_path)).read())
+    c, load = cli._read(cli.Config, cfg, ""), cli.FileInputs()
+    with pytest.raises(cli.ConfigError) as certify_exc:
+        pipeline.certify(c, window, alpha, load, None, {})
+    with pytest.raises(cli.ConfigError) as profile_exc:
+        pipeline.profile(c, window, load, alpha, None)
+    assert str(certify_exc.value) == str(profile_exc.value) == message
+
+
 def cop_series_config(tmp_path, cfg):
     # facility power whose COP = 4 series leaves 1.25x service headroom;
     # the COP band midpoint (1e9) would give 1.5625x

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -348,6 +349,91 @@ def test_qp_step_matches_reference_bit_for_bit(instance):
     assert _bits(got.u_star) == _bits(expected.u_star)
     assert _bits(got.slack) == _bits(expected.slack)
     assert _bits(got.objective) == _bits(expected.objective)
+
+
+def _assert_same_bits(got, expected):
+    assert got.barrier_active == expected.barrier_active
+    for field in ("u_star", "slack", "objective"):
+        assert _bits(getattr(got, field)) == _bits(getattr(expected, field))
+
+
+# the control benchmark's loop (6 channels, Phi = 2 I^2, Delta = 0.02, rho_s
+# = 1e14, exact state from I0 = 1.2) on its own box, under a rate limit,
+# and on unequal per-channel boxes
+_SIX = ((0.0, 1.0),) * 6
+
+
+@pytest.mark.parametrize("r_u, u_box, needs", [
+    ((math.inf,) * 6, _SIX, "static"),
+    ((0.5,) * 6, _SIX, "window"),
+    ((math.inf,) * 6, ((0.0, 1.0), (0.0, 0.5), (0.2, 0.8), (0.0, 2.0),
+                       (-1.0, 1.0), (0.1, 0.3)), "static"),
+], ids=["benchmark", "rate-limited", "unequal-boxes"])
+def test_supervisor_qp_calls_match_reference_bit_for_bit(
+        monkeypatch, r_u, u_box, needs):
+    # the Hypothesis draws above rarely give this traffic: uniform rows, all
+    # active, on the box that no rate limit cuts
+    cfg = config(I_bar=10.0, kappa=1.0, Delta=0.02, r_u=r_u, u_box=u_box,
+                 slack_weight=1e14)
+    calls, qp_step = [], sc.qp_step
+
+    def recorded(u_ref, u_prev, a_row, b_rhs, config):
+        args = (u_ref.copy(), u_prev.copy(), a_row.copy(), b_rhs)
+        result = qp_step(u_ref, u_prev, a_row, b_rhs, config)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(sc, "qp_step", recorded)
+    log = sc.supervise(sc.PlantScenario(phi=dyn.PhiSpec.power(2.0, c=2.0),
+                                        I0=1.2, n_steps=300), cfg)
+    assert log.final_status == "completed" and len(calls) == 300
+    assert (cfg._box[3] is None) == (needs == "window")
+    assert sum(result.barrier_active for _, result in calls) >= 200
+    for (u_ref, u_prev, a, b), result in calls:
+        _assert_same_bits(result, _reference_qp_step(u_ref, u_prev, a, b,
+                                                     cfg))
+
+
+@st.composite
+def unlimited_boxes(draw):
+    """m = 1..8 channels with no rate limit; box bounds that may be signed
+    zeros or infinite; u_prev finite, or with an inf or NaN entry."""
+    m = draw(st.integers(1, 8))
+    bound = _EDGE | st.floats(-2.0, 2.0) | st.sampled_from([-math.inf,
+                                                            math.inf])
+    u_box = tuple(tuple(sorted(draw(st.lists(bound, min_size=2,
+                                             max_size=2))))
+                  for _ in range(m))
+    u_prev = np.array(draw(st.lists(_EDGE | st.floats(-3.0, 3.0),
+                                    min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        u_prev[draw(st.integers(0, m - 1))] = draw(st.sampled_from(
+            [math.inf, -math.inf, math.nan]))
+    cfg = config(Delta=draw(st.sampled_from([1.0, 0.02])),
+                 r_u=(math.inf,) * m, u_box=u_box)
+    return u_prev, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(unlimited_boxes(), st.data())
+def test_static_box_is_the_effective_box(instance, data):
+    # with no rate limit the QP takes the box built with the config, which
+    # must be the rate-window cut in bits for a finite u_prev; an inf or
+    # NaN entry of u_prev takes the cut (``general``), whatever it gives
+    u_prev, cfg = instance
+    m = cfg.n_channels
+    u_ref = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m,
+                                        max_size=m)))
+    a = np.array(data.draw(st.lists(_EDGE | st.floats(-10.0, 10.0),
+                                    min_size=m, max_size=m)))
+    b = data.draw(st.floats(-1.0, 1.0))
+    general = dataclasses.replace(cfg)
+    object.__setattr__(general, "_box", cfg._box[:3] + (None,))
+    with np.errstate(invalid="ignore"):
+        if np.all(np.isfinite(u_prev)):
+            assert _bits(cfg._box[3]) == _bits(sc._effective_box(u_prev, cfg))
+        _assert_same_bits(sc.qp_step(u_ref, u_prev, a, b, cfg),
+                          sc.qp_step(u_ref, u_prev, a, b, general))
 
 
 # ---------------------------------------------------------------------------

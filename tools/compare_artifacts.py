@@ -16,13 +16,17 @@ them) and ``ingest`` (on the fixture's CSV series), and ``certify`` and
 ends (``<fixture>-crlf``).  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
-the plant's exponent set to each of ``PLANT_EXPONENTS``, and with each of
+the plant's exponent set to each of ``PLANT_EXPONENTS``, with each of
 ``PLANT_VARIANTS`` (a control period split by latency, an observer, no or
-negative service, a ``power_log`` plant), and once each on
-``OVERFLOW_CONFIG`` and ``STAGE_OVERFLOW_CONFIG``, plants that overflow
-first in the supervisor's Phi and first in the plant's RK4 stages.  So the
-stages run both on Phi's table formula and through its evaluator, over
-whole, split and overflowing periods.  Every artifact, exit code, stdout
+negative service, a ``power_log`` plant), with each of ``qp_variants``
+(a rate limit that binds, unequal per-channel boxes, a ceiling below the
+state), and once each on ``OVERFLOW_CONFIG`` and
+``STAGE_OVERFLOW_CONFIG``, plants that overflow first in the supervisor's
+Phi and first in the plant's RK4 stages.  So the stages run both on Phi's
+table formula and through its evaluator, over whole, split and
+overflowing periods, and the barrier QP runs both on the box built with
+the config and on the box its rate window cuts, with and without slack
+(and escalation).  Every artifact, exit code, stdout
 and stderr must be byte-identical between the trees.  Prints one line per
 difference and a summary; exits 0 when there is none, 1 otherwise.
 """
@@ -59,6 +63,21 @@ PLANT_VARIANTS = {
     "power-log": ({"phi": {"kind": "power_log", "p": 1.5, "c": 0.5},
                    "I0": 3.0}, {}),
 }
+
+
+def qp_variants(m) -> dict:
+    """Control keys that move the barrier QP off the benchmark's path on
+    ``m`` channels, by run name: a rate limit whose window binds while the
+    throttle ramps up from 0, unequal per-channel boxes (for m = 1, one
+    box other than [0, 1]) and a ceiling below the initial state, where
+    the QP takes slack at every step and the supervisor escalates."""
+    return {
+        "rate": ({}, {"r_u": [2.0] * m}),
+        "boxes": ({}, {"u_box": [[0.0, 0.9 - 0.1 * i] for i in range(m)]}),
+        "slack": ({}, {"I_bar": 1.0}),
+    }
+
+
 # a plant whose Phi = I^2 overflows: numpy's value and its warning
 OVERFLOW_CONFIG = {
     "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
@@ -149,7 +168,9 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                      phi=dict(cfg["plant"]["phi"], p=p))
                         runs += control_runs(f"{rid}-p{p!r}", d,
                                              dict(cfg, plant=plant))
-                    for name, (plant, control) in PLANT_VARIANTS.items():
+                    variants = {**PLANT_VARIANTS,
+                                **qp_variants(len(cfg["control"]["u_box"]))}
+                    for name, (plant, control) in variants.items():
                         runs += control_runs(f"{rid}-{name}", d, dict(
                             cfg, plant=dict(cfg["plant"], **plant),
                             control=dict(cfg["control"], **control)))
