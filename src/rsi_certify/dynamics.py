@@ -28,8 +28,7 @@ from .errors import (
     SubcriticalExponent,
 )
 
-P_DEGENERATE_TOL = 1e-9  # below this |p-1| the power closed forms use the
-                         # exponential limit
+P_DEGENERATE_TOL = 1e-9  # below this |zeta-1| capital_lower is exponential
 INTEGRATE_MAX_STEPS = 2_000_000  # step budget, accepted plus rejected
 DISCRETE_MAX_STEPS = 10_000      # iterate budget of the recursion
 # worst_case_times checks the envelopes' order at this many points,
@@ -67,10 +66,7 @@ class PhiSpec:
     and any power that is not finite (numpy's value and its overflow
     warning), goes through ``np.power``, and ``power_log`` through
     ``np.log`` as well.  It is ``evaluate``, bound when the spec is made
-    (and fixed from then on), which ``__call__`` calls.  The other reader
-    of ``EXACT_POWERS`` is ``safectl._plant_advance``, which binds the
-    table formula for a whole control period where ``evaluate``'s guards
-    cannot fire, and ``evaluate`` itself elsewhere.
+    (and fixed from then on), which ``__call__`` calls.
     """
 
     def __init__(self, kind: str, p: float | None = None, c: float = 1.0,
@@ -274,25 +270,24 @@ def blowup_bound(I0: float, I1: float, a0: float, p: float) -> float:
 def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
     """Exact solution of dI/dt = a0 * I^p from I0.
 
-    For p > 1 this is (I0^(1-p) - a0 (p-1) t)^(-1/(p-1)) with blow-up at
-    T = I0^(1-p)/(a0 (p-1)); times at or past T raise BeyondBlowup.  Within
-    |p-1| < 1e-9 the exponential limit I0 * exp(a0 t) is used.
+    I0 exp(-log1p(-x)/(p-1)) with x = a0 (p-1) t I0^(p-1), or I0 e^(a0 t)
+    at p = 1: (I0^(1-p) - a0 (p-1) t)^(-1/(p-1)) cancels near p = 1.  For
+    p > 1 it escapes at T = I0^(1-p)/(a0 (p-1)); times with x >= 1 raise
+    BeyondBlowup.
     """
     if I0 <= 0 or a0 <= 0:
         raise NonPositivePhi("I0 and a0 must be positive")
     t_arr = np.asarray(t, dtype=float)
-    if abs(p - 1.0) < P_DEGENERATE_TOL:
-        out = I0 * np.exp(a0 * t_arr)
-        return float(out) if t_arr.ndim == 0 else out
     delta = p - 1.0
     try:
-        scale, base = 1.0, I0 ** -delta - a0 * delta * t_arr
-    except OverflowError:   # I0^-delta beyond the float range: factor it out
-        scale, base = I0, 1.0 - a0 * delta * t_arr * I0 ** delta
-    if p > 1.0 and np.any(base <= 0):
+        x = a0 * delta * t_arr * I0 ** delta
+    except OverflowError:   # I0^delta beyond the float range: I0 unfactored
+        x, base = None, I0 ** -delta - a0 * delta * t_arr
+    if p > 1.0 and np.any(x >= 1.0 if x is not None else base <= 0):
         T = excess_escape_time(I0, a0, delta)
         raise BeyondBlowup(f"t >= blow-up time {T!r}")
-    out = scale * base ** (-1.0 / delta)
+    out = base ** (-1.0 / delta) if x is None else \
+        I0 * np.exp(-np.log1p(-x) / delta if delta else a0 * t_arr)
     return float(out) if t_arr.ndim == 0 else out
 
 

@@ -43,6 +43,7 @@ def alpha_in_range(alpha, name: str) -> float:
 def envelope(c, params, load, alpha) -> env.EnvelopeResult:
     """The service envelope of the config's series roles, COP model and
     hard caps; the ``envelope`` command and ``certify`` both build it here."""
+    alpha_in_range(alpha, "alpha")
     series = {arg: load(getattr(c.series, role), unit)
               for role, arg, unit in ENVELOPE_ROLES
               if getattr(c.series, role) is not None}

@@ -29,8 +29,8 @@ Cost note: a step pays for its arithmetic only.  The box (bounds, radii and
 rows) is built with the ControlConfig, Phi's evaluator is bound with the
 PhiSpec, and u_ref, the barrier row's buffer and the measured phi_svc are
 set once per run.  Per step remain one Phi(I_hat)*phi_svc, an active QP's
-~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64) and the plant's 64
-RK4 stages (Phi's table formula, bound per period).  The QP's dots stay
+~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64) and the plant's
+period (a power Phi's exact flow, else 64 RK4 stages).  The QP's dots stay
 numpy calls: OpenBLAS computes a ddot of length < 16 as a sequential fused
 multiply-add, and Python 3.11 has no math.fma to match it.
 """
@@ -203,9 +203,9 @@ def _effective_box(u_prev: np.ndarray, config: ControlConfig) -> np.ndarray:
     box_lo, box_hi, radius, _ = config._box     # the box wins ties, as above
     lo = np.maximum(u_prev - radius, box_lo)
     hi = np.minimum(u_prev + radius, box_hi)
-    empty = lo > hi + 1e-15
-    if np.count_nonzero(empty):
-        i = int(empty.argmax())
+    meets = lo <= hi + 1e-15    # False at a NaN bound: u_prev NaN, inf-inf
+    if np.count_nonzero(meets) < meets.size:
+        i = int(meets.argmin())
         (b_lo, b_hi), r = config.u_box[i], config.r_u[i] * config.Delta
         raise InfeasibleBox(
             f"channel {i}: box [{b_lo}, {b_hi}] and rate window "
@@ -394,33 +394,36 @@ class SupervisionLog:
 
 def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
                    dt: float) -> float:
-    """Exact-enough zero-order-hold plant integration (RK4 substeps).
+    """The plant dI/dt = Phi(I) * phi_svc * u over dt with u held.
 
-    A power Phi with an ``EXACT_POWERS`` exponent binds c and its table
-    formula when the inputs are floats, I >= the floor and phi_svc >= 0:
-    every stage argument is then a float at or above I, so ``evaluate``'s
-    guards cannot fire.  A period that ends non-finite is rerun through
-    ``evaluate``, for numpy's value and warning.  Else c = 1.0, exactly.
+    A power Phi = c I^p from I > 0 at or above its floor, with k = c phi_svc
+    u >= 0, takes the exact flow I (1 - x)^(-1/(p-1)), x = k (p-1) dt
+    I^(p-1), as I exp(-log1p(-x)/(p-1)): exact near p = 1 too.  It is inf
+    past the escape time (x >= 1).  Else 16 RK4 substeps, through
+    ``evaluate`` or the plain callable.
     """
     if u <= 0 or dt <= 0:
         return I
+    if isinstance(phi, dyn.PhiSpec) and phi.kind == "power" and \
+            I > 0 and I >= phi.lowest and phi_svc >= 0:
+        I, d = float(I), phi.p - 1.0
+        kdt = phi.c * float(phi_svc) * float(u) * float(dt)
+        try:
+            x = kdt * d * math.pow(I, d)
+            return math.inf if x >= 1 else \
+                I * math.exp(-math.log1p(-x) / d if d else kdt)
+        except OverflowError:   # pow or exp beyond the float range
+            return I if kdt == 0 else math.inf
     h = dt / PLANT_SUBSTEPS
-    fast = isinstance(phi, dyn.PhiSpec) and phi.kind == "power" and \
-        phi.p in dyn.EXACT_POWERS and I >= phi.lowest and phi_svc >= 0 and \
-        type(I) is type(phi_svc) is type(u) is type(h) is float
-    c, f = (phi.c, dyn.EXACT_POWERS[phi.p]) if fast else (1.0, phi)
-    if isinstance(f, dyn.PhiSpec):      # any callable works; skip __call__
-        f = f.evaluate
+    f = phi.evaluate if isinstance(phi, dyn.PhiSpec) else phi
     half, sixth = 0.5 * h, h / 6.0
     y = I
     for _ in range(PLANT_SUBSTEPS):
-        k1 = c * f(y) * phi_svc * u
-        k2 = c * f(y + half * k1) * phi_svc * u
-        k3 = c * f(y + half * k2) * phi_svc * u
-        k4 = c * f(y + h * k3) * phi_svc * u
+        k1 = f(y) * phi_svc * u
+        k2 = f(y + half * k1) * phi_svc * u
+        k3 = f(y + half * k2) * phi_svc * u
+        k4 = f(y + h * k3) * phi_svc * u
         y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if fast and not math.isfinite(y):
-        return _plant_advance(phi.evaluate, phi_svc, u, I, dt)
     return y
 
 

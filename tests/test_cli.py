@@ -502,17 +502,17 @@ def test_control_sim_keeps_ceiling(tmp_path):
 def test_control_sim_overflowing_square_warns_as_numpy(tmp_path, capsys):
     # Phi = I^2 takes the plain-float product; the overflowing one goes
     # back through numpy, which warns, and the escaped plant shuts down.
-    # From 1e150 the supervisor's Phi(I) = 1e300 is finite and the first
-    # overflow is in the plant's RK4 stages, whose period is rerun
-    for I0 in (1e155, 1e150):
+    # From 1e150 the supervisor's Phi(I) = 1e300 is finite, and the plant's
+    # closed form passes the escape time (inf) without a warning
+    for I0, err in ((1e155, "warning [control-sim]: overflow encountered "
+                             "in power\n"), (1e150, "")):
         cfg = write_json(tmp_path / "ctl.json", {
             "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0},
                       "I0": I0, "n_steps": 5},
             "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}})
         out = tmp_path / f"out{I0:g}"
         assert run(["control-sim", "--config", cfg, "--out", out]) == 0
-        assert capsys.readouterr().err == \
-            "warning [control-sim]: overflow encountered in power\n"
+        assert capsys.readouterr().err == err
         summary = json.loads((out / "control_summary.json").read_text())
         assert summary["final_status"] == "shutdown"
 
@@ -624,6 +624,20 @@ def test_pipeline_applies_the_range_rules(tmp_path, window, alpha, message):
     with pytest.raises(cli.ConfigError) as profile_exc:
         pipeline.profile(c, window, load, alpha, None)
     assert str(certify_exc.value) == str(profile_exc.value) == message
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
+def test_pipeline_envelope_applies_the_alpha_rule(tmp_path, alpha):
+    # a library caller of the envelope gets the CLI's error before any
+    # series is read, not interval factors whose lower one is the larger
+    c = cli._read(cli.EnvelopeConfig, envelope_config(tmp_path), "")
+
+    def load(*_):
+        raise AssertionError("a series was read")
+
+    with pytest.raises(cli.ConfigError) as exc:
+        pipeline.envelope(c, c.params, load, alpha)
+    assert str(exc.value) == f"alpha must lie in (0, 1), got {alpha!r}"
 
 
 def cop_series_config(tmp_path, cfg):
@@ -1046,13 +1060,16 @@ def test_integers_in_float_fields_are_read_as_floats(tmp_path, monkeypatch):
 
 # sha256 of control_log.jsonl and control_summary.json on scenarios shaped
 # like the benchmark's control configs, shortened to 200 steps (recorded
-# with numpy 2.4.6 on x86-64).  Making the plant a function of all m
-# channels moves the m = 6 digests; nothing may move the m = 1 ones.
+# with numpy 2.4.6 on x86-64).  Both moved when the power plant's period
+# became its exact flow instead of 16 RK4 substeps: I_true by at most
+# 9.4e-12 (m = 1) and 3.0e-14 (m = 6) relative, RK4's truncation error.
+# Making the plant a function of all m channels moves the m = 6 digests;
+# it must not move the m = 1 ones.
 CONTROL_DIGESTS = {
-    1: ("426b1293d72f2dc307b7cd9cf50835039a2daaa1b0ba7a446ab9da98c1f93dec",
-        "aa1c2d3487ef0d2a46d94f8596bd63be4556471aab2b757aea8059f615da8fba"),
-    6: ("e3f9cdb11a1673ee0e204e9c5e6093e8dbf9a678c32fb571957b828a284b7a10",
-        "c98b6380b9fe4ca5ff09403e5029a00c25a644152858e9478fee739a055492c6"),
+    1: ("9d86fa6dac0c698a502699175fd08cd92cb0d1e9919c50ab87c9d30c5fdca3b5",
+        "7de125a101e75fe6622dc49cc5a15918e8d4a64a38430563f70df0e4f2e6e8aa"),
+    6: ("781eddbc29b628461ddd49fbb7ff821f01d25e14098b3293c96a8690f5f49fae",
+        "427bb0bb0be0900b56447ac5e669f6fec3e103ceb0e73219ed301d2b140cb64f"),
 }
 
 

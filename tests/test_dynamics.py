@@ -234,6 +234,19 @@ def test_powerlaw_degenerate_exponent_limit():
     assert out == pytest.approx(2.0 * math.exp(1.5), rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [1.0 + s * e for s in (-1.0, 1.0)
+                               for e in (1e-8, 1e-6, 1e-4)])
+def test_powerlaw_solution_near_the_exponential_is_exact(p):
+    # (I0^(1-p) - a0 (p-1) t)^(-1/(p-1)) cancels here: 3.3e-9 relative at
+    # p = 1 + 1e-8, 2.4e-11 at 1 + 1e-6, 2.4e-13 at 1 + 1e-4
+    I0, a0, t = 1.3, 0.7, 2.0
+    with mpmath.workdps(50):
+        d = mpmath.mpf(p) - 1
+        exact = I0 * (1 - a0 * d * t * mpmath.mpf(I0) ** d) ** (-1 / d)
+        assert abs(dyn.powerlaw_solution(I0, a0, p, t) - exact) \
+            <= 1e-14 * exact
+
+
 def test_powerlaw_solution_satisfies_its_ode():
     # numerical derivative of the closed form must match a0 * I^p
     for p in (1.5, 2.0, 3.0):
@@ -592,6 +605,37 @@ def old_powerlaw_solution(I0, a0, p, t):
     return float(out) if t_arr.ndim == 0 else out
 
 
+def assert_exact_powerlaw(I0, a0, p, t):
+    """powerlaw_solution at t against the flow at 50 digits from the same
+    floats: within 8 half-ulps times 1 + |ln(I/I0)| + (1 + |(p-1) ln I0|)
+    times x's condition number |x / ((p-1)(1-x))|, which diverges at the
+    escape time.  That rounding can move the escape time across t, so
+    BeyondBlowup may be raised, or not, only within 1e-12 of x = 1."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(p) - 1
+        xs = [mpmath.mpf(a0) * d * mpmath.mpf(s) * mpmath.mpf(I0) ** d
+              for s in np.atleast_1d(t).tolist()]
+        try:
+            with np.errstate(over="ignore"):
+                got = np.atleast_1d(dyn.powerlaw_solution(I0, a0, p, t))
+        except BeyondBlowup:
+            assert max(xs) >= 1 - 1e-12
+            return
+        assert got.shape == np.shape(xs)
+        for y, x, s in zip(got.tolist(), xs, np.atleast_1d(t).tolist()):
+            if x >= 1:
+                assert x < 1 + 1e-12
+                continue
+            log_ratio = -mpmath.log1p(-x) / d if d else mpmath.mpf(a0) * s
+            exact = I0 * mpmath.exp(log_ratio)
+            if exact > 1e308:   # beyond the float range
+                continue
+            kappa = abs(x / (d * (1 - x))) if d else 0
+            scale = 1 + abs(log_ratio) + kappa * (
+                1 + abs(d * mpmath.log(I0)))
+            assert abs(y - exact) <= 8 * 2.0 ** -53 * scale * exact
+
+
 def old_escape_time(K0, r, zeta):
     if zeta <= 1.0:
         return math.inf
@@ -687,14 +731,13 @@ def test_escape_time_sites_match_the_parent_expressions(I, I1, a, p, fracs,
     beyond = float(grid[-1]) * (1.0 + fracs[0])
     sites.append((lambda: osgood(tab, beyond),
                   lambda: old_osgood_tail(beyond, tab.c_tail, tab.p_tail)))
-    # the power law inside its escape time, and its message past it
-    T = old_blowup_time(I, a, p)
-    t = np.array(fracs) * (T if math.isfinite(T) else 1.0 / a)
-    t = float(t[0]) if scalar else t
-    sites.append((lambda: dyn.powerlaw_solution(I, a, p, t),
-                  lambda: old_powerlaw_solution(I, a, p, t)))
     for new, old in sites:
         assert same_bits(outcome(new), outcome(old))
+    # the power law inside its escape time (whose bits left the parent's
+    # expression, which cancels near p = 1), and its message past it
+    T = old_blowup_time(I, a, p)
+    t = np.array(fracs) * (T if math.isfinite(T) else 1.0 / a)
+    assert_exact_powerlaw(I, a, p, float(t[0]) if scalar else t)
     if math.isfinite(T) and abs(delta) >= dyn.P_DEGENERATE_TOL:
         with pytest.raises(BeyondBlowup) as new_msg:
             dyn.powerlaw_solution(I, a, p, 2.0 * T)
@@ -718,18 +761,22 @@ def test_capital_lower_is_the_halved_rate_powerlaw_solution(K0, r, zeta, fracs,
     new = outcome(dyn.capital_lower, params, t)
     old = outcome(old_capital_lower, params, t)
     if new is BeyondBlowup and old is not BeyondBlowup:
-        # the one difference: in the last ulps before T_K the rounded base
-        # can reach 0 while t < T_K; the old branch then returned inf, nan
+        # the one difference: in the last ulps before T_K the rounded x
+        # can reach 1 while t < T_K; the old branch then returned inf, nan
         # or a power of a negative base, powerlaw_solution raises
-        base = K0 ** (1.0 - zeta) - 0.5 * r * (zeta - 1.0) * np.asarray(t)
-        assert np.any(base <= 0)
+        x = 0.5 * r * (zeta - 1.0) * np.asarray(t) * K0 ** (zeta - 1.0)
+        assert np.any(x >= 1)
         return
     if isinstance(new, type) or isinstance(old, type):
         assert new is old
         return
     assert new.label == old.label
     assert same_bits(new.T_K, old.T_K)
-    assert same_bits(new.K_lower, old.K_lower)
+    # the parent's K_lower was its own copy of the power law, which
+    # cancels near zeta = 1; it is now powerlaw_solution's, at the halved
+    # rate (checked against the exact flow above)
+    assert same_bits(new.K_lower, outcome(dyn.powerlaw_solution, K0, 0.5 * r,
+                                          zeta, t))
 
 
 def test_logistic_data_closed_form():

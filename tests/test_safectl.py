@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsi_certify import dynamics as dyn
@@ -432,8 +434,32 @@ def test_static_box_is_the_effective_box(instance, data):
     with np.errstate(invalid="ignore"):
         if np.all(np.isfinite(u_prev)):
             assert _bits(cfg._box[3]) == _bits(sc._effective_box(u_prev, cfg))
-        _assert_same_bits(sc.qp_step(u_ref, u_prev, a, b, cfg),
-                          sc.qp_step(u_ref, u_prev, a, b, general))
+        try:
+            expected = sc.qp_step(u_ref, u_prev, a, b, general)
+        except InfeasibleBox as exc:    # a NaN bound of the rate window
+            assert not np.all(np.isfinite(u_prev))
+            with pytest.raises(InfeasibleBox) as got:
+                sc.qp_step(u_ref, u_prev, a, b, cfg)
+            assert str(got.value) == str(exc)
+            return
+        _assert_same_bits(sc.qp_step(u_ref, u_prev, a, b, cfg), expected)
+
+
+@pytest.mark.parametrize("r_u, u_prev, window", [
+    ((0.5, 0.5), [math.nan, 0.5], "[nan, nan]"),
+    ((math.inf, math.inf), [math.nan, 0.5], "[nan, nan]"),
+    ((math.inf, math.inf), [-math.inf, 0.5], "[-inf, nan]"),
+    ((math.inf, math.inf), [0.5, math.inf], "[nan, inf]"),
+], ids=["nan-rate-limited", "nan", "-inf", "inf"])
+def test_qp_refuses_a_u_prev_whose_rate_window_is_nan(r_u, u_prev, window):
+    # a NaN throttle with zero slack would pass for a feasible step; the
+    # window is refused, and named, as a finite rate limit refuses -inf
+    cfg = config(r_u=r_u, Delta=0.1, u_box=((0.0, 1.0),) * 2)
+    i = int(not math.isnan(u_prev[0]) and math.isfinite(u_prev[0]))
+    with np.errstate(invalid="ignore"), pytest.raises(InfeasibleBox) as exc:
+        sc.qp_step([1.0, 1.0], u_prev, [1.0, 1.0], 0.5, cfg)
+    assert str(exc.value) == (f"channel {i}: box [0.0, 1.0] and rate window "
+                              f"{window} do not intersect")
 
 
 # ---------------------------------------------------------------------------
@@ -480,30 +506,47 @@ def test_observer_tracks_model_consistent_run():
     assert worst <= (cfg.Delta * 0.5) ** 2
 
 
+def rk4_reference(f, phi_svc, u, I, dt):
+    """The plant's RK4 loop as it stood before the closed form (16
+    substeps, stages scaled by c = 1.0), kept to pin the loop bit for bit
+    on every Phi and input the closed form does not take."""
+    if u <= 0 or dt <= 0:
+        return I
+    h = dt / 16
+    half, sixth = 0.5 * h, h / 6.0
+    y = I
+    for _ in range(16):
+        k1 = 1.0 * f(y) * phi_svc * u
+        k2 = 1.0 * f(y + half * k1) * phi_svc * u
+        k3 = 1.0 * f(y + half * k2) * phi_svc * u
+        k4 = 1.0 * f(y + h * k3) * phi_svc * u
+        y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 @settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(["power", "power_log"]),
-       p=st.sampled_from([0.8, 1.5, 2.0, 3.0]) | st.floats(0.0, 4.0),
+@given(p=st.sampled_from([0.8, 1.5, 2.0, 3.0]) | st.floats(0.0, 4.0),
        c=st.floats(0.1, 2.0), I=st.floats(3.0, 20.0),
        svc=st.floats(0.1, 2.0), u=st.floats(0.0, 1.0),
        dt=st.floats(1e-4, 0.02))
-def test_plant_advance_scalar_path_matches_array_path(kind, p, c, I, svc, u,
-                                                      dt):
-    # the plant's last bit feeds the QP, where u = 1 - lambda a cancels
-    phi = dyn.PhiSpec(kind, p=p, c=c)
+def test_plant_advance_scalar_path_matches_array_path(p, c, I, svc, u, dt):
+    # the plant's last bit feeds the QP, where u = 1 - lambda a cancels;
+    # a power_log Phi keeps RK4, whose stages take Phi's scalar path
+    phi = dyn.PhiSpec.power_log(p, c=c)
     via_array = lambda y: float(phi(np.array([y]))[0])  # noqa: E731
     with np.errstate(over="ignore", invalid="ignore"):
         got = sc._plant_advance(phi, svc, u, I, dt)
-        expected = sc._plant_advance(via_array, svc, u, I, dt)
+        expected = rk4_reference(via_array, svc, u, I, dt)
     np.testing.assert_equal(got, expected)
 
 
-def _advance_outcome(phi, *args):
+def _advance_outcome(advance, phi, *args):
     """What one plant period gives: its value with its type and bits, or
     the error it raises, and every warning it records."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            y = sc._plant_advance(phi, *args)
+            y = advance(phi, *args)
             out = (type(y), np.float64(y).tobytes())
         except Exception as exc:    # noqa: BLE001 - compared, not hidden
             out = (type(exc), str(exc))
@@ -520,24 +563,124 @@ NUMBER_TYPES = st.sampled_from([float, np.float64])
        p=st.sampled_from(PLANT_PS), c=st.just(1.0) | st.floats(0.1, 3.0),
        I=st.floats(-300.0, 160.0).map(lambda e: 10.0 ** e)
        | st.floats(1e-300, 1e160),
-       svc=st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+       svc=st.sampled_from([-0.0, -1.0]) | st.floats(-2.0, 2.0),
        u=st.just(0.0) | st.floats(0.0, 2.0), dt=st.floats(1e-4, 1.0),
        types=st.tuples(NUMBER_TYPES, NUMBER_TYPES, NUMBER_TYPES,
                        NUMBER_TYPES))
 # an overflowing period, in Python floats and with a numpy state (types
-# are those of phi_svc, u, I and dt)
-@example(kind="power", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
+# are those of phi_svc, u, I and dt), and one below a power's floor
+@example(kind="power_log", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
          types=(float,) * 4)
-@example(kind="power", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
+@example(kind="power_log", p=2.0, c=1.0, I=1e155, svc=1.0, u=1.0, dt=0.1,
          types=(float, float, np.float64, float))
+@example(kind="power", p=2.0, c=1.0, I=1e155, svc=-1.0, u=1.0, dt=0.1,
+         types=(float,) * 4)
+@example(kind="power", p=2.0, c=1.0, I=1.0, svc=1.0, u=1.0, dt=0.1,
+         types=(float,) * 4)
 def test_plant_advance_table_binding_matches_evaluate(kind, p, c, I, svc, u,
                                                       dt, types):
-    # the period's table binding against evaluate called at every stage
-    phi = dyn.PhiSpec(kind, p=p, c=c)
-    args = [t(v) for t, v in zip(types, (svc, u, max(I, phi.domain_floor),
-                                         dt))]
-    assert _advance_outcome(phi, *args) == \
-        _advance_outcome(lambda s: phi.evaluate(s), *args)
+    # every Phi and input the closed form does not take (power_log, and a
+    # power below its floor of 3 or with phi_svc < 0) keeps the RK4 loop
+    # through evaluate: its value, type, error and warnings, bit for bit
+    phi = dyn.PhiSpec(kind, p=p, c=c, domain_floor=3.0)
+    assume(kind == "power_log" or I < phi.lowest or svc < 0)
+    args = [t(v) for t, v in zip(types, (svc, u, I, dt))]
+    assert _advance_outcome(sc._plant_advance, phi, *args) == \
+        _advance_outcome(rk4_reference, phi.evaluate, *args)
+
+
+def exact_flow(p, c, svc, u, I, dt):
+    """dI/dt = c I^p phi_svc u from I over dt, at 50 digits, from the
+    float inputs as given: I (1 - x)^(-1/(p-1)), x = k (p-1) dt I^(p-1)."""
+    with mpmath.workdps(50):
+        k, I, d = (mpmath.mpf(c) * mpmath.mpf(svc) * mpmath.mpf(u),
+                   mpmath.mpf(I), mpmath.mpf(p) - 1)
+        if d == 0:
+            return I * mpmath.exp(k * dt)
+        return I * (1 - k * d * dt * I ** d) ** (-1 / d)
+
+
+# p over [0, 4], and within 1e-12 to 1e-4 of 1 on both sides
+FLOW_PS = st.floats(0.0, 4.0) | st.just(1.0) | st.tuples(
+    st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -4.0)).map(
+        lambda t: 1.0 + t[0] * 10.0 ** t[1])
+# I <= 2 keeps x = k (p-1) dt I^(p-1) <= 0.48: the flow's relative
+# condition number x / ((p-1)(1-x)) stays below 1 (it diverges at escape)
+FLOW_INPUTS = dict(p=FLOW_PS, c=st.floats(0.1, 1.0), svc=st.floats(0.1, 1.0),
+                   u=st.floats(0.0, 1.0), I=st.floats(0.5, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**FLOW_INPUTS)
+@example(p=1.0 + 1e-12, c=1.0, svc=1.0, u=1.0, I=2.0)
+@example(p=4.0, c=1.0, svc=1.0, u=1.0, I=2.0)
+def test_plant_closed_form_matches_the_exact_flow(p, c, svc, u, I):
+    # within 1e-15 of the flow at 50 digits, and no farther than RK4 (up
+    # to an ulp, where RK4's own error is at the rounding level)
+    phi, dt = dyn.PhiSpec.power(p, c=c), 0.02
+    exact = exact_flow(p, c, svc, u, I, dt)
+    got = sc._plant_advance(phi, svc, u, I, dt)
+    rk4 = sc._plant_advance(phi.evaluate, svc, u, I, dt)
+    assert type(got) is float
+    err, rk4_err = (float(abs(y - exact) / exact) for y in (got, rk4))
+    assert err <= 1e-15
+    assert err <= max(rk4_err, 2.0 ** -52)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**FLOW_INPUTS, frac=st.floats(0.0, 1.0))
+def test_plant_closed_form_split_period_is_the_whole_period(p, c, svc, u, I,
+                                                             frac):
+    # supervise's latency path: tau then Delta - tau is the whole period
+    phi, dt = dyn.PhiSpec.power(p, c=c), 0.02
+    tau = frac * dt
+    whole = sc._plant_advance(phi, svc, u, I, dt)
+    split = sc._plant_advance(phi, svc, u,
+                              sc._plant_advance(phi, svc, u, I, tau), dt - tau)
+    assert abs(split - whole) <= 4 * math.ulp(whole)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 3.7])
+@pytest.mark.parametrize("I", [1e-300, 1.3, 1e300])
+def test_plant_closed_form_without_service_keeps_the_state(p, I):
+    phi = dyn.PhiSpec.power(p, c=2.0)
+    for svc in (0.0, -0.0):
+        got = sc._plant_advance(phi, svc, 1.0, I, 0.02)
+        assert type(got) is float and got == I
+
+
+@pytest.mark.parametrize("p, c, I, dt", [
+    (2.0, 1.0, 1e155, 1.0),         # past the escape time: x = 1e155
+    (2.0, 1.0, 0.5, 2.0),           # x = 1 exactly
+    (3.0, 1.0, 1e200, 1e-300),      # I^(p-1) beyond the float range
+    (1.0, 1e300, 1.0, 1e10),        # k dt beyond the float range
+    (1.0, 1.0, 1.0, 800.0),         # e^(k dt) beyond the float range
+    (1.01, 1.0, 1.0, 99.99),        # x < 1, (1 - x)^-100 beyond it
+])
+def test_plant_closed_form_overflow_is_inf_without_a_warning(p, c, I, dt):
+    phi = dyn.PhiSpec.power(p, c=c)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert sc._plant_advance(phi, 1.0, 1.0, I, dt) == math.inf
+
+
+def test_supervisor_shuts_down_a_plant_that_escapes_within_a_period():
+    # x = k dt I0 = 10 >= 1: the state escapes before the next sample, the
+    # supervisor shuts down there, and its log stays strict JSON
+    cfg = config(I_bar=1e300, kappa=1.0, Delta=1.0)
+    scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(2.0), I0=10.0,
+                                n_steps=5)
+    log = sc.supervise(scenario, cfg)
+    assert log.final_status == "shutdown"
+    assert log.actions() == ["certify", "shutdown"]
+    assert log.steps[1].I_true == math.inf
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    lines = [json.loads(line, parse_constant=refuse)
+             for line in log.to_jsonl().splitlines()]
+    assert [line["I_true"] for line in lines] == [10.0, "inf"]
 
 
 def test_observer_zero_interval_correction_is_exact():

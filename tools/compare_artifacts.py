@@ -22,13 +22,15 @@ negative service, a ``power_log`` plant), with each of ``qp_variants``
 (a rate limit that binds, unequal per-channel boxes, a ceiling below the
 state), and once each on ``OVERFLOW_CONFIG`` and
 ``STAGE_OVERFLOW_CONFIG``, plants that overflow first in the supervisor's
-Phi and first in the plant's RK4 stages.  So the stages run both on Phi's
-table formula and through its evaluator, over whole, split and
-overflowing periods, and the barrier QP runs both on the box built with
+Phi and first in the plant.  So the plant runs both in closed form (a
+``power`` Phi) and in RK4 stages through Phi's evaluator (``power_log``,
+negative service), over whole, split and escaping periods, and the
+barrier QP runs both on the box built with
 the config and on the box its rate window cuts, with and without slack
 (and escalation).  Every artifact, exit code, stdout
 and stderr must be byte-identical between the trees.  Prints one line per
-difference and a summary; exits 0 when there is none, 1 otherwise.
+difference (for a control log, with the largest relative difference of
+its I_true) and a summary; exits 0 when there is none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ OVERFLOW_CONFIG = {
     "plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0}, "I0": 1e155,
               "n_steps": 5},
     "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}}
-# the same from 1e150, where the first overflow is in the plant's RK4 stages
-# (the supervisor's Phi(I) = 1e300 is finite), so its warning is the plant's
+# the same from 1e150, where the supervisor's Phi(I) = 1e300 is finite and
+# the plant's first period passes its escape time
 STAGE_OVERFLOW_CONFIG = dict(OVERFLOW_CONFIG, plant=dict(
     OVERFLOW_CONFIG["plant"], I0=1e150))
 
@@ -264,8 +266,24 @@ def compare(runs, outs, results) -> list[str]:
                 state = ("only in parent" if name not in c_files else
                          "only in change" if name not in p_files else
                          "differs")
+                if state == "differs" and name == "control_log.jsonl":
+                    state += f" ({state_move(p_files[name], c_files[name])})"
                 diffs.append(f"{rid}/{name}: {state}")
     return diffs
+
+
+def state_move(parent: bytes, change: bytes) -> str:
+    """How far two control logs' I_true moved: the largest relative
+    difference over the steps both logged, and the step counts if they
+    differ.  A non-finite I_true is logged as the text "inf" or "nan"."""
+    p_run, c_run = ([float(json.loads(line)["I_true"])
+                     for line in log.splitlines()] for log in (parent, change))
+    move = max((0.0 if c == p else abs(c - p) / abs(p)
+                for p, c in zip(p_run, c_run)), default=0.0)
+    text = f"largest relative I_true difference {move:.3g}"
+    if len(p_run) != len(c_run):
+        text += f", {len(p_run)} steps != {len(c_run)}"
+    return text
 
 
 def main(argv=None) -> int:
