@@ -396,16 +396,16 @@ def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
                    dt: float) -> float:
     """The plant dI/dt = Phi(I) * phi_svc * u over dt with u held.
 
-    A power Phi = c I^p from I > 0 at or above its floor, with k = c phi_svc
-    u >= 0, takes the exact flow I (1 - x)^(-1/(p-1)), x = k (p-1) dt
-    I^(p-1), as I exp(-log1p(-x)/(p-1)): exact near p = 1 too.  It is inf
-    past the escape time (x >= 1).  Else 16 RK4 substeps, through
-    ``evaluate`` or the plain callable.
+    A power Phi = c I^p from a normal I at or above its floor (I^(p-1) is
+    then finite for p < 1), with k = c phi_svc u >= 0, takes the exact flow
+    I (1 - x)^(-1/(p-1)), x = k (p-1) dt I^(p-1), as I exp(-log1p(-x)/(p-1)):
+    exact near p = 1 too; inf past the escape time (x >= 1).  Else 16 RK4
+    substeps, through ``evaluate`` or the plain callable.
     """
     if u <= 0 or dt <= 0:
         return I
     if isinstance(phi, dyn.PhiSpec) and phi.kind == "power" and \
-            I > 0 and I >= phi.lowest and phi_svc >= 0:
+            I >= phi.lowest and I >= 2.0 ** -1022 and phi_svc >= 0:
         I, d = float(I), phi.p - 1.0
         kdt = phi.c * float(phi_svc) * float(u) * float(dt)
         try:

@@ -772,9 +772,9 @@ def test_capital_lower_is_the_halved_rate_powerlaw_solution(K0, r, zeta, fracs,
         return
     assert new.label == old.label
     assert same_bits(new.T_K, old.T_K)
-    # the parent's K_lower was its own copy of the power law, which
-    # cancels near zeta = 1; it is now powerlaw_solution's, at the halved
-    # rate (checked against the exact flow above)
+    # K_lower is powerlaw_solution at the halved rate, which the escape
+    # time test checks against the exact flow; old_capital_lower's copy
+    # of the textbook form cancels near zeta = 1
     assert same_bits(new.K_lower, outcome(dyn.powerlaw_solution, K0, 0.5 * r,
                                           zeta, t))
 

@@ -649,6 +649,16 @@ def test_plant_closed_form_without_service_keeps_the_state(p, I):
         assert type(got) is float and got == I
 
 
+def test_plant_subnormal_state_keeps_rk4():
+    # I^(p-1) at p = 0 is beyond the float range from I = 1e-320, where
+    # the flow I + k dt is not: a state below the least normal float keeps
+    # RK4, as a state below the floor does
+    phi = dyn.PhiSpec("power", p=0.0, domain_floor=1e-320)
+    got = sc._plant_advance(phi, 1.0, 1.0, 1e-320, 0.02)
+    assert got == rk4_reference(phi.evaluate, 1.0, 1.0, 1e-320, 0.02)
+    assert got == pytest.approx(0.02, rel=1e-15)
+
+
 @pytest.mark.parametrize("p, c, I, dt", [
     (2.0, 1.0, 1e155, 1.0),         # past the escape time: x = 1e155
     (2.0, 1.0, 0.5, 2.0),           # x = 1 exactly

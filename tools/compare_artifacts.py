@@ -25,12 +25,12 @@ state), and once each on ``OVERFLOW_CONFIG`` and
 Phi and first in the plant.  So the plant runs both in closed form (a
 ``power`` Phi) and in RK4 stages through Phi's evaluator (``power_log``,
 negative service), over whole, split and escaping periods, and the
-barrier QP runs both on the box built with
-the config and on the box its rate window cuts, with and without slack
-(and escalation).  Every artifact, exit code, stdout
-and stderr must be byte-identical between the trees.  Prints one line per
-difference (for a control log, with the largest relative difference of
-its I_true) and a summary; exits 0 when there is none, 1 otherwise.
+barrier QP runs both on the box built with the config and on the box its
+rate window cuts, with and without slack (and escalation).  Every
+artifact, exit code, stdout and stderr must be byte-identical between the
+trees.  Prints one line per difference (for a control log, with the
+largest relative difference of its I_true) and a summary; exits 0 when
+there is none, 1 otherwise.
 """
 
 from __future__ import annotations
