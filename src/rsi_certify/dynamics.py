@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
+import scipy  # loads scipy.special on first use, in osgood_classify
 
 from .errors import (
     AmbiguousFlags,
@@ -206,7 +206,7 @@ def osgood_classify(phi: PhiSpec, I0: float) -> OsgoodResult:
             return OsgoodResult(True, math.inf, phi.p)
         # substitute u = ln s: the integral of exp(-(p-1)u) / (c u) du from
         # ln I0 is the exponential integral E1((p-1) ln I0) / c
-        val = exp1((phi.p - 1.0) * math.log(I0)) / phi.c
+        val = scipy.special.exp1((phi.p - 1.0) * math.log(I0)) / phi.c
         return OsgoodResult(False, float(val), phi.p)
 
     # tabulated: trapezoid rule over the table, analytic tail beyond it
@@ -273,7 +273,8 @@ def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
     I0 exp(-log1p(-x)/(p-1)) with x = a0 (p-1) t I0^(p-1), or I0 e^(a0 t)
     at p = 1: (I0^(1-p) - a0 (p-1) t)^(-1/(p-1)) cancels near p = 1.  For
     p > 1 it escapes at T = I0^(1-p)/(a0 (p-1)); times with x >= 1 raise
-    BeyondBlowup.
+    BeyondBlowup.  Where I0^(p-1) is beyond the float range the base is
+    unfactored; it may underflow at t = 0, where the solution is I0.
     """
     if I0 <= 0 or a0 <= 0:
         raise NonPositivePhi("I0 and a0 must be positive")
@@ -283,11 +284,15 @@ def powerlaw_solution(I0: float, a0: float, p: float, t) -> float | np.ndarray:
         x = a0 * delta * t_arr * I0 ** delta
     except OverflowError:   # I0^delta beyond the float range: I0 unfactored
         x, base = None, I0 ** -delta - a0 * delta * t_arr
-    if p > 1.0 and np.any(x >= 1.0 if x is not None else base <= 0):
+    if p > 1.0 and np.any(x >= 1.0 if x is not None
+                          else (base <= 0) & (t_arr != 0.0)):
         T = excess_escape_time(I0, a0, delta)
         raise BeyondBlowup(f"t >= blow-up time {T!r}")
-    out = base ** (-1.0 / delta) if x is None else \
-        I0 * np.exp(-np.log1p(-x) / delta if delta else a0 * t_arr)
+    if x is None:
+        with np.errstate(divide="ignore"):      # 0^(-1/delta) at t = 0
+            out = np.where(t_arr == 0.0, I0, base ** (-1.0 / delta))
+    else:
+        out = I0 * np.exp(-np.log1p(-x) / delta if delta else a0 * t_arr)
     return float(out) if t_arr.ndim == 0 else out
 
 

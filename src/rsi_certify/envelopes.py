@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveTemperature,
     TemperatureOrdering,
 )
-from .estimate import normal_quantile
+from .estimate import alpha_in_range, normal_quantile
 
 K_B = 1.380649e-23  # J/K, exact SI value
 LN2 = math.log(2.0)
@@ -210,8 +210,10 @@ def propagate_uncertainty(rel_errors: dict, alpha: float = 0.05) -> UncertaintyB
     """Combine the five relative calibration errors.
 
     First-order band is their plain sum; the log-normal interval treats them
-    as independent log-scale standard deviations, s^2 = sum(delta_i^2).
+    as independent log-scale standard deviations, s^2 = sum(delta_i^2),
+    at a test level ``alpha`` in (0, 1).
     """
+    alpha_in_range(alpha, "alpha")
     missing = [k for k in DELTA_KEYS if k not in rel_errors]
     if missing:
         raise NegativeDelta(f"missing relative errors: {missing}")

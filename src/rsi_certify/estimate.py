@@ -17,11 +17,11 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import series as ts
 from .errors import (
     AllWindowsDegenerate,
+    ConfigError,
     InsufficientRange,
     NonPositiveSeries,
     SingularDesign,
@@ -30,10 +30,80 @@ from .errors import (
 )
 
 
+# Cephes ndtri (Moshier 1989): P0/Q0 on |q - 1/2| <= 1/2 - exp(-2), and
+# P1/Q1, P2/Q2 in 1/z for z = sqrt(-2 ln q) below and above 8
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189      # exp(-2)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients ``coef`` (highest degree first) at
+    ``x`` in Horner order.  A leading 1.0 gives Cephes' ``p1evl``, since
+    1.0 * x is x."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Cephes ``ndtri``, the standard normal quantile, in Python floats with
+    its operations in its order: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    y, upper = y0, y0 > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242E0        # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
+
+
+def alpha_in_range(alpha, name: str) -> float:
+    """``alpha`` if it lies in (0, 1), else a ConfigError on ``name``."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 @functools.lru_cache
 def normal_quantile(q: float) -> float:
-    """The standard normal quantile at ``q``, computed once per level."""
-    return float(ndtri(q))
+    """The standard normal quantile at ``q``, computed once per level: the
+    Cephes ``ndtri`` algorithm (Moshier 1989, which ``scipy.special.ndtri``
+    wraps) through ``_ndtri``."""
+    return _ndtri(q)
 
 
 WEAK_INSTRUMENT_F = 10.0  # Staiger-Stock rule of thumb for one instrument

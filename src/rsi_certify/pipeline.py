@@ -19,6 +19,7 @@ from . import envelopes as env
 from . import estimate as est
 from . import series as ts
 from .errors import ConfigError, ToolkitError
+from .estimate import alpha_in_range
 
 # (series role in the config, compute_envelope argument, expected unit)
 ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
@@ -31,13 +32,6 @@ def window_in_range(window, name: str) -> float:
     if not 0 < window < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {window!r}")
     return window
-
-
-def alpha_in_range(alpha, name: str) -> float:
-    """``alpha`` if it lies in (0, 1), else a ConfigError on ``name``."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1), got {alpha!r}")
-    return alpha
 
 
 def envelope(c, params, load, alpha) -> env.EnvelopeResult:

@@ -281,13 +281,22 @@ def observer_update(state: ObserverState, phi_svc_hat: float, Phi,
     toward the latest benchmark value by its confidence weight (zero when
     no benchmark arrived this period).
     """
+    return ObserverState(*_observer_estimate(state, phi_svc_hat, Phi,
+                                             benchmark, config, throttle))
+
+
+def _observer_estimate(state: ObserverState, phi_svc_hat: float, Phi,
+                       benchmark: tuple[float, float, float] | None,
+                       config: ControlConfig, throttle: float):
+    """``observer_update``'s estimate and last benchmark, which may not be
+    finite (an escaped benchmark or an overflowing prediction)."""
     predicted = state.I_hat \
         + config.Delta * Phi(state.I_hat) * phi_svc_hat * throttle
     if benchmark is None:
-        return ObserverState(predicted, state.last_benchmark)
+        return predicted, state.last_benchmark
     value, age, confidence = benchmark
-    corrected = predicted + confidence * (value - predicted)
-    return ObserverState(corrected, (value, age, confidence))
+    return (predicted + confidence * (value - predicted),
+            (value, age, confidence))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +447,8 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     actuation latency.  Actions: escalate when the governance elasticity
     exceeds 1 - delta or the QP slack stays positive for the configured
     run of steps; shutdown on a blown antagonism budget, a convergent
-    reciprocal integral of the gain or a sampled state that is not finite.
+    reciprocal integral of the gain, or a sampled state or observer
+    estimate that is not finite.
     """
     if scenario.latency > config.tau_bar + 1e-12:
         raise ValueError("scenario latency exceeds the configured tau_bar")
@@ -457,6 +467,9 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     max_violation = 0.0
     sigma_i, sigma_x = scenario.antagonism
     observer = ObserverState(scenario.I0)
+    # False for a convergent integral, or once the observer's estimate is
+    # not finite
+    may_run = scenario.osgood_ok
     final = "completed"
 
     for k in range(scenario.n_steps):
@@ -472,14 +485,18 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
             benchmark = None
             if k % scenario.benchmark_every == 0:
                 benchmark = (I, 0.0, 1.0)
-            observer = observer_update(
+            I_hat, last = _observer_estimate(
                 observer, phi_svc_hat, phi, benchmark, config,
-                throttle=float(u_prev[0]))
-            I_hat = observer.I_hat
+                float(u_prev[0]))
+            if math.isfinite(I_hat):
+                observer = ObserverState(I_hat, last)
+            else:
+                may_run = False
 
-        # -- governance checks before actuation (a non-finite state escaped)
+        # -- governance checks before actuation (a non-finite state or
+        # estimate escaped)
         action = "certify"
-        if not (scenario.osgood_ok and math.isfinite(I_sample)):
+        if not (may_run and math.isfinite(I_sample)):
             action = "shutdown"
         else:
             # Phi(I_hat) * phi_svc_hat: the gain budget and the barrier row

@@ -3,13 +3,15 @@
 The replaced forms are kept here as ``_reference_*``: the certificate's
 JSON text from an always-walked copy of its dict, ``same_grid`` through
 ``np.allclose``, the sup-Wald scan's prefix sums through fancy gathers,
-and every normal quantile through ``float(ndtri(...))`` at its call site.
+and every normal quantile through ``float(ndtri(...))`` at its call site;
+the package's port of Cephes ``ndtri`` is compared with scipy's in bits.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -189,6 +191,26 @@ def test_sup_wald_scan_matches_gathered_form(runs, n):
 
 # ---------------------------------------------------------------------------
 # normal quantiles
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(0.0, 1.0))
+@example(5e-324)
+@example(1e-300)
+@example(math.exp(-32.0))                   # z = sqrt(-2 ln q) = 8
+@example(math.exp(-2.0))
+@example(1.0 - math.exp(-2.0))
+@example(math.nextafter(1.0, 0.0))
+@example(0.0)
+@example(1.0)
+def test_ndtri_port_is_scipy_ndtri(q):
+    assert est._ndtri(q).hex() == float(ndtri(q)).hex()
+
+
+@pytest.mark.parametrize("q", [-0.25, 1.5, math.nan])
+def test_ndtri_port_is_nan_outside_the_unit_interval(q):
+    assert math.isnan(est._ndtri(q))
+    assert math.isnan(float(ndtri(q)))
 
 
 LEVELS = st.floats(0.0, 1.0) | st.sampled_from([1e-300, 0.5, math.nan])

@@ -1780,8 +1780,9 @@ def test_both_commands_read_one_set_of_config_keys(tmp_path, command):
 
 
 def test_import_loads_no_scipy_stats_or_integrate():
-    # numpy and scipy.special are the runtime needs; scipy.stats and
-    # scipy.integrate would add ~430 modules to every command's start-up
+    # numpy and the top-level scipy package are the import-time needs;
+    # scipy.stats and scipy.integrate would add ~430 modules to every
+    # command's start-up
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = ("import sys, rsi_certify.cli; print(sorted(m for m in sys.modules"
              " if m.startswith(('scipy.stats', 'scipy.integrate'))))")
@@ -1789,6 +1790,19 @@ def test_import_loads_no_scipy_stats_or_integrate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_scipy_special():
+    # the normal quantile is a port of Cephes ndtri; scipy.special is
+    # loaded on first use, for E1 under a power_log Phi with p > 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, rsi_certify.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy.special' or m.startswith('scipy.special.')),"
+             " 'scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[] True"
 
 
 # ---------------------------------------------------------------------------
@@ -1933,6 +1947,27 @@ def test_escaped_plant_shuts_down(tmp_path):
              in (out / "control_log.jsonl").read_text().splitlines()]
     assert summary["final_status"] == "shutdown"
     assert summary["n_steps"] == len(steps) == 2
+    assert [s["action"] for s in steps] == ["certify", "shutdown"]
+    assert steps[-1]["I_true"] == "inf"
+
+
+@pytest.mark.parametrize("benchmark_every", [0, 1, 2])
+def test_escaped_plant_under_the_observer_shuts_down(tmp_path,
+                                                     benchmark_every):
+    # the observer's estimate of an escaped plant is not finite: the run
+    # shuts down as the exact-state run does, with a strict JSON log
+    cfg = {"plant": {"phi": {"kind": "power", "p": 2.0, "c": 1.0},
+                     "I0": 10.0, "n_steps": 5,
+                     "benchmark_every": benchmark_every},
+           "control": {"I_bar": 1e300, "kappa": 1.0, "Delta": 1.0}}
+    out = tmp_path / "out"
+    assert run_quietly(["control-sim", "--config",
+                        write_json(tmp_path / "ctl.json", cfg),
+                        "--out", out]) == (0, [])
+    summary = strict_json((out / "control_summary.json").read_text())
+    steps = [strict_json(line) for line
+             in (out / "control_log.jsonl").read_text().splitlines()]
+    assert summary["final_status"] == "shutdown"
     assert [s["action"] for s in steps] == ["certify", "shutdown"]
     assert steps[-1]["I_true"] == "inf"
 

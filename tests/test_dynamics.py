@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -69,6 +72,28 @@ def test_osgood_power_log_matches_exponential_integral(p, I0, c):
     res = dyn.osgood_classify(dyn.PhiSpec.power_log(p, c), I0)
     assert not res.divergent
     assert abs(res.value - exact) <= 5e-14 * exact
+
+
+def test_osgood_power_log_loads_exp1_on_first_use():
+    # a fresh interpreter: the CLI's import leaves scipy.special unloaded,
+    # and the first power_log classification loads it and gives its E1 in
+    # bits
+    src = os.path.dirname(os.path.dirname(dyn.__file__))
+    probe = (
+        "import math, sys, rsi_certify.cli\n"
+        "from rsi_certify import dynamics as dyn\n"
+        "print('scipy.special' in sys.modules)\n"
+        "I0s = (math.e, 3.0, 10.0, 1e8, 1e300)\n"
+        "got = [dyn.osgood_classify(dyn.PhiSpec.power_log(1.5, 0.5), I0)"
+        ".value for I0 in I0s]\n"
+        "print('scipy.special' in sys.modules)\n"
+        "import scipy.special\n"
+        "print(all(g.hex() == float(scipy.special.exp1(0.5 * math.log(I0))"
+        " / 0.5).hex() for g, I0 in zip(got, I0s)))\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True", "True"]
 
 
 def test_osgood_tabulated_convergent_tail():
@@ -227,6 +252,26 @@ def test_powerlaw_solution_values():
     assert dyn.powerlaw_solution(1.0, 1.0, 2.0, 0.999) == pytest.approx(1000.0)
     with pytest.raises(BeyondBlowup):
         dyn.powerlaw_solution(1.0, 1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("I0, p", [
+    (1e200, 3.0),       # I0^(1-p) underflows to 0
+    (1e200, 2.6),       # to a subnormal
+    (1e-200, -1.0),     # I0^(p-1) = 1e400 with p < 1
+])
+def test_powerlaw_solution_is_I0_at_t0_beyond_the_float_range(I0, p):
+    # I0^(p-1) overflows, so the base is unfactored and may lose I0; at
+    # t = 0 the solution is I0 exactly, element by element for array t
+    with np.errstate(all="raise"):
+        assert dyn.powerlaw_solution(I0, 1.0, p, 0.0) == I0
+        t = np.array([0.0, 1e-300, 0.0]) if p < 1 else np.zeros(2)
+        out = dyn.powerlaw_solution(I0, 1.0, p, t)
+    assert out[0] == out[-1] == I0
+    if p < 1:   # t > 0 is the unfactored form's: (I0^2 + 2 t)^(1/2)
+        assert out[1] == (I0 ** 2 + 2e-300) ** 0.5
+    else:       # the escape time I0^(1-p)/(p-1) lies below 1e-300
+        with pytest.raises(BeyondBlowup):
+            dyn.powerlaw_solution(I0, 1.0, p, np.array([0.0, 1e-300]))
 
 
 def test_powerlaw_degenerate_exponent_limit():

@@ -7,6 +7,7 @@ import pytest
 from rsi_certify import envelopes as env
 from rsi_certify import series as ts
 from rsi_certify.errors import (
+    ConfigError,
     GridMismatch,
     NegativeDelta,
     NonPositiveTemperature,
@@ -192,6 +193,14 @@ def test_propagate_uncertainty_rejects_negative():
     bad["delta_P"] = -0.01
     with pytest.raises(NegativeDelta):
         env.propagate_uncertainty(bad)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
+def test_propagate_uncertainty_refuses_a_level_outside_the_unit_interval(
+        alpha):
+    with pytest.raises(ConfigError) as exc:
+        env.propagate_uncertainty(dict.fromkeys(env.DELTA_KEYS, 0.01), alpha)
+    assert str(exc.value) == f"alpha must lie in (0, 1), got {alpha!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -892,6 +892,59 @@ def test_supervisor_full_confidence_benchmark_lands_on_the_state():
     assert errors == {0: 0.0, 3: 0.0, 6: 0.0, 9: 0.0}
 
 
+def test_supervisor_observer_steps_are_observer_update():
+    # the supervisor's estimate is observer_update's at the throttle it
+    # applied the step before, with a unit-confidence benchmark every 3rd
+    cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
+    phi = dyn.PhiSpec.power(1.5, c=1.0)
+    scenario = sc.PlantScenario(phi=phi, I0=1.0, phi_svc_meas=0.8,
+                                n_steps=30, benchmark_every=3)
+    log = sc.supervise(scenario, cfg)
+    obs, u_prev = sc.ObserverState(1.0), 0.0
+    for s in log.steps:
+        benchmark = (s.I_true, 0.0, 1.0) if s.k % 3 == 0 else None
+        obs = sc.observer_update(obs, 0.8, phi, benchmark, cfg,
+                                 throttle=u_prev)
+        assert obs.I_hat == s.I_hat
+        u_prev = s.u
+
+
+@pytest.mark.parametrize("benchmark_every", [1, 2, 3])
+def test_supervisor_observer_shuts_down_a_plant_that_escapes(benchmark_every):
+    # the plant escapes in the first period; at k = 1 a benchmark (every
+    # step) corrects the estimate to inf, and the run shuts down where it
+    # used to raise "I_hat must be finite"; without one there the estimate
+    # is a finite prediction and the state check shuts it down
+    scenario = sc.PlantScenario(dyn.PhiSpec.power(2.0), 10.0, n_steps=5,
+                                benchmark_every=benchmark_every)
+    log = sc.supervise(scenario, sc.ControlConfig(I_bar=1e300, kappa=1.0,
+                                                  Delta=1.0))
+    assert log.final_status == "shutdown"
+    assert log.actions()[-1] == "shutdown"
+    assert log.steps[-1].I_true == math.inf
+
+
+@pytest.mark.parametrize("I0, n_logged", [(1e155, 1), (1e150, 3)])
+def test_supervisor_observer_shuts_down_when_its_prediction_overflows(
+        I0, n_logged):
+    # no service, so the state stays finite; the observer's prediction
+    # I_hat + Delta Phi(I_hat) phi_svc_meas u overflows (from 1e155, Phi is
+    # inf and inf * 0 at the first step's throttle is nan; from 1e150 the
+    # second prediction is 1e300 and the third inf)
+    scenario = sc.PlantScenario(dyn.PhiSpec.power(2.0), I0, n_steps=5,
+                                benchmark_every=3, phi_svc_true=0.0,
+                                phi_svc_meas=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = sc.supervise(scenario, sc.ControlConfig(I_bar=1e300, kappa=1.0,
+                                                      Delta=1.0))
+    assert log.final_status == "shutdown"
+    assert len(log.steps) == n_logged
+    assert log.steps[-1].I_true == I0
+    assert not math.isfinite(log.steps[-1].I_hat)
+    json.loads(log.to_jsonl().splitlines()[-1],
+               parse_constant=lambda name: pytest.fail(name))
+
+
 def test_supervision_log_jsonl_roundtrip(tmp_path):
     cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
     scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(1.5), I0=1.0,

@@ -11,8 +11,11 @@ On a certify fixture it runs ``certify``, ``estimate`` (the other command
 that reads the certify config), ``report`` (on the ``certificate.json``
 that tree's ``certify`` wrote), ``envelope`` (on the fixture's envelope
 series roles with its ``envelope_params`` as ``params``, where it has
-them) and ``ingest`` (on the fixture's CSV series), and ``certify`` and
-``ingest`` again on a copy of the fixture whose CSV files have CRLF line
+them) and ``ingest`` (on the fixture's CSV series), ``certify`` again with
+its ``phi`` made ``CERTIFY_PHI`` (a ``power_log`` Phi with p > 1, whose
+Osgood integral is the exponential integral E1: the one command path that
+loads ``scipy.special``), where the fixture sets a ``phi``, and ``certify``
+and ``ingest`` again on a copy of the fixture whose CSV files have CRLF line
 ends (``<fixture>-crlf``).  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
@@ -49,6 +52,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-8k", "certify-fleet", "control-1ch", "control-6ch")
 # the series roles the envelope command reads, as the certify config names them
 ENVELOPE_ROLES = ("P_fac", "T", "B_io", "B_mem", "P_use", "COP")
+# the Phi keys set on each certify fixture's phi (its c and domain floor
+# are kept) for the ``<fixture>-power-log`` run
+CERTIFY_PHI = {"kind": "power_log", "p": 1.5}
 # Phi exponents run on each control fixture's plant besides its own p = 2:
 # those Phi evaluates in plain floats, and 2 + 1 ulp, which takes np.power
 PLANT_EXPONENTS = (0.0, 0.5, 1.0, math.nextafter(2.0, math.inf))
@@ -157,6 +163,12 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                          {"series": series,
                                           "params": cfg["envelope_params"]})})
                     runs += ingest_run(rid, d)
+                    if "phi" in cfg:
+                        runs.append({"id": f"{rid}-power-log", "cmd": "certify",
+                                     "config": write_config(
+                                         os.path.join(d, "power-log.json"),
+                                         dict(cfg, phi={**cfg["phi"],
+                                                        **CERTIFY_PHI}))})
                     crlf, crlf_cfg = crlf_copy(d, cfg)
                     runs += [{"id": f"{rid}-crlf", "cmd": "certify",
                               "config": write_config(
