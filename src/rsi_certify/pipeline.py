@@ -1,4 +1,5 @@
-"""The certify derivation, pure: ``profile`` (shared with ``estimate``)
+"""The commands' library entries, pure: ``estimate`` and ``certify`` read
+a config document and check its rules once (``_settings``).  ``_profile``
 is I, its rate, the rolling elasticity profile and its segmentation;
 ``certify`` adds the envelope check (Phi fitted from the envelope if the
 config sets none), the Osgood class, per-segment p_tot, the capital region
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import capability as cap
 from . import certify as ct
+from . import config
 from . import dynamics as dyn
 from . import envelopes as env
 from . import estimate as est
@@ -25,13 +27,6 @@ from .estimate import alpha_in_range
 ENVELOPE_ROLES = (("P_fac", "P_fac", "W"), ("T", "T", "K"),
                   ("B_io", "B_io", "bit/s"), ("B_mem", "B_mem", "bit/s"),
                   ("P_use", "P_use", "W"), ("COP", "cop", None))
-
-
-def window_in_range(window, name: str) -> float:
-    """``window`` if positive and finite, else a ConfigError on ``name``."""
-    if not 0 < window < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {window!r}")
-    return window
 
 
 def envelope(c, params, load, alpha) -> env.EnvelopeResult:
@@ -48,11 +43,46 @@ def envelope(c, params, load, alpha) -> env.EnvelopeResult:
         rel_errors=c.rel_errors and vars(c.rel_errors), alpha=alpha)
 
 
-def profile(c, window, load, alpha, spec) -> tuple:
+def _settings(doc, load, window, alpha, section: str):
+    """The config document ``doc`` read and its rules checked, the window
+    and the test level of ``section`` (an override goes by its CLI flag's
+    name), and the BenchmarkSpec that indexes series.losses."""
+    c = config.read(config.Config, doc)
+    window, name = (window, "--window") if window is not None \
+        else (c.estimation.window, "estimation.window")
+    if window is None:
+        raise ConfigError("missing config key 'estimation.window'")
+    if not 0 < window < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {window!r}")
+    if c.estimation.lag != "auto" and c.estimation.lag < 0:
+        raise ConfigError('estimation.lag must be "auto" or an integer '
+                          f">= 0, got {c.estimation.lag!r}")
+    if c.series.losses is not None and c.benchmark is None:
+        raise ConfigError("series.losses needs config key 'benchmark'")
+    if c.series.losses is None and c.series.capability is None:
+        raise ConfigError("series needs a 'capability' or 'losses' key")
+    if isinstance(c.benchmark, dict):   # weights must sum to 1 where used
+        config._object(cap.BenchmarkSpec, c.benchmark, "benchmark", dict)
+    alpha = alpha_in_range(*(alpha, "--alpha") if alpha is not None
+                           else (getattr(c, section).alpha, f"{section}.alpha"))
+    spec = None if c.series.losses is None else config.read(
+        cap.BenchmarkSpec, c.benchmark if isinstance(c.benchmark, dict)
+        else load.document(c.benchmark), "benchmark")
+    return c, window, alpha, spec
+
+
+def estimate(doc, load, window=None, alpha=None) -> tuple:
+    """The window and test level in use, and the snapshots, rolling
+    elasticity profile and segmentation of the config document ``doc``;
+    ``window`` and ``alpha`` override the config's, as the CLI flags do."""
+    c, window, alpha, spec = _settings(doc, load, window, alpha, "estimation")
+    return (window, alpha, *_profile(c, window, load, alpha, spec)[2:])
+
+
+def _profile(c, window, load, alpha, spec) -> tuple:
     """I and Idot (from loss series indexed by the BenchmarkSpec ``spec``,
     or a direct series), their snapshots, the rolling elasticity profile
     and its regime segmentation."""
-    window_in_range(window, "window"), alpha_in_range(alpha, "alpha")
     roles = c.series
     snapshots = {}
     if roles.losses is not None:
@@ -115,12 +145,23 @@ def _measured_upsilons(roles, load, window) -> dict[str, ct.UpsilonBand]:
     return out
 
 
-def certify(c, window, alpha, load, spec, config_echo) -> tuple:
-    """The certificate of the read config ``c``, which echoes ``config_echo``
-    (plus any capital region note), what ``profile`` gave for ``c``, and the
-    envelope check (None without an envelope layer)."""
+def certify(doc, load, config_path, *, window=None, alpha=None,
+            seed=None) -> tuple:
+    """The certificate of the config document ``doc`` at ``config_path``
+    (its overrides as ``estimate``'s, and ``seed``), which echoes its
+    settings and any capital region note, what ``_profile`` gave for it,
+    and the envelope check (None without an envelope layer)."""
+    c, window, alpha, spec = _settings(doc, load, window, alpha, "certify")
+    config_echo = {"config_path": str(config_path),
+                   "seed": c.seed if seed is None else seed,
+                   "window": window, "alpha": alpha,
+                   "sigma_eff": None if c.envelope_params is None
+                   else c.envelope_params.sigma_eff,
+                   # the sections as written
+                   "certify": doc.get("certify", {}),
+                   "estimation": doc.get("estimation", {})}
     knob, flags = c.certify, c.flags
-    shared = profile(c, window, load, alpha, spec)
+    shared = _profile(c, window, load, alpha, spec)
     i_series, idot, snapshots, prof, segs = shared
     t_on, i_on, rate_on = est.shared_samples(i_series, idot)
     pos = (i_on > 0) & (rate_on > 0)

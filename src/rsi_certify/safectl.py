@@ -295,7 +295,9 @@ def _observer_estimate(state: ObserverState, phi_svc_hat: float, Phi,
     if benchmark is None:
         return predicted, state.last_benchmark
     value, age, confidence = benchmark
-    return (predicted + confidence * (value - predicted),
+    # exact at both ends: at unit confidence the benchmark, however far off
+    return (predicted + confidence * (value - predicted) if confidence < 0.5
+            else value - (1.0 - confidence) * (value - predicted),
             (value, age, confidence))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rsi_certify import capability as cap
-from rsi_certify import cli
+from rsi_certify import config
 from rsi_certify import series as ts
 from rsi_certify.errors import MissingTask, RefOutOfRange
 
@@ -170,7 +170,7 @@ def test_affine_mismatch_reports_instead_of_raising():
 def test_benchmark_spec_validation_and_json():
     spec = cap.BenchmarkSpec(
         (cap.TaskSpec("a", 0.25, 0.5), cap.TaskSpec("b", 0.75, 1.5)), 3.0)
-    spec2 = cli._read(cap.BenchmarkSpec, spec.to_json_dict(), "benchmark")
+    spec2 = config.read(cap.BenchmarkSpec, spec.to_json_dict(), "benchmark")
     assert spec2 == spec
     with pytest.raises(ValueError):
         cap.BenchmarkSpec((cap.TaskSpec("a", 0.5, 1.0),), 0.0)

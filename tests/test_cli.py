@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from rsi_certify import capability as cap
 from rsi_certify import certify as ct
 from rsi_certify import cli
+from rsi_certify import config
 from rsi_certify import dynamics as dyn
 from rsi_certify import estimate as est
 from rsi_certify import pipeline
@@ -580,20 +581,13 @@ def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
     def no_open(*args, **kwargs):
         raise AssertionError("a pure command opened a file")
 
-    c = cli._read(cli.Config, cfg, "")
-    window, alpha = c.estimation.window, c.certify.alpha
-    echo = {"config_path": str(cfg_path), "seed": c.seed, "window": window,
-            "alpha": alpha, "sigma_eff": c.envelope_params
-            and c.envelope_params.sigma_eff, "certify": cfg["certify"],
-            "estimation": cfg["estimation"]}
     with monkeypatch.context() as m:
         m.setattr("builtins.open", no_open)
         outcomes = {"certify": cli.run_certify(cfg, certify_args(cfg_path),
                                                load),
                     "estimate": cli.run_estimate(cfg, certify_args(cfg_path),
                                                  load)}
-        certificate, _, _ = pipeline.certify(c, window, alpha, load, None,
-                                             echo)
+        certificate, _, _ = pipeline.certify(cfg, load, cfg_path)
     for command, outcome in outcomes.items():
         out = tmp_path / command
         assert run([command, "--config", cfg_path, "--out", out]) == \
@@ -606,6 +600,16 @@ def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
         (tmp_path / "certify" / "certificate.json").read_text()
 
 
+# a config fault of each rule between keys, by the message it gives
+BETWEEN_KEYS = {
+    'estimation.lag must be "auto" or an integer >= 0, got -1':
+        {"estimation": {"lag": -1}},
+    "series.losses needs config key 'benchmark'":
+        {"series": {"losses": [{"path": "loss.csv"}]}},
+    "series needs a 'capability' or 'losses' key": {"series": {}},
+}
+
+
 @pytest.mark.parametrize("window, alpha, message", [
     (0.1, 1.5, "alpha must lie in (0, 1), got 1.5"),
     (0.1, 0.0, "alpha must lie in (0, 1), got 0.0"),
@@ -613,24 +617,29 @@ def test_run_certify_is_pure_and_matches_main(tmp_path, monkeypatch,
     (-0.1, 0.05, "window must be positive and finite, got -0.1"),
     (math.nan, 0.05, "window must be positive and finite, got nan"),
     (0.0, 1.5, "window must be positive and finite, got 0.0"),
+    *((0.1, 0.05, message) for message in BETWEEN_KEYS),
 ])
 def test_pipeline_applies_the_range_rules(tmp_path, window, alpha, message):
     # a library caller gets the CLI's located error, not a verdict or
-    # AllWindowsDegenerate; the window is checked first, as the CLI does
-    cfg = json.loads(open(case_a_config(tmp_path)).read())
-    c, load = cli._read(cli.Config, cfg, ""), cli.FileInputs()
+    # AllWindowsDegenerate; the window is checked first, as the CLI does.
+    # The window and level are given as overrides, which an error names by
+    # their CLI flags
+    fault = BETWEEN_KEYS.get(message, {})
+    cfg = dict(json.loads(open(case_a_config(tmp_path)).read()), **fault)
+    load = cli.FileInputs()
     with pytest.raises(cli.ConfigError) as certify_exc:
-        pipeline.certify(c, window, alpha, load, None, {})
-    with pytest.raises(cli.ConfigError) as profile_exc:
-        pipeline.profile(c, window, load, alpha, None)
-    assert str(certify_exc.value) == str(profile_exc.value) == message
+        pipeline.certify(cfg, load, "c.json", window=window, alpha=alpha)
+    with pytest.raises(cli.ConfigError) as estimate_exc:
+        pipeline.estimate(cfg, load, window, alpha)
+    assert str(certify_exc.value) == str(estimate_exc.value) == (
+        message if fault else f"--{message}")
 
 
 @pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
 def test_pipeline_envelope_applies_the_alpha_rule(tmp_path, alpha):
     # a library caller of the envelope gets the CLI's error before any
     # series is read, not interval factors whose lower one is the larger
-    c = cli._read(cli.EnvelopeConfig, envelope_config(tmp_path), "")
+    c = config.read(config.EnvelopeConfig, envelope_config(tmp_path))
 
     def load(*_):
         raise AssertionError("a series was read")
@@ -665,13 +674,13 @@ def test_certify_builds_the_envelope_command_envelope(tmp_path, monkeypatch,
     env_cfg = {"params": cfg["envelope_params"], "series": cfg["series"],
                **{k: cfg[k] for k in ("hard_cap_p_use",) if k in cfg}}
     seen = []
-    compute = cli.env.compute_envelope
+    compute = pipeline.env.compute_envelope
 
     def recording(*args, **kwargs):
         seen.append(compute(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(cli.env, "compute_envelope", recording)
+    monkeypatch.setattr(pipeline.env, "compute_envelope", recording)
     run(["envelope", "--config", write_json(tmp_path / "env.json", env_cfg),
          "--out", tmp_path / "env"])
     assert "warning [envelope]: unconstrained channel" in \
@@ -1603,17 +1612,17 @@ FULL_CERTIFICATE = {
     "data_snapshot_versions": {"capability": "fix01"},
     "notes": ["no envelope series supplied"]}
 # (command, its full config, the declaration it is read by)
-FULL_CONFIGS = ((cli.run_certify, FULL_PIPELINE, cli.Config),
-                (cli.run_control_sim, FULL_CONTROL, cli.ControlSim),
-                (cli.run_envelope, FULL_ENVELOPE, cli.EnvelopeConfig),
-                (cli.run_simulate, FULL_SCENARIO, cli.Scenario),
-                (cli.run_ingest, FULL_INGEST, cli.Ingest),
-                (cli.run_report, FULL_CERTIFICATE, cli.CertificateDoc))
+FULL_CONFIGS = ((cli.run_certify, FULL_PIPELINE, config.Config),
+                (cli.run_control_sim, FULL_CONTROL, config.ControlSim),
+                (cli.run_envelope, FULL_ENVELOPE, config.EnvelopeConfig),
+                (cli.run_simulate, FULL_SCENARIO, config.Scenario),
+                (cli.run_ingest, FULL_INGEST, config.Ingest),
+                (cli.run_report, FULL_CERTIFICATE, config.CertificateDoc))
 
 
 def arms(tp):
     """The types a key of type ``tp`` may hold."""
-    return typing.get_args(tp) if typing.get_origin(tp) in cli.UNIONS \
+    return typing.get_args(tp) if typing.get_origin(tp) in config.UNIONS \
         else (tp,)
 
 
@@ -1625,7 +1634,7 @@ def section_of(tp, name):
         if arm is dict and name == "benchmark":
             return cap.BenchmarkSpec
         if arm is dyn.PhiSpec or dataclasses.is_dataclass(arm):
-            return {dyn.PhiSpec: cli.PowerPhi}.get(arm, arm)
+            return {dyn.PhiSpec: config.PowerPhi}.get(arm, arm)
     return None
 
 
@@ -1644,7 +1653,7 @@ def typed_keys(path, tp):
 def declared_keys(cls, path=()):
     """(key path, type) of every key ``cls`` reads, nested sections and
     the first entry of every array included."""
-    for name, (tp, _) in cli._fields(cls).items():
+    for name, (tp, _) in config._fields(cls).items():
         yield from typed_keys(path + (name,), tp)
 
 
@@ -1661,7 +1670,7 @@ def faults(tp):
     takes = arms(tp)
     out = [[True], *[fault for fault, kind in (
         (True, bool), ("0.5", str), (None, type(None))) if kind not in takes]]
-    if any(cli._shape(arm)[3] is cli.NUMBER for arm in takes):
+    if any(config._shape(arm)[3] is config.NUMBER for arm in takes):
         out += [math.nan, BEYOND_FLOAT] if sc.Unbounded in takes \
             else [math.nan, BEYOND_FLOAT, math.inf, -math.inf]
     return out
@@ -1684,7 +1693,7 @@ def at(doc, path):
 def test_full_configs_set_every_declared_key():
     # the property below reaches every key only if these set each one
     for _, base, decl in FULL_CONFIGS:
-        cli._read(decl, base, "")
+        config.read(decl, base)
         for path, _ in declared_keys(decl):
             at(base, path)
 
@@ -1767,7 +1776,7 @@ def test_both_commands_read_one_set_of_config_keys(tmp_path, command):
                capital={"K0": 1.0, "r": 2.0, "zeta": 0.5},
                exponents={}, cop_model=None, hard_cap_b_mem=None,
                hard_cap_p_use=None, rel_errors=None)
-    assert set(cfg) == set(cli.PIPELINE_KEYS)
+    assert set(cfg) == set(config.PIPELINE_KEYS)
     out = tmp_path / "out"
     assert run([command, "--config", write_json(tmp_path / "ok.json", cfg),
                 "--out", out]) == 0

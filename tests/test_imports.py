@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every defaulted parameter of its functions is set by some call, the json
 module is used by one writer and one reader alone, the certify pipeline
-imports no I/O module and the CLI no numpy.
+and the config reader import no I/O module, the reader and the CLI no
+numpy.
 
 ``__init__`` is left out of the import check: its imports are the
 package's re-exports.
@@ -151,12 +152,23 @@ def imported_modules(source: str) -> set[str]:
     return out
 
 
+def opens(source: str) -> list[int]:
+    """The lines of ``source`` that name ``open``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "open"
+            or isinstance(node, ast.Attribute) and node.attr == "open"]
+
+
 def test_pipeline_does_no_io_and_cli_no_numerics():
     pipeline = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
     assert imported_modules(pipeline).isdisjoint(SHELL_MODULES)
-    assert not [node.lineno for node in ast.walk(ast.parse(pipeline))
-                if isinstance(node, ast.Name) and node.id == "open"
-                or isinstance(node, ast.Attribute) and node.attr == "open"]
+    assert not opens(pipeline)
     cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert "numpy" not in imported_modules(cli)
     assert "os" in imported_modules(cli)    # the scan sees the shell's I/O
+
+
+def test_config_reader_does_no_io_and_no_numerics():
+    config = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert imported_modules(config).isdisjoint({*SHELL_MODULES, "numpy"})
+    assert not opens(config)

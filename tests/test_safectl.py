@@ -945,6 +945,21 @@ def test_supervisor_observer_shuts_down_when_its_prediction_overflows(
                parse_constant=lambda name: pytest.fail(name))
 
 
+def test_supervisor_observer_lands_on_a_benchmark_its_prediction_dwarfs():
+    # no service from 1e150: each step predicts about 1e300, and the
+    # unit-confidence benchmark 1e150 is the estimate; the blend used to
+    # cancel to 1e300 + (1e150 - 1e300) = 0.0, and Phi(0) raised
+    # NonPositivePhi at the next step
+    scenario = sc.PlantScenario(dyn.PhiSpec.power(2.0), 1e150, n_steps=5,
+                                benchmark_every=1, phi_svc_true=0.0,
+                                phi_svc_meas=1.0)
+    log = sc.supervise(scenario, sc.ControlConfig(I_bar=1e300, kappa=1.0,
+                                                  Delta=1.0))
+    assert len(log.steps) == 5
+    assert [s.I_hat for s in log.steps] == [s.I_true for s in log.steps] \
+        == [1e150] * 5
+
+
 def test_supervision_log_jsonl_roundtrip(tmp_path):
     cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
     scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(1.5), I0=1.0,

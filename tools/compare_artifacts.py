@@ -16,7 +16,13 @@ its ``phi`` made ``CERTIFY_PHI`` (a ``power_log`` Phi with p > 1, whose
 Osgood integral is the exponential integral E1: the one command path that
 loads ``scipy.special``), where the fixture sets a ``phi``, and ``certify``
 and ``ingest`` again on a copy of the fixture whose CSV files have CRLF line
-ends (``<fixture>-crlf``).  On a control fixture
+ends (``<fixture>-crlf``), and ``certify`` and ``estimate`` again with
+``--window`` (``FLAG_WINDOW`` times the config's) and ``--alpha`` set, and
+``--seed`` for ``certify`` (``<fixture>-flags``).  On the first certify
+fixture it also runs ``certify`` and ``estimate`` on each of ``FAULTS``, a
+faulty config or a flag out of range (``fault-<name>-<command>``), and
+``envelope`` with ``alpha`` 1.5, so that the error messages and the order
+in which they are reported are compared too.  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
 the plant's exponent set to each of ``PLANT_EXPONENTS``, with each of
@@ -55,6 +61,40 @@ ENVELOPE_ROLES = ("P_fac", "T", "B_io", "B_mem", "P_use", "COP")
 # the Phi keys set on each certify fixture's phi (its c and domain floor
 # are kept) for the ``<fixture>-power-log`` run
 CERTIFY_PHI = {"kind": "power_log", "p": 1.5}
+# the flags of each certify fixture's ``-flags`` runs: --window is this
+# fraction of the config's window
+FLAG_WINDOW = 0.75
+FLAG_ARGS = ("--alpha", "0.1")
+FLAG_SEED = ("--seed", "7")
+
+
+def section(cfg, name, **keys) -> dict:
+    """``cfg`` with ``keys`` set in its section ``name``."""
+    return dict(cfg, **{name: dict(cfg[name], **keys)})
+
+
+# faults run on the first certify fixture (a loss-series config), by name:
+# (the config's change or None, the flags); each is run by certify and
+# estimate.  The window and the test level out of range, by key and by
+# flag; each rule between keys; an unknown benchmark key; and a window
+# fault beside a lag fault, where the window's is reported.
+FAULTS = {
+    "window0": (lambda c: section(c, "estimation", window=0.0), ()),
+    "window-nan": (lambda c: section(c, "estimation", window=math.nan), ()),
+    "window0-flag": (None, ("--window", "0")),
+    "window-nan-flag": (None, ("--window", "nan")),
+    "alpha": (lambda c: section(section(c, "estimation", alpha=1.5),
+                                "certify", alpha=1.5), ()),
+    "alpha-flag": (None, ("--alpha", "1.5")),
+    "lag": (lambda c: section(c, "estimation", lag=-1), ()),
+    "losses-no-benchmark": (lambda c: {k: v for k, v in c.items()
+                                       if k != "benchmark"}, ()),
+    "no-series": (lambda c: dict(c, series={
+        k: v for k, v in c["series"].items() if k != "losses"}), ()),
+    "benchmark-key": (lambda c: section(c, "benchmark", zz_unknown=1.0), ()),
+    "window0-lag": (lambda c: section(c, "estimation", window=0.0, lag=-1),
+                    ()),
+}
 # Phi exponents run on each control fixture's plant besides its own p = 2:
 # those Phi evaluates in plain floats, and 2 + 1 ulp, which takes np.power
 PLANT_EXPONENTS = (0.0, 0.5, 1.0, math.nextafter(2.0, math.inf))
@@ -129,12 +169,36 @@ def ingest_run(rid, d) -> list[dict]:
                                     {"files": files})}] if files else []
 
 
+def envelope_config(cfg, **keys) -> dict:
+    """The envelope config of a certify config's envelope series roles and
+    ``envelope_params``, with ``keys``."""
+    return {"series": {role: cfg["series"][role] for role in ENVELOPE_ROLES
+                       if role in cfg["series"]},
+            "params": cfg["envelope_params"], **keys}
+
+
+def fault_runs(d, cfg) -> list[dict]:
+    """``FAULTS`` on the certify config ``cfg`` of the fixture ``d``, and
+    ``envelope`` with a test level out of range."""
+    runs = []
+    for name, (change, args) in FAULTS.items():
+        config = os.path.join(d, "config.json") if change is None \
+            else write_config(os.path.join(d, f"fault-{name}.json"),
+                              change(cfg))
+        runs += [{"id": f"fault-{name}-{cmd}", "cmd": cmd, "config": config,
+                  "args": list(args)} for cmd in ("certify", "estimate")]
+    return runs + [{"id": "fault-alpha-envelope", "cmd": "envelope",
+                    "config": write_config(
+                        os.path.join(d, "fault-alpha-envelope.json"),
+                        envelope_config(cfg, alpha=1.5))}]
+
+
 def build_runs(seeds, workloads, root) -> list[dict]:
     """Write the fixtures under ``root``; one record per CLI run."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import fixtures
 
-    runs = []
+    runs, faulted = [], False
     for seed in seeds:
         for workload in workloads:
             base = os.path.join(root, "inputs", f"{workload}-s{seed}")
@@ -154,14 +218,10 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                              {"id": f"{rid}-report", "cmd": "report",
                               "config": cert}]
                     if "envelope_params" in cfg:
-                        series = {role: cfg["series"][role]
-                                  for role in ENVELOPE_ROLES
-                                  if role in cfg["series"]}
                         runs.append({"id": f"{rid}-envelope", "cmd": "envelope",
                                      "config": write_config(
                                          os.path.join(d, "envelope.json"),
-                                         {"series": series,
-                                          "params": cfg["envelope_params"]})})
+                                         envelope_config(cfg))})
                     runs += ingest_run(rid, d)
                     if "phi" in cfg:
                         runs.append({"id": f"{rid}-power-log", "cmd": "certify",
@@ -175,6 +235,17 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                   os.path.join(crlf, "config.json"),
                                   crlf_cfg)},
                              *ingest_run(f"{rid}-crlf", crlf)]
+                    window = ("--window",
+                              repr(FLAG_WINDOW * cfg["estimation"]["window"]))
+                    runs += [{"id": f"{rid}-flags", "cmd": "certify",
+                              "config": config,
+                              "args": [*window, *FLAG_ARGS, *FLAG_SEED]},
+                             {"id": f"{rid}-estimate-flags", "cmd": "estimate",
+                              "config": config,
+                              "args": [*window, *FLAG_ARGS]}]
+                    if not faulted:
+                        runs += fault_runs(d, cfg)
+                        faulted = True
                 else:
                     runs += control_runs(rid, d, cfg)
                     for p in PLANT_EXPONENTS:
