@@ -21,8 +21,6 @@ from . import safectl as sc
 from .errors import ConfigError, ToolkitError
 
 
-
-
 def _declare(name: str, label: str | None = None, /, **keys):
     """A frozen declaration of ``keys``, each a type (required) or a (type,
     default) pair; ``label`` names an unknown key of a whole config."""

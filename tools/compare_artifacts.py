@@ -18,7 +18,8 @@ loads ``scipy.special``), where the fixture sets a ``phi``, and ``certify``
 and ``ingest`` again on a copy of the fixture whose CSV files have CRLF line
 ends (``<fixture>-crlf``), and ``certify`` and ``estimate`` again with
 ``--window`` (``FLAG_WINDOW`` times the config's) and ``--alpha`` set, and
-``--seed`` for ``certify`` (``<fixture>-flags``).  On the first certify
+``--seed`` for ``certify`` (``<fixture>-flags``,
+``<fixture>-estimate-flags``).  On the first certify
 fixture it also runs ``certify`` and ``estimate`` on each of ``FAULTS``, a
 faulty config or a flag out of range (``fault-<name>-<command>``), and
 ``envelope`` with ``alpha`` 1.5, so that the error messages and the order
