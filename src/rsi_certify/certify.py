@@ -22,7 +22,7 @@ from .dynamics import OsgoodResult, excess_escape_time
 from .errors import GridMismatch, ZeroGradient
 from .estimate import BreakSegmentation, normal_quantile
 
-DEFAULT_ENVELOPE_TOL = 1e-9
+DEFAULT_ENVELOPE_TOL = 0.05    # relative allowance of a rate over its envelope
 NONBINDING_SLACK = 0.10      # envelope slack fraction that counts as headroom
 NONBINDING_FRACTION = 0.95   # share of samples that must show that headroom
 
@@ -259,8 +259,8 @@ def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,
     """Verify (1 - gamma) * rate <= Phi(I) * phi_svc at every sample.
 
     ``small_gain`` is the antagonistic-feedback factor gamma < 1 that
-    rescales the measured rate; ``tol`` is a multiplicative slack absorbing
-    floating error.  The envelope always MULTIPLIES the state factor by the
+    rescales the measured rate; ``tol`` is a relative allowance: a rate up
+    to (1 + tol) times the envelope passes.  The envelope always MULTIPLIES the state factor by the
     service rate; nothing is ever divided by an envelope.
     """
     if not 0.0 <= small_gain < 1.0:

@@ -49,7 +49,8 @@ Wasserstein = _declare("Wasserstein", gamma=float, L_xi=float, L_rho=float,
                        delta_W=float, safety_delta=(float, 0.1))
 Certify = _declare(
     "Certify", alpha=(float, 0.05), small_gain=(float, 0.0),
-    envelope_tol=(float, 0.05), nonbinding_slack=(float, ct.NONBINDING_SLACK),
+    envelope_tol=(float, ct.DEFAULT_ENVELOPE_TOL),
+    nonbinding_slack=(float, ct.NONBINDING_SLACK),
     nonbinding_fraction=(float, ct.NONBINDING_FRACTION),
     grad_norm=(float, 0.0), wasserstein=_optional(Wasserstein))
 # ct.effective_exponents' arguments, in its order

@@ -35,6 +35,7 @@ DISCRETE_MAX_STEPS = 10_000      # iterate budget of the recursion
 # geometric from the floor to this multiple of it
 ORDER_CHECK_POINTS = 128
 ORDER_CHECK_SPAN = 1e6
+RK4_SUBSTEPS = 16    # PhiSpec.advance's RK4 substeps per period
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,39 @@ class PhiSpec:
                                            self._lg, self._lv))
             out[~inside] = self.c_tail * s_arr[~inside] ** self.p_tail
         return float(out[0]) if scalar else out
+
+    def advance(self, phi_svc: float, u: float, I: float, dt: float) -> float:
+        """The plant dI/dt = Phi(I) * phi_svc * u from I over dt, u held.
+
+        A power Phi = c I^p from a normal I at or above its floor (I^(p-1)
+        is then finite for p < 1), with k = c phi_svc u >= 0, takes the
+        exact flow I (1 - x)^(-1/(p-1)), x = k (p-1) dt I^(p-1), computed as
+        I exp(-log1p(-x)/(p-1)): exact near p = 1 too; inf past the escape
+        time (x >= 1).  Every other Phi and input takes ``RK4_SUBSTEPS``
+        RK4 substeps through ``evaluate``.
+        """
+        if u <= 0 or dt <= 0:
+            return I
+        if self.kind == "power" and I >= self.lowest and I >= 2.0 ** -1022 \
+                and phi_svc >= 0:
+            I, d = float(I), self.p - 1.0
+            kdt = self.c * float(phi_svc) * float(u) * float(dt)
+            try:
+                x = kdt * d * math.pow(I, d)
+                return math.inf if x >= 1 else \
+                    I * math.exp(-math.log1p(-x) / d if d else kdt)
+            except OverflowError:   # pow or exp beyond the float range
+                return I if kdt == 0 else math.inf
+        h = dt / RK4_SUBSTEPS
+        f, half, sixth = self.evaluate, 0.5 * h, h / 6.0
+        y = I
+        for _ in range(RK4_SUBSTEPS):
+            k1 = f(y) * phi_svc * u
+            k2 = f(y + half * k1) * phi_svc * u
+            k3 = f(y + half * k2) * phi_svc * u
+            k4 = f(y + h * k3) * phi_svc * u
+            y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return y
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,12 @@ Cost note: a step pays for its arithmetic only.  The box (bounds, radii and
 rows) is built with the ControlConfig, Phi's evaluator is bound with the
 PhiSpec, and u_ref, the barrier row's buffer and the measured phi_svc are
 set once per run.  Per step remain one Phi(I_hat)*phi_svc, an active QP's
-~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64) and the plant's
-period (a power Phi's exact flow, else 64 RK4 stages).  The QP's dots stay
-numpy calls: OpenBLAS computes a ddot of length < 16 as a sequential fused
-multiply-add, and Python 3.11 has no math.fma to match it.
+~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64), and per hold (two
+under a latency, else one) one Phi for the violation and the plant's
+``PhiSpec.advance`` (a power Phi's exact flow, else 64 RK4 stages per
+period).  The QP's dots stay numpy calls: OpenBLAS computes a ddot of
+length < 16 as a sequential fused multiply-add, and Python 3.11 has no
+math.fma to match it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import series as ts
-from .errors import InfeasibleBox, NoStaticCapPossible
+from .errors import ConfigError, InfeasibleBox, NoStaticCapPossible
 
 
 # a config number that may be infinite: a rate limit or a box bound
@@ -342,7 +344,6 @@ def throttle_cap(phi_spec: dyn.PhiSpec,
 
 
 SLACK_TOL = 1e-9    # a QP slack above this counts toward escalation
-PLANT_SUBSTEPS = 16     # RK4 substeps per control period
 
 
 @dataclass
@@ -361,6 +362,13 @@ class PlantScenario:
     antagonism: tuple[float, float] = (0.0, 0.0)  # (sigma_I, sigma_x)
     ptot_hat: float | None = None         # governance signal, constant
     osgood_ok: bool = True
+
+    def __post_init__(self):
+        for name, least in (("n_steps", 1), ("latency", 0.0),
+                            ("I0", self.phi.domain_floor)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least!r}, got "
+                                 f"{getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -398,45 +406,6 @@ class SupervisionLog:
         per line."""
         return "".join(ts.json_text(vars(s), indent=None) for s in self.steps)
 
-    def write_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-
-def _plant_advance(phi: dyn.PhiSpec, phi_svc: float, u: float, I: float,
-                   dt: float) -> float:
-    """The plant dI/dt = Phi(I) * phi_svc * u over dt with u held.
-
-    A power Phi = c I^p from a normal I at or above its floor (I^(p-1) is
-    then finite for p < 1), with k = c phi_svc u >= 0, takes the exact flow
-    I (1 - x)^(-1/(p-1)), x = k (p-1) dt I^(p-1), as I exp(-log1p(-x)/(p-1)):
-    exact near p = 1 too; inf past the escape time (x >= 1).  Else 16 RK4
-    substeps, through ``evaluate`` or the plain callable.
-    """
-    if u <= 0 or dt <= 0:
-        return I
-    if isinstance(phi, dyn.PhiSpec) and phi.kind == "power" and \
-            I >= phi.lowest and I >= 2.0 ** -1022 and phi_svc >= 0:
-        I, d = float(I), phi.p - 1.0
-        kdt = phi.c * float(phi_svc) * float(u) * float(dt)
-        try:
-            x = kdt * d * math.pow(I, d)
-            return math.inf if x >= 1 else \
-                I * math.exp(-math.log1p(-x) / d if d else kdt)
-        except OverflowError:   # pow or exp beyond the float range
-            return I if kdt == 0 else math.inf
-    h = dt / PLANT_SUBSTEPS
-    f = phi.evaluate if isinstance(phi, dyn.PhiSpec) else phi
-    half, sixth = 0.5 * h, h / 6.0
-    y = I
-    for _ in range(PLANT_SUBSTEPS):
-        k1 = f(y) * phi_svc * u
-        k2 = f(y + half * k1) * phi_svc * u
-        k3 = f(y + half * k2) * phi_svc * u
-        k4 = f(y + h * k3) * phi_svc * u
-        y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
 
 def supervise(scenario: PlantScenario, config: ControlConfig,
               policy: PolicyThresholds = PolicyThresholds()) -> SupervisionLog:
@@ -445,17 +414,20 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     Per sample: synthesize telemetry, update the observer (or use the
     exact state with the configured bounded error), build the barrier row
     a = Phi(I_hat)*phi_svc_hat against the interior budget, filter the
-    reference throttle through the QP, and apply it with the scenario's
-    actuation latency.  Actions: escalate when the governance elasticity
-    exceeds 1 - delta or the QP slack stays positive for the configured
-    run of steps; shutdown on a blown antagonism budget, a convergent
-    reciprocal integral of the gain, or a sampled state or observer
-    estimate that is not finite.
+    reference throttle through the QP, and apply it in holds: the previous
+    command through the scenario's actuation latency, then the new one.
+    Actions: escalate when the governance elasticity exceeds 1 - delta or
+    the QP slack stays positive for the configured run of steps; shutdown
+    on a blown antagonism budget, a convergent reciprocal integral of the
+    gain, or a sampled state or observer estimate that is not finite.  A
+    latency beyond Delta or tau_bar is a ConfigError naming both keys.
     """
-    if scenario.latency > config.tau_bar + 1e-12:
-        raise ValueError("scenario latency exceeds the configured tau_bar")
-    I = scenario.I0
-    phi, floor = scenario.phi, scenario.phi.domain_floor
+    for key in ("Delta", "tau_bar"):
+        if scenario.latency > getattr(config, key) + 1e-12:
+            raise ConfigError(f"plant.latency must be at most control.{key} "
+                              f"{getattr(config, key)!r}, got "
+                              f"{scenario.latency!r}")
+    I, phi, floor = scenario.I0, scenario.phi, scenario.phi.domain_floor
     phi_svc_hat = scenario.phi_svc_true if scenario.phi_svc_meas is None \
         else scenario.phi_svc_meas          # the telemetry value
     u_prev = np.zeros(config.n_channels)
@@ -465,28 +437,26 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     slack_run = 0       # steps in a row whose QP took slack
     governance = scenario.ptot_hat is not None and \
         scenario.ptot_hat > 1.0 - policy.governance_delta
-    max_overshoot = -math.inf
-    max_violation = 0.0
+    max_overshoot, max_violation = -math.inf, 0.0
     sigma_i, sigma_x = scenario.antagonism
     observer = ObserverState(scenario.I0)
     # False for a convergent integral, or once the observer's estimate is
     # not finite
     may_run = scenario.osgood_ok
-    final = "completed"
+
+    def rate(state: float, phi_svc: float) -> float:    # per unit throttle
+        return phi(max(state, floor)) * phi_svc
 
     for k in range(scenario.n_steps):
         t = k * config.Delta
-        I_sample = I
-        max_overshoot = max(max_overshoot, I_sample - config.I_bar)
+        max_overshoot = max(max_overshoot, I - config.I_bar)
 
         # -- state estimate
         if scenario.benchmark_every <= 0:
-            err = scenario.state_error * (1 if k % 2 == 0 else -1)
-            I_hat = I + err
+            I_hat = I + scenario.state_error * (1 if k % 2 == 0 else -1)
         else:
-            benchmark = None
-            if k % scenario.benchmark_every == 0:
-                benchmark = (I, 0.0, 1.0)
+            benchmark = (I, 0.0, 1.0) if k % scenario.benchmark_every == 0 \
+                else None
             I_hat, last = _observer_estimate(
                 observer, phi_svc_hat, phi, benchmark, config,
                 float(u_prev[0]))
@@ -495,57 +465,42 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
             else:
                 may_run = False
 
-        # -- governance checks before actuation (a non-finite state or
-        # estimate escaped)
-        action = "certify"
-        if not (may_run and math.isfinite(I_sample)):
-            action = "shutdown"
-        else:
-            # Phi(I_hat) * phi_svc_hat: the gain budget and the barrier row
-            gain = phi(max(I_hat, floor)) * phi_svc_hat
-            if sigma_i + sigma_x > policy.antagonism_theta * gain:
-                action = "shutdown"
-        if action == "shutdown":
-            steps.append(StepLog(k, t, I_sample, I_hat, 0.0, 0.0, action,
+        # -- governance checks before actuation: a state or estimate that
+        # is not finite (an escape), or a blown antagonism budget
+        if not (may_run and math.isfinite(I)) or sigma_i + sigma_x > \
+                policy.antagonism_theta * (gain := rate(I_hat, phi_svc_hat)):
+            steps.append(StepLog(k, t, I, I_hat, 0.0, 0.0, "shutdown",
                                  0.0, 0.0))
-            final = "shutdown"
-            break
+            return SupervisionLog(steps, "shutdown", max_overshoot,
+                                  max_violation)
 
         # -- barrier QP
         a_row.fill(gain)
         budget = barrier_budget(I_hat, config, sigma_i, sigma_x)
         qp = qp_step(u_ref, u_prev, a_row, budget, config)
-        u_k = qp.u_star
-        u_0 = float(u_k[0])
-
+        u_0 = float(qp.u_star[0])
         slack_run = slack_run + 1 if qp.slack > SLACK_TOL else 0
-        if governance or slack_run >= policy.escalate_consecutive_slack:
-            action = "escalate"
+        action = "escalate" if governance or \
+            slack_run >= policy.escalate_consecutive_slack else "certify"
 
-        # -- per-step violation of the barrier the QP enforces,
-        # rate <= -alpha(I - I_bar), against the TRUE state at
-        # command-application instants (intersample drift is covered by the
-        # L_h * tau_bar margin)
-        def _violation(state: float, command: float) -> float:
-            rate = phi(max(state, floor)) * scenario.phi_svc_true * command
-            return rate + config.alpha(state - config.I_bar)
-
-        # -- actuate with latency: previous command holds during the delay
-        if scenario.latency > 0:
-            step_violation = _violation(I, float(u_prev[0]))
-            I = _plant_advance(phi, scenario.phi_svc_true,
-                               float(u_prev[0]), I, scenario.latency)
-            step_violation = max(step_violation, _violation(I, u_0))
-            I = _plant_advance(phi, scenario.phi_svc_true, u_0, I,
-                               config.Delta - scenario.latency)
-        else:
-            step_violation = _violation(I, u_0)
-            I = _plant_advance(phi, scenario.phi_svc_true, u_0, I,
-                               config.Delta)
+        # -- actuate hold by hold: the previous command through the latency,
+        # then the new one.  Each hold's violation of the barrier the QP
+        # enforces, rate <= -alpha(I - I_bar), is taken against the TRUE
+        # state where the hold starts (intersample drift is covered by the
+        # L_h * tau_bar margin); the period's is the first hold's unless a
+        # later one is larger, as max(first, second) keeps a nan first
+        holds = ((float(u_prev[0]), scenario.latency),
+                 (u_0, config.Delta - scenario.latency)) \
+            if scenario.latency > 0 else ((u_0, config.Delta),)
+        state, violations = I, []
+        for command, dt in holds:
+            violations.append(rate(state, scenario.phi_svc_true) * command
+                              + config.alpha(state - config.I_bar))
+            state = phi.advance(scenario.phi_svc_true, command, state, dt)
+        step_violation = max(violations)
         max_violation = max(max_violation, step_violation)
+        steps.append(StepLog(k, t, I, I_hat, u_0, qp.slack, action, budget,
+                             max(0.0, step_violation)))
+        I, u_prev = state, qp.u_star
 
-        steps.append(StepLog(k, t, I_sample, I_hat, u_0, qp.slack,
-                             action, budget, max(0.0, step_violation)))
-        u_prev = u_k
-
-    return SupervisionLog(steps, final, max_overshoot, max_violation)
+    return SupervisionLog(steps, "completed", max_overshoot, max_violation)

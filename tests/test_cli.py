@@ -912,6 +912,30 @@ def test_control_sim_rejects_keys_it_does_not_read(tmp_path, capsys, changes,
     assert len(err.strip().splitlines()) == 1 and named in err
 
 
+@pytest.mark.parametrize("changes, line", [
+    # a latency past the period ran its first hold for the whole latency,
+    # and the new command never acted
+    ({"plant": ("latency", 0.06), "control": ("tau_bar", 0.06)},
+     "plant.latency must be at most control.Delta 0.05, got 0.06"),
+    ({"plant": ("latency", 0.01)},
+     "plant.latency must be at most control.tau_bar 0.0, got 0.01"),
+    ({"plant": ("latency", -0.01)},
+     "plant.latency must be at least 0.0, got -0.01"),
+    # the floor of phi
+    ({"plant": ("I0", -1.0)}, "plant.I0 must be at least 1e-300, got -1.0"),
+    ({"plant": ("n_steps", 0)}, "plant.n_steps must be at least 1, got 0"),
+    ({"plant": ("n_steps", -2)}, "plant.n_steps must be at least 1, got -2"),
+], ids=["latency-delta", "latency-tau_bar", "latency-negative", "I0-floor",
+        "n_steps-0", "n_steps-negative"])
+def test_control_sim_refuses_a_plant_rule_naming_its_key(tmp_path, changes,
+                                                         line):
+    path = write_json(tmp_path / "ctl.json", control_config(**changes))
+    out = tmp_path / "out"
+    assert run_quietly(["control-sim", "--config", path, "--out", out]) == \
+        (1, [f"error [control-sim]: {line}"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where, key, value", [
     ("control", "Delta", math.nan),
     ("control", "kappa", math.nan),
@@ -1910,10 +1934,6 @@ def infinite_capital_escape(tmp_path):
 
 # case -> (command, config writer, exit code)
 STRICT_CASES = {
-    "control-sim-no-steps": ("control-sim", lambda tmp: {
-        "plant": {"phi": {"kind": "power", "p": 2.0, "c": 2.0}, "I0": 1.0,
-                  "n_steps": 0},
-        "control": {"I_bar": 10.0, "kappa": 1.0, "Delta": 0.02}}, 0),
     "control-sim-escape": ("control-sim", lambda tmp: escaping_plant(), 0),
     "envelope-overflow": ("envelope", lambda tmp: envelope_config(
         tmp, P_max=1e300, T_range=[1e-300, 320.0]), 0),

@@ -2,7 +2,7 @@
 every defaulted parameter of its functions is set by some call, the json
 module is used by one writer and one reader alone, the certify pipeline
 and the config reader import no I/O module, the reader and the CLI no
-numpy.
+numpy, and the supervisor reads no attribute of Phi's spec but its floor.
 
 ``__init__`` is left out of the import check: its imports are the
 package's re-exports.
@@ -172,3 +172,29 @@ def test_config_reader_does_no_io_and_no_numerics():
     config = (PACKAGE / "config.py").read_text(encoding="utf-8")
     assert imported_modules(config).isdisjoint({*SHELL_MODULES, "numpy"})
     assert not opens(config)
+
+
+# ---------------------------------------------------------------------------
+# the supervisor reaches Phi through its call, its floor and its flow
+
+def phispec_data_attributes() -> set[str]:
+    """The attributes ``PhiSpec`` sets on its instances (``self.<name> =``)."""
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text(encoding="utf-8"))
+    spec = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "PhiSpec")
+    return {target.attr for node in ast.walk(spec)
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and getattr(target.value, "id", None) == "self"}
+
+
+def test_safectl_reads_no_phispec_attribute_but_its_floor():
+    attributes = phispec_data_attributes()
+    assert {"kind", "p", "c", "lowest", "evaluate", "grid", "p_tail",
+            "c_tail", "domain_floor"} <= attributes
+    source = (PACKAGE / "safectl.py").read_text(encoding="utf-8")
+    reads = [f"line {node.lineno}: .{node.attr}"
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute)
+             and node.attr in attributes - {"domain_floor"}]
+    assert reads == []

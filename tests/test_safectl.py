@@ -499,7 +499,7 @@ def test_observer_tracks_model_consistent_run():
     for _ in range(40):
         obs = sc.observer_update(obs, 1.0, phi, (I, 0.0, 1.0), cfg)
         assert obs.I_hat == I
-        I = sc._plant_advance(phi, 1.0, 1.0, I, cfg.Delta)
+        I = phi.advance(1.0, 1.0, I, cfg.Delta)
         predicted = sc.observer_update(obs, 1.0, phi, None, cfg)
         worst = max(worst, abs(predicted.I_hat - I) / I)
     # Euler-vs-exact one-step gap for dI = 0.5 I: (Delta*0.5)^2/2 relative
@@ -535,7 +535,7 @@ def test_plant_advance_scalar_path_matches_array_path(p, c, I, svc, u, dt):
     phi = dyn.PhiSpec.power_log(p, c=c)
     via_array = lambda y: float(phi(np.array([y]))[0])  # noqa: E731
     with np.errstate(over="ignore", invalid="ignore"):
-        got = sc._plant_advance(phi, svc, u, I, dt)
+        got = phi.advance(svc, u, I, dt)
         expected = rk4_reference(via_array, svc, u, I, dt)
     np.testing.assert_equal(got, expected)
 
@@ -585,7 +585,7 @@ def test_plant_advance_table_binding_matches_evaluate(kind, p, c, I, svc, u,
     phi = dyn.PhiSpec(kind, p=p, c=c, domain_floor=3.0)
     assume(kind == "power_log" or I < phi.lowest or svc < 0)
     args = [t(v) for t, v in zip(types, (svc, u, I, dt))]
-    assert _advance_outcome(sc._plant_advance, phi, *args) == \
+    assert _advance_outcome(dyn.PhiSpec.advance, phi, *args) == \
         _advance_outcome(rk4_reference, phi.evaluate, *args)
 
 
@@ -619,8 +619,8 @@ def test_plant_closed_form_matches_the_exact_flow(p, c, svc, u, I):
     # to an ulp, where RK4's own error is at the rounding level)
     phi, dt = dyn.PhiSpec.power(p, c=c), 0.02
     exact = exact_flow(p, c, svc, u, I, dt)
-    got = sc._plant_advance(phi, svc, u, I, dt)
-    rk4 = sc._plant_advance(phi.evaluate, svc, u, I, dt)
+    got = phi.advance(svc, u, I, dt)
+    rk4 = rk4_reference(phi.evaluate, svc, u, I, dt)
     assert type(got) is float
     err, rk4_err = (float(abs(y - exact) / exact) for y in (got, rk4))
     assert err <= 1e-15
@@ -634,9 +634,8 @@ def test_plant_closed_form_split_period_is_the_whole_period(p, c, svc, u, I,
     # supervise's latency path: tau then Delta - tau is the whole period
     phi, dt = dyn.PhiSpec.power(p, c=c), 0.02
     tau = frac * dt
-    whole = sc._plant_advance(phi, svc, u, I, dt)
-    split = sc._plant_advance(phi, svc, u,
-                              sc._plant_advance(phi, svc, u, I, tau), dt - tau)
+    whole = phi.advance(svc, u, I, dt)
+    split = phi.advance(svc, u, phi.advance(svc, u, I, tau), dt - tau)
     assert abs(split - whole) <= 4 * math.ulp(whole)
 
 
@@ -645,7 +644,7 @@ def test_plant_closed_form_split_period_is_the_whole_period(p, c, svc, u, I,
 def test_plant_closed_form_without_service_keeps_the_state(p, I):
     phi = dyn.PhiSpec.power(p, c=2.0)
     for svc in (0.0, -0.0):
-        got = sc._plant_advance(phi, svc, 1.0, I, 0.02)
+        got = phi.advance(svc, 1.0, I, 0.02)
         assert type(got) is float and got == I
 
 
@@ -654,7 +653,7 @@ def test_plant_subnormal_state_keeps_rk4():
     # the flow I + k dt is not: a state below the least normal float keeps
     # RK4, as a state below the floor does
     phi = dyn.PhiSpec("power", p=0.0, domain_floor=1e-320)
-    got = sc._plant_advance(phi, 1.0, 1.0, 1e-320, 0.02)
+    got = phi.advance(1.0, 1.0, 1e-320, 0.02)
     assert got == rk4_reference(phi.evaluate, 1.0, 1.0, 1e-320, 0.02)
     assert got == pytest.approx(0.02, rel=1e-15)
 
@@ -671,7 +670,7 @@ def test_plant_closed_form_overflow_is_inf_without_a_warning(p, c, I, dt):
     phi = dyn.PhiSpec.power(p, c=c)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        assert sc._plant_advance(phi, 1.0, 1.0, I, dt) == math.inf
+        assert phi.advance(1.0, 1.0, I, dt) == math.inf
 
 
 def test_supervisor_shuts_down_a_plant_that_escapes_within_a_period():
@@ -960,15 +959,27 @@ def test_supervisor_observer_lands_on_a_benchmark_its_prediction_dwarfs():
         == [1e150] * 5
 
 
-def test_supervision_log_jsonl_roundtrip(tmp_path):
+def test_supervisor_folds_a_period_from_its_first_hold():
+    # Phi(1e155) overflows: the first hold's violation is inf * 0 = nan
+    # (u_prev = 0), the second hold's inf; the fold keeps the first, as
+    # max(nan, inf) does, and max(0.0, nan) logs 0.0
+    cfg = sc.ControlConfig(I_bar=1e300, kappa=1.0, Delta=0.02, tau_bar=0.005)
+    scenario = sc.PlantScenario(dyn.PhiSpec.power(2.0), 1e155, n_steps=5,
+                                latency=0.005)
+    with np.errstate(over="ignore"):
+        log = sc.supervise(scenario, cfg)
+    assert log.actions() == ["certify", "shutdown"]
+    assert log.steps[0].u == 1.0
+    assert log.steps[0].violation_rate == log.max_violation_rate == 0.0
+
+
+def test_supervision_log_jsonl_roundtrip():
     cfg = config(I_bar=5.0, kappa=1.0, Delta=0.1)
     scenario = sc.PlantScenario(phi=dyn.PhiSpec.power(1.5), I0=1.0,
                                 n_steps=20, u_ref=1.0)
     log = sc.supervise(scenario, cfg)
-    path = tmp_path / "run.jsonl"
-    log.write_jsonl(path)
     import json
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines = [json.loads(line) for line in log.to_jsonl().splitlines()]
     assert len(lines) == 20
     assert {"k", "t", "I_true", "I_hat", "u", "slack", "action",
             "budget", "violation_rate"} <= set(lines[0])

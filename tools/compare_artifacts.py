@@ -30,13 +30,16 @@ the plant's exponent set to each of ``PLANT_EXPONENTS``, with each of
 ``PLANT_VARIANTS`` (a control period split by latency, an observer, no or
 negative service, a ``power_log`` plant), with each of ``qp_variants``
 (a rate limit that binds, unequal per-channel boxes, a ceiling below the
-state), and once each on ``OVERFLOW_CONFIG`` and
-``STAGE_OVERFLOW_CONFIG``, plants that overflow first in the supervisor's
-Phi and first in the plant.  So the plant runs both in closed form (a
-``power`` Phi) and in RK4 stages through Phi's evaluator (``power_log``,
-negative service), over whole, split and escaping periods, and the
-barrier QP runs both on the box built with the config and on the box its
-rate window cuts, with and without slack (and escalation).  Every
+state), and once each on ``OVERFLOW_CONFIG``, ``STAGE_OVERFLOW_CONFIG``
+and ``LATENCY_OVERFLOW_CONFIG``, plants that overflow first in the
+supervisor's Phi, first in the plant, and under a latency.  So the plant
+runs both in closed form (a ``power`` Phi) and in RK4 stages through
+Phi's evaluator (``power_log``, negative service), over whole, split and
+escaping periods, and the barrier QP runs both on the box built with the
+config and on the box its rate window cuts, with and without slack (and
+escalation).  On the first control fixture it also runs ``control-sim``
+on each of ``CONTROL_FAULTS`` (``fault-<name>-control-sim``), each a
+plant rule broken, so that those error lines are compared too.  Every
 artifact, exit code, stdout and stderr must be byte-identical between the
 trees.  Prints one line per difference (for a control log, with the
 largest relative difference of its I_true) and a summary; exits 0 when
@@ -112,6 +115,16 @@ PLANT_VARIANTS = {
     "power-log": ({"phi": {"kind": "power_log", "p": 1.5, "c": 0.5},
                    "I0": 3.0}, {}),
 }
+# control-sim faults run on the first control fixture, by name, as plant
+# and control keys set: a latency beyond the period, one beyond tau_bar, a
+# negative one, a state below Phi's floor, and no steps
+CONTROL_FAULTS = {
+    "latency-delta": ({"latency": 0.05}, {"tau_bar": 0.05}),
+    "latency-tau-bar": ({"latency": 0.005}, {}),
+    "latency-negative": ({"latency": -0.005}, {}),
+    "I0-floor": ({"I0": -1.0}, {}),
+    "no-steps": ({"n_steps": 0}, {}),
+}
 
 
 def qp_variants(m) -> dict:
@@ -136,6 +149,18 @@ OVERFLOW_CONFIG = {
 # the plant's first period passes its escape time
 STAGE_OVERFLOW_CONFIG = dict(OVERFLOW_CONFIG, plant=dict(
     OVERFLOW_CONFIG["plant"], I0=1e150))
+
+
+def with_keys(cfg, plant, control) -> dict:
+    """The control config ``cfg`` with ``plant`` and ``control`` keys set."""
+    return dict(cfg, plant=dict(cfg["plant"], **plant),
+                control=dict(cfg["control"], **control))
+
+
+# OVERFLOW_CONFIG under a latency: the first hold's violation, inf * 0, is
+# NaN, and it hides the second hold's inf, as max(nan, inf) does
+LATENCY_OVERFLOW_CONFIG = with_keys(OVERFLOW_CONFIG, {"latency": 0.005},
+                                    {"Delta": 0.02, "tau_bar": 0.005})
 
 
 def write_config(path, obj) -> str:
@@ -199,7 +224,7 @@ def build_runs(seeds, workloads, root) -> list[dict]:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import fixtures
 
-    runs, faulted = [], False
+    runs, faulted, control_faulted = [], False, False
     for seed in seeds:
         for workload in workloads:
             base = os.path.join(root, "inputs", f"{workload}-s{seed}")
@@ -257,14 +282,22 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                     variants = {**PLANT_VARIANTS,
                                 **qp_variants(len(cfg["control"]["u_box"]))}
                     for name, (plant, control) in variants.items():
-                        runs += control_runs(f"{rid}-{name}", d, dict(
-                            cfg, plant=dict(cfg["plant"], **plant),
-                            control=dict(cfg["control"], **control)))
+                        runs += control_runs(f"{rid}-{name}", d,
+                                             with_keys(cfg, plant, control))
+                    if not control_faulted:
+                        runs += [{"id": f"fault-{name}-control-sim",
+                                  "cmd": "control-sim",
+                                  "config": write_config(
+                                      os.path.join(d, f"fault-{name}.json"),
+                                      with_keys(cfg, *keys))}
+                                 for name, keys in CONTROL_FAULTS.items()]
+                        control_faulted = True
     if any(w.startswith("control") for w in workloads):
         d = os.path.join(root, "inputs", "overflow")
         os.makedirs(d)
         runs += control_runs("overflow", d, OVERFLOW_CONFIG)
         runs += control_runs("overflow-stage", d, STAGE_OVERFLOW_CONFIG)
+        runs += control_runs("overflow-latency", d, LATENCY_OVERFLOW_CONFIG)
     return runs
 
 
