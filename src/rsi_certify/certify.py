@@ -260,8 +260,9 @@ def envelope_check(Idot_k: ts.TimeSeries, Phi_of_I_k: ts.TimeSeries,
 
     ``small_gain`` is the antagonistic-feedback factor gamma < 1 that
     rescales the measured rate; ``tol`` is a relative allowance: a rate up
-    to (1 + tol) times the envelope passes.  The envelope always MULTIPLIES the state factor by the
-    service rate; nothing is ever divided by an envelope.
+    to (1 + tol) times the envelope passes.  The envelope always MULTIPLIES
+    the state factor by the service rate; nothing is ever divided by an
+    envelope.
     """
     if not 0.0 <= small_gain < 1.0:
         raise ValueError(f"small_gain={small_gain} outside [0, 1)")

@@ -17,7 +17,8 @@ kappa*(I_bar - I), which shrinks to zero exactly at the boundary.  Both
 orientations agree where it matters (rate <= 0 on the boundary).  With
 exact state and kappa*Delta <= 1 the discrete loop keeps I(t_k) <= I_bar;
 with estimation error bounded by eps_I and latency tau_bar the per-step
-budget violation never exceeds kappa*eps_I + L_h*tau_bar.
+budget violation never exceeds kappa*eps_I + L_h*tau_bar, so supervise
+refuses a plant whose state error or latency exceeds them.
 
 Sampling caveat: the guarantees assume the barrier rate is Lipschitz on the
 operating set over one period.  A zero-order-hold command on a strongly
@@ -28,13 +29,13 @@ period below that scale (it is most restrictive when the state is small).
 Cost note: a step pays for its arithmetic only.  The box (bounds, radii and
 rows) is built with the ControlConfig, Phi's evaluator is bound with the
 PhiSpec, and u_ref, the barrier row's buffer and the measured phi_svc are
-set once per run.  Per step remain one Phi(I_hat)*phi_svc, an active QP's
-~50 numpy calls (~30 us on 6 channels, 2-vCPU x86-64), and per hold (two
-under a latency, else one) one Phi for the violation and the plant's
-``PhiSpec.advance`` (a power Phi's exact flow, else 64 RK4 stages per
-period).  The QP's dots stay numpy calls: OpenBLAS computes a ddot of
-length < 16 as a sequential fused multiply-add, and Python 3.11 has no
-math.fma to match it.
+set, and the plant's rules checked, once per run.  Per step remain one
+Phi(I_hat)*phi_svc, an active QP's ~50 numpy calls (~30 us on 6 channels,
+2-vCPU x86-64), and per hold (two under a latency, else one) one Phi for
+the violation and the plant's ``PhiSpec.advance`` (a power Phi's exact
+flow, else 64 RK4 stages per period).  The QP's dots stay numpy calls:
+OpenBLAS computes a ddot of length < 16 as a sequential fused
+multiply-add, and Python 3.11 has no math.fma to match it.
 """
 
 from __future__ import annotations
@@ -420,13 +421,15 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
     the QP slack stays positive for the configured run of steps; shutdown
     on a blown antagonism budget, a convergent reciprocal integral of the
     gain, or a sampled state or observer estimate that is not finite.  A
-    latency beyond Delta or tau_bar is a ConfigError naming both keys.
+    latency beyond Delta or tau_bar, or a state error beyond eps_I, is a
+    ConfigError naming both keys.
     """
-    for key in ("Delta", "tau_bar"):
-        if scenario.latency > getattr(config, key) + 1e-12:
-            raise ConfigError(f"plant.latency must be at most control.{key} "
-                              f"{getattr(config, key)!r}, got "
-                              f"{scenario.latency!r}")
+    for key, limit in (("latency", "Delta"), ("latency", "tau_bar"),
+                       ("state_error", "eps_I")):
+        if getattr(scenario, key) > getattr(config, limit) + 1e-12:
+            raise ConfigError(f"plant.{key} must be at most control.{limit} "
+                              f"{getattr(config, limit)!r}, got "
+                              f"{getattr(scenario, key)!r}")
     I, phi, floor = scenario.I0, scenario.phi, scenario.phi.domain_floor
     phi_svc_hat = scenario.phi_svc_true if scenario.phi_svc_meas is None \
         else scenario.phi_svc_meas          # the telemetry value
@@ -487,15 +490,16 @@ def supervise(scenario: PlantScenario, config: ControlConfig,
         # then the new one.  Each hold's violation of the barrier the QP
         # enforces, rate <= -alpha(I - I_bar), is taken against the TRUE
         # state where the hold starts (intersample drift is covered by the
-        # L_h * tau_bar margin); the period's is the first hold's unless a
-        # later one is larger, as max(first, second) keeps a nan first
+        # L_h * tau_bar margin); the period's is the largest, and a nan
+        # (an overflowed Phi times a zero throttle) reads as inf
         holds = ((float(u_prev[0]), scenario.latency),
                  (u_0, config.Delta - scenario.latency)) \
             if scenario.latency > 0 else ((u_0, config.Delta),)
         state, violations = I, []
         for command, dt in holds:
-            violations.append(rate(state, scenario.phi_svc_true) * command
-                              + config.alpha(state - config.I_bar))
+            v = rate(state, scenario.phi_svc_true) * command \
+                + config.alpha(state - config.I_bar)
+            violations.append(v if v == v else math.inf)
             state = phi.advance(scenario.phi_svc_true, command, state, dt)
         step_violation = max(violations)
         max_violation = max(max_violation, step_violation)

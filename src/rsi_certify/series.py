@@ -30,13 +30,15 @@ whole series, whose sums would cancel catastrophically on epoch-second
 timestamps, but over blocks about one window wide, each shifted to its own
 origin, so the cancellation is bounded by the block (Chan, Golub & LeVeque
 1983).  The Newey-West lag sums come from prefix sums over the same
-blocks too: the residual products g_i of a window are its 15 coefficients
-dotted with 15 per-sample features, so 120 prefix-summed products of the
-features with their Bartlett-filtered copies give every window's lag sums,
-less a boundary term from 2L samples.  Two passes and one fallback: a
-small call is fitted from its gathered samples and a larger one from the
-prefix sums, and a window whose own rounding bound is over budget is
-refitted whole from its gathered samples.
+blocks too: the Bartlett weights are the autocorrelation of a box of L + 1
+ones, so a meat is the sum of the squared (L + 1)-sample moving sums of
+the residual products g_i, over L + 1 (Newey & West 1987).  g_i is the
+window's 15 coefficients dotted with 15 per-sample features, so 120
+prefix-summed products of the features' moving sums give the moving sums
+inside each window, and running sums of g the L at either end.  Two
+passes and one fallback: a small call is fitted from its gathered samples
+and a larger one from the prefix sums, and a window whose own rounding
+bound is over budget is refitted whole from its gathered samples.
 """
 
 from __future__ import annotations
@@ -595,10 +597,10 @@ class WindowFits(NamedTuple):
 MOMENT_RTOL = 1e-12
 # The same for a Newey-West meat from lag sums.
 LAG_RTOL = 1e-10
-# A lag over LAG_SUMS_MAX_LAG would cost O(L^2) per window in the boundary
-# term of the lag sums, and each distinct lag one more pass over a block:
-# such a window is refitted too.  A step of the lag sums reads at most
-# LAG_SUMS_STEP windows or sample positions, under 200 values each,
+# A lag L costs the lag sums L + 1 passes over a block for the features'
+# moving sums, and each distinct lag one more pass: a window whose lag is
+# over LAG_SUMS_MAX_LAG is refitted too.  A step of the lag sums reads at
+# most LAG_SUMS_STEP windows or sample positions, under 200 values each,
 # whatever the series length.
 LAG_SUMS_MAX_LAG = 32
 LAG_SUMS_STEP = 512
@@ -627,8 +629,9 @@ def windowed_wls(t, x, y, centers, half: float, lo, hi, quality=None,
     Newey-West lag sums too (_lag_sums, O(n) in all).  A window whose
     moments' rounding bound exceeds MOMENT_RTOL (a nearly flat regressor, a
     nearly exact fit), or whose lag sums' exceeds LAG_RTOL (or is nan: a
-    lag below 0 or over LAG_SUMS_MAX_LAG), is refitted whole by _fit_rows
-    from its gathered samples, centred in two passes.
+    lag below 0, over LAG_SUMS_MAX_LAG or over the window's sample count),
+    is refitted whole by _fit_rows from its gathered samples, centred in
+    two passes.
     """
     t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
@@ -778,7 +781,7 @@ def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
               xbar, ybar, slope, lags):
     """Newey-West meats of windows a:b, which read block j of a chunk of
     _window_moments, and bounds on their relative rounding error; nan
-    where the lag is below 0 or over LAG_SUMS_MAX_LAG.
+    where the lag is below 0, over LAG_SUMS_MAX_LAG or over b - a.
 
     The blocks' x shift and y line shift are _window_moments' own; their
     origin is moved on by half, to the middle of the block's window
@@ -786,13 +789,15 @@ def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
     less.  In those coordinates g_i = C . phi_i, for the window's 15
     coefficients C (c0 + c1 u - u^2 = 1 - (u - v)^2 times the expansion of
     (X - xbar)(Y - ybar - slope (X - xbar)) in XY, X^2, X, Y, 1) and the
-    15 per-sample features phi = q u^{0,1,2} (XY, X^2, X, Y, 1).
-    _lag_prefix gives half the meat over a:b plus the pairs (i, i - l)
-    with i - l < a <= i and Bartlett weight k_l = 1 - l/(L+1), which are
-    then taken off, from g at a - L .. a + L - 1.  The bound is
+    15 per-sample features phi = q u^{0,1,2} (XY, X^2, X, Y, 1).  With
+    g = 0 outside a:b, (L + 1) meat = sum_j S_j^2 over the moving sums
+    S_j = g_{j-L} + ... + g_j: _lag_prefix gives those with a + L <= j < b,
+    and running sums of g from a and back from b - 1 the L at either end,
+    which would overlap in a window of fewer than L samples.  The bound is
     2 eps (L + 1) (sum_k |C_k| |phi_k|)^2 over the meat, with |phi_k| the
-    2-norm of feature k over the samples read: by Cauchy-Schwarz, the most
-    that the prefix sums at both ends can hold."""
+    2-norm of feature k over the samples read: by Cauchy-Schwarz, and as a
+    moving sum of L + 1 features has at most L + 1 times their norm, the
+    most that the prefix sums at both ends can hold."""
     meat = np.full(j.size, np.nan)
     bound = np.full(j.size, np.nan)
     v = (centers - origin[j]) / half
@@ -800,10 +805,10 @@ def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
     resid = (np.ones_like(v), -slope, 2.0 * slope * xbar - ybar, -xbar,
              xbar * (ybar - slope * xbar))
     C = np.array([k * r for k in kern for r in resid])
-    for L in np.unique(lags[(lags >= 0) & (lags <= LAG_SUMS_MAX_LAG)]).tolist():
-        lag = L + np.arange(L)[:, None] - np.arange(L)   # i - j, i >= a > j
-        edge_weight = np.where(lag <= L, 1.0 - lag / (L + 1.0), 0.0)
-        mine = np.flatnonzero(lags == L)
+    ok = (lags >= 0) & (lags <= np.minimum(LAG_SUMS_MAX_LAG, b - a))
+    for L in np.unique(lags[ok]).tolist():
+        ends = np.arange(L)
+        mine = np.flatnonzero(ok & (lags == L))
         mine = mine[np.lexsort((a[mine], j[mine]))]
         for w in np.array_split(mine, -(-mine.size // LAG_SUMS_STEP)):
             blocks, row = np.unique(j[w], return_inverse=True)
@@ -814,108 +819,96 @@ def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
                                      x0[k], y0[k], beta[k])
 
             inner, norm = _lag_prefix(features, L, row, at, bt, Cw)
-            # g at a - L .. a + L - 1 (0 from b on), the kernel not clipped
-            # at 0, as in C . phi
+            # g at the head's and the tail's samples, the kernel not
+            # clipped at 0, as in C . phi
             k, c = k[:, None], w[:, None]
             qz, u, X, Y = _block_samples(t, x, y, q, half,
-                                         a[c] + np.arange(-L, L), origin[k],
-                                         x0[k], y0[k], beta[k])
+                                         np.hstack((a[c] + ends,
+                                                    b[c] - 1 - ends)),
+                                         origin[k], x0[k], y0[k], beta[k])
             X -= xbar[c]
             Y -= ybar[c]
             Y -= slope[c] * X
             u -= v[c]
-            g = qz * (1.0 - u * u) * X * Y
-            g[:, L:] *= np.arange(L) < (bt - at)[:, None]
-            edge = np.einsum("wd,de,we->w", g[:, L:], edge_weight, g[:, :L])
-            meat[w] = 2.0 * (inner - edge)
+            edge = (qz * (1.0 - u * u) * X * Y).reshape(w.size, 2, L)
+            np.cumsum(edge, axis=2, out=edge)
+            meat[w] = (inner + np.einsum("wij,wij->w", edge, edge)) / (L + 1)
             mag = (np.abs(Cw) * np.sqrt(norm[:, row])).sum(axis=0) ** 2
             bound[w] = 2.0 * _EPS * (L + 1) * mag / np.abs(meat[w])
     return meat, bound
 
 
-_PAIRS = np.triu_indices(15)   # the pairs j <= k of the 15 lag features
+_PAIRS = np.triu_indices(15)   # the pairs p <= q of the 15 lag features
+_PAIR_WEIGHT = np.where(_PAIRS[0] < _PAIRS[1], 2.0, 1.0)[:, None]
 
 
 def _lag_prefix(features, L, row, at, bt, C):
-    """C'[P(bt) - P(at)]C per window (column of C), at block positions of
-    stacked block row[w], and per block the squared 2-norms of the 15
-    features phi over positions min(at) - L .. max(bt).
+    """C'[Q(bt) - Q(at + L)]C per window (column of C), at block positions
+    of stacked block row[w], and per block the squared 2-norms of the 15
+    features phi over positions min(at) .. max(bt) - 1.
 
-    P(m) sums over positions min(at) <= i < m the 120 products
-    phi_j conv_k + phi_k conv_j for j < k and phi_j conv_j for j = k, with
-    conv_i = phi_i / 2 + sum_{l=1..L} (1 - l/(L+1)) phi_{i-l}; so
-    C'[P(b) - P(a)]C = sum_{a<=i<b} g_i conv_i . C.  The blocks are read
-    together, at most LAG_SUMS_STEP positions in all at a time.  P is
-    needed at every window end, so the products are prefix-summed where the
-    ends lie, up to max(at) and from min(bt); between the two only their
-    sum is needed, and one matrix product per block gives it."""
+    Q(m) sums over positions min(at) + L <= i < m the 120 products
+    Psi_p Psi_q (p <= q) of the moving sums Psi_i = phi_{i-L} + ... + phi_i;
+    with the pairs p < q counted twice, C'[Q(b) - Q(a + L)]C is the sum of
+    (C . Psi_i)^2 over a + L <= i < b.  The blocks are read together, at
+    most LAG_SUMS_STEP positions in all at a time.  Q is needed at every
+    window end, so the products are prefix-summed where the ends lie, up to
+    max(at) + L and from min(bt); between the two only their sum is
+    needed, and one matrix product per block gives it."""
     rows = int(row.max()) + 1
-    bartlett = 1.0 - np.arange(1, L + 1) / (L + 1.0)
-    start, top, stop = int(at.min()), int(at.max()), int(bt.max())
+    start, top, stop = int(at.min()) + L, int(at.max()) + L, int(bt.max())
     mid = max(top, int(bt.min()) - 1)
     width = max(1, LAG_SUMS_STEP // rows)
-    P = np.zeros((120, rows))           # the prefix sums at the piece's start
+    Q = np.zeros((120, rows))           # the prefix sums at the piece's start
     norm = np.zeros((15, rows))
     at_end, bt_end = np.zeros(at.size), np.zeros(at.size)
     for lo, hi, dense in ((start, top, True), (top, mid, False),
                           (mid, stop, True)):
         for p0 in range(lo, hi, width):
             p1 = min(p0 + width, hi)
-            # phi from p0 - L - 1, and phi and conv from p0 - 1 with that
-            # column 0: their products fill whole rows of a piece
-            phi = features(np.arange(p0 - L - 1, p1))
-            here = phi[:, :, L:].copy()
-            here[:, :, 0] = 0.0
-            counted = phi if p0 == start else here
+            # phi from p0 - L, and Psi from p0 - 1 with that column 0: their
+            # products fill whole rows of a piece
+            phi = features(np.arange(p0 - L, p1))
+            counted = phi if p0 == start else phi[:, :, L:]
             norm += np.einsum("krn,krn->kr", counted, counted)
-            conv = 0.5 * here
-            for ell, k in enumerate(bartlett, start=1):
-                conv += k * phi[:, :, L - ell:L - ell + here.shape[2]]
-            conv[:, :, 0] = 0.0
+            psi = np.zeros(phi.shape[:2] + (p1 - p0 + 1,))
+            for ell in range(L + 1):
+                psi[:, :, 1:] += phi[:, :, ell:ell + p1 - p0]
             if not dense:
-                M = here.transpose(1, 0, 2) @ conv.transpose(1, 2, 0)
-                M += np.tril(M, -1).transpose(0, 2, 1)
-                P += M[:, _PAIRS[0], _PAIRS[1]].T
+                M = psi.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)
+                Q += M[:, _PAIRS[0], _PAIRS[1]].T
                 continue
-            piece = np.empty((120,) + here.shape[1:])
-            _sym_products(here.reshape(15, -1), conv.reshape(15, -1),
-                          out=piece.reshape(120, -1))
-            piece[:, :, 0] = P
+            piece = np.empty((120,) + psi.shape[1:])
+            first = 0
+            for p in range(15):
+                np.multiply(psi[p], psi[p:], out=piece[first:first + 15 - p])
+                first += 15 - p
+            piece[:, :, 0] = Q
             np.cumsum(piece, axis=2, out=piece)
-            P = piece[:, :, -1].copy()
-            # C'P(m)C for the windows ending in the piece, a few at a time
-            for m, out in ((at, at_end), (bt, bt_end)):
+            Q = piece[:, :, -1].copy()
+            # C'Q(m)C for the windows ending in the piece, a few at a time
+            for m, out in ((at + L, at_end), (bt, bt_end)):
                 r = np.flatnonzero((m >= p0) & (m <= p1))
                 for r0 in range(0, r.size, LAG_SUMS_STEP // 2):
                     w = r[r0:r0 + LAG_SUMS_STEP // 2]
                     c = C[:, w]
-                    out[w] = np.einsum("pw,pw->w", c[_PAIRS[0]] * c[_PAIRS[1]],
+                    pairs = c[_PAIRS[0]]
+                    pairs *= c[_PAIRS[1]]
+                    pairs *= _PAIR_WEIGHT
+                    out[w] = np.einsum("pw,pw->w", pairs,
                                        piece[:, row[w], m[w] - p0])
     return bt_end - at_end, norm
 
 
-def _sym_products(phi, conv, out):
-    """phi_j conv_k + phi_k conv_j for j < k and phi_j conv_j for j = k,
-    over the pairs in _PAIRS order."""
-    start = 0
-    for jj in range(15):
-        rows = out[start:start + 15 - jj]
-        np.multiply(phi[jj], conv[jj:], out=rows)
-        rows[1:] += phi[jj + 1:] * conv[jj]
-        start += 15 - jj
-    return out
-
-
 def _block_samples(t, x, y, q, half, idx, origin, x0, y0, beta):
-    """q (0 before the series), u, X and Y at samples idx in block
+    """q, u, X and Y at samples idx (clipped to the series) in block
     coordinates as _window_moments takes them: u from the block origin in
     units of half, X = x - x0, Y = y - y0 - beta X."""
-    before = idx < 0
-    idx = np.clip(idx, 0, t.size - 1)
+    idx = np.minimum(idx, t.size - 1)
     X = x[idx] - x0
     Y = y[idx] - y0
     Y -= beta * X
-    return np.where(before, 0.0, q[idx]), (t[idx] - origin) / half, X, Y
+    return q[idx], (t[idx] - origin) / half, X, Y
 
 
 def _lag_features(*samples):

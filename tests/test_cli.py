@@ -921,12 +921,15 @@ def test_control_sim_rejects_keys_it_does_not_read(tmp_path, capsys, changes,
      "plant.latency must be at most control.tau_bar 0.0, got 0.01"),
     ({"plant": ("latency", -0.01)},
      "plant.latency must be at least 0.0, got -0.01"),
+    # the per-step margin kappa eps_I + L_h tau_bar assumes the error
+    ({"plant": ("state_error", 0.05)},
+     "plant.state_error must be at most control.eps_I 0.0, got 0.05"),
     # the floor of phi
     ({"plant": ("I0", -1.0)}, "plant.I0 must be at least 1e-300, got -1.0"),
     ({"plant": ("n_steps", 0)}, "plant.n_steps must be at least 1, got 0"),
     ({"plant": ("n_steps", -2)}, "plant.n_steps must be at least 1, got -2"),
-], ids=["latency-delta", "latency-tau_bar", "latency-negative", "I0-floor",
-        "n_steps-0", "n_steps-negative"])
+], ids=["latency-delta", "latency-tau_bar", "latency-negative",
+        "state_error-eps_I", "I0-floor", "n_steps-0", "n_steps-negative"])
 def test_control_sim_refuses_a_plant_rule_naming_its_key(tmp_path, changes,
                                                          line):
     path = write_json(tmp_path / "ctl.json", control_config(**changes))

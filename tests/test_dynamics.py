@@ -489,6 +489,14 @@ def test_capital_lower_subcritical_labels():
     sat = dyn.capital_lower(dyn.CapitalParams(1.0, 2.0, 0.5, delta=1.0), 4.0)
     assert (sat.label, sat.T_K) == ("bounded", math.inf)
     assert sat.K_lower == pytest.approx((2.0 - math.exp(-2.0)) ** 2)
+    # zeta within 1e-9 of 1 and 2 delta > r: the halved rate fails at K0,
+    # and dK/dt = r K - delta K gives K0 e^{(r - delta) t}
+    decay = dyn.CapitalParams(1.0, 1.0, 1.0 + 1e-10, delta=0.75)
+    assert not decay.halved_rate_holds()
+    off = dyn.capital_lower(decay, np.array([0.0, 2.0, 4.0]))
+    assert (off.label, off.T_K) == ("exponential", math.inf)
+    np.testing.assert_allclose(off.K_lower, np.exp([0.0, 0.5, 1.0]),
+                               rtol=1e-15)
 
 
 def test_capital_lower_beyond_escape():

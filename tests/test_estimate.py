@@ -464,6 +464,11 @@ def test_sup_wald_too_short():
         est.sup_wald_breaks(slope_series_from(np.ones(10)))
 
 
+def test_sup_wald_refuses_an_untabulated_alpha():
+    with pytest.raises(TooShort, match=r"alpha=0\.2; choose from \[0\.01, "):
+        est.sup_wald_breaks(slope_series_from(np.ones(100)), alpha=0.2)
+
+
 def sup_wald_by_loop(y, trim):
     """The scan as a loop over k, the reference for the array form."""
     n = y.size

@@ -959,10 +959,11 @@ def test_supervisor_observer_lands_on_a_benchmark_its_prediction_dwarfs():
         == [1e150] * 5
 
 
-def test_supervisor_folds_a_period_from_its_first_hold():
+def test_supervisor_reads_a_nan_hold_violation_as_inf():
     # Phi(1e155) overflows: the first hold's violation is inf * 0 = nan
-    # (u_prev = 0), the second hold's inf; the fold keeps the first, as
-    # max(nan, inf) does, and max(0.0, nan) logs 0.0
+    # (u_prev = 0), the second hold's inf; a nan reads as a violation, so
+    # the period logs inf, where max(nan, inf) kept the nan and
+    # max(0.0, nan) logged 0.0
     cfg = sc.ControlConfig(I_bar=1e300, kappa=1.0, Delta=0.02, tau_bar=0.005)
     scenario = sc.PlantScenario(dyn.PhiSpec.power(2.0), 1e155, n_steps=5,
                                 latency=0.005)
@@ -970,7 +971,7 @@ def test_supervisor_folds_a_period_from_its_first_hold():
         log = sc.supervise(scenario, cfg)
     assert log.actions() == ["certify", "shutdown"]
     assert log.steps[0].u == 1.0
-    assert log.steps[0].violation_rate == log.max_violation_rate == 0.0
+    assert log.steps[0].violation_rate == log.max_violation_rate == math.inf
 
 
 def test_supervision_log_jsonl_roundtrip():

@@ -86,6 +86,8 @@ def test_ingest_malformed_row_reports_line(tmp_path):
     ("t,value", "0,1\n1,2\n1,3\n", NonMonotoneTime, 5),
     ("t,value", "0,1\n2,2\n1,3\n", NonMonotoneTime, 5),
     ("t,value", "0,1\n\n# note\n0,2\n", NonMonotoneTime, 6),
+    # a cell of the columnar pass's characters that float() refuses
+    ("t,value", "0,1\n1,1e\n", ParseError, 4),
 ])
 def test_ingest_cell_faults_name_their_line(tmp_path, header, rows, error,
                                             line):
@@ -554,9 +556,10 @@ def test_resample_identity_on_native_grid():
 
 
 def test_resample_midpoint():
-    s = make_series([0.0, 1.0], [1.0, 3.0])
+    s = make_series([0.0, 1.0], [1.0, 3.0], weights=[1.0, 0.5])
     r = ts.resample(s, 0.5)
     assert r.values[1] == pytest.approx(2.0)
+    assert r.weights.tolist() == [1.0, 0.75, 0.5]   # interpolated too
 
 
 def test_resample_refuses_extrapolation():

@@ -114,10 +114,11 @@ def test_rolling_elasticity_matches_per_window_reference(
     np.testing.assert_allclose(prof.ses, ref_se, rtol=1e-7, atol=1e-12)
 
 
-@EXAMPLES
-@given(telemetry(), st.booleans())
-def test_elasticity_and_log_slope_match_per_window_reference(data, weighted):
-    t, i_vals, r_vals, window = data
+def check_elasticity_and_log_slope(t, i_vals, r_vals, window, weighted):
+    """elasticity against wls_slope per window, and log_slope's window at
+    the middle sample against wls_slope (slope) and extended_fits (se):
+    on an exact fit the kernel's se is ~1e-31, and wls_slope's rounds to
+    ~1e-15."""
     rng = np.random.default_rng(t.size)
     q = rng.uniform(0.0, 1.0, t.size) if weighted else None
     x = ts.TimeSeries("x", "u", t, np.abs(i_vals) + 0.5, q)
@@ -155,9 +156,31 @@ def test_elasticity_and_log_slope_match_per_window_reference(data, weighted):
         return
     pt = ts.log_slope(x, window, c)
     w = ts.epanechnikov((t[mask] - c) / half) * qual[mask]
-    slope, _, se, _ = ts.wls_slope(t[mask] - c, lx[mask], w)
+    slope, _, _, _ = ts.wls_slope(t[mask] - c, lx[mask], w)
+    lo, hi = np.flatnonzero(mask)[[0, -1]] + [0, 1]
+    with np.errstate(invalid="ignore"):    # cond is 0/0 on an exact fit
+        se = extended_fits(t, t, lx, [c], half, [lo], [hi], qual, None)[2, 0]
     assert pt.slope == pytest.approx(slope, rel=1e-9, abs=1e-12)
     assert pt.se == pytest.approx(se, rel=1e-7, abs=1e-15)
+
+
+@EXAMPLES
+@given(telemetry(), st.booleans())
+def test_elasticity_and_log_slope_match_per_window_reference(data, weighted):
+    check_elasticity_and_log_slope(*data, weighted)
+
+
+def test_log_slope_of_an_exact_fit_matches_extended_precision():
+    # a weighted 12-sample draw whose log_slope window holds 3 equal values:
+    # the fit is exact, the kernel's se 3.8e-31, and wls_slope's 1.7e-15
+    rng = np.random.default_rng(20)
+    t = 1.53067973 + np.concatenate([[0.0],
+                                     np.cumsum(rng.uniform(0.2, 2.0, 11))])
+    lx = np.cumsum(rng.normal(0.0, 0.3, t.size))
+    lx[4:] = math.log(3.59505345)
+    r_vals = np.exp(1.5 * lx + rng.normal(0.0, 0.05, t.size))
+    check_elasticity_and_log_slope(t, np.exp(lx), r_vals, 1.31728162680339,
+                                   True)
 
 
 @EXAMPLES
@@ -409,11 +432,13 @@ def lag_inputs(draw):
 
 def lag_path_fits(t, x, y, centers, half, lo, hi, quality, lags):
     """windowed_wls with every window on the moments and lag sums, and the
-    windows whose lag sums passed their bound."""
-    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1):
-        fit = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
+    windows whose lag sums passed their bound.  The bound's feature norms
+    run over the positions that a window's block is read at with the other
+    blocks of its chunk, so the moments are taken in the same chunks."""
     a, b = ts.window_bounds(t, centers, half, rtol=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1), \
+            np.errstate(divide="ignore", invalid="ignore"):
+        fit = ts.windowed_wls(t, x, y, centers, half, lo, hi, quality, lags)
         out = ts._window_moments(t, x, y, centers, half, a, b, quality, lags)
     return fit, (out[10] <= ts.LAG_RTOL) & (out[11] <= ts.MOMENT_RTOL)
 
@@ -448,9 +473,7 @@ def lag_fixture(n=600, noise=0.1, start=1.7e9, seed=5, half=40.0):
 @pytest.mark.parametrize("rule", ["0", "1", "auto", "mixed"])
 def test_lag_sums_take_nearly_every_window(rule):
     # the lag sums take nearly every window of a noisy fit, the first ones
-    # (which start before sample L) included.  (With L = k - 2 they take
-    # few: the normal equations make sum g_i = 0, so a Bartlett sum over the
-    # whole window cancels, and the bound sends it to _fit_rows.)
+    # (which start before sample L) included
     t, x, y, centers, half, lo, hi = lag_fixture()
     k = hi - lo
     lags = {"0": np.zeros_like(k), "1": np.ones_like(k),
@@ -466,17 +489,18 @@ def test_lag_sums_take_nearly_every_window(rule):
 
 def test_windows_over_either_bound_are_refitted_whole():
     # residuals 1e-9 of a regressor of order 1 put every window over the
-    # moments' bound; a noisy fit with L = k - 2 passes that bound, but its
-    # lag sums cancel (the normal equations make sum g_i = 0) and nearly
-    # every window is over theirs.  Either way the window is refitted from
-    # its gathered samples, every field as _fit_rows gives it.
-    for noise, half, rule in ((1e-9, 40.0, est.auto_lags),
-                              (0.1, 10.0, lambda k: k - 2)):
+    # moments' bound; a noisy fit with L = k - 2 passes that bound, and
+    # its lag sums take most windows, but not those at the series' ends.
+    # Either way a window over a bound is refitted from its gathered
+    # samples, every field as _fit_rows gives it.
+    for noise, half, rule, shares, rtol in (
+            (1e-9, 40.0, est.auto_lags, (0.0, 0.05), 1e-6),
+            (0.1, 10.0, lambda k: k - 2, (0.85, 0.95), 1e-9)):
         t, x, y, centers, half, lo, hi = lag_fixture(noise=noise, half=half)
         lags = rule(hi - lo)
         fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None,
                                      lags)
-        assert by_sums.mean() < 0.05
+        assert shares[0] <= by_sums.mean() < shares[1]
         for k in np.flatnonzero(~by_sums):
             a, b = lo[k], hi[k]
             w = ts.epanechnikov((t[a:b] - centers[k]) / half)
@@ -484,13 +508,29 @@ def test_windows_over_either_bound_are_refitted_whole():
                                lags[[k]])
             assert [f[k] for f in fit] == [r[0] for r in ref]
         ref = extended_fits(t, x, y, centers, half, lo, hi, None, lags)[2]
-        np.testing.assert_allclose(fit.se, ref, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(fit.se, ref, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("past", [-1, 0, 3])
+def test_lags_at_or_past_the_window_length(past):
+    # L = k - 1 and L = k leave the lag sums' head and tail side by side;
+    # L = k + 3 would overlap them and count their sums twice, so such a
+    # window takes the gathered refit.  Either way the error is the
+    # gathered one.
+    t, x, y, centers, half, lo, hi = lag_fixture(half=10.0)
+    lags = np.minimum(hi - lo + past, ts.LAG_SUMS_MAX_LAG)
+    fit, by_sums = lag_path_fits(t, x, y, centers, half, lo, hi, None, lags)
+    with mock.patch.object(ts, "WINDOW_BLOCK_ELEMENTS", 1 << 40):
+        ref = ts.windowed_wls(t, x, y, centers, half, lo, hi, None, lags)
+    assert by_sums.mean() > 0.8 if past <= 0 else not by_sums.any()
+    np.testing.assert_allclose(fit.se, ref.se, rtol=1e-9, atol=0)
 
 
 def test_lag_over_the_cap_skips_the_lag_sums():
-    # a lag above LAG_SUMS_MAX_LAG would cost O(L^2) per window in the
-    # boundary term and a pass per distinct lag: such windows take the
-    # gathered pass, and the lag sums never see their lag
+    # a lag above LAG_SUMS_MAX_LAG would cost L + 1 passes over its
+    # windows' blocks for the moving sums, and a pass per distinct lag:
+    # such windows take the gathered pass, and the lag sums never see
+    # their lag
     t, x, y, centers, half, lo, hi = lag_fixture()
     lags = np.where(np.arange(t.size) % 2, ts.LAG_SUMS_MAX_LAG + 8, 3)
     seen = []

@@ -41,15 +41,19 @@ escalation).  On the first control fixture it also runs ``control-sim``
 on each of ``CONTROL_FAULTS`` (``fault-<name>-control-sim``), each a
 plant rule broken, so that those error lines are compared too.  Every
 artifact, exit code, stdout and stderr must be byte-identical between the
-trees.  Prints one line per difference (for a control log, with the
-largest relative difference of its I_true) and a summary; exits 0 when
-there is none, 1 otherwise.
+trees.  Prints one line per difference and a summary; exits 0 when there
+is none, 1 otherwise.  A control log's line gives the largest relative
+difference of its I_true.  A certify or estimate artifact's (``.csv`` or
+``.json``) ends "numbers only, largest relative difference R" when the
+two have the same keys, columns, lengths and non-numeric values, else
+"structure differs"; the summary counts both kinds.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -117,11 +121,13 @@ PLANT_VARIANTS = {
 }
 # control-sim faults run on the first control fixture, by name, as plant
 # and control keys set: a latency beyond the period, one beyond tau_bar, a
-# negative one, a state below Phi's floor, and no steps
+# negative one, a state error beyond eps_I, a state below Phi's floor, and
+# no steps
 CONTROL_FAULTS = {
     "latency-delta": ({"latency": 0.05}, {"tau_bar": 0.05}),
     "latency-tau-bar": ({"latency": 0.005}, {}),
     "latency-negative": ({"latency": -0.005}, {}),
+    "state-error-eps-i": ({"state_error": 0.005}, {}),
     "I0-floor": ({"I0": -1.0}, {}),
     "no-steps": ({"n_steps": 0}, {}),
 }
@@ -158,7 +164,7 @@ def with_keys(cfg, plant, control) -> dict:
 
 
 # OVERFLOW_CONFIG under a latency: the first hold's violation, inf * 0, is
-# NaN, and it hides the second hold's inf, as max(nan, inf) does
+# NaN, which reads as inf, as the second hold's is
 LATENCY_OVERFLOW_CONFIG = with_keys(OVERFLOW_CONFIG, {"latency": 0.005},
                                     {"Delta": 0.02, "tau_bar": 0.005})
 
@@ -365,7 +371,9 @@ def files_under(d) -> dict:
 
 
 def compare(runs, outs, results) -> list[str]:
-    """One line per artifact, exit code, stdout or stderr that differs."""
+    """One line per artifact, exit code, stdout or stderr that differs; a
+    differing certify or estimate artifact (.csv or .json) says whether
+    only its numbers moved."""
     diffs = []
     for r in runs:
         rid = r["id"]
@@ -385,6 +393,10 @@ def compare(runs, outs, results) -> list[str]:
                          "differs")
                 if state == "differs" and name == "control_log.jsonl":
                     state += f" ({state_move(p_files[name], c_files[name])})"
+                elif state == "differs" and name.endswith((".csv", ".json")) \
+                        and r["cmd"] in ("certify", "estimate"):
+                    state += ", " + number_move(name, p_files[name],
+                                                c_files[name])
                 diffs.append(f"{rid}/{name}: {state}")
     return diffs
 
@@ -401,6 +413,60 @@ def state_move(parent: bytes, change: bytes) -> str:
     if len(p_run) != len(c_run):
         text += f", {len(p_run)} steps != {len(c_run)}"
     return text
+
+
+def tokens(name, data: bytes) -> list:
+    """The parts of a .json or .csv artifact in order: each key, each
+    list's or row's length, each value or cell, the numbers as floats."""
+    out = []
+
+    def walk(v):
+        if isinstance(v, dict):
+            for key, item in v.items():
+                out.append(("key", key))
+                walk(item)
+        elif isinstance(v, list):
+            out.append(("length", len(v)))
+            for item in v:
+                walk(item)
+        else:
+            out.append(float(v) if isinstance(v, (int, float))
+                       and not isinstance(v, bool) else ("value", v))
+
+    text = data.decode("utf-8")
+    if name.endswith(".json"):
+        walk(json.loads(text))
+    else:
+        for row in csv.reader(text.splitlines()):
+            out.append(("length", len(row)))
+            for cell in row:
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    out.append(("value", cell))
+    return out
+
+
+def number_move(name, parent: bytes, change: bytes) -> str:
+    """Whether only the numbers of two artifacts moved: "numbers only"
+    and their largest relative difference, when the two have the same
+    keys, columns, lengths and non-numeric values, else "structure
+    differs"."""
+    try:
+        p_parts, c_parts = tokens(name, parent), tokens(name, change)
+    except ValueError:
+        return "structure differs"
+    if len(p_parts) != len(c_parts):
+        return "structure differs"
+    move = 0.0
+    for p, c in zip(p_parts, c_parts):
+        if isinstance(p, float) and isinstance(c, float):
+            if p != c and not (math.isnan(p) and math.isnan(c)):
+                rel = abs(c - p) / abs(p) if p else math.inf
+                move = max(move, rel if rel == rel else math.inf)
+        elif p != c:
+            return "structure differs"
+    return f"numbers only, largest relative difference {move:.3g}"
 
 
 def main(argv=None) -> int:
@@ -429,9 +495,12 @@ def main(argv=None) -> int:
                       for r in runs)
     for line in diffs:
         print(line)
+    numbers = sum("numbers only" in line for line in diffs)
+    structure = sum(line.endswith("structure differs") for line in diffs)
     print(f"{len(runs)} runs ({n_files} artifacts per tree) on seeds "
           f"{' '.join(map(str, args.seeds))}: "
-          + (f"{len(diffs)} difference(s)" if diffs else "byte-identical"))
+          + (f"{len(diffs)} difference(s), {numbers} numbers only, "
+             f"{structure} structure differs" if diffs else "byte-identical"))
     return 1 if diffs else 0
 
 
