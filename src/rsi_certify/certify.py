@@ -12,8 +12,10 @@ as inconclusive with both facts attached.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
+from typing import ClassVar, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -325,60 +327,83 @@ def manifold_distance(ptot_value: float, grad_norm: float) -> float:
 # final decision
 
 
+# The records of certificate.json, its one declaration: each field is a key
+# of the document under its own name, typed as ``report`` reads it back
+# (config.read), where a non-finite number is one of three strings.
+NUM = float | Literal["inf", "-inf", "nan"]
+LABEL = Literal["reject", "fail_to_reject"]
+
+
+def _document(record) -> dict:
+    """``record``'s fields by name, each record among them, alone or in a
+    sequence, as a document in turn: the one walk that writes them."""
+    doc = vars(record).copy()
+    for key, many in _nested(type(record)):
+        value = doc[key]
+        doc[key] = list(map(_document, value)) if many else _document(value)
+    return doc
+
+
+@functools.cache
+def _nested(cls) -> tuple:
+    """(name, whether a sequence) of the fields of ``cls`` typed as records."""
+    return tuple((name, get_origin(tp) is tuple)
+                 for name, tp in get_type_hints(cls).items()
+                 if is_dataclass((get_args(tp) or (tp,))[0]))
+
+
 @dataclass
-class SegmentRecord:
-    """Evidence collected for one regime segment."""
+class SegmentTests:
+    superlinearity_plus: LABEL
+    superlinearity_minus: LABEL
+    margin_minus: NUM       # of the lower elasticity's test
 
-    t_start: float
-    t_end: float
-    ptot: PtotEstimate
-    super_test_plus: TestOutcome
-    super_test_minus: TestOutcome
-    envelope_pass_fraction: float
-    envelope_nonbinding: bool
-    envelope_disabled: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "range": [self.t_start, self.t_end],
-            "ptot_minus": self.ptot.minus,
-            "ptot_plus": self.ptot.plus,
-            "se_minus": self.ptot.se_minus,
-            "se_plus": self.ptot.se_plus,
-            "components_minus": dict(self.ptot.components_minus),
-            "components_plus": dict(self.ptot.components_plus),
-            "tests": {
-                "superlinearity_plus": self.super_test_plus.label,
-                "superlinearity_minus": self.super_test_minus.label,
-                "margin_minus": self.super_test_minus.margin,
-            },
-            "envelope": {
-                "pass_fraction": self.envelope_pass_fraction,
-                "nonbinding": self.envelope_nonbinding,
-                "disabled": self.envelope_disabled,
-            },
-        }
+@dataclass
+class SegmentEnvelope:
+    pass_fraction: NUM
+    nonbinding: bool
+    disabled: bool          # no envelope series given
+
+
+@dataclass
+class Segment:              # the evidence of [range[0], range[1])
+    range: tuple[NUM, NUM]
+    components_minus: dict
+    components_plus: dict
+    ptot_minus: NUM
+    ptot_plus: NUM
+    se_minus: NUM
+    se_plus: NUM
+    tests: SegmentTests
+    envelope: SegmentEnvelope
+
+
+@dataclass
+class Margins:              # None where not evaluated
+    ptot_margin: NUM
+    manifold_distance: NUM | None
+    wasserstein_margin: NUM | None
 
 
 @dataclass
 class Certificate:
     """The regime verdict with every supporting record attached."""
 
-    verdict: str
-    segments: list[SegmentRecord]
-    envelope_pass_fraction: float
-    margins: dict
+    label: ClassVar[str] = "certificate"    # as report names an unknown key
+    verdict: Literal[VERDICT_NONSINGULAR, VERDICT_SINGULAR,
+                     VERDICT_INCONCLUSIVE]
+    segments: tuple[Segment, ...]
+    envelope_pass_fraction: NUM
+    margins: Margins
     osgood_divergent: bool
-    event_bound: float | None = None
-    capital_escape_time: float | None = None
-    config_echo: dict = field(default_factory=dict)
-    data_snapshot_versions: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    event_bound: NUM | None
+    capital_escape_time: NUM | None
+    config_echo: dict
+    data_snapshot_versions: dict
+    notes: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        """Each field under its own name, the segments as documents."""
-        return {**vars(self),
-                "segments": [s.to_json_dict() for s in self.segments]}
+    to_json_dict = _document
 
 
 def decide(ptots: PtotEstimate | list[PtotEstimate],
@@ -422,48 +447,48 @@ def decide(ptots: PtotEstimate | list[PtotEstimate],
         lo, hi = np.searchsorted(envelope.t, np.reshape(seg_ranges, (-1, 2)).T)
         fracs, nonbinding = (a.tolist() for a in envelope.evidence(
             lo, hi, nonbinding_slack, nonbinding_fraction))
-    records = [SegmentRecord(t_lo, t_hi, pt,
-                             test_superlinearity(pt.plus, pt.se_plus, alpha),
-                             test_superlinearity(pt.minus, pt.se_minus, alpha),
-                             frac, nonbind, envelope_disabled)
-               for (t_lo, t_hi), pt, frac, nonbind
-               in zip(seg_ranges, ptots, fracs, nonbinding)]
+    records, singular = [], False
+    for (t_lo, t_hi), pt, frac, nonbind in zip(seg_ranges, ptots, fracs,
+                                               nonbinding):
+        minus = test_superlinearity(pt.minus, pt.se_minus, alpha)
+        singular |= minus.reject and nonbind
+        records.append(Segment(
+            (t_lo, t_hi), pt.components_minus, pt.components_plus, pt.minus,
+            pt.plus, pt.se_minus, pt.se_plus, SegmentTests(
+                test_superlinearity(pt.plus, pt.se_plus, alpha).label,
+                minus.label, minus.margin),
+            SegmentEnvelope(frac, nonbind, envelope_disabled)))
 
     osgood_divergent = bool(osgood.divergent)
-    all_subcritical = all(r.ptot.plus <= 1.0 + 1e-12 for r in records)
-    all_envelopes_verified = all(r.envelope_pass_fraction >= 1.0 - 1e-12
+    all_subcritical = all(r.ptot_plus <= 1.0 + 1e-12 for r in records)
+    all_envelopes_verified = all(r.envelope.pass_fraction >= 1.0 - 1e-12
                                  for r in records) and not envelope_disabled
-    singular_segments = [r for r in records
-                         if r.super_test_minus.reject and r.envelope_nonbinding]
 
     if all_subcritical and all_envelopes_verified and osgood_divergent:
         verdict = VERDICT_NONSINGULAR
-    elif singular_segments:
+    elif singular:
         verdict = VERDICT_SINGULAR
     else:
         verdict = VERDICT_INCONCLUSIVE
-        if not all_subcritical and not singular_segments:
+        if not all_subcritical:
             notes.append("superlinear upper elasticity without a "
                          "test-confirmed superlinear segment")
         if not all_envelopes_verified and not envelope_disabled:
             notes.append("envelope verification incomplete")
 
-    worst_plus = max(r.ptot.plus for r in records)
-    margins = {"ptot_margin": 1.0 - worst_plus,
-               "manifold_distance": None,
-               "wasserstein_margin": None}
-    if extra_margins:
-        margins.update(extra_margins)
+    margins = Margins(**{"ptot_margin": 1.0 - max(r.ptot_plus for r in records),
+                         "manifold_distance": None,
+                         "wasserstein_margin": None, **(extra_margins or {})})
 
-    overall_frac = (1.0 if envelope_disabled else envelope.pass_fraction)
     return Certificate(
         verdict=verdict,
-        segments=records,
-        envelope_pass_fraction=overall_frac,
+        segments=tuple(records),
+        envelope_pass_fraction=(1.0 if envelope_disabled
+                                else envelope.pass_fraction),
         margins=margins,
         osgood_divergent=osgood_divergent,
         event_bound=event_bound if verdict == VERDICT_SINGULAR else None,
         capital_escape_time=capital_escape_time,
         config_echo=config_echo or {},
         data_snapshot_versions=snapshot_versions or {},
-        notes=notes)
+        notes=tuple(notes))

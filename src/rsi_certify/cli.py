@@ -138,10 +138,10 @@ def run_certify(cfg, args, load) -> Outcome:
             "t": check.t, "slack_fraction": check.slack,
             "passed": check.passed})
     artifacts["segments.csv"] = ts.csv_text({
-        "t_start": [r.t_start for r in certificate.segments],
-        "t_end": [r.t_end for r in certificate.segments],
-        "ptot_minus": [r.ptot.minus for r in certificate.segments],
-        "ptot_plus": [r.ptot.plus for r in certificate.segments]})
+        "t_start": [s.range[0] for s in certificate.segments],
+        "t_end": [s.range[1] for s in certificate.segments],
+        "ptot_minus": [s.ptot_minus for s in certificate.segments],
+        "ptot_plus": [s.ptot_plus for s in certificate.segments]})
     artifacts["report.txt"] = render_report(document)
     return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
                    artifacts)
@@ -225,7 +225,7 @@ def run_control_sim(cfg, args, load) -> Outcome:
 
 def run_report(cfg, args, load) -> Outcome:
     try:
-        config.read(config.CertificateDoc, cfg)
+        config.read(ct.Certificate, cfg)
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
     text = render_report(cfg)

@@ -1,7 +1,8 @@
 """Config declarations and their one reader, ``read``: a command's config
 is a frozen declaration with one typed field per key, and a field without
 a default is a required key; a field typed ``object`` is a hook for
-library callers, not a config key."""
+library callers, not a config key.  ``report`` reads certificate.json
+with ``read`` into ``certify.Certificate``, its one declaration."""
 
 from __future__ import annotations
 
@@ -95,27 +96,6 @@ Scenario = _declare("Scenario", "scenario", phi=dyn.PhiSpec, I0=float,
 ControlSim = _declare("ControlSim", "control-sim", plant=sc.PlantScenario,
                       control=sc.ControlConfig,
                       policy=(sc.PolicyThresholds, sc.PolicyThresholds()))
-# certificate.json as report reads it: a non-finite number is written as
-# one of three strings
-NUM = float | Literal["inf", "-inf", "nan"]
-LABEL = Literal["reject", "fail_to_reject"]
-CertificateDoc = _declare(
-    "CertificateDoc", "certificate", verdict=Literal[
-        ct.VERDICT_NONSINGULAR, ct.VERDICT_SINGULAR, ct.VERDICT_INCONCLUSIVE],
-    segments=tuple[_declare(
-        "Segment", range=tuple[NUM, NUM], components_minus=dict,
-        components_plus=dict, **dict.fromkeys(
-            ("ptot_minus", "ptot_plus", "se_minus", "se_plus"), NUM),
-        tests=_declare("Tests", superlinearity_plus=LABEL,
-                       superlinearity_minus=LABEL, margin_minus=NUM),
-        envelope=_declare("SegmentEnvelope", pass_fraction=NUM,
-                          nonbinding=bool, disabled=bool)), ...],
-    envelope_pass_fraction=NUM, margins=_declare(
-        "Margins", ptot_margin=NUM, manifold_distance=NUM | None,
-        wasserstein_margin=NUM | None),
-    osgood_divergent=bool, event_bound=NUM | None,
-    capital_escape_time=NUM | None, config_echo=dict,
-    data_snapshot_versions=dict, notes=tuple[str, ...])
 
 
 @functools.cache

@@ -711,7 +711,8 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality, lags=None):
         idx = np.minimum(s[:, None] + np.arange(int(span[c:c + step].max())),
                          n - 1)
         origin = t[s] + 0.5 * half
-        u = (t[idx] - origin[:, None]) / half
+        t_at, q_at = t[idx], q[idx]
+        u = (t_at - origin[:, None]) / half
         xs, ys = x[idx], y[idx]
         x0, y0 = xs.mean(axis=1), ys.mean(axis=1)
         xs -= x0[:, None]
@@ -722,7 +723,7 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality, lags=None):
         # row k of P: the prefix sums of feature k, after a leading zero
         P = np.zeros((23, s.size, idx.shape[1] + 1))
         f = P[:, :, 1:]
-        f[0] = q[idx]
+        f[0] = q_at
         np.multiply(f[0], xs, out=f[1])
         np.multiply(f[0], ys, out=f[2])
         np.multiply(f[1], xs, out=f[3])
@@ -771,23 +772,26 @@ def _window_moments(t, x, y, centers, half, lo, hi, quality, lags=None):
         out[11, win] = bound
         if lags is not None:
             del below, d, mag, sq, a
+            mid = origin + half
             out[9:11, win] = _lag_sums(
-                t, x, y, q, half, s, origin + half, x0, y0, beta, j,
+                (q_at, (t_at - mid[:, None]) / half, xs, ys), half, s, mid, j,
                 centers[win], lo[win], hi[win], xbar, ybar, slope, lags[win])
     return out
 
 
-def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
-              xbar, ybar, slope, lags):
+def _lag_sums(rows, half, s, origin, j, centers, a, b, xbar, ybar, slope,
+              lags):
     """Newey-West meats of windows a:b, which read block j of a chunk of
     _window_moments, and bounds on their relative rounding error; nan
     where the lag is below 0, over LAG_SUMS_MAX_LAG or over b - a.
 
-    The blocks' x shift and y line shift are _window_moments' own; their
-    origin is moved on by half, to the middle of the block's window
-    centres, so that |v| <= 1/2 and the kernel's expansion below cancels
-    less.  In those coordinates g_i = C . phi_i, for the window's 15
-    coefficients C (c0 + c1 u - u^2 = 1 - (u - v)^2 times the expansion of
+    ``rows`` are the chunk's samples as _window_moments gathered them, a
+    row per block from its first sample s: q, u, and X and Y in the block's
+    own x shift and y line shift, with u from ``origin``, the blocks'
+    origin moved on by half, to the middle of the block's window centres,
+    so that |v| <= 1/2 and the kernel's expansion below cancels less.  In
+    those coordinates g_i = C . phi_i, for the window's 15 coefficients C
+    (c0 + c1 u - u^2 = 1 - (u - v)^2 times the expansion of
     (X - xbar)(Y - ybar - slope (X - xbar)) in XY, X^2, X, Y, 1) and the
     15 per-sample features phi = q u^{0,1,2} (XY, X^2, X, Y, 1).  With
     g = 0 outside a:b, (L + 1) meat = sum_j S_j^2 over the moving sums
@@ -814,18 +818,15 @@ def _lag_sums(t, x, y, q, half, s, origin, x0, y0, beta, j, centers, a, b,
             blocks, row = np.unique(j[w], return_inverse=True)
             at, bt, Cw, k = a[w] - s[j[w]], b[w] - s[j[w]], C[:, w], j[w]
 
-            def features(pos, k=blocks[:, None]):   # phi at block positions
-                return _lag_features(t, x, y, q, half, s[k] + pos, origin[k],
-                                     x0[k], y0[k], beta[k])
+            def features(p0, p1, k=blocks):     # phi at positions p0:p1
+                return _lag_features(*(r[k, p0:p1] for r in rows))
 
             inner, norm = _lag_prefix(features, L, row, at, bt, Cw)
             # g at the head's and the tail's samples, the kernel not
             # clipped at 0, as in C . phi
             k, c = k[:, None], w[:, None]
-            qz, u, X, Y = _block_samples(t, x, y, q, half,
-                                         np.hstack((a[c] + ends,
-                                                    b[c] - 1 - ends)),
-                                         origin[k], x0[k], y0[k], beta[k])
+            pos = np.hstack((at[:, None] + ends, bt[:, None] - 1 - ends))
+            qz, u, X, Y = (r[k, pos] for r in rows)
             X -= xbar[c]
             Y -= ybar[c]
             Y -= slope[c] * X
@@ -845,7 +846,8 @@ _PAIR_WEIGHT = np.where(_PAIRS[0] < _PAIRS[1], 2.0, 1.0)[:, None]
 def _lag_prefix(features, L, row, at, bt, C):
     """C'[Q(bt) - Q(at + L)]C per window (column of C), at block positions
     of stacked block row[w], and per block the squared 2-norms of the 15
-    features phi over positions min(at) .. max(bt) - 1.
+    features phi over positions min(at) .. max(bt) - 1; features(p0, p1)
+    gives phi at positions p0:p1 of every block.
 
     Q(m) sums over positions min(at) + L <= i < m the 120 products
     Psi_p Psi_q (p <= q) of the moving sums Psi_i = phi_{i-L} + ... + phi_i;
@@ -854,7 +856,11 @@ def _lag_prefix(features, L, row, at, bt, C):
     most LAG_SUMS_STEP positions in all at a time.  Q is needed at every
     window end, so the products are prefix-summed where the ends lie, up to
     max(at) + L and from min(bt); between the two only their sum is
-    needed, and one matrix product per block gives it."""
+    needed, and one matrix product per block gives it.  The norms start
+    where Q does, at the step's first window: Q(a + L) and Q(b) both hold
+    the products before a + L, whose rounding their difference keeps, so
+    norms over a:b alone would bound too little, and a window's bound
+    depends on the windows read with it."""
     rows = int(row.max()) + 1
     start, top, stop = int(at.min()) + L, int(at.max()) + L, int(bt.max())
     mid = max(top, int(bt.min()) - 1)
@@ -868,7 +874,7 @@ def _lag_prefix(features, L, row, at, bt, C):
             p1 = min(p0 + width, hi)
             # phi from p0 - L, and Psi from p0 - 1 with that column 0: their
             # products fill whole rows of a piece
-            phi = features(np.arange(p0 - L, p1))
+            phi = features(p0 - L, p1)
             counted = phi if p0 == start else phi[:, :, L:]
             norm += np.einsum("krn,krn->kr", counted, counted)
             psi = np.zeros(phi.shape[:2] + (p1 - p0 + 1,))
@@ -900,20 +906,8 @@ def _lag_prefix(features, L, row, at, bt, C):
     return bt_end - at_end, norm
 
 
-def _block_samples(t, x, y, q, half, idx, origin, x0, y0, beta):
-    """q, u, X and Y at samples idx (clipped to the series) in block
-    coordinates as _window_moments takes them: u from the block origin in
-    units of half, X = x - x0, Y = y - y0 - beta X."""
-    idx = np.minimum(idx, t.size - 1)
-    X = x[idx] - x0
-    Y = y[idx] - y0
-    Y -= beta * X
-    return q[idx], (t[idx] - origin) / half, X, Y
-
-
-def _lag_features(*samples):
-    """phi = q u^{0,1,2} (XY, X^2, X, Y, 1) at the _block_samples."""
-    q, u, X, Y = _block_samples(*samples)
+def _lag_features(q, u, X, Y):
+    """phi = q u^{0,1,2} (XY, X^2, X, Y, 1) at the samples given."""
     f = np.empty((15,) + u.shape)
     f[4] = q
     np.multiply(f[4], X, out=f[2])

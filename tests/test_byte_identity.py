@@ -18,6 +18,7 @@ from scipy.special import ndtri
 
 from rsi_certify import certify as ct
 from rsi_certify import cli
+from rsi_certify import config
 from rsi_certify import envelopes as env
 from rsi_certify import estimate as est
 from rsi_certify import series as ts
@@ -59,23 +60,24 @@ NESTED = st.recursive(
 
 @st.composite
 def certificates(draw):
-    def outcome():
-        return ct.TestOutcome(draw(st.booleans()), draw(NUMBER), draw(NUMBER))
+    def label():
+        return draw(st.sampled_from(["reject", "fail_to_reject"]))
 
     def segment():
-        ptot = ct.PtotEstimate(
-            *(draw(NUMBER) for _ in range(4)),
+        return ct.Segment(
+            (draw(NUMBER), draw(NUMBER)),
             *(draw(st.dictionaries(KEY, OPTIONAL, max_size=3))
-              for _ in range(2)))
-        return ct.SegmentRecord(draw(NUMBER), draw(NUMBER), ptot, outcome(),
-                                outcome(), draw(NUMBER), draw(st.booleans()),
-                                draw(st.booleans()))
+              for _ in range(2)),
+            *(draw(NUMBER) for _ in range(4)),
+            ct.SegmentTests(label(), label(), draw(NUMBER)),
+            ct.SegmentEnvelope(draw(NUMBER), draw(st.booleans()),
+                               draw(st.booleans())))
 
     return ct.Certificate(
         draw(st.sampled_from([ct.VERDICT_NONSINGULAR, ct.VERDICT_SINGULAR,
                               ct.VERDICT_INCONCLUSIVE])),
         [segment() for _ in range(draw(st.integers(0, 3)))],
-        draw(NUMBER), draw(st.dictionaries(KEY, OPTIONAL, max_size=4)),
+        draw(NUMBER), ct.Margins(draw(NUMBER), draw(OPTIONAL), draw(OPTIONAL)),
         draw(st.booleans()), draw(OPTIONAL), draw(OPTIONAL),
         draw(st.dictionaries(KEY, NESTED, max_size=4)),
         draw(st.dictionaries(KEY, KEY, max_size=2)),
@@ -91,9 +93,13 @@ def test_certificate_json_matches_reference(cert):
 @settings(max_examples=300, deadline=None)
 @given(certificates())
 def test_report_of_the_document_is_the_report_of_its_text(cert):
+    # and report's reader takes that text back as the records it was
+    # written from, whose document reports alike
     document = cert.to_json_dict()
-    assert cli.render_report(document) == cli.render_report(
-        json.loads(ts.json_text(document)))
+    loaded = json.loads(ts.json_text(document))
+    read = config.read(ct.Certificate, loaded)
+    assert cli.render_report(document) == cli.render_report(loaded) \
+        == cli.render_report(read.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

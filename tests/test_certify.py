@@ -264,7 +264,7 @@ def test_decide_nonsingular_branch():
     cert = ct.decide(pt_est(0.7, 0.9), passing_envelope(),
                      OsgoodResult(True, math.inf, 0.8), seg())
     assert cert.verdict == ct.VERDICT_NONSINGULAR
-    assert cert.margins["ptot_margin"] == pytest.approx(0.1)
+    assert cert.margins.ptot_margin == pytest.approx(0.1)
 
 
 def test_decide_singular_branch():
@@ -285,8 +285,8 @@ def test_decide_mixed_evidence_inconclusive():
     cert = ct.decide(pt_est(1.5, 2.1), binding,
                      OsgoodResult(False, 0.5, 2.0), seg())
     assert cert.verdict == ct.VERDICT_INCONCLUSIVE
-    assert cert.segments[0].super_test_minus.reject
-    assert not cert.segments[0].envelope_nonbinding
+    assert cert.segments[0].tests.superlinearity_minus == "reject"
+    assert not cert.segments[0].envelope.nonbinding
 
 
 def test_decide_envelope_disabled_allows_singular():
@@ -318,7 +318,7 @@ def test_decide_per_segment_estimates():
                      seg(2))
     assert cert.verdict == ct.VERDICT_SINGULAR
     assert len(cert.segments) == 2
-    assert cert.segments[1].super_test_minus.reject
+    assert cert.segments[1].tests.superlinearity_minus == "reject"
 
 
 def evidence_by_mask(res, t_lo, t_hi, slack_threshold, fraction):
@@ -372,9 +372,9 @@ def test_segment_evidence_matches_the_mask(case):
     for (t_lo, t_hi), record in zip(segments.segments, cert.segments):
         frac, headroom = evidence_by_mask(res, t_lo, t_hi, threshold,
                                           fraction)
-        assert type(record.envelope_pass_fraction) is float
-        assert type(record.envelope_nonbinding) is bool
-        assert (record.envelope_pass_fraction, record.envelope_nonbinding) \
+        assert type(record.envelope.pass_fraction) is float
+        assert type(record.envelope.nonbinding) is bool
+        assert (record.envelope.pass_fraction, record.envelope.nonbinding) \
             == (frac, headroom)
     assert res.nonbinding(threshold, fraction) is evidence_by_mask(
         res, -math.inf, math.inf, threshold, fraction)[1]

@@ -1644,7 +1644,7 @@ FULL_CONFIGS = ((cli.run_certify, FULL_PIPELINE, config.Config),
                 (cli.run_envelope, FULL_ENVELOPE, config.EnvelopeConfig),
                 (cli.run_simulate, FULL_SCENARIO, config.Scenario),
                 (cli.run_ingest, FULL_INGEST, config.Ingest),
-                (cli.run_report, FULL_CERTIFICATE, config.CertificateDoc))
+                (cli.run_report, FULL_CERTIFICATE, ct.Certificate))
 
 
 def arms(tp):

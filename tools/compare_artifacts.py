@@ -21,9 +21,13 @@ ends (``<fixture>-crlf``), and ``certify`` and ``estimate`` again with
 ``--seed`` for ``certify`` (``<fixture>-flags``,
 ``<fixture>-estimate-flags``).  On the first certify
 fixture it also runs ``certify`` and ``estimate`` on each of ``FAULTS``, a
-faulty config or a flag out of range (``fault-<name>-<command>``), and
-``envelope`` with ``alpha`` 1.5, so that the error messages and the order
-in which they are reported are compared too.  On a control fixture
+faulty config or a flag out of range (``fault-<name>-<command>``),
+``envelope`` with ``alpha`` 1.5, and ``report`` on each of
+``REPORT_FAULTS``, the ``certificate.json`` that tree's ``certify`` wrote
+with one fault (``fault-<name>-report``: an empty document, a segment
+without ``ptot_minus``, an unknown segment key, a text ``ptot_margin``, a
+number for ``segments``), so that the error messages and the order in
+which they are reported are compared too.  On a control fixture
 it runs ``control-sim``, and ``simulate`` in both ``--format``s from the
 plant's ``phi`` and ``I0`` over a horizon of 1 s; it runs them again with
 the plant's exponent set to each of ``PLANT_EXPONENTS``, with each of
@@ -102,6 +106,17 @@ FAULTS = {
     "benchmark-key": (lambda c: section(c, "benchmark", zz_unknown=1.0), ()),
     "window0-lag": (lambda c: section(c, "estimation", window=0.0, lag=-1),
                     ()),
+}
+# report faults run on the first certify fixture's certificate, by name:
+# the document's change, made to the certificate each tree wrote
+REPORT_FAULTS = {
+    "empty": lambda doc: {},
+    "segment-no-ptot-minus": lambda doc: dict(doc, segments=[
+        {k: v for k, v in doc["segments"][0].items() if k != "ptot_minus"}]),
+    "segment-key": lambda doc: dict(doc, segments=[
+        dict(doc["segments"][0], zz_unknown=1.0)]),
+    "margin-text": lambda doc: section(doc, "margins", ptot_margin="abc"),
+    "segments-number": lambda doc: dict(doc, segments=5),
 }
 # Phi exponents run on each control fixture's plant besides its own p = 2:
 # those Phi evaluates in plain floats, and 2 + 1 ulp, which takes np.power
@@ -209,9 +224,10 @@ def envelope_config(cfg, **keys) -> dict:
             "params": cfg["envelope_params"], **keys}
 
 
-def fault_runs(d, cfg) -> list[dict]:
-    """``FAULTS`` on the certify config ``cfg`` of the fixture ``d``, and
-    ``envelope`` with a test level out of range."""
+def fault_runs(d, cfg, cert) -> list[dict]:
+    """``FAULTS`` on the certify config ``cfg`` of the fixture ``d``,
+    ``envelope`` with a test level out of range, and ``REPORT_FAULTS`` on
+    the certificate ``cert`` that the fixture's ``certify`` run writes."""
     runs = []
     for name, (change, args) in FAULTS.items():
         config = os.path.join(d, "config.json") if change is None \
@@ -222,7 +238,9 @@ def fault_runs(d, cfg) -> list[dict]:
     return runs + [{"id": "fault-alpha-envelope", "cmd": "envelope",
                     "config": write_config(
                         os.path.join(d, "fault-alpha-envelope.json"),
-                        envelope_config(cfg, alpha=1.5))}]
+                        envelope_config(cfg, alpha=1.5))}] + [
+        {"id": f"fault-{name}-report", "cmd": "report", "config": cert,
+         "fault": name} for name in REPORT_FAULTS]
 
 
 def build_runs(seeds, workloads, root) -> list[dict]:
@@ -276,7 +294,7 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                               "config": config,
                               "args": [*window, *FLAG_ARGS]}]
                     if not faulted:
-                        runs += fault_runs(d, cfg)
+                        runs += fault_runs(d, cfg, cert)
                         faulted = True
                 else:
                     runs += control_runs(rid, d, cfg)
@@ -348,11 +366,16 @@ def child(spec_path) -> None:
     os.chdir(spec["out"])
     results = {}
     for r in spec["runs"]:
+        config = r["config"]
+        if "fault" in r:    # the certificate this tree wrote, with the fault
+            with open(config, encoding="utf-8") as fh:
+                doc = REPORT_FAULTS[r["fault"]](json.load(fh))
+            config = write_config(f"{r['id']}.json", doc)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = rsi_certify.cli.main(
-                [r["cmd"], "--config", r["config"], "--out", r["id"],
+                [r["cmd"], "--config", config, "--out", r["id"],
                  *r.get("args", ())])
         results[r["id"]] = {"code": code, "stdout": stdout.getvalue(),
                             "stderr": stderr.getvalue()}
