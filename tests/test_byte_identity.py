@@ -93,8 +93,8 @@ def test_certificate_json_matches_reference(cert):
 @settings(max_examples=300, deadline=None)
 @given(certificates())
 def test_report_of_the_document_is_the_report_of_its_text(cert):
-    # and report's reader takes that text back as the records it was
-    # written from, whose document reports alike
+    # report's reader also takes that text back, as records whose own
+    # document reports alike
     document = cert.to_json_dict()
     loaded = json.loads(ts.json_text(document))
     read = config.read(ct.Certificate, loaded)
