@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as ts
-from .errors import GridMismatch, MissingTask, NonPositiveValue, RefOutOfRange
+from .errors import (GridMismatch, MissingTask, NonPositiveValue,
+                     RefOutOfRange, RepeatedTask)
 
 WEIGHT_SUM_TOL = 1e-12
 REF_PIN_TOL = 1e-9
@@ -50,6 +51,9 @@ class BenchmarkSpec:
         total = sum(t.weight for t in self.tasks)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"task weights sum to {total!r}; must be 1")
+        ids = [t.id for t in self.tasks]
+        if repeated := [i for i in ids if ids.count(i) > 1]:
+            raise RepeatedTask(f"task {repeated[0]!r} is listed more than once")
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,10 +85,14 @@ def loss_index(losses: list[ts.TimeSeries], spec: BenchmarkSpec) -> ts.TimeSerie
     """Aggregate per-task losses into the raw capability index Itilde.
 
     Each task in ``spec`` must have a loss series whose name equals the task
-    id, all on a common grid.  Losses below their floor are legal (floors are
-    conservative) but emit a warning since they usually signal a revision.
+    id, all on a common grid, and no two series may share a name.  Losses
+    below their floor are legal (floors are conservative) but emit a warning
+    since they usually signal a revision.
     """
-    by_name = {s.name: s for s in losses}
+    names = [s.name for s in losses]
+    if repeated := [n for n in names if names.count(n) > 1]:
+        raise RepeatedTask(f"more than one loss series named {repeated[0]!r}")
+    by_name = dict(zip(names, losses))
     picked = []
     for task in spec.tasks:
         if task.id not in by_name:

@@ -68,21 +68,25 @@ class FileInputs:
 
 
 def run_ingest(cfg, args, load) -> Outcome:
-    loaded, failures = [], []
-    for entry in config.read(config.Ingest, cfg).files:
+    loaded, failures = {}, []   # series name -> [("files[i]", path, series)]
+    for i, entry in enumerate(config.read(config.Ingest, cfg).files):
         try:
             s = load(entry.path, entry.unit)
             s = s.replace(name=entry.name or s.name)
-            loaded.append((entry.path, s))
+            loaded.setdefault(s.name, []).append((f"files[{i}]", entry.path, s))
         except ToolkitError as exc:     # load names the file
             failures.append(str(exc))
     if failures:
         raise ToolkitError("; ".join(failures))
 
     artifacts, summary = {}, []
-    for path, s in sorted(loaded, key=lambda r: r[1].name):
-        artifacts[f"{s.name}.json"] = ts.json_text(s.to_json_dict())
-        summary.append({"path": path, "name": s.name, "unit": s.unit,
+    for name, [(_, path, s), *more] in sorted(loaded.items()):
+        if more or name in ("", ".", "..", "ingest_manifest") \
+                or os.path.basename(name) != name:
+            raise ConfigError(" and ".join(r[0] for r in loaded[name]) + ": "
+                              f"series name {name!r} names no file of its own")
+        artifacts[f"{name}.json"] = ts.json_text(s.to_json_dict())
+        summary.append({"path": path, "name": name, "unit": s.unit,
                         "snapshot_version": s.snapshot_version,
                         "n_samples": len(s)})
     artifacts["ingest_manifest.json"] = ts.json_text({"files": summary})
@@ -130,8 +134,7 @@ def run_certify(cfg, args, load) -> Outcome:
     certificate, (_, _, _, prof, _), check = pipeline.certify(
         cfg, load, args.config, window=args.window, alpha=args.alpha,
         seed=args.seed)
-    document = certificate.to_json_dict()
-    artifacts = {"certificate.json": ts.json_text(document),
+    artifacts = {"certificate.json": ts.json_text(certificate.to_json_dict()),
                  "elasticity.csv": _elasticity_csv(prof)}
     if check is not None:
         artifacts["envelope_slack.csv"] = ts.csv_text({
@@ -142,51 +145,49 @@ def run_certify(cfg, args, load) -> Outcome:
         "t_end": [s.range[1] for s in certificate.segments],
         "ptot_minus": [s.ptot_minus for s in certificate.segments],
         "ptot_plus": [s.ptot_plus for s in certificate.segments]})
-    artifacts["report.txt"] = render_report(document)
+    artifacts["report.txt"] = render_report(certificate)
     return Outcome(VERDICT_EXIT[certificate.verdict], artifacts["report.txt"],
                    artifacts)
 
 
-def render_report(doc: dict) -> str:
-    """The text report of a certificate document, the dict ``certify``
-    writes or ``certificate.json`` read back: each number goes through
-    ``float`` and the config echo through ``json_text``, so a non-finite
-    float and the string ``json_text`` writes for it print alike."""
-    lines = ["=" * 64, f"REGIME CERTIFICATE: {doc['verdict']}", "=" * 64,
-             f"segments analyzed: {len(doc['segments'])}"]
-    if doc["segments"]:     # bounds as offsets from one origin, in full
-        t0 = float(doc["segments"][0]["range"][0])
+def render_report(cert: ct.Certificate) -> str:
+    """The text of a certificate's records, as ``decide`` builds them or
+    ``report`` reads them back (a non-finite number as a string): numbers
+    go through ``float``, and the config echo through ``json_text``."""
+    lines = ["=" * 64, f"REGIME CERTIFICATE: {cert.verdict}", "=" * 64,
+             f"segments analyzed: {len(cert.segments)}"]
+    if cert.segments:       # bounds as offsets from one origin, in full
+        t0 = float(cert.segments[0].range[0])
         lines.append(f"segment bounds: seconds from t0 = {t0!r}")
-    for i, s in enumerate(doc["segments"]):
-        t_start, t_end = (float(t) - t0 for t in s["range"])
+    for i, s in enumerate(cert.segments):
+        t_start, t_end = (float(t) - t0 for t in s.range)
         lines.append(
             f"  [{i}] t - t0 in [{t_start!r}, {t_end!r}): "
-            f"p_tot in [{float(s['ptot_minus']):.4f}, "
-            f"{float(s['ptot_plus']):.4f}] "
-            f"(se {float(s['se_minus']):.4f}/{float(s['se_plus']):.4f}), "
-            f"superlinearity {s['tests']['superlinearity_minus']}, "
-            f"envelope pass {float(s['envelope']['pass_fraction']):.3f}"
-            + (" [disabled]" if s["envelope"]["disabled"] else ""))
+            f"p_tot in [{float(s.ptot_minus):.4f}, {float(s.ptot_plus):.4f}] "
+            f"(se {float(s.se_minus):.4f}/{float(s.se_plus):.4f}), "
+            f"superlinearity {s.tests.superlinearity_minus}, "
+            f"envelope pass {float(s.envelope.pass_fraction):.3f}"
+            + (" [disabled]" if s.envelope.disabled else ""))
     lines += ["envelope pass fraction: "
-              f"{float(doc['envelope_pass_fraction']):.4f}",
+              f"{float(cert.envelope_pass_fraction):.4f}",
               "state-factor reciprocal integral divergent: "
-              f"{doc['osgood_divergent']}"]
-    for name, value in sorted(doc["margins"].items()):
+              f"{cert.osgood_divergent}"]
+    for name, value in sorted(vars(cert.margins).items()):
         shown = "not evaluated" if value is None else f"{float(value):.6g}"
         lines.append(f"margin {name}: {shown}")
-    if doc["event_bound"] is not None:
+    if cert.event_bound is not None:
         lines.append("event blow-up bound T_hat: "
-                     f"{float(doc['event_bound']):.6g} s")
-    if doc["capital_escape_time"] is not None:
+                     f"{float(cert.event_bound):.6g} s")
+    if cert.capital_escape_time is not None:
         lines.append("capital escape time T_K: "
-                     f"{float(doc['capital_escape_time'])!r} s")
-    if doc["data_snapshot_versions"]:
+                     f"{float(cert.capital_escape_time)!r} s")
+    if cert.data_snapshot_versions:
         lines.append("data snapshots: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(doc["data_snapshot_versions"].items())))
-    lines += [f"note: {note}" for note in doc["notes"]]
-    if doc["config_echo"]:
+            f"{k}={v}" for k, v in sorted(cert.data_snapshot_versions.items())))
+    lines += [f"note: {note}" for note in cert.notes]
+    if cert.config_echo:
         lines.append("config echo: "
-                     + ts.json_text(doc["config_echo"], indent=None).rstrip())
+                     + ts.json_text(cert.config_echo, indent=None).rstrip())
     lines.append("=" * 64)
     return "\n".join(lines) + "\n"
 
@@ -225,10 +226,9 @@ def run_control_sim(cfg, args, load) -> Outcome:
 
 def run_report(cfg, args, load) -> Outcome:
     try:
-        config.read(ct.Certificate, cfg)
+        text = render_report(config.read(ct.Certificate, cfg))
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
-    text = render_report(cfg)
     return Outcome(EXIT_OK, text, {"report.txt": text})
 
 

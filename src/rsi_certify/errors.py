@@ -59,6 +59,10 @@ class MissingTask(ToolkitError):
     """A benchmark task has no matching loss series."""
 
 
+class RepeatedTask(ToolkitError):
+    """A benchmark task is listed twice, or two loss series share a name."""
+
+
 class RefOutOfRange(ToolkitError):
     """Reference time lies outside the series range."""
 

@@ -93,13 +93,11 @@ def test_certificate_json_matches_reference(cert):
 @settings(max_examples=300, deadline=None)
 @given(certificates())
 def test_report_of_the_document_is_the_report_of_its_text(cert):
-    # report's reader also takes that text back, as records whose own
-    # document reports alike
-    document = cert.to_json_dict()
-    loaded = json.loads(ts.json_text(document))
-    read = config.read(ct.Certificate, loaded)
-    assert cli.render_report(document) == cli.render_report(loaded) \
-        == cli.render_report(read.to_json_dict())
+    # the records certify renders, and those report reads back from their
+    # written text, where a non-finite number is a string
+    read = config.read(ct.Certificate, json.loads(ts.json_text(
+        cert.to_json_dict())))
+    assert cli.render_report(cert) == cli.render_report(read)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,42 @@ def test_ingest_deterministic(tmp_path):
     assert (out1 / "a.json").read_bytes() == (out2 / "a.json").read_bytes()
 
 
+@pytest.mark.parametrize("entries, refused", [
+    # a config name that leaves --out, and the names that are no file name
+    ([{"path": "s.csv", "name": "../evil"}], "files[0]: series name '../evil'"),
+    ([{"path": "s.csv", "name": ".."}], "files[0]: series name '..'"),
+    ([{"path": "s.json"}], "files[0]: series name 'doc/s'"),     # doc's name
+    # the manifest's name, from a file stem
+    ([{"path": "ingest_manifest.csv"}],
+     "files[0]: series name 'ingest_manifest'"),
+    # one stem in two directories, and one config name twice
+    ([{"path": "s.csv"}, {"path": "a/loss.csv"}, {"path": "b/loss.csv"}],
+     "files[1] and files[2]: series name 'loss'"),
+    ([{"path": "s.csv", "name": "x"}, {"path": "t.csv", "name": "x"}],
+     "files[0] and files[1]: series name 'x'"),
+])
+def test_ingest_refuses_a_series_without_a_file_of_its_own(tmp_path, capsys,
+                                                           entries, refused):
+    # each series is written to <name>.json in --out: one outside it, one
+    # over the manifest or one over another series is refused, and nothing
+    # is written
+    for entry in entries:
+        path = tmp_path / entry["path"]
+        path.parent.mkdir(exist_ok=True)
+        if path.suffix == ".json":
+            write_json(path, {"name": "doc/s", "unit": "W", "samples": [
+                {"t": 0.0, "value": 1.0}, {"t": 1.0, "value": 2.0}]})
+        else:
+            write_series_csv(path, [0, 1], [1, 2], "W")
+    cfg = write_json(tmp_path / "m.json", {"files": [
+        dict(entry, path=str(tmp_path / entry["path"])) for entry in entries]})
+    out = tmp_path / "run" / "out"
+    assert run(["ingest", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [ingest]: {refused} names no file of its own"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_each_command_reads_through_a_fresh_loader(tmp_path, monkeypatch):
     # a process that runs many commands, as the benchmark's worker does,
     # must not reuse an earlier command's parse of a clock
@@ -457,6 +493,42 @@ def test_certify_losses_path_end_to_end(tmp_path):
     assert cert["verdict"] in ("nonsingular-certified", "singular-admissible",
                                "inconclusive")
     assert any(k.startswith("loss:") for k in cert["data_snapshot_versions"])
+
+
+def loss_task_config(tmp_path, losses, tasks) -> str:
+    """A certify config of the loss series ``losses`` (task, file stem), on
+    the losses of the end-to-end test, and a benchmark of ``tasks``, each
+    with weight 1 / len(tasks)."""
+    t = np.linspace(0.0, 10.0, 300)
+    for _, stem in losses:
+        write_series_csv(tmp_path / f"{stem}.csv", t,
+                         np.exp(-(0.2 * t) ** 5 - 1e-9), "loss")
+    return write_json(tmp_path / "cfg.json", {
+        "series": {"losses": [{"path": str(tmp_path / f"{stem}.csv"),
+                               "task": task} for task, stem in losses]},
+        "benchmark": {"tasks": [{"id": task, "weight": 1.0 / len(tasks),
+                                 "floor": 1e-16} for task in tasks],
+                      "t_ref": 0.0},
+        "estimation": {"window": 1.5}})
+
+
+@pytest.mark.parametrize("losses, tasks, refused", [
+    # the first loss series of task0 was dropped, and the certificate
+    # listed one loss:task0 snapshot
+    ([("task0", "a"), ("task0", "b")], ["task0"],
+     "more than one loss series named 'task0'"),
+    # task0's loss was weighed twice
+    ([("task0", "a")], ["task0", "task0"],
+     "benchmark: task 'task0' is listed more than once"),
+])
+def test_certify_refuses_a_loss_task_given_twice(tmp_path, capsys, losses,
+                                                 tasks, refused):
+    cfg = loss_task_config(tmp_path, losses, tasks)
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [certify]: {refused}"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

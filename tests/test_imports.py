@@ -2,7 +2,8 @@
 every defaulted parameter of its functions is set by some call, the json
 module is used by one writer and one reader alone, the certify pipeline
 and the config reader import no I/O module, the reader and the CLI no
-numpy, and the supervisor reads no attribute of Phi's spec but its floor.
+numpy, the report reads the certificate records by attribute, not by
+key, and the supervisor reads no attribute of Phi's spec but its floor.
 
 ``__init__`` is left out of the import check: its imports are the
 package's re-exports.
@@ -172,6 +173,25 @@ def test_config_reader_does_no_io_and_no_numerics():
     config = (PACKAGE / "config.py").read_text(encoding="utf-8")
     assert imported_modules(config).isdisjoint({*SHELL_MODULES, "numpy"})
     assert not opens(config)
+
+
+def string_subscripts(source: str, function: str) -> list[str]:
+    """Each subscript by a string constant in the module-level ``function``
+    of ``source``, as ``line n: 'key'``."""
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [f"line {node.lineno}: {node.slice.value!r}"
+            for node in ast.walk(func) if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)]
+
+
+def test_report_reads_the_certificate_records_by_attribute():
+    # certificate.json's keys are named by certify.py's record fields alone
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert string_subscripts(cli, "render_report") == []
+    assert string_subscripts("def f(doc):\n    return doc['verdict']\n",
+                             "f") == ["line 2: 'verdict'"]
 
 
 # ---------------------------------------------------------------------------

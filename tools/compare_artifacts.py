@@ -8,18 +8,20 @@ generator (``perfbench/fixtures.py`` of this checkout, imported as it
 is), and each tree then runs all of them in one fresh interpreter of its
 own, through ``rsi_certify.cli.main`` as the benchmark's worker calls it.
 On a certify fixture it runs ``certify``, ``estimate`` (the other command
-that reads the certify config), ``report`` (on the ``certificate.json``
-that tree's ``certify`` wrote), ``envelope`` (on the fixture's envelope
+that reads the certify config), ``envelope`` (on the fixture's envelope
 series roles with its ``envelope_params`` as ``params``, where it has
 them) and ``ingest`` (on the fixture's CSV series), ``certify`` again with
 its ``phi`` made ``CERTIFY_PHI`` (a ``power_log`` Phi with p > 1, whose
 Osgood integral is the exponential integral E1: the one command path that
-loads ``scipy.special``), where the fixture sets a ``phi``, and ``certify``
-and ``ingest`` again on a copy of the fixture whose CSV files have CRLF line
-ends (``<fixture>-crlf``), and ``certify`` and ``estimate`` again with
-``--window`` (``FLAG_WINDOW`` times the config's) and ``--alpha`` set, and
-``--seed`` for ``certify`` (``<fixture>-flags``,
-``<fixture>-estimate-flags``).  On the first certify
+loads ``scipy.special``), where the fixture sets a ``phi``
+(``<fixture>-power-log``), and ``certify`` and ``ingest`` again on a copy
+of the fixture whose CSV files have CRLF line ends (``<fixture>-crlf``),
+and ``certify`` and ``estimate`` again with ``--window`` (``FLAG_WINDOW``
+times the config's) and ``--alpha`` set, and ``--seed`` for ``certify``
+(``<fixture>-flags``, ``<fixture>-estimate-flags``).  After each of these
+``certify`` runs it runs ``report`` on the ``certificate.json`` that
+tree's ``certify`` wrote (``<run>-report``), so the report is rendered
+from every verdict and margin set the fixtures reach.  On the first certify
 fixture it also runs ``certify`` and ``estimate`` on each of ``FAULTS``, a
 faulty config or a flag out of range (``fault-<name>-<command>``),
 ``envelope`` with ``alpha`` 1.5, and ``report`` on each of
@@ -224,6 +226,21 @@ def envelope_config(cfg, **keys) -> dict:
             "params": cfg["envelope_params"], **keys}
 
 
+def certificate(rid) -> str:
+    """The ``certificate.json`` that the certify run ``rid`` writes,
+    relative: in each tree's output."""
+    return os.path.join(rid, "certificate.json")
+
+
+def certify_runs(rid, config, args=()) -> list[dict]:
+    """``certify`` on ``config`` with the flags ``args``, and ``report`` on
+    the certificate it writes (``<rid>-report``)."""
+    return [{"id": rid, "cmd": "certify", "config": config,
+             "args": list(args)},
+            {"id": f"{rid}-report", "cmd": "report",
+             "config": certificate(rid)}]
+
+
 def fault_runs(d, cfg, cert) -> list[dict]:
     """``FAULTS`` on the certify config ``cfg`` of the fixture ``d``,
     ``envelope`` with a test level out of range, and ``REPORT_FAULTS`` on
@@ -260,13 +277,9 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                 with open(config, encoding="utf-8") as fh:
                     cfg = json.load(fh)
                 if kind == "certify":
-                    # relative: in each tree's output, where certify wrote it
-                    cert = os.path.join(rid, "certificate.json")
-                    runs += [{"id": rid, "cmd": "certify", "config": config},
+                    runs += [*certify_runs(rid, config),
                              {"id": f"{rid}-estimate", "cmd": "estimate",
-                              "config": config},
-                             {"id": f"{rid}-report", "cmd": "report",
-                              "config": cert}]
+                              "config": config}]
                     if "envelope_params" in cfg:
                         runs.append({"id": f"{rid}-envelope", "cmd": "envelope",
                                      "config": write_config(
@@ -274,27 +287,22 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                                          envelope_config(cfg))})
                     runs += ingest_run(rid, d)
                     if "phi" in cfg:
-                        runs.append({"id": f"{rid}-power-log", "cmd": "certify",
-                                     "config": write_config(
-                                         os.path.join(d, "power-log.json"),
-                                         dict(cfg, phi={**cfg["phi"],
-                                                        **CERTIFY_PHI}))})
+                        runs += certify_runs(f"{rid}-power-log", write_config(
+                            os.path.join(d, "power-log.json"),
+                            dict(cfg, phi={**cfg["phi"], **CERTIFY_PHI})))
                     crlf, crlf_cfg = crlf_copy(d, cfg)
-                    runs += [{"id": f"{rid}-crlf", "cmd": "certify",
-                              "config": write_config(
-                                  os.path.join(crlf, "config.json"),
-                                  crlf_cfg)},
+                    runs += [*certify_runs(f"{rid}-crlf", write_config(
+                                 os.path.join(crlf, "config.json"), crlf_cfg)),
                              *ingest_run(f"{rid}-crlf", crlf)]
                     window = ("--window",
                               repr(FLAG_WINDOW * cfg["estimation"]["window"]))
-                    runs += [{"id": f"{rid}-flags", "cmd": "certify",
-                              "config": config,
-                              "args": [*window, *FLAG_ARGS, *FLAG_SEED]},
+                    runs += [*certify_runs(f"{rid}-flags", config,
+                                           [*window, *FLAG_ARGS, *FLAG_SEED]),
                              {"id": f"{rid}-estimate-flags", "cmd": "estimate",
                               "config": config,
                               "args": [*window, *FLAG_ARGS]}]
                     if not faulted:
-                        runs += fault_runs(d, cfg, cert)
+                        runs += fault_runs(d, cfg, certificate(rid))
                         faulted = True
                 else:
                     runs += control_runs(rid, d, cfg)
