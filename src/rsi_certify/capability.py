@@ -19,7 +19,6 @@ from .errors import (GridMismatch, MissingTask, NonPositiveValue,
                      RefOutOfRange, RepeatedTask)
 
 WEIGHT_SUM_TOL = 1e-12
-REF_PIN_TOL = 1e-9
 AFFINE_TOL = 1e-6   # largest elasticity change an affine map may cause
 
 
@@ -63,31 +62,13 @@ class BenchmarkSpec:
         }
 
 
-@dataclass(frozen=True)
-class CapabilitySeries:
-    """Canonical capability I (aggregated nats) and its rate Idot (nat/s).
-
-    Idot lives on I's grid with the last point dropped: central differences
-    on interior points, a forward difference at the start.
-    """
-
-    I: ts.TimeSeries
-    Idot: ts.TimeSeries
-    spec: BenchmarkSpec
-
-    def __post_init__(self):
-        i_ref = np.interp(self.spec.t_ref, self.I.t, self.I.values)
-        if abs(i_ref) > REF_PIN_TOL:
-            raise ValueError(f"capability not pinned at reference: I(t_ref)={i_ref!r}")
-
-
 def loss_index(losses: list[ts.TimeSeries], spec: BenchmarkSpec) -> ts.TimeSeries:
     """Aggregate per-task losses into the raw capability index Itilde.
 
-    Each task in ``spec`` must have a loss series whose name equals the task
-    id, all on a common grid, and no two series may share a name.  Losses
-    below their floor are legal (floors are conservative) but emit a warning
-    since they usually signal a revision.
+    Loss series and the tasks in ``spec`` must match one to one by name
+    (the task id), all on a common grid.  Losses below their floor are
+    legal (floors are conservative) but emit a warning since they usually
+    signal a revision.
     """
     names = [s.name for s in losses]
     if repeated := [n for n in names if names.count(n) > 1]:
@@ -98,6 +79,8 @@ def loss_index(losses: list[ts.TimeSeries], spec: BenchmarkSpec) -> ts.TimeSerie
         if task.id not in by_name:
             raise MissingTask(f"no loss series named {task.id!r}")
         picked.append((task, by_name[task.id]))
+    if extra := [n for n in names if n not in {t.id for t in spec.tasks}]:
+        raise MissingTask(f"loss series {extra[0]!r} is not a benchmark task")
 
     base = picked[0][1]
     total = np.zeros_like(base.values)
@@ -129,22 +112,19 @@ def capability_rate(I: ts.TimeSeries) -> ts.TimeSeries:
                          I.snapshot_version)
 
 
-def canonicalize(itilde: ts.TimeSeries, spec: BenchmarkSpec) -> CapabilitySeries:
+def canonicalize(itilde: ts.TimeSeries, spec: BenchmarkSpec) -> ts.TimeSeries:
     """Pin the affine freedom: I(t) = Itilde(t) - Itilde(t_ref).
 
     The index is already in nats, so the slope calibration is the identity
-    and only the offset is removed.  The rate Idot comes from finite
-    differences on the sample grid.
+    and only the offset is removed.
     """
     if not itilde.t[0] <= spec.t_ref <= itilde.t[-1]:
         raise RefOutOfRange(
             f"t_ref={spec.t_ref} outside sampled range "
             f"[{itilde.t[0]}, {itilde.t[-1]}]")
     offset = float(np.interp(spec.t_ref, itilde.t, itilde.values))
-    i_vals = itilde.values - offset
-    i_series = ts.TimeSeries("capability", "nat", itilde.t, i_vals, None,
-                             itilde.snapshot_version)
-    return CapabilitySeries(i_series, capability_rate(i_series), spec)
+    return ts.TimeSeries("capability", "nat", itilde.t, itilde.values - offset,
+                         None, itilde.snapshot_version)
 
 
 @dataclass(frozen=True)
@@ -158,23 +138,24 @@ class AffineCheckResult:
         return self.ok
 
 
-def affine_invariance_check(cap: CapabilitySeries, a: float, b: float,
-                            window: float,
+def affine_invariance_check(I: ts.TimeSeries, Idot: ts.TimeSeries, a: float,
+                            b: float, window: float,
                             min_abscissa: float = 0.0) -> AffineCheckResult:
     """Check that the feedback elasticity is unchanged under I -> a*I + b.
 
-    Computes the rolling elasticity of Idot against I on both the original
-    and the transformed series, restricted to windows where both
+    Idot lies on I's grid, less any trailing points (as capability_rate
+    gives it).  Computes the rolling elasticity of Idot against I on both
+    the original and the transformed series, restricted to windows where both
     transformed and original states exceed ``min_abscissa`` and the rate is
     positive, and compares slopes at common centers.  Returns a result that
     is falsy (with diagnostics) on mismatch instead of raising.
     """
     if a <= 0:
         raise ValueError("affine scale a must be positive")
-    n = len(cap.Idot)
-    i_vals = cap.I.values[:n]
-    idot_vals = cap.Idot.values
-    ti = cap.I.t[:n]
+    n = len(Idot)
+    i_vals = I.values[:n]
+    idot_vals = Idot.values
+    ti = I.t[:n]
 
     mask = (idot_vals > 0) & (i_vals > min_abscissa) \
         & (a * i_vals + b > min_abscissa) & (i_vals > 0) & (a * i_vals + b > 0)

@@ -56,7 +56,7 @@ class RhoOutOfRange(ToolkitError):
 # --- capability -----------------------------------------------------------
 
 class MissingTask(ToolkitError):
-    """A benchmark task has no matching loss series."""
+    """Loss series and benchmark tasks do not match one to one."""
 
 
 class RepeatedTask(ToolkitError):

@@ -63,6 +63,10 @@ def _settings(doc, load, window, alpha, section: str):
         raise ConfigError("series needs a 'capability' or 'losses' key")
     if isinstance(c.benchmark, dict):   # weights must sum to 1 where used
         config._object(cap.BenchmarkSpec, c.benchmark, "benchmark", dict)
+    for role in ("capability", "capability_rate"):   # one state path
+        if c.series.losses is not None and getattr(c.series, role) is not None:
+            raise ConfigError(
+                f"series.{role} cannot be given with series.losses")
     alpha = alpha_in_range(*(alpha, "--alpha") if alpha is not None
                            else (getattr(c, section).alpha, f"{section}.alpha"))
     spec = None if c.series.losses is None else config.read(
@@ -80,9 +84,10 @@ def estimate(doc, load, window=None, alpha=None) -> tuple:
 
 
 def _profile(c, window, load, alpha, spec) -> tuple:
-    """I and Idot (from loss series indexed by the BenchmarkSpec ``spec``,
-    or a direct series), their snapshots, the rolling elasticity profile
-    and its regime segmentation."""
+    """I (from loss series indexed by the BenchmarkSpec ``spec``, or a
+    direct series) and its rate Idot (measured, or by finite differences),
+    their snapshots, the rolling elasticity profile and its regime
+    segmentation."""
     roles = c.series
     snapshots = {}
     if roles.losses is not None:
@@ -91,15 +96,12 @@ def _profile(c, window, load, alpha, spec) -> tuple:
             s = load(entry.path)
             losses.append(s.replace(name=entry.task or s.name))
             snapshots[f"loss:{losses[-1].name}"] = losses[-1].snapshot_version
-        series_cap = cap.canonicalize(cap.loss_index(losses, spec), spec)
-        i_series, idot = series_cap.I, series_cap.Idot
+        i_series = cap.canonicalize(cap.loss_index(losses, spec), spec)
     else:
         i_series = load(roles.capability, "nat")
         snapshots["capability"] = i_series.snapshot_version
-        if roles.capability_rate is not None:
-            idot = load(roles.capability_rate, "nat/s")
-        else:
-            idot = cap.capability_rate(i_series)
+    idot = cap.capability_rate(i_series) if roles.capability_rate is None \
+        else load(roles.capability_rate, "nat/s")
     prof = est.rolling_elasticity(i_series, idot, window,
                                   lag=c.estimation.lag, alpha=alpha)
     return i_series, idot, snapshots, prof, est.segment_profile(prof)

@@ -128,12 +128,6 @@ class TimeSeries:
 
     # -- derived views ----------------------------------------------------
 
-    def effective_weights(self) -> np.ndarray:
-        """Quality weights, defaulting to 1 where the column was absent."""
-        if self.weights is None:
-            return np.ones_like(self.values)
-        return self.weights
-
     def replace(self, *, name=None, values=None) -> "TimeSeries":
         """A new name or new values; timestamps and the rest are kept."""
         return TimeSeries(self.name if name is None else name, self.unit,
@@ -1016,7 +1010,7 @@ def log_slope(x: TimeSeries, window: float, center_t: float) -> SlopePoint:
         raise NonPositiveValue(
             f"log_slope needs strictly positive values in window of {x.name!r}")
     fit = windowed_wls(tt, tt, np.log(vv), [center_t], half, [0], [tt.size],
-                       quality=x.effective_weights()[win])
+                       quality=None if x.weights is None else x.weights[win])
     if not fit.sw[0] > 0:
         raise InsufficientWindow("all kernel weights vanish in window")
     if not fit.var_x[0] > 0:
@@ -1043,7 +1037,7 @@ def elasticity(y: TimeSeries, x: TimeSeries, window: float) -> SlopeSeries:
     sel = np.flatnonzero(hi - lo >= 3)
     fit = windowed_wls(t, np.log(x_on.values), np.log(y_on.values), t[sel],
                        half, lo[sel], hi[sel],
-                       quality=x_on.effective_weights())
+                       quality=x_on.weights)
     keep = (fit.sw > 0) & (fit.var_x >= VAR_LOG_TOL)
     if not keep.any():
         raise DegenerateRegressor(

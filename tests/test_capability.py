@@ -64,6 +64,14 @@ def test_loss_index_missing_task():
                        one_task_spec())
 
 
+def test_loss_index_refuses_a_series_of_no_task():
+    t = [0.0, 1.0]
+    with pytest.raises(MissingTask, match="loss series 'extra' is not a "
+                       "benchmark task"):
+        cap.loss_index([loss_series("task", t, [1.0, 1.0]),
+                        loss_series("extra", t, [1.0, 1.0])], one_task_spec())
+
+
 def test_loss_index_monotone_in_losses():
     t = [0.0, 1.0]
     spec = one_task_spec()
@@ -79,8 +87,8 @@ def test_loss_index_monotone_in_losses():
 def test_canonicalize_pins_reference():
     t = np.linspace(0, 10, 50)
     itilde = ts.TimeSeries("itilde", "nat", t, 3.0 + 0.5 * t)
-    c = cap.canonicalize(itilde, one_task_spec(t_ref=4.0))
-    assert np.interp(4.0, c.I.t, c.I.values) == pytest.approx(0.0, abs=1e-9)
+    I = cap.canonicalize(itilde, one_task_spec(t_ref=4.0))
+    assert np.interp(4.0, I.t, I.values) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_canonicalize_one_nat_per_e_fold():
@@ -89,8 +97,8 @@ def test_canonicalize_one_nat_per_e_fold():
     t = np.array([0.0, 1.0])
     spec = one_task_spec(t_ref=0.0, floor=0.5)
     losses = [loss_series("task", t, [2.0, 2.0 / math.e])]
-    c = cap.canonicalize(cap.loss_index(losses, spec), spec)
-    assert c.I.values[1] - c.I.values[0] == pytest.approx(1.0, abs=1e-12)
+    I = cap.canonicalize(cap.loss_index(losses, spec), spec)
+    assert I.values[1] - I.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_canonicalize_shift_invariance():
@@ -98,20 +106,21 @@ def test_canonicalize_shift_invariance():
     base = ts.TimeSeries("itilde", "nat", t, np.sin(t) + t)
     shifted = ts.TimeSeries("itilde", "nat", t, np.sin(t) + t + 17.5)
     spec = one_task_spec(t_ref=2.0)
-    c0 = cap.canonicalize(base, spec)
-    c1 = cap.canonicalize(shifted, spec)
-    np.testing.assert_allclose(c0.I.values, c1.I.values, atol=1e-12)
+    np.testing.assert_allclose(cap.canonicalize(base, spec).values,
+                               cap.canonicalize(shifted, spec).values,
+                               atol=1e-12)
 
 
 def test_canonicalize_rate_grid_and_values():
     t = np.linspace(0, 1, 11)
     itilde = ts.TimeSeries("itilde", "nat", t, t ** 2)
-    c = cap.canonicalize(itilde, one_task_spec(t_ref=0.0))
+    I = cap.canonicalize(itilde, one_task_spec(t_ref=0.0))
+    Idot = cap.capability_rate(I)
     # rate lives on the sample grid minus the last point
-    assert len(c.Idot) == len(c.I) - 1
-    np.testing.assert_array_equal(c.Idot.t, c.I.t[:-1])
+    assert len(Idot) == len(I) - 1
+    np.testing.assert_array_equal(Idot.t, I.t[:-1])
     # central differences of t^2 are exact for the interior
-    np.testing.assert_allclose(c.Idot.values[1:], 2 * t[1:-1], atol=1e-12)
+    np.testing.assert_allclose(Idot.values[1:], 2 * t[1:-1], atol=1e-12)
 
 
 def test_canonicalize_ref_out_of_range():
@@ -125,23 +134,28 @@ def test_canonicalize_ref_out_of_range():
 # affine invariance of the feedback elasticity
 
 
+def canonical_and_rate(itilde):
+    """The canonical index pinned at t = 0 and its finite-difference rate."""
+    I = cap.canonicalize(itilde, one_task_spec(t_ref=0.0))
+    return I, cap.capability_rate(I)
+
+
 def blowup_capability(n=400, t_end=0.9, scale=1.0):
     t = np.linspace(0.0, t_end, n)
-    itilde = ts.TimeSeries("itilde", "nat", t, scale / (1.0 - t))
-    spec = one_task_spec(t_ref=0.0)
-    return cap.canonicalize(itilde, spec)
+    return canonical_and_rate(
+        ts.TimeSeries("itilde", "nat", t, scale / (1.0 - t)))
 
 
 def test_affine_identity():
-    c = blowup_capability()
-    assert cap.affine_invariance_check(c, 1.0, 0.0, window=0.05)
+    I, Idot = blowup_capability()
+    assert cap.affine_invariance_check(I, Idot, 1.0, 0.0, window=0.05)
 
 
 def test_affine_pure_scaling_on_blowup_samples():
     # closed form: with I = 1/(1-t), Idot = I^2; scaling I -> 2I leaves the
     # slope of log Idot against log I at exactly 2 wherever I > 0
-    c = blowup_capability()
-    res = cap.affine_invariance_check(c, 2.0, 0.0, window=0.05)
+    I, Idot = blowup_capability()
+    res = cap.affine_invariance_check(I, Idot, 2.0, 0.0, window=0.05)
     assert res.ok
     assert res.max_deviation < 1e-9
 
@@ -151,9 +165,8 @@ def test_affine_shift_asymptotic():
     # discrepancy under the acceptance tolerance
     t = np.linspace(0.0, 0.99, 500)
     itilde = ts.TimeSeries("itilde", "nat", t, 1e7 / (1.0 - t))
-    c = cap.canonicalize(itilde, one_task_spec(t_ref=0.0))
-    res = cap.affine_invariance_check(c, 1.0, 5.0, window=0.05,
-                                      min_abscissa=1e6)
+    res = cap.affine_invariance_check(*canonical_and_rate(itilde), 1.0, 5.0,
+                                      window=0.05, min_abscissa=1e6)
     assert res.ok
     assert res.windows_compared > 100
 
@@ -161,8 +174,8 @@ def test_affine_shift_asymptotic():
 def test_affine_mismatch_reports_instead_of_raising():
     # a shift comparable to the state breaks invariance at finite I; the
     # check reports rather than raises
-    c = blowup_capability()
-    res = cap.affine_invariance_check(c, 1.0, 50.0, window=0.05)
+    I, Idot = blowup_capability()
+    res = cap.affine_invariance_check(I, Idot, 1.0, 50.0, window=0.05)
     assert not res.ok
     assert res.detail != ""
 

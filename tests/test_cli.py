@@ -520,6 +520,10 @@ def loss_task_config(tmp_path, losses, tasks) -> str:
     # task0's loss was weighed twice
     ([("task0", "a")], ["task0", "task0"],
      "benchmark: task 'task0' is listed more than once"),
+    # a loss series of no task was listed as loss:extra and left out of
+    # the index
+    ([("task0", "a"), ("extra", "b")], ["task0"],
+     "loss series 'extra' is not a benchmark task"),
 ])
 def test_certify_refuses_a_loss_task_given_twice(tmp_path, capsys, losses,
                                                  tasks, refused):
@@ -528,6 +532,22 @@ def test_certify_refuses_a_loss_task_given_twice(tmp_path, capsys, losses,
     assert run(["certify", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error [certify]: {refused}"]
+    assert not out.exists()
+
+
+def test_certify_refuses_a_second_state_path(tmp_path, capsys):
+    # the capability and rate files do not exist: the parent read neither
+    # and certified the losses
+    cfg_path = loss_task_config(tmp_path, [("task0", "a")], ["task0"])
+    cfg = json.loads(open(cfg_path).read())
+    cfg["series"].update(capability=str(tmp_path / "none.json"),
+                         capability_rate=str(tmp_path / "none_rate.json"))
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_json(tmp_path / "two.json", cfg),
+                "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error [certify]: series.capability cannot be given with "
+        "series.losses"]
     assert not out.exists()
 
 
@@ -679,6 +699,11 @@ BETWEEN_KEYS = {
     "series.losses needs config key 'benchmark'":
         {"series": {"losses": [{"path": "loss.csv"}]}},
     "series needs a 'capability' or 'losses' key": {"series": {}},
+    **{f"series.{role} cannot be given with series.losses": {
+        "series": {"losses": [{"path": "loss.csv"}], role: "c.json"},
+        "benchmark": {"tasks": [{"id": "t0", "weight": 1.0, "floor": 0.01}],
+                      "t_ref": 0.0}}
+       for role in ("capability", "capability_rate")},
 }
 
 
@@ -1640,7 +1665,9 @@ def test_flags_and_seed_are_refused_not_coerced(tmp_path, cfg, named):
 
 
 # a config that sets every key each declaration reads, to a value of its
-# type that passes every range check; no series is ever read
+# type that passes every range check; no series is ever read.  Its series
+# name both state paths, losses and a capability, which no run accepts,
+# so that it reaches every key: each key's own refusal comes first
 FULL_PIPELINE = {
     "seed": 0,
     "series": {"capability": "c.json", "capability_rate": "r.json",

@@ -124,7 +124,7 @@ def check_elasticity_and_log_slope(t, i_vals, r_vals, window, weighted):
     x = ts.TimeSeries("x", "u", t, np.abs(i_vals) + 0.5, q)
     y = ts.TimeSeries("y", "u", t, np.abs(r_vals) + 0.5)
     lx, ly = np.log(x.values), np.log(y.values)
-    qual = x.effective_weights()
+    qual = np.ones(t.size) if q is None else q
     half = window / 2.0
     ref = []
     for c in t:

@@ -14,11 +14,15 @@ them) and ``ingest`` (on the fixture's CSV series), ``certify`` again with
 its ``phi`` made ``CERTIFY_PHI`` (a ``power_log`` Phi with p > 1, whose
 Osgood integral is the exponential integral E1: the one command path that
 loads ``scipy.special``), where the fixture sets a ``phi``
-(``<fixture>-power-log``), and ``certify`` and ``ingest`` again on a copy
-of the fixture whose CSV files have CRLF line ends (``<fixture>-crlf``),
-and ``certify`` and ``estimate`` again with ``--window`` (``FLAG_WINDOW``
-times the config's) and ``--alpha`` set, and ``--seed`` for ``certify``
-(``<fixture>-flags``, ``<fixture>-estimate-flags``).  After each of these
+(``<fixture>-power-log``), ``certify`` again with
+``series.capability_rate`` set to a JSON series at the fixture's samples,
+I**2 / ``fixtures.HOUR`` (the law it is drawn from), where the fixture
+reads a capability JSON (``<fixture>-rate``: the measured-rate path), and
+``certify`` and ``ingest`` again on a copy of the fixture whose CSV files
+have CRLF line ends (``<fixture>-crlf``), and ``certify`` and
+``estimate`` again with ``--window`` (``FLAG_WINDOW`` times the config's)
+and ``--alpha`` set, and ``--seed`` for ``certify`` (``<fixture>-flags``,
+``<fixture>-estimate-flags``).  After each of these
 ``certify`` runs it runs ``report`` on the ``certificate.json`` that
 tree's ``certify`` wrote (``<run>-report``), so the report is rendered
 from every verdict and margin set the fixtures reach.  On the first certify
@@ -90,8 +94,9 @@ def section(cfg, name, **keys) -> dict:
 # faults run on the first certify fixture (a loss-series config), by name:
 # (the config's change or None, the flags); each is run by certify and
 # estimate.  The window and the test level out of range, by key and by
-# flag; each rule between keys; an unknown benchmark key; and a window
-# fault beside a lag fault, where the window's is reported.
+# flag; each rule between keys but the refusal of a second state path
+# (the trees may differ there by design); an unknown benchmark key; and a
+# window fault beside a lag fault, where the window's is reported.
 FAULTS = {
     "window0": (lambda c: section(c, "estimation", window=0.0), ()),
     "window-nan": (lambda c: section(c, "estimation", window=math.nan), ()),
@@ -232,6 +237,21 @@ def certificate(rid) -> str:
     return os.path.join(rid, "certificate.json")
 
 
+def rate_config(d, cfg, hour) -> str:
+    """The capability-JSON certify config ``cfg`` of the fixture ``d`` with
+    ``series.capability_rate`` set to a JSON series (nat/s) at its
+    capability's samples, I**2 / ``hour``: the law the fixture is drawn
+    from."""
+    with open(cfg["series"]["capability"], encoding="utf-8") as fh:
+        samples = json.load(fh)["samples"]
+    rate = write_config(os.path.join(d, "capability_rate.json"), {
+        "name": "capability_rate", "unit": "nat/s", "snapshot_version": "",
+        "samples": [{"t": s["t"], "value": s["value"] ** 2 / hour}
+                    for s in samples]})
+    return write_config(os.path.join(d, "rate.json"), section(
+        cfg, "series", capability_rate=rate))
+
+
 def certify_runs(rid, config, args=()) -> list[dict]:
     """``certify`` on ``config`` with the flags ``args``, and ``report`` on
     the certificate it writes (``<rid>-report``)."""
@@ -290,6 +310,9 @@ def build_runs(seeds, workloads, root) -> list[dict]:
                         runs += certify_runs(f"{rid}-power-log", write_config(
                             os.path.join(d, "power-log.json"),
                             dict(cfg, phi={**cfg["phi"], **CERTIFY_PHI})))
+                    if "capability" in cfg["series"]:
+                        runs += certify_runs(f"{rid}-rate", rate_config(
+                            d, cfg, fixtures.HOUR))
                     crlf, crlf_cfg = crlf_copy(d, cfg)
                     runs += [*certify_runs(f"{rid}-crlf", write_config(
                                  os.path.join(crlf, "config.json"), crlf_cfg)),
